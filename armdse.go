@@ -201,11 +201,11 @@ const (
 
 // Evaluator-seam types; see internal/orchestrate for the contracts.
 type (
-	// Evaluator produces per-(configuration, workload) evaluations; the
-	// seam behind CollectOptions.Eval.
+	// Evaluator evaluates whole configurations, exactly or predicted; the
+	// seam behind CollectOptions.Eval. Evaluate through Worker.
 	Evaluator = orchestrate.Evaluator
-	// Evaluation is one evaluator outcome: stats, confidence, and whether
-	// it came from exact simulation.
+	// Evaluation is one configuration's outcome: per-app stats, whether
+	// they were predicted, and the prediction's confidence.
 	Evaluation = orchestrate.Evaluation
 	// EvalOptions configure NewEvaluator.
 	EvalOptions = orchestrate.EvalOptions
@@ -220,11 +220,10 @@ type (
 // Evaluators lists the recognised evaluator names.
 func Evaluators() []string { return orchestrate.Evaluators() }
 
-// NewEvaluator builds the named per-config evaluator ("" = EvalExact): the
-// standalone face of the evaluator seam, for single-point studies. Batch
-// collection selects the same evaluators through CollectOptions.Eval, where
-// the engine additionally guarantees worker-count-independent routing.
-func NewEvaluator(kind string, opt EvalOptions) (Evaluator, error) {
+// NewEvaluator builds the named per-config evaluator ("" = EvalExact), the
+// one the collection engine builds from CollectOptions.Eval. Outside the
+// engine the hybrid never refits, so it simulates every configuration.
+func NewEvaluator(kind string, opt EvalOptions) (*Evaluator, error) {
 	return orchestrate.NewEvaluator(kind, opt)
 }
 
@@ -282,12 +281,8 @@ type (
 	// BatchSource is the generation-driven configuration seam: the engine
 	// asks it for the next proposal batch, runs the batch to a barrier,
 	// and feeds the completed rows back before asking again
-	// (CollectOptions.Batches). FixedBatches wraps a fixed source as the
-	// degenerate single-batch case; search.Proposer is the adaptive case.
+	// (CollectOptions.Batches); search.Proposer is the adaptive case.
 	BatchSource = orchestrate.BatchSource
-	// FixedBatches adapts a fixed ConfigSource to the batch seam (one
-	// batch holding the whole source).
-	FixedBatches = orchestrate.FixedBatches
 )
 
 // Collect simulates every workload on each of the design space's sampled

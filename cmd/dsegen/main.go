@@ -404,6 +404,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
+	// A shard is a Skip predicate: it drops every index outside i mod n,
+	// alongside the indices a resumed journal already holds.
+	skipIndex := func(i int) bool { return skip[i] || (shardCount > 0 && i%shardCount != shardIndex) }
 	start := time.Now()
 	opt := armdse.CollectOptions{
 		Seed:         *seed,
@@ -418,9 +421,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		EvalRefresh:  *evalRefr,
 		Validate:     true,
 		Sink:         armdse.NewStreamSink(sw),
-		Skip:         func(i int) bool { return skip[i] },
-		ShardIndex:   shardIndex,
-		ShardCount:   shardCount,
+		Skip:         skipIndex,
 		Telemetry:    tel,
 	}
 	if !*quiet {

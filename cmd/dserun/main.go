@@ -81,7 +81,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		cfgPath  = fs.String("config", "", "JSON configuration file (default: ThunderX2 baseline)")
 		vl       = fs.Int("vl", 0, "override SVE vector length in bits (power of two, 128-2048)")
 		paper    = fs.Bool("paper", false, "use the paper's Table IV inputs instead of the scaled test inputs")
-		hw       = fs.Bool("hw", false, "deprecated alias for -mem proxy")
 		mem      = fs.String("mem", "", "memory backend: sst (default), flat, proxy")
 		eval     = fs.String("eval", "", "evaluator: exact (default), bound (analytical), hybrid (bounds + learned residual)")
 		evalEsc  = fs.Float64("eval-escalate", 0, "hybrid escalation threshold on the residual forest's log spread (0 = default)")
@@ -93,27 +92,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		httpAddr = fs.String("http", "", "serve the live monitor (/metrics, /status, /debug/vars, /debug/pprof) on this address while the run executes")
 		linger   = fs.Duration("http-linger", 0, "keep the -http server up this long after the run finishes (for scrapers; interrupt exits early)")
 	)
-	// -hw is a deprecated alias kept for old scripts; hide it from the
-	// usage listing so new invocations reach for -mem proxy instead.
-	fs.Usage = func() {
-		fmt.Fprintln(stderr, "Usage of dserun:")
-		fs.VisitAll(func(f *flag.Flag) {
-			if f.Name == "hw" {
-				return
-			}
-			fmt.Fprintf(stderr, "  -%s\n    \t%s\n", f.Name, f.Usage)
-		})
-	}
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	memSel := *mem
-	if *hw {
-		fmt.Fprintln(stderr, "dserun: -hw is deprecated; use -mem proxy")
-		if memSel != "" && memSel != armdse.BackendProxy {
-			return fmt.Errorf("-hw conflicts with -mem %q; drop -hw or use -mem proxy", memSel)
-		}
-		memSel = armdse.BackendProxy
 	}
 	// The monitor registry records the evaluation's wall time so /status can
 	// answer with bucket-interpolated latency quantiles even for this
@@ -177,7 +157,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	evaluator, err := armdse.NewEvaluator(*eval, armdse.EvalOptions{
-		Backend:   memSel,
+		Backend:   *mem,
 		MaxCycles: *maxCyc,
 		Escalate:  *evalEsc,
 	})
@@ -186,14 +166,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	evalSpan := reg.TimeHistogram("armdse_config_wall_nanoseconds",
 		"Wall time per configuration (full suite).").Start(0)
-	evaluation, err := evaluator.Evaluate(cfg, w)
+	evaluation, err := evaluator.Worker(0).Evaluate([]armdse.Workload{w}, 0, cfg)
 	evalSpan.End()
 	if err != nil {
 		return err
 	}
-	st := evaluation.Stats
+	st := evaluation.Stats[0]
 	fmt.Fprintf(stdout, "app=%s vl=%d\n", w.Name(), cfg.Core.VectorLength)
-	if !evaluation.Exact {
+	if evaluation.Predicted {
 		fmt.Fprintf(stdout, "eval:                %s (predicted, confidence %.3f)\n", *eval, evaluation.Confidence)
 	}
 	fmt.Fprintf(stdout, "cycles:              %d\n", st.Cycles)

@@ -35,47 +35,19 @@ func TestRunDumpAndLoadConfig(t *testing.T) {
 	}
 }
 
+// TestRunVLOverrideAndHW runs a vector-length override on the
+// hardware-proxy backend. The removed -hw alias must be rejected as an
+// unknown flag.
 func TestRunVLOverrideAndHW(t *testing.T) {
 	var out, errBuf bytes.Buffer
-	if err := run([]string{"-app", "STREAM", "-vl", "1024", "-hw"}, &out, &errBuf); err != nil {
+	if err := run([]string{"-app", "STREAM", "-vl", "1024", "-mem", "proxy"}, &out, &errBuf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "vl=1024") {
 		t.Errorf("output = %q", out.String())
 	}
-	if !strings.Contains(errBuf.String(), "deprecated") || !strings.Contains(errBuf.String(), "-mem proxy") {
-		t.Errorf("-hw did not warn about deprecation: %q", errBuf.String())
-	}
-}
-
-// TestRunHWAliasesMemProxy pins the deprecation contract: -hw behaves
-// exactly like -mem proxy, combines with an agreeing -mem, conflicts with a
-// disagreeing one, and stays out of the usage listing.
-func TestRunHWAliasesMemProxy(t *testing.T) {
-	var viaHW, viaMem, errBuf bytes.Buffer
-	if err := run([]string{"-app", "STREAM", "-hw"}, &viaHW, &errBuf); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-app", "STREAM", "-mem", "proxy"}, &viaMem, &errBuf); err != nil {
-		t.Fatal(err)
-	}
-	if viaHW.String() != viaMem.String() {
-		t.Errorf("-hw output differs from -mem proxy:\n%q\n%q", viaHW.String(), viaMem.String())
-	}
-	var out bytes.Buffer
-	if err := run([]string{"-app", "STREAM", "-hw", "-mem", "proxy"}, &out, &errBuf); err != nil {
-		t.Errorf("-hw with agreeing -mem proxy rejected: %v", err)
-	}
-	if err := run([]string{"-app", "STREAM", "-hw", "-mem", "flat"}, &out, &errBuf); err == nil ||
-		!strings.Contains(err.Error(), "-mem proxy") {
-		t.Errorf("-hw with conflicting -mem accepted: %v", err)
-	}
-	errBuf.Reset()
-	if err := run([]string{"-h"}, &out, &errBuf); err == nil {
-		t.Error("-h did not return flag.ErrHelp")
-	}
-	if strings.Contains(errBuf.String(), "-hw") {
-		t.Errorf("usage still lists the deprecated -hw flag:\n%s", errBuf.String())
+	if err := run([]string{"-app", "STREAM", "-hw"}, &out, &errBuf); err == nil {
+		t.Error("removed -hw flag accepted")
 	}
 }
 

@@ -15,9 +15,9 @@ import (
 // each batch from the results of the previous ones. BatchSource is the
 // generalisation: the engine asks for one batch at a time, runs it to a
 // full barrier, and feeds every completed row back before asking for the
-// next. The fixed sources are the degenerate single-batch case
-// (FixedBatches), which keeps the classic sweep byte-identical through the
-// refactor.
+// next. Batches and fixed sources run through the engine's one generation
+// loop: each batch is one generation, and so is a fixed source (cut into
+// warmup and refresh generations under the hybrid evaluator).
 //
 // Determinism contract: the engine assigns batch g the contiguous global
 // indices [base, base+len(batch)) where base is the total size of batches
@@ -74,31 +74,6 @@ type BatchStats struct {
 type BatchStatsSource interface {
 	LastBatchStats() BatchStats
 }
-
-// FixedBatches adapts a fixed ConfigSource to the batch seam as a single
-// batch: the degenerate case the determinism tests pin against the
-// pre-seam engine.
-type FixedBatches struct {
-	Source ConfigSource
-
-	served bool
-}
-
-// NextBatch implements BatchSource: the whole source once, then exhausted.
-func (f *FixedBatches) NextBatch(prior []Row) ([]params.Config, bool) {
-	if f.served {
-		return nil, false
-	}
-	f.served = true
-	batch := make([]params.Config, f.Source.Len())
-	for i := range batch {
-		batch[i] = f.Source.At(i)
-	}
-	return batch, true
-}
-
-// Budget implements Budgeter.
-func (f *FixedBatches) Budget() int { return f.Source.Len() }
 
 // SourceDigest fingerprints a fixed source's contents — FNV-1a over the
 // length and every configuration's feature bits. Embedding the digest in a

@@ -13,9 +13,9 @@ import (
 	"armdse/internal/params"
 )
 
-// The degenerate case of the seam: a BatchSource wrapping the classic
-// IndexedSource must produce byte-identical output to the pre-seam fixed
-// sweep, at any worker count.
+// The degenerate case of the seam: a BatchSource proposing a fixed sweep's
+// configurations as one batch must produce byte-identical output to the
+// fixed sweep, at any worker count.
 func TestFixedBatchesMatchesFixedSweep(t *testing.T) {
 	fixed := Options{Seed: 11, Samples: 10, Suite: tinySuite(), Workers: 2}
 	want := collectCSV(t, fixed)
@@ -24,13 +24,22 @@ func TestFixedBatchesMatchesFixedSweep(t *testing.T) {
 			Seed:    11,
 			Suite:   tinySuite(),
 			Workers: workers,
-			Batches: &FixedBatches{Source: IndexedSource{Seed: 11, N: 10}},
+			Batches: singleBatch(IndexedSource{Seed: 11, N: 10}),
 		}
 		got := collectCSV(t, batch)
 		if !bytes.Equal(want, got) {
-			t.Errorf("FixedBatches at Workers=%d differs from the fixed sweep", workers)
+			t.Errorf("single-batch source at Workers=%d differs from the fixed sweep", workers)
 		}
 	}
+}
+
+// singleBatch proposes all of src as one batch.
+func singleBatch(src ConfigSource) *scriptedBatches {
+	cfgs := make([]params.Config, src.Len())
+	for i := range cfgs {
+		cfgs[i] = src.At(i)
+	}
+	return &scriptedBatches{batches: [][]params.Config{cfgs}}
 }
 
 // scriptedBatches proposes a fixed script of batches and records what prior
@@ -110,23 +119,11 @@ func (t rowTap) Put(row Row) error {
 	return t.sink.Put(row)
 }
 
-func TestBatchRejectsSharding(t *testing.T) {
-	eng := &Engine{
-		Batches:    &FixedBatches{Source: IndexedSource{Seed: 1, N: 4}},
-		Suite:      tinySuite(),
-		Sink:       NewDatasetSink(params.FeatureNames(), SuiteNames(tinySuite())),
-		ShardCount: 2,
-	}
-	if _, _, err := eng.Run(context.Background()); err == nil {
-		t.Fatal("batch + shard accepted")
-	}
-}
-
 func TestEngineRejectsSourceAndBatches(t *testing.T) {
 	sink := NewDatasetSink(params.FeatureNames(), SuiteNames(tinySuite()))
 	both := &Engine{
 		Source:  IndexedSource{Seed: 1, N: 2},
-		Batches: &FixedBatches{Source: IndexedSource{Seed: 1, N: 2}},
+		Batches: singleBatch(IndexedSource{Seed: 1, N: 2}),
 		Suite:   tinySuite(),
 		Sink:    sink,
 	}

@@ -3,7 +3,6 @@ package orchestrate
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -108,8 +107,7 @@ type ProgressEvent struct {
 	// Failed counts configurations dropped by the validation gate so far.
 	Failed int
 	// Total is the number of configurations this run will attempt — the
-	// source size minus skipped (already-journaled or out-of-shard)
-	// indices.
+	// source size minus skipped indices.
 	Total int
 	// RowsPerSec is the mean completion rate since the run started.
 	RowsPerSec float64
@@ -132,7 +130,7 @@ type Engine struct {
 	// Batches, when set, proposes configurations generation by generation
 	// during the run (the adaptive seam; see BatchSource). The engine runs
 	// each batch to a full barrier and feeds all completed rows back before
-	// requesting the next. Incompatible with sharding.
+	// requesting the next.
 	Batches BatchSource
 	// Prior seeds a Batches run with the completed rows of an interrupted
 	// one (see PriorRowsFromJournal) so the proposal sequence replays
@@ -155,12 +153,15 @@ type Engine struct {
 	// EvalEscalate is the hybrid evaluator's escalation threshold on the
 	// residual forest's log-space spread; 0 uses DefaultEvalEscalate.
 	EvalEscalate float64
-	// EvalWarmup is the number of leading configurations the hybrid always
-	// escalates before the first residual fit; 0 uses DefaultEvalWarmup.
+	// EvalWarmup is the number of leading non-skipped configurations of a
+	// fixed source the hybrid always escalates before the first residual
+	// fit; 0 uses DefaultEvalWarmup. A batch source's first batch is its
+	// warmup instead.
 	EvalWarmup int
-	// EvalRefresh is the hybrid's generation size after warmup — the
-	// residual forests retrain at each generation barrier; 0 uses
-	// DefaultEvalRefresh.
+	// EvalRefresh is the hybrid's fixed-source generation size after
+	// warmup — the residual forests retrain at each generation barrier; 0
+	// uses DefaultEvalRefresh. A batch source's batches are its
+	// generations instead.
 	EvalRefresh int
 	// Seed drives the hybrid evaluator's residual-training substreams (it
 	// does not affect the Source). A hybrid run is deterministic in
@@ -172,11 +173,9 @@ type Engine struct {
 	// MaxCyclesPerRun aborts pathological runs; 0 uses the engine
 	// default.
 	MaxCyclesPerRun int64
-	// ShardIndex/ShardCount restrict the run to indices congruent to
-	// ShardIndex modulo ShardCount. ShardCount 0 or 1 disables sharding.
-	ShardIndex, ShardCount int
 	// Skip, when non-nil, drops index i before simulation — the resume
-	// hook: pass the journal's completed-index set.
+	// hook (pass the journal's completed-index set) and the sharding hook
+	// (drop indices outside the shard).
 	Skip func(i int) bool
 	// Progress, when non-nil, is invoked after every finished
 	// configuration.
@@ -210,49 +209,34 @@ func (e *Engine) Run(ctx context.Context) (done, failed int, err error) {
 		return 0, 0, fmt.Errorf("orchestrate: empty workload suite")
 	}
 	batchMode := e.Batches != nil
-	if batchMode && e.ShardCount > 1 {
-		// A shard sees only a slice of each generation's rows, so its
-		// proposals would diverge from every other shard's — there is no
-		// consistent dataset to assemble. Adaptive runs parallelise inside
-		// the batch instead.
-		return 0, 0, fmt.Errorf("orchestrate: batch sources cannot be sharded")
-	}
-	if e.ShardCount > 1 && (e.ShardIndex < 0 || e.ShardIndex >= e.ShardCount) {
-		return 0, 0, fmt.Errorf("orchestrate: shard %d/%d out of range", e.ShardIndex, e.ShardCount)
-	}
-	kind := e.Eval
-	if kind == "" {
-		kind = EvalExact
-	}
-	switch kind {
-	case EvalExact, EvalBound, EvalHybrid:
-	default:
-		return 0, 0, fmt.Errorf("orchestrate: unknown evaluator %q (want one of %v)", e.Eval, Evaluators())
-	}
 	workers := e.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	maxCycles := e.MaxCyclesPerRun
-	if maxCycles <= 0 {
-		maxCycles = simeng.DefaultMaxCycles
+	ev, err := NewEvaluator(e.Eval, EvalOptions{
+		Backend:   e.Backend,
+		MaxCycles: e.MaxCyclesPerRun,
+		Escalate:  e.EvalEscalate,
+		Seed:      e.Seed,
+		Workers:   workers,
+	})
+	if err != nil {
+		return 0, 0, err
 	}
+	skip := func(i int) bool { return e.Skip != nil && e.Skip(i) }
 
-	// Fixed-source runs enumerate their whole index space up front; batch
-	// runs discover theirs generation by generation, so their progress
+	// A fixed source's work is its non-skipped index list, known up front;
+	// configurations are still derived by At(i) only at dispatch. A batch
+	// run discovers its work generation by generation, so its progress
 	// total is the source's Budget hint (0 when it offers none), refined
 	// downward as skipped indices are discovered.
 	var todo []int
 	total := 0
 	if !batchMode {
 		for i := 0; i < e.Source.Len(); i++ {
-			if e.ShardCount > 1 && i%e.ShardCount != e.ShardIndex {
-				continue
+			if !skip(i) {
+				todo = append(todo, i)
 			}
-			if e.Skip != nil && e.Skip(i) {
-				continue
-			}
-			todo = append(todo, i)
 		}
 		total = len(todo)
 	} else if b, ok := e.Batches.(Budgeter); ok {
@@ -261,50 +245,10 @@ func (e *Engine) Run(ctx context.Context) (done, failed int, err error) {
 
 	start := time.Now()
 	tel := e.Telemetry
-	tel.bind(e.Suite, workers, total, e.ShardIndex, e.ShardCount, start)
-	tel.bindEval(kind)
+	tel.bind(e.Suite, workers, total, start)
+	tel.bindEval(e.Eval)
 	tel.bindBatchMode(batchMode)
-	cache := newProgramCache()
-	cache.instrument(tel)
-
-	// Hybrid routing state and the generation partition. Exact and bound
-	// runs are a single generation — every index is independent, so the
-	// feed degenerates to the classic stream. A hybrid run is split into a
-	// warmup generation (all escalated, seeding the residual forests) and
-	// fixed-size refresh generations with a full barrier between them:
-	// within a generation every routing decision consults a frozen model,
-	// so the decision per index — and therefore the dataset — is a pure
-	// function of (Source, Seed, thresholds), independent of worker count
-	// and completion order. In batch mode the proposer's own barriers are
-	// the generations: the residual forests refresh at each batch
-	// boundary, and the first batch doubles as the warmup (no model, all
-	// escalated).
-	var hst *hybridState
-	gens := [][]int{todo}
-	if kind == EvalHybrid {
-		hst = newHybridState(e.EvalEscalate, e.Seed, workers)
-		if !batchMode {
-			warmup := e.EvalWarmup
-			if warmup <= 0 {
-				warmup = DefaultEvalWarmup
-			}
-			refresh := e.EvalRefresh
-			if refresh <= 0 {
-				refresh = DefaultEvalRefresh
-			}
-			if warmup > len(todo) {
-				warmup = len(todo)
-			}
-			gens = [][]int{todo[:warmup]}
-			for lo := warmup; lo < len(todo); lo += refresh {
-				hi := lo + refresh
-				if hi > len(todo) {
-					hi = len(todo)
-				}
-				gens = append(gens, todo[lo:hi])
-			}
-		}
-	}
+	ev.instrument(tel)
 
 	type job struct {
 		idx     int
@@ -327,24 +271,10 @@ func (e *Engine) Run(ctx context.Context) (done, failed int, err error) {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			// Each worker owns one pooled run context: core, backend and
-			// stream cursor are allocated on the first job and reset in
-			// place for every subsequent one. The worker index doubles as
-			// the telemetry shard, so metric recording never contends
-			// across workers.
-			rc := newRunContext()
-			rc.tel, rc.worker = tel, worker
+			ew := ev.Worker(worker)
 			for j := range jobs {
 				t0 := time.Now()
-				var row Row
-				switch kind {
-				case EvalBound:
-					row = e.runBoundConfig(cache, j.cfg, j.idx, worker)
-				case EvalHybrid:
-					row = e.runHybridConfig(cache, rc, hst, j.cfg, j.idx, maxCycles, worker)
-				default:
-					row = e.runConfig(cache, rc, j.cfg, j.idx, maxCycles, worker)
-				}
+				row := evalRow(ew, e.Suite, j.idx, j.cfg)
 				row.Gen = j.gen
 				tel.configDone(worker, &row, time.Since(t0).Nanoseconds())
 				mu.Lock()
@@ -371,7 +301,7 @@ func (e *Engine) Run(ctx context.Context) (done, failed int, err error) {
 				}
 				cycles += row.Cycles
 				elapsed := time.Since(start)
-				ev := ProgressEvent{
+				pe := ProgressEvent{
 					Done:       done,
 					Failed:     failed,
 					Total:      total,
@@ -380,11 +310,11 @@ func (e *Engine) Run(ctx context.Context) (done, failed int, err error) {
 					Elapsed:    elapsed,
 				}
 				if done > 0 && done < total {
-					ev.ETA = time.Duration(float64(elapsed) * float64(total-done) / float64(done))
+					pe.ETA = time.Duration(float64(elapsed) * float64(total-done) / float64(done))
 				}
-				tel.progress(ev)
+				tel.progress(pe)
 				if e.Progress != nil {
-					e.Progress(ev)
+					e.Progress(pe)
 				}
 				mu.Unlock()
 				j.pending.Done()
@@ -392,59 +322,44 @@ func (e *Engine) Run(ctx context.Context) (done, failed int, err error) {
 		}(w)
 	}
 
-	// Feed stage. Both paths hand every job to a worker through a
-	// per-generation WaitGroup; waiting on it before refreshing the
-	// hybrid's residual forests — or before asking the proposer for the
-	// next batch — is the barrier that keeps routing and proposals
+	// Feed stage: one loop over generations. Every job of a generation is
+	// joined through its WaitGroup before the next generation opens; that
+	// barrier is where the hybrid's residual forests refit and where the
+	// proposer sees the completed rows, which keeps routing and proposals
 	// deterministic at any worker count.
-	var ctxErr error
-	if !batchMode {
-		// Fixed source: feed generation by generation. Exact and bound
-		// runs have one generation, so their feed order and abort
-		// behaviour match the pre-seam engine exactly.
-	feed:
-		for gi, gen := range gens {
-			if gi > 0 && hst != nil {
-				tel.evalRefresh(hst.refresh())
-			}
-			var pending sync.WaitGroup
-			for _, i := range gen {
-				mu.Lock()
-				aborted := sinkErr != nil
-				mu.Unlock()
-				if aborted {
-					break feed
-				}
-				pending.Add(1)
-				select {
-				case jobs <- job{idx: i, cfg: e.Source.At(i), pending: &pending}:
-				case <-ctx.Done():
-					pending.Done()
-					ctxErr = ctx.Err()
-					break feed
-				}
-			}
-			pending.Wait()
-		}
-	} else {
-		// Batch source: ask → run to the barrier → feed results back →
-		// ask again. Batch g owns the contiguous indices [base,
-		// base+len(batch)); the proposer sees exactly the rows with
-		// Index < base — all complete earlier batches, sorted by index —
-		// which is what makes the proposal sequence a pure function of
-		// (source state, prior results), independent of worker count and
-		// resume point.
-		rows := append([]Row(nil), e.Prior...)
+	//
+	// A fixed source is one generation over its non-skipped indices; under
+	// the hybrid it is cut into a warmup generation (all escalated, seeding
+	// the residual forests) and fixed-size refresh generations. A batch
+	// source's batches are its generations, the first doubling as the
+	// hybrid's warmup. Batch g owns the contiguous indices [base,
+	// base+len(batch)); the proposer sees exactly the rows with Index <
+	// base — all complete earlier batches, sorted by index — which is what
+	// makes the proposal sequence a pure function of (source state, prior
+	// results), independent of worker count and resume point.
+	genSize, nextSize := len(todo), len(todo)
+	if ev.hybrid != nil {
+		genSize, nextSize = positiveOr(e.EvalWarmup, DefaultEvalWarmup), positiveOr(e.EvalRefresh, DefaultEvalRefresh)
+	}
+	var rows []Row
+	if batchMode {
+		rows = append(rows, e.Prior...)
 		sortRowsByIndex(rows)
-		base := 0
-	batchFeed:
-		for gen := 0; ; gen++ {
+	}
+	base := 0
+	var ctxErr error
+feed:
+	for gen := 0; ; gen++ {
+		var idx []int
+		var batch []params.Config
+		if batchMode {
 			cut := 0
 			for cut < len(rows) && rows[cut].Index < base {
 				cut++
 			}
 			barrierT0 := time.Now()
-			batch, ok := e.Batches.NextBatch(rows[:cut:cut])
+			var ok bool
+			batch, ok = e.Batches.NextBatch(rows[:cut:cut])
 			barrierNanos := time.Since(barrierT0).Nanoseconds()
 			if !ok || len(batch) == 0 {
 				break
@@ -454,36 +369,49 @@ func (e *Engine) Run(ctx context.Context) (done, failed int, err error) {
 				bstats = bs.LastBatchStats()
 			}
 			tel.searchBarrierDone(gen, barrierNanos, bstats)
-			var pending sync.WaitGroup
-			for bi, cfg := range batch {
-				i := base + bi
-				if e.Skip != nil && e.Skip(i) {
-					mu.Lock()
-					if total > 0 {
-						total--
-					}
-					mu.Unlock()
-					continue
-				}
-				mu.Lock()
-				aborted := sinkErr != nil
-				mu.Unlock()
-				if aborted {
-					break batchFeed
-				}
-				pending.Add(1)
-				select {
-				case jobs <- job{idx: i, gen: gen, cfg: cfg, pending: &pending}:
-				case <-ctx.Done():
-					pending.Done()
-					ctxErr = ctx.Err()
-					break batchFeed
+			for i := base; i < base+len(batch); i++ {
+				if !skip(i) {
+					idx = append(idx, i)
 				}
 			}
-			pending.Wait()
-			if hst != nil {
-				tel.evalRefresh(hst.refresh())
+			mu.Lock()
+			total = max(total-(len(batch)-len(idx)), 0)
+			mu.Unlock()
+		} else {
+			if len(todo) == 0 {
+				break
 			}
+			n := min(genSize, len(todo))
+			idx, todo, genSize = todo[:n], todo[n:], nextSize
+		}
+		if gen > 0 {
+			ev.refit()
+		}
+		var pending sync.WaitGroup
+		for _, i := range idx {
+			mu.Lock()
+			aborted := sinkErr != nil
+			mu.Unlock()
+			if aborted {
+				break feed
+			}
+			j := job{idx: i, pending: &pending}
+			if batchMode {
+				j.gen, j.cfg = gen, batch[i-base]
+			} else {
+				j.cfg = e.Source.At(i)
+			}
+			pending.Add(1)
+			select {
+			case jobs <- j:
+			case <-ctx.Done():
+				pending.Done()
+				ctxErr = ctx.Err()
+				break feed
+			}
+		}
+		pending.Wait()
+		if batchMode {
 			base += len(batch)
 			mu.Lock()
 			rows = append(rows, batchRows...)
@@ -507,175 +435,31 @@ func sortRowsByIndex(rows []Row) {
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Index < rows[j].Index })
 }
 
-// runConfig is the worker stage: simulate the full suite on configuration
-// index i through the worker's pooled run context and record the outcome.
-// Telemetry recording (per-app wall time, stall aggregates, journal staging)
-// rides the same pass; with a nil Telemetry the only overhead is a nil check
-// per app.
-func (e *Engine) runConfig(cache *programCache, rc *runContext, cfg params.Config, i int, maxCycles int64, worker int) Row {
-	tel := e.Telemetry
-	tel.beginConfig(worker)
-	row := Row{Index: i, Config: cfg, Features: cfg.Features()}
-	targets := make(map[string]float64, len(e.Suite))
-	stalls := make(map[string]simeng.StallBreakdown, len(e.Suite))
-	for ai, w := range e.Suite {
-		prog, arena, err := cache.get(w, cfg.Core.VectorLength, worker)
-		if err != nil {
-			row.Err = err
-			return row
-		}
-		var t0 time.Time
-		if tel != nil {
-			t0 = time.Now()
-		}
-		st, err := rc.simulate(e.Backend, cfg, prog, arena, maxCycles)
-		if tel != nil {
-			tel.appRun(worker, ai, time.Since(t0).Nanoseconds(), st, err)
-		}
+// positiveOr returns v, or def when v <= 0.
+func positiveOr(v, def int) int {
+	if v <= 0 {
+		return def
+	}
+	return v
+}
+
+// evalRow is the worker stage: evaluate configuration i through the
+// worker's evaluator and build its Row — the one place rows are made.
+func evalRow(ew *EvalWorker, suite []workload.Workload, i int, cfg params.Config) Row {
+	res, err := ew.Evaluate(suite, i, cfg)
+	row := Row{Index: i, Config: cfg, Features: cfg.Features(), Err: err,
+		Predicted: res.Predicted, Confidence: res.Confidence}
+	for _, st := range res.Stats {
 		row.Cycles += st.Cycles
-		if err != nil {
-			row.Err = fmt.Errorf("%s: %w", w.Name(), err)
-			return row
-		}
-		targets[w.Name()] = float64(st.Cycles)
-		stalls[w.Name()] = st.Stalls
 	}
-	row.Targets = targets
-	row.Stalls = stalls
-	return row
-}
-
-// runBoundConfig is the worker stage under the bound evaluator: answer
-// every application from the analytical bound model, no simulation. The
-// emitted Row carries the same shape as an exact one (targets, stalls
-// summing to cycles), marked Predicted with the bounds' tightness as
-// confidence.
-func (e *Engine) runBoundConfig(cache *programCache, cfg params.Config, i, worker int) Row {
-	tel := e.Telemetry
-	tel.beginConfig(worker)
-	row := Row{Index: i, Config: cfg, Features: cfg.Features()}
-	bm, err := simeng.NewBoundModel(cfg.Core, cfg.MemProfile())
 	if err != nil {
-		row.Err = err
 		return row
 	}
-	targets := make(map[string]float64, len(e.Suite))
-	stalls := make(map[string]simeng.StallBreakdown, len(e.Suite))
-	conf := 1.0
-	for ai, w := range e.Suite {
-		st, err := cache.getStats(w, cfg.Core.VectorLength, worker)
-		if err != nil {
-			row.Err = fmt.Errorf("%s: %w", w.Name(), err)
-			return row
-		}
-		var t0 time.Time
-		if tel != nil {
-			t0 = time.Now()
-		}
-		b := bm.Bounds(st)
-		ps := bm.PredictedStats(st, b, b.Lower)
-		if tel != nil {
-			tel.appRun(worker, ai, time.Since(t0).Nanoseconds(), ps, nil)
-		}
-		row.Cycles += ps.Cycles
-		targets[w.Name()] = float64(ps.Cycles)
-		stalls[w.Name()] = ps.Stalls
-		if tight := boundTightness(b); tight < conf {
-			conf = tight
-		}
-	}
-	row.Targets = targets
-	row.Stalls = stalls
-	row.Predicted, row.Confidence = true, conf
-	tel.evalDecision(worker, true, conf)
-	return row
-}
-
-// runHybridConfig is the worker stage under the hybrid evaluator: consult
-// the per-application residual forests and predict the whole configuration
-// when every application clears the confidence threshold, otherwise
-// escalate it to the exact path — which is runConfig itself, so escalated
-// rows are byte-identical to an exact run's — and fold the exact outcomes
-// into the routing state for the next generation's refresh.
-func (e *Engine) runHybridConfig(cache *programCache, rc *runContext, hst *hybridState, cfg params.Config, i int, maxCycles int64, worker int) Row {
-	tel := e.Telemetry
-	bm, bmErr := simeng.NewBoundModel(cfg.Core, cfg.MemProfile())
-
-	// Plan each application: bounds, features, and the frozen forest's
-	// verdict. Any miss — no model yet, spread above threshold, a stats
-	// error, or a config outside the bound model's domain — escalates the
-	// whole configuration, keeping each Row purely exact or purely
-	// predicted.
-	type appPlan struct {
-		x    []float64
-		b    simeng.Bounds
-		mean float64
-		std  float64
-	}
-	var plans []appPlan
-	allConfident := bmErr == nil
-	conf := 1.0
-	if bmErr == nil {
-		cfgFeats := cfg.Features()
-		plans = make([]appPlan, len(e.Suite))
-		for ai, w := range e.Suite {
-			st, err := cache.getStats(w, cfg.Core.VectorLength, worker)
-			if err != nil {
-				allConfident = false
-				continue
-			}
-			b := bm.Bounds(st)
-			x := hybridFeatures(cfgFeats, bm, b)
-			mean, std, ok := hst.decide(w.Name(), x)
-			plans[ai] = appPlan{x: x, b: b, mean: mean, std: std}
-			if !ok {
-				allConfident = false
-			} else if c := spreadConfidence(std); c < conf {
-				conf = c
-			}
-		}
-	}
-
-	if allConfident {
-		tel.beginConfig(worker)
-		row := Row{Index: i, Config: cfg, Features: cfg.Features(), Predicted: true, Confidence: conf}
-		targets := make(map[string]float64, len(e.Suite))
-		stalls := make(map[string]simeng.StallBreakdown, len(e.Suite))
-		for ai, w := range e.Suite {
-			st, _ := cache.getStats(w, cfg.Core.VectorLength, worker)
-			p := plans[ai]
-			var t0 time.Time
-			if tel != nil {
-				t0 = time.Now()
-			}
-			ps := bm.PredictedStats(st, p.b, predictCycles(p.b, p.mean))
-			if tel != nil {
-				tel.appRun(worker, ai, time.Since(t0).Nanoseconds(), ps, nil)
-			}
-			row.Cycles += ps.Cycles
-			targets[w.Name()] = float64(ps.Cycles)
-			stalls[w.Name()] = ps.Stalls
-		}
-		row.Targets = targets
-		row.Stalls = stalls
-		tel.evalDecision(worker, true, conf)
-		return row
-	}
-
-	row := e.runConfig(cache, rc, cfg, i, maxCycles, worker)
-	tel.evalDecision(worker, false, 0)
-	if row.Err == nil && plans != nil {
-		for ai, w := range e.Suite {
-			p := plans[ai]
-			if p.x == nil {
-				continue
-			}
-			lower := p.b.Lower
-			if lower < 1 {
-				lower = 1
-			}
-			hst.observe(w.Name(), i, p.x, math.Log(row.Targets[w.Name()]/float64(lower)))
-		}
+	row.Targets = make(map[string]float64, len(suite))
+	row.Stalls = make(map[string]simeng.StallBreakdown, len(suite))
+	for ai, w := range suite {
+		row.Targets[w.Name()] = float64(res.Stats[ai].Cycles)
+		row.Stalls[w.Name()] = res.Stats[ai].Stalls
 	}
 	return row
 }

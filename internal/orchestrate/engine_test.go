@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"armdse/internal/dataset"
@@ -124,7 +125,8 @@ func TestShardUnionEqualsUnsharded(t *testing.T) {
 	}
 	sw.Close()
 
-	// Three shards appending to one shared journal.
+	// Three shards appending to one shared journal; a shard is a Skip
+	// predicate over the index space.
 	union := filepath.Join(dir, "union.journal")
 	uw, err := dataset.CreateStream(union, features, apps, "")
 	if err != nil {
@@ -134,8 +136,7 @@ func TestShardUnionEqualsUnsharded(t *testing.T) {
 	for s := 0; s < 3; s++ {
 		sopt := opt
 		sopt.Sink = StreamSink{W: uw}
-		sopt.ShardIndex = s
-		sopt.ShardCount = 3
+		sopt.Skip = func(i int) bool { return i%3 != s }
 		res, err := Collect(context.Background(), sopt)
 		if err != nil {
 			t.Fatal(err)
@@ -215,10 +216,6 @@ func TestEngineValidation(t *testing.T) {
 	if _, _, err := e.Run(context.Background()); err == nil {
 		t.Error("engine without suite accepted")
 	}
-	e = &Engine{Source: IndexedSource{Seed: 1, N: 2}, Suite: tinySuite(), Sink: sink, ShardIndex: 3, ShardCount: 2}
-	if _, _, err := e.Run(context.Background()); err == nil {
-		t.Error("out-of-range shard accepted")
-	}
 }
 
 // errSink fails on the nth Put, to exercise the abort path.
@@ -269,5 +266,49 @@ func TestSliceSource(t *testing.T) {
 	}
 	if d.Len()+f != 3 {
 		t.Errorf("rows %d + failed %d != 3", d.Len(), f)
+	}
+}
+
+// countingSource is a fixed source that counts its At calls.
+type countingSource struct {
+	n     int
+	calls atomic.Int64
+}
+
+func (s *countingSource) Len() int { return s.n }
+
+func (s *countingSource) At(i int) params.Config {
+	s.calls.Add(1)
+	return params.ConfigAt(1, i)
+}
+
+// TestFixedSourceIsLazy pins that a fixed sweep — a local one or a fabric
+// worker's leased range — derives a configuration only when it dispatches
+// it: over a 1 Mi-index source with all but 4 indices skipped, the engine
+// must call At exactly 4 times, under the single-generation exact feed and
+// the hybrid's generation cuts alike.
+func TestFixedSourceIsLazy(t *testing.T) {
+	keep := map[int]bool{0: true, 1000: true, 1 << 19: true, 1<<20 - 1: true}
+	for _, kind := range []string{EvalExact, EvalHybrid} {
+		src := &countingSource{n: 1 << 20}
+		e := &Engine{
+			Source:     src,
+			Suite:      tinySuite(),
+			Sink:       newRowRecorder(),
+			Eval:       kind,
+			EvalWarmup: 2,
+			Workers:    2,
+			Skip:       func(i int) bool { return !keep[i] },
+		}
+		done, _, err := e.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done != len(keep) {
+			t.Errorf("%s: done = %d, want %d", kind, done, len(keep))
+		}
+		if got := src.calls.Load(); got != int64(len(keep)) {
+			t.Errorf("%s: At called %d times, want %d", kind, got, len(keep))
+		}
 	}
 }

@@ -3,8 +3,10 @@ package orchestrate
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
+	"time"
 
 	"armdse/internal/dtree"
 	"armdse/internal/isa"
@@ -52,31 +54,6 @@ const (
 	evalMinSamplesLeaf = 2
 )
 
-// Evaluation is the outcome of evaluating one (configuration, workload)
-// pair.
-type Evaluation struct {
-	// Stats is the run outcome. For exact evaluations it is the
-	// simulator's full record; for predicted ones the architectural
-	// counts (retired, loads, stores...) are exact stream properties, the
-	// cycle count is the model's estimate, and the stall breakdown is the
-	// bound model's synthetic attribution (still summing to Cycles).
-	Stats simeng.Stats
-	// Confidence is the evaluator's self-assessed reliability in (0, 1]:
-	// exact evaluations report 1, the bound model its Lower/Upper
-	// tightness, the hybrid a decreasing function of the residual
-	// forest's between-tree spread.
-	Confidence float64
-	// Exact reports whether Stats came from exact simulation.
-	Exact bool
-}
-
-// Evaluator produces a per-(configuration, workload) evaluation. An
-// implementation may keep internal caches or learned state; Evaluate must
-// be safe for concurrent use.
-type Evaluator interface {
-	Evaluate(cfg params.Config, w workload.Workload) (Evaluation, error)
-}
-
 // EvalOptions configure NewEvaluator.
 type EvalOptions struct {
 	// Backend names the memory backend exact simulation uses (see
@@ -89,117 +66,242 @@ type EvalOptions struct {
 	Escalate float64
 	// Seed drives the hybrid's residual-training substreams.
 	Seed int64
-	// Warmup is the number of leading configurations the hybrid always
-	// escalates before the first residual fit; 0 uses DefaultEvalWarmup.
-	Warmup int
-	// Refresh is the retraining period in observed escalations; 0 uses
-	// DefaultEvalRefresh.
-	Refresh int
 	// Workers bounds residual-training concurrency; 0 uses GOMAXPROCS.
 	Workers int
 }
 
+// Evaluator evaluates whole configurations: one run record per suite
+// application, simulated exactly or predicted analytically. It holds the
+// state every worker of a run shares — the program cache and, under the
+// hybrid, the residual routing state — while each worker evaluates through
+// its own EvalWorker. The collection engine and dserun use the same path.
+type Evaluator struct {
+	backend   string
+	maxCycles int64
+	// bound answers every configuration from the analytical bound model.
+	bound bool
+	// hybrid is the residual routing state; nil unless the hybrid router
+	// is selected. Its forests only change at refit.
+	hybrid *hybridState
+	cache  *programCache
+	tel    *Telemetry
+}
+
 // NewEvaluator builds the named evaluator. An empty kind selects EvalExact,
 // the study's default.
-func NewEvaluator(kind string, opt EvalOptions) (Evaluator, error) {
-	switch kind {
-	case "", EvalExact:
-		return &ExactEvaluator{Backend: opt.Backend, MaxCycles: opt.MaxCycles}, nil
-	case EvalBound:
-		return NewBoundEvaluator(), nil
-	case EvalHybrid:
-		return NewHybridEvaluator(opt), nil
-	default:
+func NewEvaluator(kind string, opt EvalOptions) (*Evaluator, error) {
+	if kind == "" {
+		kind = EvalExact
+	}
+	if !slices.Contains(Evaluators(), kind) {
 		return nil, fmt.Errorf("orchestrate: unknown evaluator %q (want one of %v)", kind, Evaluators())
 	}
-}
-
-// ExactEvaluator runs the full simulator — the pre-seam behaviour behind
-// the seam's interface.
-type ExactEvaluator struct {
-	// Backend names the memory backend (see NewBackend); empty selects
-	// BackendSST.
-	Backend string
-	// MaxCycles bounds each run; 0 uses the engine default.
-	MaxCycles int64
-}
-
-// Evaluate implements Evaluator by exact simulation.
-func (e *ExactEvaluator) Evaluate(cfg params.Config, w workload.Workload) (Evaluation, error) {
-	st, err := RunOneOn(e.Backend, cfg, w, e.MaxCycles)
-	if err != nil {
-		return Evaluation{}, err
+	e := &Evaluator{
+		backend:   opt.Backend,
+		maxCycles: opt.MaxCycles,
+		bound:     kind == EvalBound,
+		cache:     newProgramCache(),
 	}
-	return Evaluation{Stats: st, Confidence: 1, Exact: true}, nil
-}
-
-// statsCache shares per-(application, vector-length) stream statistics:
-// the stream is a pure function of the pair, so the (full-trace) summary
-// pass runs once however many configurations share it.
-type statsCache struct {
-	mu      sync.Mutex
-	entries map[progKey]*statsEntry
-}
-
-type statsEntry struct {
-	once  sync.Once
-	stats isa.StreamStats
-	err   error
-}
-
-func newStatsCache() *statsCache {
-	return &statsCache{entries: make(map[progKey]*statsEntry)}
-}
-
-func (sc *statsCache) get(w workload.Workload, vl int) (isa.StreamStats, error) {
-	key := progKey{name: w.Name(), vl: vl}
-	sc.mu.Lock()
-	e, ok := sc.entries[key]
-	if !ok {
-		e = &statsEntry{}
-		sc.entries[key] = e
+	if e.maxCycles <= 0 {
+		e.maxCycles = simeng.DefaultMaxCycles
 	}
-	sc.mu.Unlock()
-	e.once.Do(func() {
-		prog, err := w.Program(vl)
+	if kind == EvalHybrid {
+		e.hybrid = newHybridState(opt.Escalate, opt.Seed, opt.Workers)
+	}
+	return e, nil
+}
+
+// instrument attaches the telemetry hub to the shared program cache and to
+// every EvalWorker created afterwards (nil-safe).
+func (e *Evaluator) instrument(tel *Telemetry) {
+	e.tel = tel
+	e.cache.instrument(tel)
+}
+
+// refit retrains the hybrid's residual forests on every escalation observed
+// so far — the work of a generation barrier. A no-op for the other
+// evaluators.
+func (e *Evaluator) refit() {
+	if e.hybrid != nil {
+		e.tel.evalRefresh(e.hybrid.refresh())
+	}
+}
+
+// Evaluation is the outcome of evaluating one configuration on a suite.
+type Evaluation struct {
+	// Stats holds one run record per suite application, in suite order.
+	// For exact evaluations it is the simulator's full record; for
+	// predicted ones the architectural counts (retired, loads, stores...)
+	// are exact stream properties, the cycle count is the model's
+	// estimate, and the stall breakdown is the bound model's synthetic
+	// attribution (still summing to Cycles). On error it holds only the
+	// runs made before the failure, the failing run included.
+	Stats []simeng.Stats
+	// Predicted reports that Stats came from the analytical or learned
+	// model rather than exact simulation.
+	Predicted bool
+	// Confidence is the self-assessed reliability of a predicted
+	// evaluation in (0, 1] — the bound model's Lower/Upper tightness, or a
+	// decreasing function of the residual forest's between-tree spread —
+	// and zero on exact ones.
+	Confidence float64
+}
+
+// EvalWorker is one worker's evaluation context. It owns the worker's pooled
+// run context (core, backend and stream cursor, reset in place between
+// runs) and its telemetry shard, so workers never contend. An EvalWorker is
+// single-consumer.
+type EvalWorker struct {
+	ev    *Evaluator
+	rc    *runContext
+	stats []simeng.Stats
+	plans []appPlan
+}
+
+// appPlan is one application's analytical estimate: its stream statistics
+// and bounds and, under the hybrid, its residual features and the forest's
+// log-space mean. A nil x marks an application the hybrid cannot learn from.
+type appPlan struct {
+	st   isa.StreamStats
+	b    simeng.Bounds
+	x    []float64
+	mean float64
+}
+
+// Worker returns the evaluation context of worker index worker, which also
+// names its telemetry shard.
+func (e *Evaluator) Worker(worker int) *EvalWorker {
+	rc := newRunContext()
+	rc.tel, rc.worker = e.tel, worker
+	return &EvalWorker{ev: e, rc: rc}
+}
+
+// Evaluate evaluates configuration index i, cfg, on every application of
+// suite. The hybrid escalates all-or-nothing: the whole configuration is
+// predicted only when every application clears the escalation threshold,
+// otherwise it is simulated exactly — through the same pooled path as the
+// exact evaluator, so escalated results are byte-identical to it — and its
+// outcomes are kept for the next refit, ordered by i.
+//
+// The returned Stats alias the worker's buffer and stay valid until its
+// next call. A non-nil error is the first per-run failure.
+func (w *EvalWorker) Evaluate(suite []workload.Workload, i int, cfg params.Config) (Evaluation, error) {
+	e, tel, worker := w.ev, w.ev.tel, w.rc.worker
+	tel.beginConfig(worker)
+	w.stats = w.stats[:0]
+	w.plans = w.plans[:0]
+	if e.bound || e.hybrid != nil {
+		bm, conf, confident, err := w.estimate(suite, cfg)
 		if err != nil {
-			e.err = err
-			return
+			return Evaluation{}, err
 		}
-		e.stats = prog.Stats()
-	})
-	return e.stats, e.err
-}
-
-// BoundEvaluator answers every evaluation from the analytical bound model:
-// the estimate is the roofline lower bound, confidence its Lower/Upper
-// tightness. No simulation runs.
-type BoundEvaluator struct {
-	stats *statsCache
-}
-
-// NewBoundEvaluator returns a bound evaluator with a fresh statistics
-// cache.
-func NewBoundEvaluator() *BoundEvaluator {
-	return &BoundEvaluator{stats: newStatsCache()}
-}
-
-// Evaluate implements Evaluator analytically.
-func (e *BoundEvaluator) Evaluate(cfg params.Config, w workload.Workload) (Evaluation, error) {
-	st, err := e.stats.get(w, cfg.Core.VectorLength)
-	if err != nil {
-		return Evaluation{}, err
+		if confident {
+			for ai, p := range w.plans {
+				cycles := p.b.Lower
+				if e.hybrid != nil {
+					cycles = predictCycles(p.b, p.mean)
+				}
+				var t0 time.Time
+				if tel != nil {
+					t0 = time.Now()
+				}
+				ps := bm.PredictedStats(p.st, p.b, cycles)
+				if tel != nil {
+					tel.appRun(worker, ai, time.Since(t0).Nanoseconds(), ps, nil)
+				}
+				w.stats = append(w.stats, ps)
+			}
+			tel.evalDecision(worker, true, conf)
+			return Evaluation{Stats: w.stats, Predicted: true, Confidence: conf}, nil
+		}
 	}
-	bm, err := simeng.NewBoundModel(cfg.Core, cfg.MemProfile())
-	if err != nil {
-		return Evaluation{}, err
+	err := w.simulate(suite, cfg)
+	if e.hybrid != nil {
+		tel.evalDecision(worker, false, 0)
+		if err == nil {
+			for ai, p := range w.plans {
+				if p.x == nil {
+					continue
+				}
+				lower := max(p.b.Lower, 1)
+				e.hybrid.observe(suite[ai].Name(), i, p.x, math.Log(float64(w.stats[ai].Cycles)/float64(lower)))
+			}
+		}
 	}
-	b := bm.Bounds(st)
-	return Evaluation{
-		Stats:      bm.PredictedStats(st, b, b.Lower),
-		Confidence: boundTightness(b),
-		Exact:      false,
-	}, nil
+	return Evaluation{Stats: w.stats}, err
+}
+
+// estimate plans every application of suite analytically into w.plans and
+// reports whether the whole configuration may be answered without
+// simulation, with the lowest per-application confidence. The bound
+// evaluator always answers, so its failures are errors; the hybrid instead
+// escalates anything it cannot plan — a stats error or a configuration
+// outside the bound model's domain.
+func (w *EvalWorker) estimate(suite []workload.Workload, cfg params.Config) (bm *simeng.BoundModel, conf float64, confident bool, err error) {
+	e := w.ev
+	bm, err = simeng.NewBoundModel(cfg.Core, cfg.MemProfile())
+	if err != nil {
+		if e.hybrid != nil {
+			return nil, 0, false, nil
+		}
+		return nil, 0, false, err
+	}
+	var feats []float64
+	if e.hybrid != nil {
+		feats = cfg.Features()
+	}
+	conf, confident = 1, true
+	for _, app := range suite {
+		st, err := e.cache.getStats(app, cfg.Core.VectorLength, w.rc.worker)
+		if err != nil {
+			if e.hybrid == nil {
+				return nil, 0, false, fmt.Errorf("%s: %w", app.Name(), err)
+			}
+			w.plans = append(w.plans, appPlan{})
+			confident = false
+			continue
+		}
+		p := appPlan{st: st, b: bm.Bounds(st)}
+		if e.hybrid == nil {
+			conf = min(conf, boundTightness(p.b))
+		} else {
+			p.x = hybridFeatures(feats, bm, p.b)
+			mean, std, ok := e.hybrid.decide(app.Name(), p.x)
+			p.mean = mean
+			confident = confident && ok
+			conf = min(conf, spreadConfidence(std))
+		}
+		w.plans = append(w.plans, p)
+	}
+	return bm, conf, confident, nil
+}
+
+// simulate runs every application of suite on cfg exactly through the
+// worker's pooled run context, appending each run record to w.stats. It
+// stops at the first failure. Telemetry (per-app wall time, stall
+// aggregates, journal staging) rides the same pass; with a nil Telemetry
+// the only overhead is a nil check per app.
+func (w *EvalWorker) simulate(suite []workload.Workload, cfg params.Config) error {
+	e, tel, worker := w.ev, w.ev.tel, w.rc.worker
+	for ai, app := range suite {
+		prog, arena, err := e.cache.get(app, cfg.Core.VectorLength, worker)
+		if err != nil {
+			return err
+		}
+		var t0 time.Time
+		if tel != nil {
+			t0 = time.Now()
+		}
+		st, err := w.rc.simulate(e.backend, cfg, prog, arena, e.maxCycles)
+		if tel != nil {
+			tel.appRun(worker, ai, time.Since(t0).Nanoseconds(), st, err)
+		}
+		w.stats = append(w.stats, st)
+		if err != nil {
+			return fmt.Errorf("%s: %w", app.Name(), err)
+		}
+	}
+	return nil
 }
 
 // boundTightness maps a bounds pair to (0, 1]: 1 when the interval is a
@@ -233,10 +335,10 @@ type residualState struct {
 }
 
 // hybridState is the shared routing state of hybrid evaluation: per-app
-// residual forests plus the observations they retrain from. The collection
-// engine drives refreshes at generation barriers (deterministic at any
-// worker count); the standalone HybridEvaluator refreshes opportunistically
-// every Refresh escalations.
+// residual forests plus the observations they retrain from. Forests change
+// only at refresh, which the collection engine calls at generation
+// barriers, so every routing decision within a generation consults the same
+// frozen model at any worker count.
 type hybridState struct {
 	threshold float64
 	seed      int64
@@ -244,11 +346,8 @@ type hybridState struct {
 
 	mu   sync.RWMutex
 	apps map[string]*residualState
-	// pendingSinceFit counts observations folded in since the last fit
-	// (standalone refresh trigger) and gens counts completed refreshes
-	// (the training-substream index).
-	pendingSinceFit int
-	gens            int
+	// gens counts completed refreshes (the training-substream index).
+	gens int
 }
 
 func newHybridState(threshold float64, seed int64, workers int) *hybridState {
@@ -289,7 +388,6 @@ func (h *hybridState) observe(app string, index int, x []float64, y float64) {
 		h.apps[app] = rs
 	}
 	rs.samples = append(rs.samples, residualSample{index: index, x: x, y: y})
-	h.pendingSinceFit++
 	h.mu.Unlock()
 }
 
@@ -341,7 +439,6 @@ func (h *hybridState) refresh() int64 {
 		total += int64(len(rs.samples))
 	}
 	h.gens++
-	h.pendingSinceFit = 0
 	return total
 }
 
@@ -365,96 +462,4 @@ func hybridFeatures(cfgFeatures []float64, bm *simeng.BoundModel, b simeng.Bound
 	x := make([]float64, 0, len(cfgFeatures)+simeng.NumBoundFeatures)
 	x = append(x, cfgFeatures...)
 	return bm.AppendFeatures(x, b)
-}
-
-// HybridEvaluator routes each evaluation between the analytical fast path
-// and exact simulation. It warms up escalating everything, fits per-app
-// residual forests on the escalated outcomes, and from then on predicts
-// whenever the forest's spread clears the threshold, folding every further
-// escalation back into periodic refreshes.
-//
-// The standalone evaluator refreshes opportunistically (every Refresh
-// escalations), so concurrent callers may observe refreshes at
-// nondeterministic points; the collection engine instead drives the shared
-// routing state at generation barriers, which is what makes a hybrid sweep
-// deterministic at any worker count.
-type HybridEvaluator struct {
-	backend   string
-	maxCycles int64
-	warmup    int
-	refresh   int
-
-	stats *statsCache
-	state *hybridState
-
-	mu        sync.Mutex
-	escalated int
-}
-
-// NewHybridEvaluator builds a hybrid evaluator from opt (zero fields take
-// the documented defaults).
-func NewHybridEvaluator(opt EvalOptions) *HybridEvaluator {
-	warmup := opt.Warmup
-	if warmup <= 0 {
-		warmup = DefaultEvalWarmup
-	}
-	refresh := opt.Refresh
-	if refresh <= 0 {
-		refresh = DefaultEvalRefresh
-	}
-	return &HybridEvaluator{
-		backend:   opt.Backend,
-		maxCycles: opt.MaxCycles,
-		warmup:    warmup,
-		refresh:   refresh,
-		stats:     newStatsCache(),
-		state:     newHybridState(opt.Escalate, opt.Seed, opt.Workers),
-	}
-}
-
-// Evaluate implements Evaluator with confidence-routed prediction.
-func (e *HybridEvaluator) Evaluate(cfg params.Config, w workload.Workload) (Evaluation, error) {
-	st, err := e.stats.get(w, cfg.Core.VectorLength)
-	if err != nil {
-		return Evaluation{}, err
-	}
-	bm, err := simeng.NewBoundModel(cfg.Core, cfg.MemProfile())
-	if err != nil {
-		return Evaluation{}, err
-	}
-	b := bm.Bounds(st)
-	x := hybridFeatures(cfg.Features(), bm, b)
-
-	if mean, std, ok := e.state.decide(w.Name(), x); ok {
-		return Evaluation{
-			Stats:      bm.PredictedStats(st, b, predictCycles(b, mean)),
-			Confidence: spreadConfidence(std),
-			Exact:      false,
-		}, nil
-	}
-
-	exact, err := RunOneOn(e.backend, cfg, w, e.maxCycles)
-	if err != nil {
-		return Evaluation{}, err
-	}
-	lower := b.Lower
-	if lower < 1 {
-		lower = 1
-	}
-	e.mu.Lock()
-	e.escalated++
-	idx := e.escalated
-	e.mu.Unlock()
-	e.state.observe(w.Name(), idx, x, math.Log(float64(exact.Cycles)/float64(lower)))
-	if idx >= e.warmup && e.state.pending() >= e.refresh {
-		e.state.refresh()
-	}
-	return Evaluation{Stats: exact, Confidence: 1, Exact: true}, nil
-}
-
-// pending returns the observation count since the last refresh.
-func (h *hybridState) pending() int {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.pendingSinceFit
 }

@@ -2,7 +2,6 @@ package orchestrate
 
 import (
 	"context"
-	"math"
 	"reflect"
 	"sort"
 	"strings"
@@ -11,6 +10,7 @@ import (
 
 	"armdse/internal/params"
 	"armdse/internal/simeng"
+	"armdse/internal/workload"
 )
 
 // TestEvaluatorFactoryErrors table-drives every error path of the two
@@ -108,6 +108,24 @@ func TestEngineRejectsUnknownEval(t *testing.T) {
 	}
 }
 
+// evaluateOne evaluates cfg on a one-app suite through a fresh per-worker
+// evaluator of the given kind — the way dserun evaluates.
+func evaluateOne(t *testing.T, kind string, cfg params.Config, w workload.Workload) Evaluation {
+	t.Helper()
+	ev, err := NewEvaluator(kind, EvalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ev.Worker(0).Evaluate([]workload.Workload{w}, 0, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Stats) != 1 {
+		t.Fatalf("%d stats records for a one-app suite", len(got.Stats))
+	}
+	return got
+}
+
 func TestExactEvaluatorMatchesRunOne(t *testing.T) {
 	cfg := params.ThunderX2()
 	w := tinySuite()[0]
@@ -115,44 +133,31 @@ func TestExactEvaluatorMatchesRunOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := NewEvaluator(EvalExact, EvalOptions{})
-	if err != nil {
-		t.Fatal(err)
+	got := evaluateOne(t, EvalExact, cfg, w)
+	if got.Predicted || got.Confidence != 0 {
+		t.Errorf("exact evaluation flags: predicted=%v confidence=%g", got.Predicted, got.Confidence)
 	}
-	got, err := ev.Evaluate(cfg, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Exact || got.Confidence != 1 {
-		t.Errorf("exact evaluation flags: %+v", got)
-	}
-	if !reflect.DeepEqual(got.Stats, want) {
-		t.Errorf("exact evaluation stats differ from RunOne:\n got %+v\nwant %+v", got.Stats, want)
+	if !reflect.DeepEqual(got.Stats[0], want) {
+		t.Errorf("exact evaluation stats differ from RunOne:\n got %+v\nwant %+v", got.Stats[0], want)
 	}
 }
 
 func TestBoundEvaluatorPredicts(t *testing.T) {
 	cfg := params.ThunderX2()
 	w := tinySuite()[0]
-	ev, err := NewEvaluator(EvalBound, EvalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ev.Evaluate(cfg, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Exact {
+	got := evaluateOne(t, EvalBound, cfg, w)
+	st := got.Stats[0]
+	if !got.Predicted {
 		t.Error("bound evaluation claims exactness")
 	}
 	if got.Confidence <= 0 || got.Confidence > 1 {
 		t.Errorf("confidence = %g", got.Confidence)
 	}
-	if got.Stats.Cycles <= 0 {
-		t.Errorf("cycles = %d", got.Stats.Cycles)
+	if st.Cycles <= 0 {
+		t.Errorf("cycles = %d", st.Cycles)
 	}
-	if sum := got.Stats.Stalls.Total(); sum != got.Stats.Cycles {
-		t.Errorf("stall breakdown sums to %d, cycles %d", sum, got.Stats.Cycles)
+	if sum := st.Stalls.Total(); sum != st.Cycles {
+		t.Errorf("stall breakdown sums to %d, cycles %d", sum, st.Cycles)
 	}
 	// The prediction is the analytical lower bound, so exact simulation can
 	// only be slower.
@@ -160,8 +165,8 @@ func TestBoundEvaluatorPredicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exact.Cycles < got.Stats.Cycles {
-		t.Errorf("exact %d below analytical lower bound %d", exact.Cycles, got.Stats.Cycles)
+	if exact.Cycles < st.Cycles {
+		t.Errorf("exact %d below analytical lower bound %d", exact.Cycles, st.Cycles)
 	}
 }
 
@@ -346,34 +351,88 @@ func TestHybridEscalatedRowsMatchExact(t *testing.T) {
 	}
 }
 
-// TestHybridStandaloneEvaluator exercises the Evaluator-interface face of
-// the hybrid: warmup evaluations are exact, and once the residual forest
-// fits, confident points answer without simulation.
-func TestHybridStandaloneEvaluator(t *testing.T) {
-	w := tinySuite()[0]
-	ev := NewHybridEvaluator(EvalOptions{Seed: 3, Warmup: 4, Refresh: 4, Escalate: 5})
-	for i := 0; i < 8; i++ {
-		got, err := ev.Evaluate(params.ConfigAt(3, i), w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i < 4 && !got.Exact {
-			t.Errorf("warmup evaluation %d not exact", i)
+// TestHybridSkipInvariance pins that the hybrid's warmup and refresh
+// generations are cut over the non-skipped index list: a hybrid run over a
+// source with a shard-style Skip must route and predict exactly like a
+// hybrid run over a SliceSource holding just the kept configurations (rows
+// equal apart from Index).
+func TestHybridSkipInvariance(t *testing.T) {
+	const n = 40
+	src := IndexedSource{Seed: 7, N: n}
+	inShard := func(i int) bool { return i%2 == 1 }
+	var kept SliceSource
+	var keptIdx []int
+	for i := 0; i < n; i++ {
+		if inShard(i) {
+			kept = append(kept, src.At(i))
+			keptIdx = append(keptIdx, i)
 		}
 	}
-	// With an absurdly generous threshold the fitted forest must now answer
-	// a fresh point without simulation.
-	got, err := ev.Evaluate(params.ConfigAt(3, 100), w)
+	run := func(source ConfigSource, skip func(int) bool) *rowRecorder {
+		rec := newRowRecorder()
+		e := &Engine{
+			Source: source, Suite: tinySuite(), Sink: rec, Workers: 2, Seed: 7,
+			Eval: EvalHybrid, EvalEscalate: 0.5, EvalWarmup: 6, EvalRefresh: 4,
+			Skip: skip,
+		}
+		if _, _, err := e.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	sharded := run(src, func(i int) bool { return !inShard(i) })
+	sliced := run(kept, nil)
+	if len(sharded.rows) != len(kept) || len(sliced.rows) != len(kept) {
+		t.Fatalf("row counts %d (sharded), %d (sliced), want %d", len(sharded.rows), len(sliced.rows), len(kept))
+	}
+	predicted := 0
+	for k, i := range keptIdx {
+		a, b := sharded.rows[i], sliced.rows[k]
+		b.Index = i
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("kept config %d (index %d): sharded row predicted=%v differs from sliced row predicted=%v",
+				k, i, a.Predicted, b.Predicted)
+		}
+		if a.Predicted {
+			predicted++
+		}
+	}
+	if predicted == 0 {
+		t.Error("no predicted rows: the test does not exercise routing")
+	}
+}
+
+// TestHybridStandaloneEvaluator drives the hybrid through its per-worker
+// form outside the engine: until a refit every evaluation escalates to exact
+// simulation, and once the residual forests are fitted, confident points
+// answer without simulation.
+func TestHybridStandaloneEvaluator(t *testing.T) {
+	suite := tinySuite()[:1]
+	ev, err := NewEvaluator(EvalHybrid, EvalOptions{Seed: 3, Escalate: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Exact {
-		t.Error("post-warmup evaluation escalated despite threshold 5")
+	ew := ev.Worker(0)
+	for i := 0; i < 8; i++ {
+		got, err := ew.Evaluate(suite, i, params.ConfigAt(3, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Predicted {
+			t.Errorf("evaluation %d predicted before any refit", i)
+		}
 	}
-	if got.Confidence <= 0 || got.Confidence > 1 || got.Stats.Cycles <= 0 {
+	ev.refit()
+	// With an absurdly generous threshold the fitted forest must now answer
+	// a fresh point without simulation.
+	got, err := ew.Evaluate(suite, 100, params.ConfigAt(3, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Predicted {
+		t.Error("post-refit evaluation escalated despite threshold 5")
+	}
+	if got.Confidence <= 0 || got.Confidence > 1 || got.Stats[0].Cycles <= 0 {
 		t.Errorf("predicted evaluation: %+v", got)
-	}
-	if math.IsNaN(float64(got.Stats.Cycles)) {
-		t.Error("NaN cycles")
 	}
 }

@@ -32,7 +32,6 @@ type Options struct {
 	Samples int
 	// Batches, when non-nil, replaces the fixed indexed source with a
 	// batch proposer — the adaptive search seam; see Engine.Batches.
-	// Incompatible with sharding.
 	Batches BatchSource
 	// Prior seeds a Batches run with the completed rows of an interrupted
 	// one; see Engine.Prior.
@@ -68,12 +67,11 @@ type Options struct {
 	// pass a StreamSink to journal rows to disk as they complete.
 	Sink RowSink
 	// Skip, when non-nil, drops index i without simulating it — the
-	// resume hook: pass the journal's completed-index set.
+	// resume hook (pass the journal's completed-index set) and the
+	// sharding hook: shard i of n skips every index not congruent to i
+	// modulo n, and the union of all shards of a seed equals the unsharded
+	// run.
 	Skip func(i int) bool
-	// ShardIndex/ShardCount restrict the run to indices congruent to
-	// ShardIndex modulo ShardCount; the union of all shards of a seed
-	// equals the unsharded run. ShardCount 0 or 1 disables sharding.
-	ShardIndex, ShardCount int
 	// Progress, when non-nil, receives a ProgressEvent after each
 	// configuration finishes. See Engine.Progress for the concurrency
 	// contract: calls are serialised by the engine but may come from
@@ -176,8 +174,6 @@ func Collect(ctx context.Context, opt Options) (Result, error) {
 		Seed:            opt.Seed,
 		Workers:         opt.Workers,
 		MaxCyclesPerRun: opt.MaxCyclesPerRun,
-		ShardIndex:      opt.ShardIndex,
-		ShardCount:      opt.ShardCount,
 		Skip:            opt.Skip,
 		Progress:        opt.Progress,
 		Telemetry:       opt.Telemetry,

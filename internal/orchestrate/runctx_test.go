@@ -141,4 +141,43 @@ func TestPooledRunSteadyStateAllocs(t *testing.T) {
 		t.Errorf("steady-state allocations: %.1f per run (%.1f per %d-workload suite), budget %d",
 			perRun, perSuite, len(suite), allocBudgetPerRun)
 	}
+	if perConfig := configAllocs(t, nil); perConfig > allocBudgetPerConfig {
+		t.Errorf("steady-state allocations: %.1f per config, budget %d", perConfig, allocBudgetPerConfig)
+	}
+}
+
+// allocBudgetPerConfig is the pinned steady-state heap-allocation budget for
+// one exact configuration on the 4-app tinySuite through the engine's
+// per-config path: one per pooled run, the feature vector, and the row's
+// target and stall maps. It catches any per-config cost the evaluation
+// interface adds on top of the pooled runs.
+const allocBudgetPerConfig = 9
+
+// configAllocs measures the steady-state allocations of one exact
+// configuration through a per-worker evaluator and the engine's row build
+// (evalRow), recording into tel (nil = untelemetered, otherwise already
+// bound).
+func configAllocs(t *testing.T, tel *Telemetry) float64 {
+	t.Helper()
+	ev, err := NewEvaluator(EvalExact, EvalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev.instrument(tel)
+	ew := ev.Worker(0)
+	cfg := params.ThunderX2()
+	suite := tinySuite()
+	index := 0
+	run := func() {
+		row := evalRow(ew, suite, index, cfg)
+		if row.Failed() {
+			t.Fatal(row.Err)
+		}
+		tel.configDone(0, &row, 1)
+		index++
+	}
+	run() // warm-up: program builds and pooled high-water marks
+	perConfig := testing.AllocsPerRun(20, run)
+	t.Logf("steady-state allocations: %.2f per config", perConfig)
+	return perConfig
 }

@@ -79,7 +79,8 @@ type Telemetry struct {
 
 	scratch []workerScratch
 
-	total                  int
+	total int
+	// shardIndex/shardCount are set by JournalMeta, guarded by mu.
 	shardIndex, shardCount int
 	startedAt              time.Time
 	// emitGen adds the proposal-generation tag to config records; bound
@@ -213,7 +214,7 @@ func (t *Telemetry) Registry() *obs.Registry {
 // bind creates the run's metric handles and scratch space. Called by
 // Engine.Run once the suite, worker count and todo size are known; safe to
 // call again for a second run on the same hub (handles are registry-cached).
-func (t *Telemetry) bind(suite []workload.Workload, workers, total, shardIndex, shardCount int, start time.Time) {
+func (t *Telemetry) bind(suite []workload.Workload, workers, total int, start time.Time) {
 	if t == nil {
 		return
 	}
@@ -261,7 +262,6 @@ func (t *Telemetry) bind(suite []workload.Workload, workers, total, shardIndex, 
 		t.scratch[w].apps = make([]appRunRecord, len(suite))
 	}
 	t.total = total
-	t.shardIndex, t.shardCount = shardIndex, shardCount
 	t.startedAt = start
 	t.gTotal.SetInt(int64(total))
 	t.mu.Lock()
@@ -515,8 +515,6 @@ func (t *Telemetry) Status() SweepStatus {
 		ETASec:       t.gETA.Value(),
 		RowsPerSec:   t.gRPS.Value(),
 		Cycles:       int64(t.gCycles.Value()),
-		ShardIndex:   t.shardIndex,
-		ShardCount:   t.shardCount,
 		Gen:          int(t.gGen.Value()),
 		ConfigWallMs: latencyOf(t.configWall),
 		SinkPutMs:    latencyOf(t.sinkWall),
@@ -525,6 +523,7 @@ func (t *Telemetry) Status() SweepStatus {
 		st.Workers = append(st.Workers, WorkerProgress{Worker: w, Done: t.scratch[w].done.Load()})
 	}
 	t.mu.Lock()
+	st.ShardIndex, st.ShardCount = t.shardIndex, t.shardCount
 	st.Slowest = append(st.Slowest, t.slow...)
 	t.mu.Unlock()
 	sort.Slice(st.Slowest, func(i, j int) bool { return st.Slowest[i].WallMs > st.Slowest[j].WallMs })
@@ -537,13 +536,19 @@ func (t *Telemetry) StatusAny() any { return t.Status() }
 
 // JournalMeta writes the journal's header record identifying the run: seed,
 // index-space size, resolved worker count, shard, application order and the
-// stall-class taxonomy the per-config stall arrays are indexed by.
+// stall-class taxonomy the per-config stall arrays are indexed by. The shard
+// is also recorded for the live status view, journal or not: sharding is
+// the caller's Skip predicate, so the engine never sees it.
 func (t *Telemetry) JournalMeta(seed int64, samples, workers, shardIndex, shardCount int, apps []string) error {
-	if t == nil || t.journal == nil {
+	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.shardIndex, t.shardCount = shardIndex, shardCount
+	if t.journal == nil {
+		return nil
+	}
 	b := t.jbuf[:0]
 	b = append(b, `{"type":"meta","version":1,"seed":`...)
 	b = strconv.AppendInt(b, seed, 10)

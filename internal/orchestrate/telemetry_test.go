@@ -331,11 +331,35 @@ func TestProgressElapsedETA(t *testing.T) {
 	}
 }
 
+// TestStatusReportsShard pins that a sharded run's status view still
+// reports its shard: the engine only sees the shard as a Skip predicate, so
+// the shard reaches /status through JournalMeta, run journal or not.
+func TestStatusReportsShard(t *testing.T) {
+	tel := NewTelemetry(obs.NewRegistry(1), nil)
+	if err := tel.JournalMeta(1, 9, 1, 2, 3, SuiteNames(tinySuite())); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Collect(context.Background(), Options{
+		Seed: 1, Samples: 9, Workers: 1, Suite: tinySuite(), Telemetry: tel,
+		Skip: func(i int) bool { return i%3 != 2 },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := tel.Status()
+	if st.ShardIndex != 2 || st.ShardCount != 3 {
+		t.Errorf("status shard = %d/%d, want 2/3", st.ShardIndex, st.ShardCount)
+	}
+	if res.Done != 3 || st.Done != 3 || st.Total != 3 {
+		t.Errorf("done %d, status done %d of %d, want 3 of 3", res.Done, st.Done, st.Total)
+	}
+}
+
 // TestNilTelemetryHooks drives every engine-facing hook on a nil hub — the
 // untelemetered path must be a pure no-op.
 func TestNilTelemetryHooks(t *testing.T) {
 	var tel *Telemetry
-	tel.bind(tinySuite(), 1, 10, 0, 0, time.Now())
+	tel.bind(tinySuite(), 1, 10, time.Now())
 	tel.beginConfig(0)
 	tel.appRun(0, 0, 1, simeng.Stats{}, nil)
 	tel.poolEvent(0, true)
@@ -368,7 +392,7 @@ func TestPooledRunSteadyStateAllocsInstrumented(t *testing.T) {
 	defer j.Close()
 	tel := NewTelemetry(obs.NewRegistry(1), j)
 	suite := tinySuite()
-	tel.bind(suite, 1, 1000, 0, 0, time.Now())
+	tel.bind(suite, 1, 1000, time.Now())
 
 	cfg := params.ThunderX2()
 	cache := newProgramCache()
@@ -403,5 +427,8 @@ func TestPooledRunSteadyStateAllocsInstrumented(t *testing.T) {
 	if perRun > allocBudgetPerRun {
 		t.Errorf("instrumented steady-state allocations: %.1f per run (%.1f per %d-workload suite), budget %d",
 			perRun, perSuite, len(suite), allocBudgetPerRun)
+	}
+	if perConfig := configAllocs(t, tel); perConfig > allocBudgetPerConfig {
+		t.Errorf("instrumented steady-state allocations: %.1f per config, budget %d", perConfig, allocBudgetPerConfig)
 	}
 }
