@@ -9,7 +9,9 @@
 // uninterrupted run with the same seed, regardless of -workers. Large
 // collections can be split across machines with -shard i/n (one output file
 // per shard, same seed everywhere): the shards partition the same index
-// space, so their union equals the unsharded run.
+// space, so their union equals the unsharded run. Both guarantees hold for
+// the exact and bound evaluators; -eval hybrid refuses -resume and -shard,
+// because its routing depends on earlier results in the same run.
 //
 // A run is observable while it executes: a structured JSONL run journal
 // (-runlog, default <out>.runlog.jsonl) records one line per configuration
@@ -25,7 +27,7 @@
 //	dsegen -samples 2000 -seed 1 -out dataset.csv -resume
 //	dsegen -samples 180006 -seed 1 -out shard3.csv -shard 3/8
 //	dsegen -seed 1 -out dataset.csv -search ucb -search-budget 500 -search-batch 50
-//	dsegen -seed 1 -out dataset.csv -search ei -search-workers 8 -search-diversity 0.5
+//	dsegen -seed 1 -out dataset.csv -search ei -search-workers 8
 //	dsegen -samples 2000 -seed 1 -out dataset.csv -http :8080
 //	dsegen -samples 2000 -seed 1 -out dataset.csv -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
 //	dsegen -worker http://coord-host:8070
@@ -152,9 +154,13 @@ var workerAllowedFlags = map[string]bool{
 //     the engine, after the journal was created);
 //   - -search and -shard are mutually exclusive (proposal batches depend
 //     on every earlier result, so the index space cannot be partitioned);
-//   - the search-subordinate flags (-search-budget ... -search-diversity)
+//   - -eval hybrid excludes -resume and -shard: its routing depends on
+//     every earlier result in the run, and the journal does not record
+//     which rows were escalated, so neither a resumed run nor a union of
+//     shards would reproduce the uninterrupted run;
+//   - the search-subordinate flags (-search-budget ... -search-workers)
 //     require -search: without it they would be silently ignored.
-func validateFlags(fs *flag.FlagSet, worker, eval, search, shard string) error {
+func validateFlags(fs *flag.FlagSet, worker, eval, search, shard string, resume bool) error {
 	if worker != "" {
 		var bad []string
 		fs.Visit(func(f *flag.Flag) {
@@ -176,6 +182,9 @@ func validateFlags(fs *flag.FlagSet, worker, eval, search, shard string) error {
 	if search != "" && shard != "" {
 		return fmt.Errorf("-search and -shard are incompatible: proposal batches depend on every earlier result, so the index space cannot be partitioned across machines")
 	}
+	if eval == armdse.EvalHybrid && (resume || shard != "") {
+		return fmt.Errorf("-eval hybrid cannot be combined with -resume or -shard: hybrid routing depends on every earlier result in the run, and the journal does not record which rows were escalated")
+	}
 	if search == "" {
 		var bad []string
 		fs.Visit(func(f *flag.Flag) {
@@ -196,7 +205,7 @@ func validateFlags(fs *flag.FlagSet, worker, eval, search, shard string) error {
 // meaningless, and therefore rejected, without -search.
 var searchSubFlags = map[string]bool{
 	"search-budget": true, "search-batch": true, "search-pool": true,
-	"search-kappa": true, "search-workers": true, "search-diversity": true,
+	"search-kappa": true, "search-workers": true,
 }
 
 // parseShard parses "i/n" into (i, n).
@@ -222,15 +231,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		shard    = fs.String("shard", "", "collect only shard i/n of the index space (e.g. 3/8); union of shards = full run")
 		eval     = fs.String("eval", "", "per-config evaluator: exact (default), bound (analytical), hybrid (bounds + learned residual, escalating uncertain configs to exact)")
 		evalEsc  = fs.Float64("eval-escalate", 0, "hybrid escalation threshold on the residual forest's log spread (0 = default)")
-		evalWarm = fs.Int("eval-warmup", 0, "hybrid warmup: leading configs always simulated exactly before the first residual fit (0 = default)")
-		evalRefr = fs.Int("eval-refresh", 0, "hybrid generation size: residual forests retrain every this many configs (0 = default)")
-		srch     = fs.String("search", "", "adaptive proposal strategy: uniform, ucb, ei or phased (\"\" = classic fixed sweep)")
+		srch     = fs.String("search", "", "adaptive proposal strategy: uniform, ucb or ei (\"\" = classic fixed sweep)")
 		srchBud  = fs.Int("search-budget", 0, "adaptive run total config budget (0 = -samples)")
 		srchBat  = fs.Int("search-batch", 0, "adaptive proposal batch size: configs per generation (0 = default 64)")
 		srchPool = fs.Int("search-pool", 0, "adaptive candidate pool per batch (0 = default 8x batch)")
 		srchKap  = fs.Float64("search-kappa", 0, "ucb exploration weight on the forest spread (0 = default 2.0)")
 		srchWrk  = fs.Int("search-workers", 0, "acquisition concurrency: forest refits and candidate-pool scoring at each generation barrier (0 = -workers; proposals are identical at any value)")
-		srchDiv  = fs.Float64("search-diversity", 0, "ucb/ei batched-diversity penalty weight on near-duplicate proposals within one batch (0 = off)")
 		quiet    = fs.Bool("q", false, "suppress progress output")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = fs.String("memprofile", "", "write an allocation profile to this file at exit")
@@ -243,7 +249,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := validateFlags(fs, *worker, *eval, *srch, *shard); err != nil {
+	if err := validateFlags(fs, *worker, *eval, *srch, *shard, *resume); err != nil {
 		return err
 	}
 	if *samples <= 0 {
@@ -304,15 +310,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			searchWorkers = *workers
 		}
 		proposer, err = armdse.NewProposer(armdse.ProposeOptions{
-			Strategy:  *srch,
-			Seed:      *seed,
-			Budget:    budget,
-			Batch:     *srchBat,
-			Pool:      *srchPool,
-			Kappa:     *srchKap,
-			Diversity: *srchDiv,
-			Workers:   searchWorkers,
-			Apps:      apps,
+			Strategy: *srch,
+			Seed:     *seed,
+			Budget:   budget,
+			Batch:    *srchBat,
+			Pool:     *srchPool,
+			Kappa:    *srchKap,
+			Workers:  searchWorkers,
+			Apps:     apps,
 		})
 		if err != nil {
 			return err
@@ -417,8 +422,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		Suite:        suite,
 		Eval:         *eval,
 		EvalEscalate: *evalEsc,
-		EvalWarmup:   *evalWarm,
-		EvalRefresh:  *evalRefr,
 		Validate:     true,
 		Sink:         armdse.NewStreamSink(sw),
 		Skip:         skipIndex,

@@ -311,7 +311,6 @@ func TestRunSearchSubFlagsRequireSearch(t *testing.T) {
 	var buf bytes.Buffer
 	cases := [][]string{
 		{"-search-workers", "4"},
-		{"-search-diversity", "0.5"},
 		{"-search-budget", "10", "-search-pool", "16"},
 		{"-search-batch", "8"},
 		{"-search-kappa", "3"},
@@ -342,7 +341,7 @@ func TestRunSearchSubFlagsRequireSearch(t *testing.T) {
 func TestRunSearchWorkersCSVParity(t *testing.T) {
 	dir := t.TempDir()
 	common := []string{"-search", "ucb", "-search-budget", "12", "-search-batch", "4",
-		"-search-pool", "16", "-search-diversity", "0.5"}
+		"-search-pool", "16"}
 	serial := cliCSV(t, filepath.Join(dir, "w1.csv"),
 		append(common, "-search-workers", "1")...)
 	parallel := cliCSV(t, filepath.Join(dir, "w4.csv"),

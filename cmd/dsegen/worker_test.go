@@ -82,3 +82,25 @@ func TestRunSearchShardExclusive(t *testing.T) {
 	}
 	assertNoStrayFiles(t, dir)
 }
+
+// Hybrid routing depends on earlier results in the same run, and the
+// journal does not record which rows were escalated: a resumed or sharded
+// hybrid run would not reproduce the uninterrupted one, so both are
+// refused before any file exists.
+func TestRunHybridRefusesResumeAndShard(t *testing.T) {
+	for name, extra := range map[string][]string{
+		"resume": {"-resume"},
+		"shard":  {"-shard", "0/2"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			var buf bytes.Buffer
+			args := append([]string{"-samples", "2", "-out", filepath.Join(dir, "ds.csv"), "-eval", "hybrid", "-q"}, extra...)
+			err := run(context.Background(), args, &buf, &buf)
+			if err == nil || !strings.Contains(err.Error(), "-eval hybrid cannot be combined with -resume or -shard") {
+				t.Fatalf("err = %v", err)
+			}
+			assertNoStrayFiles(t, dir)
+		})
+	}
+}

@@ -153,16 +153,6 @@ type Engine struct {
 	// EvalEscalate is the hybrid evaluator's escalation threshold on the
 	// residual forest's log-space spread; 0 uses DefaultEvalEscalate.
 	EvalEscalate float64
-	// EvalWarmup is the number of leading non-skipped configurations of a
-	// fixed source the hybrid always escalates before the first residual
-	// fit; 0 uses DefaultEvalWarmup. A batch source's first batch is its
-	// warmup instead.
-	EvalWarmup int
-	// EvalRefresh is the hybrid's fixed-source generation size after
-	// warmup — the residual forests retrain at each generation barrier; 0
-	// uses DefaultEvalRefresh. A batch source's batches are its
-	// generations instead.
-	EvalRefresh int
 	// Seed drives the hybrid evaluator's residual-training substreams (it
 	// does not affect the Source). A hybrid run is deterministic in
 	// (Source, Seed, thresholds): identical inputs route and predict
@@ -329,17 +319,17 @@ func (e *Engine) Run(ctx context.Context) (done, failed int, err error) {
 	// deterministic at any worker count.
 	//
 	// A fixed source is one generation over its non-skipped indices; under
-	// the hybrid it is cut into a warmup generation (all escalated, seeding
-	// the residual forests) and fixed-size refresh generations. A batch
-	// source's batches are its generations, the first doubling as the
-	// hybrid's warmup. Batch g owns the contiguous indices [base,
-	// base+len(batch)); the proposer sees exactly the rows with Index <
-	// base — all complete earlier batches, sorted by index — which is what
-	// makes the proposal sequence a pure function of (source state, prior
-	// results), independent of worker count and resume point.
+	// the hybrid it is cut into a warmup generation of hybridWarmup configs
+	// (all escalated, seeding the residual forests) and refresh generations
+	// of hybridRefresh. A batch source's batches are its generations, the
+	// first doubling as the hybrid's warmup. Batch g owns the contiguous
+	// indices [base, base+len(batch)); the proposer sees exactly the rows
+	// with Index < base — all complete earlier batches, sorted by index —
+	// which is what makes the proposal sequence a pure function of (source
+	// state, prior results), independent of worker count and resume point.
 	genSize, nextSize := len(todo), len(todo)
 	if ev.hybrid != nil {
-		genSize, nextSize = positiveOr(e.EvalWarmup, DefaultEvalWarmup), positiveOr(e.EvalRefresh, DefaultEvalRefresh)
+		genSize, nextSize = hybridWarmup, hybridRefresh
 	}
 	var rows []Row
 	if batchMode {
@@ -433,14 +423,6 @@ feed:
 // the batch feed presents prior results in.
 func sortRowsByIndex(rows []Row) {
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Index < rows[j].Index })
-}
-
-// positiveOr returns v, or def when v <= 0.
-func positiveOr(v, def int) int {
-	if v <= 0 {
-		return def
-	}
-	return v
 }
 
 // evalRow is the worker stage: evaluate configuration i through the

@@ -288,17 +288,17 @@ func (s *countingSource) At(i int) params.Config {
 // must call At exactly 4 times, under the single-generation exact feed and
 // the hybrid's generation cuts alike.
 func TestFixedSourceIsLazy(t *testing.T) {
+	smallHybridGenerations(t, 2, hybridRefresh)
 	keep := map[int]bool{0: true, 1000: true, 1 << 19: true, 1<<20 - 1: true}
 	for _, kind := range []string{EvalExact, EvalHybrid} {
 		src := &countingSource{n: 1 << 20}
 		e := &Engine{
-			Source:     src,
-			Suite:      tinySuite(),
-			Sink:       newRowRecorder(),
-			Eval:       kind,
-			EvalWarmup: 2,
-			Workers:    2,
-			Skip:       func(i int) bool { return !keep[i] },
+			Source:  src,
+			Suite:   tinySuite(),
+			Sink:    newRowRecorder(),
+			Eval:    kind,
+			Workers: 2,
+			Skip:    func(i int) bool { return !keep[i] },
 		}
 		done, _, err := e.Run(context.Background())
 		if err != nil {

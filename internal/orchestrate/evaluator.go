@@ -41,18 +41,21 @@ func Evaluators() []string { return []string{EvalExact, EvalBound, EvalHybrid} }
 
 // Hybrid routing defaults. The escalation threshold is in log-cycle units
 // (the residual forest predicts ln(exact/lower), so a between-tree spread
-// of 0.04 is roughly ±4% disagreement about the predicted cycle count);
-// warmup and refresh are generation sizes in configurations.
+// of 0.04 is roughly ±4% disagreement about the predicted cycle count).
 const (
 	DefaultEvalEscalate = 0.04
-	DefaultEvalWarmup   = 40
-	DefaultEvalRefresh  = 32
 	// evalForestTrees sizes the residual forests: small enough to retrain
 	// in milliseconds mid-sweep, large enough for a usable spread signal.
 	evalForestTrees = 20
 	// evalMinSamplesLeaf regularises the residual trees.
 	evalMinSamplesLeaf = 2
 )
+
+// hybridWarmup and hybridRefresh cut a fixed source into hybrid
+// generations, in configurations: an always-escalated warmup that seeds the
+// residual forests, then refresh generations whose barriers refit them.
+// Variables only so in-package tests can shrink them.
+var hybridWarmup, hybridRefresh = 40, 32
 
 // EvalOptions configure NewEvaluator.
 type EvalOptions struct {

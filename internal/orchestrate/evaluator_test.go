@@ -230,13 +230,23 @@ func TestCollectBoundEval(t *testing.T) {
 	}
 }
 
-// hybridCollect runs a hybrid collection into a row recorder.
+// smallHybridGenerations shrinks the hybrid's fixed-source generation sizes
+// for the rest of the test, so tiny collections reach the predicting path.
+func smallHybridGenerations(t *testing.T, warmup, refresh int) {
+	w, r := hybridWarmup, hybridRefresh
+	hybridWarmup, hybridRefresh = warmup, refresh
+	t.Cleanup(func() { hybridWarmup, hybridRefresh = w, r })
+}
+
+// hybridCollect runs a hybrid collection into a row recorder, with a
+// 6-config warmup and 4-config refresh generations.
 func hybridCollect(t *testing.T, workers int, escalate float64) *rowRecorder {
 	t.Helper()
+	smallHybridGenerations(t, 6, 4)
 	rec := newRowRecorder()
 	_, err := Collect(context.Background(), Options{
 		Seed: 7, Samples: 18, Workers: workers, Suite: tinySuite(),
-		Eval: EvalHybrid, EvalEscalate: escalate, EvalWarmup: 6, EvalRefresh: 4,
+		Eval: EvalHybrid, EvalEscalate: escalate,
 		Sink: rec,
 	})
 	if err != nil {
@@ -357,6 +367,7 @@ func TestHybridEscalatedRowsMatchExact(t *testing.T) {
 // hybrid run over a SliceSource holding just the kept configurations (rows
 // equal apart from Index).
 func TestHybridSkipInvariance(t *testing.T) {
+	smallHybridGenerations(t, 6, 4)
 	const n = 40
 	src := IndexedSource{Seed: 7, N: n}
 	inShard := func(i int) bool { return i%2 == 1 }
@@ -372,7 +383,7 @@ func TestHybridSkipInvariance(t *testing.T) {
 		rec := newRowRecorder()
 		e := &Engine{
 			Source: source, Suite: tinySuite(), Sink: rec, Workers: 2, Seed: 7,
-			Eval: EvalHybrid, EvalEscalate: 0.5, EvalWarmup: 6, EvalRefresh: 4,
+			Eval: EvalHybrid, EvalEscalate: 0.5,
 			Skip: skip,
 		}
 		if _, _, err := e.Run(context.Background()); err != nil {

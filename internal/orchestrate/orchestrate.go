@@ -50,12 +50,6 @@ type Options struct {
 	// EvalEscalate is the hybrid evaluator's escalation threshold on the
 	// residual forest's log-space spread; 0 uses DefaultEvalEscalate.
 	EvalEscalate float64
-	// EvalWarmup is the hybrid's always-escalated warmup length in
-	// configurations; 0 uses DefaultEvalWarmup.
-	EvalWarmup int
-	// EvalRefresh is the hybrid's generation size after warmup; 0 uses
-	// DefaultEvalRefresh.
-	EvalRefresh int
 	// MaxCyclesPerRun aborts pathological runs; 0 uses the engine default.
 	MaxCyclesPerRun int64
 	// Validate runs each workload's functional validation before
@@ -169,8 +163,6 @@ func Collect(ctx context.Context, opt Options) (Result, error) {
 		Backend:         opt.Backend,
 		Eval:            opt.Eval,
 		EvalEscalate:    opt.EvalEscalate,
-		EvalWarmup:      opt.EvalWarmup,
-		EvalRefresh:     opt.EvalRefresh,
 		Seed:            opt.Seed,
 		Workers:         opt.Workers,
 		MaxCyclesPerRun: opt.MaxCyclesPerRun,

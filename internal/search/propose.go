@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,7 +15,7 @@ import (
 
 // The adaptive proposal loop. A Proposer plugs into the collection engine's
 // BatchSource seam and decides, batch by batch, where to spend the
-// remaining simulation budget. Model-based strategies (ucb, ei, phased)
+// remaining simulation budget. Model-based strategies (ucb, ei)
 // keep one random forest per application warm across generations — each
 // barrier retrains only a rotating subset of trees on the grown training
 // set (dtree.RefitForest) — score a candidate pool with the ensemble mean
@@ -44,7 +43,6 @@ const (
 	StrategyUniform = "uniform"
 	StrategyUCB     = "ucb"
 	StrategyEI      = "ei"
-	StrategyPhased  = "phased"
 )
 
 // strategyID keys the per-strategy RNG substream; part of the determinism
@@ -53,12 +51,11 @@ var strategyID = map[string]int{
 	StrategyUniform: 0,
 	StrategyUCB:     1,
 	StrategyEI:      2,
-	StrategyPhased:  3,
 }
 
 // Strategies lists the acquisition strategies in CLI presentation order.
 func Strategies() []string {
-	return []string{StrategyUniform, StrategyUCB, StrategyEI, StrategyPhased}
+	return []string{StrategyUniform, StrategyUCB, StrategyEI}
 }
 
 // ProposeOptions configure a Proposer.
@@ -86,13 +83,6 @@ type ProposeOptions struct {
 	// warm-start refit; 0 selects Trees/4 (minimum 1) and values >= Trees
 	// retrain the full ensemble every barrier — the pre-warm-start cost.
 	Refit int
-	// Diversity is the batched-diversity penalty weight for ucb/ei: each
-	// selected proposal penalises near-duplicates (Gaussian kernel over
-	// range-normalised encoded features) by Diversity per unit proximity,
-	// in acquisition-score (summed log-cycle) units, so large batches do
-	// not collapse onto the incumbent ridge. 0 disables the rule and keeps
-	// the tournament-selection assembly.
-	Diversity float64
 	// Workers bounds the acquisition concurrency — forest refits, pool
 	// generation and candidate scoring; the proposals are identical at
 	// every value.
@@ -149,9 +139,6 @@ func NewProposer(opt ProposeOptions) (*Proposer, error) {
 	if opt.Budget <= 0 {
 		return nil, fmt.Errorf("search: proposal budget %d <= 0", opt.Budget)
 	}
-	if opt.Diversity < 0 {
-		return nil, fmt.Errorf("search: diversity weight %g < 0", opt.Diversity)
-	}
 	if opt.Strategy != StrategyUniform && len(opt.Apps) == 0 {
 		return nil, fmt.Errorf("search: strategy %q needs the target application names", opt.Strategy)
 	}
@@ -169,12 +156,14 @@ func (p *Proposer) LastBatchStats() orchestrate.BatchStats { return p.stats }
 // stamp: every option that changes what gets proposed is in it, so
 // resuming against a differently-configured proposer is rejected at the
 // meta comparison. The trailing algorithm revision (v2: chunked pool
-// substreams, warm-started refits, diversity rule) changed the proposal
-// stream relative to v1 journals, which therefore must not resume either.
+// substreams, warm-started refits) changed the proposal stream relative to
+// v1 journals, which therefore must not resume either. The d0 field is the
+// retired diversity weight, kept as a literal so existing journals stay
+// resumable.
 func (p *Proposer) Digest() string {
 	o := p.opt
-	return fmt.Sprintf("%s/s%d/n%d/b%d/p%d/k%g/t%d/d%g/r%d/v2",
-		o.Strategy, o.Seed, o.Budget, o.Batch, o.Pool, o.Kappa, o.Trees, o.Diversity, o.Refit)
+	return fmt.Sprintf("%s/s%d/n%d/b%d/p%d/k%g/t%d/d0/r%d/v2",
+		o.Strategy, o.Seed, o.Budget, o.Batch, o.Pool, o.Kappa, o.Trees, o.Refit)
 }
 
 // minTrainRows is the fewest non-failed prior rows a model-based strategy
@@ -296,10 +285,9 @@ func forChunks(n, workers int, fn func(chunk, lo, hi int)) {
 	wg.Wait()
 }
 
-// modelBatch refits the warm per-app forests on the prior rows, draws the
-// strategy's candidate pool from per-chunk (seed, generation, chunk)
-// substreams, scores it across the worker pool, and assembles the n best
-// candidates.
+// modelBatch refits the warm per-app forests on the prior rows, draws a
+// uniform candidate pool from per-chunk (seed, generation, chunk)
+// substreams, scores it across the worker pool, and assembles the batch.
 func (p *Proposer) modelBatch(n, gen int, train []orchestrate.Row) []params.Config {
 	o := p.opt
 	genSeed := params.SubSeed(params.SubSeed(o.Seed, gen), strategyID[o.Strategy])
@@ -347,38 +335,28 @@ func (p *Proposer) modelBatch(n, gen int, train []orchestrate.Row) []params.Conf
 
 	t1 := time.Now()
 	poolSeed := params.SubSeed(genSeed, streamPool)
-	var cands []params.Config
-	if o.Strategy == StrategyPhased {
-		cands = p.phasedCandidates(poolSeed, train, ys)
-	} else {
-		cands = make([]params.Config, o.Pool)
-		forChunks(o.Pool, o.Workers, func(c, lo, hi int) {
-			rng := params.NewRand(params.SubSeed(poolSeed, c))
-			for i := lo; i < hi; i++ {
-				cands[i] = params.Sample(rng)
-			}
-		})
-	}
+	cands := make([]params.Config, o.Pool)
+	forChunks(o.Pool, o.Workers, func(c, lo, hi int) {
+		rng := params.NewRand(params.SubSeed(poolSeed, c))
+		for i := lo; i < hi; i++ {
+			cands[i] = params.Sample(rng)
+		}
+	})
 
 	bestY := make([]float64, len(o.Apps))
 	for ai := range o.Apps {
 		bestY[ai] = minOf(ys[ai])
 	}
-	feats := make([][]float64, len(cands))
 	scores := make([]float64, len(cands))
 	forChunks(len(cands), o.Workers, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			fv := cands[i].Features()
-			feats[i] = fv
 			var s float64
 			for ai := range o.Apps {
 				mean, std := p.forests[ai].PredictStats(fv)
-				switch o.Strategy {
-				case StrategyEI:
+				if o.Strategy == StrategyEI {
 					s -= expectedImprovement(bestY[ai], mean, std)
-				case StrategyPhased:
-					s += mean // exploit within the phase's mutation set
-				default: // ucb
+				} else { // ucb
 					s += mean - o.Kappa*std
 				}
 			}
@@ -387,60 +365,28 @@ func (p *Proposer) modelBatch(n, gen int, train []orchestrate.Row) []params.Conf
 	})
 	p.stats.PoolScored = len(cands)
 
-	var batch []params.Config
-	if o.Strategy == StrategyPhased {
-		// Lowest summed forest mean wins: exploit within the phase's
-		// mutation set (the phase schedule itself is the exploration).
-		// Ties break on candidate index so the ordering is total.
-		order := make([]int, len(cands))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool {
-			if scores[order[a]] != scores[order[b]] {
-				return scores[order[a]] < scores[order[b]]
-			}
-			return order[a] < order[b]
-		})
-		if n > len(order) {
-			n = len(order)
-		}
-		batch = make([]params.Config, n)
-		for i := 0; i < n; i++ {
-			batch[i] = cands[order[i]]
-		}
-	} else {
-		batch = p.assembleUCB(n, genSeed, cands, scores, feats)
-	}
+	batch := assemble(n, genSeed, cands, scores)
 	p.stats.ScoreNanos = time.Since(t1).Nanoseconds()
 	return batch
 }
 
-// assembleUCB builds a ucb/ei batch from the scored pool. Taking the global
-// top-n of one pool collapses the whole batch onto the model's current
-// optimum basin, which is fine for pure optimization but starves the rest
-// of the space — and the importance rankings learned from it — of samples.
-// The exploit slice (1−1/exploreDiv of the batch) therefore goes through a
-// batch-diversity device: the explicit near-duplicate penalty when
-// Diversity > 0 (diverseSelect), otherwise tournament selection (each slot
-// takes the best-scoring candidate of its own disjoint pool chunk, a
-// best-of-k draw that favours the acquisition without piling onto one
-// mode). The remaining 1/exploreDiv is epsilon-greedy mixing: uniform draws
-// from the generation's dedicated explore substream, so determinism holds.
-func (p *Proposer) assembleUCB(n int, genSeed int64, cands []params.Config, scores []float64, feats [][]float64) []params.Config {
-	o := p.opt
+// assemble builds a batch from the scored pool. Taking the global top-n of
+// one pool collapses the whole batch onto the model's current optimum
+// basin, which is fine for pure optimization but starves the rest of the
+// space — and the importance rankings learned from it — of samples. The
+// exploit slice (1−1/exploreDiv of the batch) therefore uses tournament
+// selection: each slot takes the best-scoring candidate of its own disjoint
+// pool chunk, a best-of-k draw that favours the acquisition without piling
+// onto one mode. The remaining 1/exploreDiv is epsilon-greedy mixing:
+// uniform draws from the generation's dedicated explore substream, so
+// determinism holds.
+func assemble(n int, genSeed int64, cands []params.Config, scores []float64) []params.Config {
 	nExploit := n - n/exploreDiv
 	if nExploit > len(cands) {
 		nExploit = len(cands)
 	}
 	batch := make([]params.Config, 0, n)
-	switch {
-	case nExploit <= 0:
-	case o.Diversity > 0:
-		for _, i := range diverseSelect(scores, feats, nExploit, o.Diversity) {
-			batch = append(batch, cands[i])
-		}
-	default:
+	if nExploit > 0 {
 		chunk := len(cands) / nExploit
 		for j := 0; j < nExploit; j++ {
 			lo := j * chunk
@@ -464,159 +410,9 @@ func (p *Proposer) assembleUCB(n int, genSeed int64, cands []params.Config, scor
 	return batch
 }
 
-// exploreDiv sets the uniform-exploration slice of each model-guided
-// ucb/ei batch to 1/exploreDiv of the proposals.
+// exploreDiv sets the uniform-exploration slice of each model-guided batch
+// to 1/exploreDiv of the proposals.
 const exploreDiv = 2
-
-// diversityScale is the Gaussian kernel width of the batched-diversity
-// rule, in units of per-feature range: candidates within ~a quarter of the
-// design-space range of a selected proposal are "near-duplicates".
-const diversityScale = 0.25
-
-// featInvRange holds 1/(max-min) per canonical feature — the range
-// normalisation the diversity distance uses, so a 512-entry ROB axis and a
-// 2-entry clock axis weigh equally.
-var featInvRange = func() []float64 {
-	space := params.Space()
-	inv := make([]float64, len(space))
-	for i, pm := range space {
-		if r := pm.Max - pm.Min; r > 0 {
-			inv[i] = 1 / r
-		}
-	}
-	return inv
-}()
-
-// proximity is the Gaussian similarity of two encoded feature vectors under
-// the per-feature range normalisation: 1 for identical configurations,
-// decaying toward 0 as they separate.
-func proximity(a, b []float64) float64 {
-	var d2 float64
-	for j := range a {
-		d := (a[j] - b[j]) * featInvRange[j]
-		d2 += d * d
-	}
-	d2 /= float64(len(a))
-	return math.Exp(-d2 / (2 * diversityScale * diversityScale))
-}
-
-// diverseSelect greedily picks nSel exploit-proposal indices under the
-// batched-diversity rule: every selection adds weight·proximity(candidate,
-// selected) to each remaining candidate's effective score, so a
-// near-duplicate of an already-selected proposal must beat its penalty to
-// join the batch. Ties break on candidate index; the selection is a pure
-// function of (scores, feats, weight), independent of worker count.
-func diverseSelect(scores []float64, feats [][]float64, nSel int, weight float64) []int {
-	taken := make([]bool, len(scores))
-	penalty := make([]float64, len(scores))
-	out := make([]int, 0, nSel)
-	for len(out) < nSel {
-		best := -1
-		bestEff := math.Inf(1)
-		for i := range scores {
-			if taken[i] {
-				continue
-			}
-			if eff := scores[i] + weight*penalty[i]; eff < bestEff {
-				best, bestEff = i, eff // strict < breaks ties on candidate index
-			}
-		}
-		if best < 0 {
-			break
-		}
-		taken[best] = true
-		out = append(out, best)
-		for i := range scores {
-			if !taken[i] {
-				penalty[i] += proximity(feats[i], feats[best])
-			}
-		}
-	}
-	return out
-}
-
-// Parameter groups for the phased strategy, as canonical feature indices:
-// the memory hierarchy first (the paper's dominant importance block), then
-// functional-unit/bandwidth throughput, then the out-of-order pipeline.
-var phaseGroups = [3][]int{
-	{ // caches and memory system
-		params.FCacheLineWidth, params.FL1DSize, params.FL1DAssoc, params.FL1DLatency,
-		params.FL1DClockGHz, params.FL1DMSHRs, params.FL2Size, params.FL2Assoc,
-		params.FL2Latency, params.FL2ClockGHz, params.FRAMLatencyNs, params.FRAMBandwidthGBs,
-	},
-	{ // vector width, bandwidths, per-cycle memory throughput
-		params.FVectorLength, params.FLoadBandwidth, params.FStoreBandwidth,
-		params.FMemRequestsPerCycle, params.FMemLoadsPerCycle, params.FMemStoresPerCycle,
-	},
-	{ // out-of-order pipeline structures
-		params.FFetchBlockSize, params.FLoopBufferSize, params.FGPRegisters,
-		params.FFPSVERegisters, params.FPredRegisters, params.FCondRegisters,
-		params.FCommitWidth, params.FFrontendWidth, params.FLSQCompletionWidth,
-		params.FROBSize, params.FLoadQueueSize, params.FStoreQueueSize,
-	},
-}
-
-// phasedCandidates implements the coordinate-descent-flavoured strategy:
-// split the budget into thirds (cache → FU/bandwidth → pipeline), pin the
-// incumbent best configuration, and propose candidates that mutate only
-// the active phase's parameter group — the "sweep one subsystem at a time"
-// shape of staged DSE studies. Mutations go through Decode, so every
-// candidate lands on the constrained grid. Chunks mutate independently
-// (each from the (poolSeed, chunk) substream, with a per-chunk retry
-// budget) and concatenate in chunk order.
-func (p *Proposer) phasedCandidates(poolSeed int64, train []orchestrate.Row, ys [][]float64) []params.Config {
-	o := p.opt
-	phase := 0
-	switch {
-	case p.proposed >= o.Budget*2/3:
-		phase = 2
-	case p.proposed >= o.Budget/3:
-		phase = 1
-	}
-	group := phaseGroups[phase]
-
-	// Incumbent: the completed row with the lowest summed log-cycles.
-	best, bestScore := 0, math.Inf(1)
-	for i := range train {
-		var s float64
-		for ai := range ys {
-			s += ys[ai][i]
-		}
-		if s < bestScore {
-			best, bestScore = i, s
-		}
-	}
-	incumbent := train[best].Features
-
-	space := params.Space()
-	chunks := make([][]params.Config, (o.Pool+scoreChunk-1)/scoreChunk)
-	forChunks(o.Pool, o.Workers, func(c, lo, hi int) {
-		rng := params.NewRand(params.SubSeed(poolSeed, c))
-		want := hi - lo
-		out := make([]params.Config, 0, want)
-		for tries := 0; len(out) < want && tries < 10*want; tries++ {
-			feats := append([]float64(nil), incumbent...)
-			for _, fi := range group {
-				vals := space[fi].Values()
-				feats[fi] = vals[rng.Intn(len(vals))]
-			}
-			// Decode is total over grid values (snap is the identity, Repair
-			// handles the dependent constraints), so the error branch is a
-			// safety net, not an expected path.
-			cfg, err := params.Decode(feats)
-			if err != nil {
-				continue
-			}
-			out = append(out, cfg)
-		}
-		chunks[c] = out
-	})
-	cands := make([]params.Config, 0, o.Pool)
-	for _, ch := range chunks {
-		cands = append(cands, ch...)
-	}
-	return cands
-}
 
 // expectedImprovement is the closed-form EI of a Gaussian posterior for
 // minimisation: improvement over the incumbent best times its probability,

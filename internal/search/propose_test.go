@@ -3,6 +3,9 @@ package search
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"testing"
 
 	"armdse/internal/dtree"
@@ -21,19 +24,18 @@ func tinySuite() []workload.Workload {
 }
 
 // adaptiveCSV runs an adaptive collection and returns the dataset as CSV.
-func adaptiveCSV(t *testing.T, strategy string, workers int, diversity float64) []byte {
+func adaptiveCSV(t *testing.T, strategy string, workers int) []byte {
 	t.Helper()
 	suite := tinySuite()
 	prop, err := NewProposer(ProposeOptions{
-		Strategy:  strategy,
-		Seed:      11,
-		Budget:    30,
-		Batch:     10,
-		Pool:      40,
-		Trees:     5,
-		Diversity: diversity,
-		Workers:   workers,
-		Apps:      orchestrate.SuiteNames(suite),
+		Strategy: strategy,
+		Seed:     11,
+		Budget:   30,
+		Batch:    10,
+		Pool:     40,
+		Trees:    5,
+		Workers:  workers,
+		Apps:     orchestrate.SuiteNames(suite),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -56,33 +58,18 @@ func adaptiveCSV(t *testing.T, strategy string, workers int, diversity float64) 
 // The seam's headline determinism guarantee: adaptive datasets are
 // byte-identical at every worker count, for every strategy — the worker
 // count feeds both the simulation pool and the parallel acquisition path
-// (chunked pool scoring, warm forest refits, diversity assembly).
+// (chunked pool scoring, warm forest refits, tournament assembly).
 func TestAdaptiveWorkerCountInvariance(t *testing.T) {
-	cases := []struct {
-		strategy  string
-		diversity float64
-	}{
-		{StrategyUniform, 0},
-		{StrategyUCB, 0},
-		{StrategyUCB, 0.5},
-		{StrategyEI, 0},
-		{StrategyEI, 0.5},
-		{StrategyPhased, 0},
-	}
-	for _, tc := range cases {
-		name := tc.strategy
-		if tc.diversity > 0 {
-			name += "+diversity"
-		}
-		want := adaptiveCSV(t, tc.strategy, 1, tc.diversity)
+	for _, strategy := range Strategies() {
+		want := adaptiveCSV(t, strategy, 1)
 		for _, workers := range []int{2, 8} {
-			got := adaptiveCSV(t, tc.strategy, workers, tc.diversity)
+			got := adaptiveCSV(t, strategy, workers)
 			if !bytes.Equal(want, got) {
-				t.Errorf("%s: Workers=%d dataset differs from Workers=1", name, workers)
+				t.Errorf("%s: Workers=%d dataset differs from Workers=1", strategy, workers)
 			}
 		}
 		if len(want) == 0 {
-			t.Errorf("%s: empty dataset", name)
+			t.Errorf("%s: empty dataset", strategy)
 		}
 	}
 }
@@ -116,7 +103,7 @@ func TestWarmForestWorkerInvariance(t *testing.T) {
 	run := func(workers int) ([][]float64, [][]byte) {
 		prop, err := NewProposer(ProposeOptions{
 			Strategy: StrategyUCB, Seed: 7, Budget: 48, Batch: 12, Pool: 80,
-			Trees: 8, Refit: 2, Diversity: 0.5, Workers: workers,
+			Trees: 8, Refit: 2, Workers: workers,
 			Apps: []string{"a", "b"},
 		})
 		if err != nil {
@@ -167,47 +154,58 @@ func TestWarmForestWorkerInvariance(t *testing.T) {
 	}
 }
 
-// The batched-diversity rule: a near-duplicate of a selected proposal must
-// beat its proximity penalty to join the batch.
-func TestDiverseSelect(t *testing.T) {
-	nf := len(featInvRange)
-	lo := make([]float64, nf)
-	hi := make([]float64, nf)
-	space := params.Space()
-	for j := range space {
-		lo[j] = space[j].Min
-		hi[j] = space[j].Max
+// proposalStream runs three generations of a proposer over a synthetic
+// prior that grows by each batch, and returns its digest and a SHA-256 over
+// the proposed feature vectors.
+func proposalStream(t *testing.T, strategy string) (string, string) {
+	t.Helper()
+	prop, err := NewProposer(ProposeOptions{
+		Strategy: strategy, Seed: 7, Budget: 96, Batch: 32, Pool: 128, Trees: 8,
+		Apps: []string{"a", "b"},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Candidates 0 and 1 sit at the same point (proximity 1); candidate 2 is
-	// at the far corner (proximity ~0). Scores slightly favour the twins.
-	feats := [][]float64{lo, lo, hi}
-	scores := []float64{1.0, 1.01, 1.5}
-	// Weight below the twins' gap-to-2: the duplicate still wins.
-	if got := diverseSelect(scores, feats, 2, 0.1); got[0] != 0 || got[1] != 1 {
-		t.Errorf("weight 0.1 selected %v, want [0 1]", got)
+	prior := syntheticPrior(16)
+	h := sha256.New()
+	for gen := 0; gen < 3; gen++ {
+		batch, ok := prop.NextBatch(prior)
+		if !ok {
+			t.Fatalf("%s: exhausted at gen %d", strategy, gen)
+		}
+		for _, cfg := range batch {
+			f := cfg.Features()
+			var s float64
+			for _, v := range f {
+				binary.Write(h, binary.LittleEndian, v)
+				s += v
+			}
+			prior = append(prior, orchestrate.Row{
+				Index: len(prior), Config: cfg, Features: f,
+				Targets: map[string]float64{"a": 1000 + s, "b": 2000 + 2*s},
+			})
+		}
 	}
-	// Weight above it: selecting 0 penalises its twin past candidate 2.
-	if got := diverseSelect(scores, feats, 2, 1.0); got[0] != 0 || got[1] != 2 {
-		t.Errorf("weight 1.0 selected %v, want [0 2]", got)
-	}
+	return prop.Digest(), hex.EncodeToString(h.Sum(nil))
 }
 
-// Ties in effective score break on candidate index — part of the
-// determinism contract.
-func TestDiverseSelectTieBreaksOnIndex(t *testing.T) {
-	nf := len(featInvRange)
-	far := func(v float64) []float64 {
-		f := make([]float64, nf)
-		for j := range f {
-			f[j] = v * 1e9 // far apart under any range normalisation
-		}
-		return f
+// The surviving proposal streams are pinned: the digest a journal stamps
+// and the first three batches of every strategy at a fixed seed. A change
+// to either breaks resume of existing adaptive journals.
+func TestProposalStreamGolden(t *testing.T) {
+	golden := []struct{ strategy, digest, sha string }{
+		{StrategyUniform, "uniform/s7/n96/b32/p128/k2/t8/d0/r0/v2", "52f185b5d818d77fe1f9cc3d42a572cbdd135d8a371534734a230ecc018e8bee"},
+		{StrategyUCB, "ucb/s7/n96/b32/p128/k2/t8/d0/r0/v2", "e193c1dc634920bd78941457a22f6bd90ea5675b68bb65c1ce5eeeb2d7bd756f"},
+		{StrategyEI, "ei/s7/n96/b32/p128/k2/t8/d0/r0/v2", "6885b02de427081842267647d7633035a5a3ddde3569c06ecd1d6cf7a09b122f"},
 	}
-	feats := [][]float64{far(1), far(2), far(3)}
-	scores := []float64{5, 5, 5}
-	sel := diverseSelect(scores, feats, 2, 0.5)
-	if sel[0] != 0 || sel[1] != 1 {
-		t.Errorf("tied scores selected %v, want [0 1]", sel)
+	for _, g := range golden {
+		digest, sha := proposalStream(t, g.strategy)
+		if digest != g.digest {
+			t.Errorf("%s: Digest() = %q, want %q", g.strategy, digest, g.digest)
+		}
+		if sha != g.sha {
+			t.Errorf("%s: proposal stream sha256 = %s, want %s", g.strategy, sha, g.sha)
+		}
 	}
 }
 
@@ -228,7 +226,7 @@ func TestUniformProposerMatchesFixedSweep(t *testing.T) {
 	if err := fixed.Data.WriteCSV(&want); err != nil {
 		t.Fatal(err)
 	}
-	got := adaptiveCSV(t, StrategyUniform, 4, 0)
+	got := adaptiveCSV(t, StrategyUniform, 4)
 	if !bytes.Equal(want.Bytes(), got) {
 		t.Error("uniform adaptive run differs from the classic fixed sweep")
 	}
@@ -278,13 +276,12 @@ func TestProposerDigestCoversOptions(t *testing.T) {
 	}
 	ref := d(base)
 	for name, mut := range map[string]func(*ProposeOptions){
-		"strategy":  func(o *ProposeOptions) { o.Strategy = StrategyEI },
-		"seed":      func(o *ProposeOptions) { o.Seed = 2 },
-		"budget":    func(o *ProposeOptions) { o.Budget = 200 },
-		"batch":     func(o *ProposeOptions) { o.Batch = 20 },
-		"kappa":     func(o *ProposeOptions) { o.Kappa = 3 },
-		"diversity": func(o *ProposeOptions) { o.Diversity = 0.5 },
-		"refit":     func(o *ProposeOptions) { o.Refit = 3 },
+		"strategy": func(o *ProposeOptions) { o.Strategy = StrategyEI },
+		"seed":     func(o *ProposeOptions) { o.Seed = 2 },
+		"budget":   func(o *ProposeOptions) { o.Budget = 200 },
+		"batch":    func(o *ProposeOptions) { o.Batch = 20 },
+		"kappa":    func(o *ProposeOptions) { o.Kappa = 3 },
+		"refit":    func(o *ProposeOptions) { o.Refit = 3 },
 	} {
 		o := base
 		mut(&o)
@@ -295,7 +292,7 @@ func TestProposerDigestCoversOptions(t *testing.T) {
 }
 
 // Every proposed configuration must be simulatable: on-grid and satisfying
-// the dependent constraints, for every strategy including the mutating one.
+// the dependent constraints, for every model-based strategy.
 func TestProposalsAlwaysValid(t *testing.T) {
 	// Seed enough synthetic prior rows for the model path to engage.
 	var prior []orchestrate.Row
@@ -308,7 +305,7 @@ func TestProposalsAlwaysValid(t *testing.T) {
 			Targets:  map[string]float64{"a": float64(1000 + i*10), "b": float64(2000 + i*5)},
 		})
 	}
-	for _, strategy := range []string{StrategyUCB, StrategyEI, StrategyPhased} {
+	for _, strategy := range []string{StrategyUCB, StrategyEI} {
 		prop, err := NewProposer(ProposeOptions{
 			Strategy: strategy, Seed: 5, Budget: 40, Batch: 20, Pool: 50, Trees: 3,
 			Apps: []string{"a", "b"},

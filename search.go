@@ -83,9 +83,6 @@ const (
 	StrategyUCB = search.StrategyUCB
 	// StrategyEI proposes candidates by closed-form expected improvement.
 	StrategyEI = search.StrategyEI
-	// StrategyPhased explores one parameter group per budget phase (cache,
-	// then functional units, then pipeline) around the incumbent.
-	StrategyPhased = search.StrategyPhased
 )
 
 // SearchStrategies lists the recognised proposal strategy names.
