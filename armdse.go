@@ -162,14 +162,14 @@ func ConfigAt(seed int64, index int) Config { return params.ConfigAt(seed, index
 // Simulate runs one workload on one configuration and returns the run
 // statistics.
 func Simulate(cfg Config, w Workload) (Stats, error) {
-	return orchestrate.RunOne(cfg, w)
+	return orchestrate.RunOneOn(BackendSST, cfg, w, 0)
 }
 
 // SimulateLimited is Simulate under an explicit cycle budget (the same
 // protection Collect applies via CollectOptions.MaxCyclesPerRun);
 // maxCycles <= 0 uses the engine default.
 func SimulateLimited(cfg Config, w Workload, maxCycles int64) (Stats, error) {
-	return orchestrate.RunOneLimited(cfg, w, maxCycles)
+	return orchestrate.RunOneOn(BackendSST, cfg, w, maxCycles)
 }
 
 // Memory backend names accepted by SimulateOn and CollectOptions.Backend.

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"armdse/internal/obs"
 )
 
 // fleetLog is a hand-built coordinator runlog: two workers, one expiry with
@@ -200,7 +202,7 @@ func TestRunFormats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tr chromeTrace
+	var tr obs.ChromeTrace
 	if err := json.Unmarshal(raw, &tr); err != nil {
 		t.Fatalf("trace output: %v", err)
 	}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"armdse/internal/obs"
 )
 
 // Fleet timeline export in Chrome trace-event JSON (the format dsetrace
@@ -13,22 +15,6 @@ import (
 // the run, one thread track per worker, a ph:"X" complete slice per lease
 // hold, a ph:"i" instant per steal and a ph:"C" counter series for the
 // rows/sec trajectory.
-
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"` // microseconds
-	Dur  float64        `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	S    string         `json:"s,omitempty"` // instant-event scope
-	Args map[string]any `json:"args,omitempty"`
-}
-
-type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
-}
 
 const (
 	tracePid = 1
@@ -57,13 +43,13 @@ func writeFleetTrace(w io.Writer, a *runAnalysis) error {
 		tidOf[name] = i + 1
 	}
 
-	doc := chromeTrace{DisplayTimeUnit: "ms"}
-	doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
+	doc := obs.ChromeTrace{DisplayTimeUnit: "ms"}
+	doc.TraceEvents = append(doc.TraceEvents, obs.ChromeEvent{
 		Name: "process_name", Ph: "M", Pid: tracePid,
 		Args: map[string]any{"name": "armdse fleet " + a.Report.File},
 	})
 	for _, name := range names {
-		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
+		doc.TraceEvents = append(doc.TraceEvents, obs.ChromeEvent{
 			Name: "thread_name", Ph: "M", Pid: tracePid, Tid: tidOf[name],
 			Args: map[string]any{"name": "worker " + name},
 		})
@@ -74,7 +60,7 @@ func writeFleetTrace(w io.Writer, a *runAnalysis) error {
 		if dur < 1 {
 			dur = 1 // sub-microsecond holds still render as a visible sliver
 		}
-		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
+		doc.TraceEvents = append(doc.TraceEvents, obs.ChromeEvent{
 			Name: fmt.Sprintf("lease %d [%d,%d)", sp.Lease, sp.Lo, sp.Hi),
 			Ph:   "X", Ts: sp.StartS * 1e6, Dur: dur,
 			Pid: tracePid, Tid: tidOf[sp.Worker],
@@ -89,14 +75,14 @@ func writeFleetTrace(w io.Writer, a *runAnalysis) error {
 		if t, ok := tidOf[st.Victim]; ok {
 			tid = t
 		}
-		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
+		doc.TraceEvents = append(doc.TraceEvents, obs.ChromeEvent{
 			Name: fmt.Sprintf("steal lease %d", st.Lease),
 			Ph:   "i", Ts: st.ElapsedS * 1e6, Pid: tracePid, Tid: tid, S: "t",
 			Args: map[string]any{"lease": st.Lease, "lo": st.Lo, "hi": st.Hi},
 		})
 	}
 	for _, tp := range a.Report.Trajectory {
-		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
+		doc.TraceEvents = append(doc.TraceEvents, obs.ChromeEvent{
 			Name: "rows_per_sec", Ph: "C", Ts: tp.ElapsedS * 1e6,
 			Pid: tracePid, Tid: counterTid,
 			Args: map[string]any{"rows_per_sec": tp.RowsPerSec},

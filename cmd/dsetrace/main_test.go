@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"armdse/internal/obs"
 )
 
 func TestTraceOutput(t *testing.T) {
@@ -60,7 +62,7 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tr chromeTrace
+	var tr obs.ChromeTrace
 	if err := json.Unmarshal(raw, &tr); err != nil {
 		t.Fatalf("trace JSON does not parse: %v", err)
 	}
@@ -68,7 +70,7 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 		t.Fatal("empty trace")
 	}
 
-	laneEnd := map[[2]int]int64{} // (pid, tid) -> end of last slice
+	laneEnd := map[[2]int]float64{} // (pid, tid) -> end of last slice
 	var instr, dropped, stallCycles int64
 	classes := map[string]bool{}
 	for _, ev := range tr.TraceEvents {
@@ -87,7 +89,7 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 		}
 		key := [2]int{ev.Pid, ev.Tid}
 		if ev.Ts < laneEnd[key] {
-			t.Fatalf("overlapping slices on pid %d tid %d at ts %d", ev.Pid, ev.Tid, ev.Ts)
+			t.Fatalf("overlapping slices on pid %d tid %d at ts %g", ev.Pid, ev.Tid, ev.Ts)
 		}
 		laneEnd[key] = ev.Ts + ev.Dur
 		switch ev.Pid {
@@ -101,7 +103,7 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 				t.Fatalf("lifetime out of order: dispatch %d issue %d done %d commit %d", d, i, dn, c)
 			}
 		case pidStalls:
-			stallCycles += ev.Dur
+			stallCycles += int64(ev.Dur)
 			classes[ev.Name] = true
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"armdse/internal/obs"
 	"armdse/internal/simeng"
 )
 
@@ -18,24 +19,6 @@ import (
 // — the visual width of the lane set IS the window occupancy; pid 2 holds
 // one track per stall class, tiling the run with the engine's per-cycle
 // attribution (the same numbers behind Stats.Stalls, drawn on a timeline).
-
-// chromeEvent is one trace-event record. Complete events (ph "X") carry a
-// duration; metadata events (ph "M") name processes and threads.
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Ts   int64          `json:"ts"`
-	Dur  int64          `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-// chromeTrace is the top-level trace JSON object.
-type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
-}
 
 // stallInterval is one coalesced run of cycles attributed to a single class.
 type stallInterval struct {
@@ -77,11 +60,11 @@ const (
 // arrive while all lanes are busy are dropped and counted, which only
 // happens when window occupancy exceeds maxLanes.
 func writeChromeTrace(w io.Writer, events []simeng.TraceEvent, stalls []stallInterval) error {
-	out := chromeTrace{DisplayTimeUnit: "ns"}
+	out := obs.ChromeTrace{DisplayTimeUnit: "ns"}
 	out.TraceEvents = append(out.TraceEvents,
-		chromeEvent{Name: "process_name", Ph: "M", Pid: pidInstructions,
+		obs.ChromeEvent{Name: "process_name", Ph: "M", Pid: pidInstructions,
 			Args: map[string]any{"name": "instructions (1 cycle = 1us)"}},
-		chromeEvent{Name: "process_name", Ph: "M", Pid: pidStalls,
+		obs.ChromeEvent{Name: "process_name", Ph: "M", Pid: pidStalls,
 			Args: map[string]any{"name": "stall attribution"}},
 	)
 
@@ -114,9 +97,9 @@ func writeChromeTrace(w io.Writer, events []simeng.TraceEvent, stalls []stallInt
 		if ev.SVE {
 			name += ".sve"
 		}
-		out.TraceEvents = append(out.TraceEvents, chromeEvent{
+		out.TraceEvents = append(out.TraceEvents, obs.ChromeEvent{
 			Name: name, Ph: "X",
-			Ts: ev.Dispatched, Dur: end - ev.Dispatched,
+			Ts: float64(ev.Dispatched), Dur: float64(end - ev.Dispatched),
 			Pid: pidInstructions, Tid: lane,
 			Args: map[string]any{
 				"seq":        ev.Seq,
@@ -129,7 +112,7 @@ func writeChromeTrace(w io.Writer, events []simeng.TraceEvent, stalls []stallInt
 		})
 	}
 	for t := 0; t < usedLanes; t++ {
-		out.TraceEvents = append(out.TraceEvents, chromeEvent{
+		out.TraceEvents = append(out.TraceEvents, obs.ChromeEvent{
 			Name: "thread_name", Ph: "M", Pid: pidInstructions, Tid: t,
 			Args: map[string]any{"name": fmt.Sprintf("lane %02d", t)},
 		})
@@ -139,16 +122,16 @@ func writeChromeTrace(w io.Writer, events []simeng.TraceEvent, stalls []stallInt
 	seen := make([]bool, len(classes))
 	for _, iv := range stalls {
 		seen[iv.class] = true
-		out.TraceEvents = append(out.TraceEvents, chromeEvent{
+		out.TraceEvents = append(out.TraceEvents, obs.ChromeEvent{
 			Name: classes[iv.class], Ph: "X",
-			Ts: iv.from, Dur: iv.n,
+			Ts: float64(iv.from), Dur: float64(iv.n),
 			Pid: pidStalls, Tid: int(iv.class),
 			Args: map[string]any{"cycles": iv.n},
 		})
 	}
 	for c, name := range classes {
 		if seen[c] {
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
+			out.TraceEvents = append(out.TraceEvents, obs.ChromeEvent{
 				Name: "thread_name", Ph: "M", Pid: pidStalls, Tid: c,
 				Args: map[string]any{"name": name},
 			})
@@ -156,7 +139,7 @@ func writeChromeTrace(w io.Writer, events []simeng.TraceEvent, stalls []stallInt
 	}
 
 	if dropped > 0 {
-		out.TraceEvents = append(out.TraceEvents, chromeEvent{
+		out.TraceEvents = append(out.TraceEvents, obs.ChromeEvent{
 			Name: "dropped_instructions", Ph: "M", Pid: pidInstructions,
 			Args: map[string]any{"dropped": dropped, "max_lanes": maxLanes},
 		})

@@ -15,6 +15,7 @@ import (
 	"armdse/internal/dataset"
 	"armdse/internal/dtree"
 	"armdse/internal/orchestrate"
+	"armdse/internal/params"
 	"armdse/internal/report"
 	"armdse/internal/workload"
 )
@@ -122,6 +123,29 @@ func CollectData(ctx context.Context, opt Options) (*dataset.Dataset, error) {
 		return nil, err
 	}
 	return res.Data, nil
+}
+
+// simulate runs every configuration of cfgs on opt.Suite through the
+// collection engine over the named memory backend, at opt.Workers. It
+// returns the first failed run's error, or else the dataset with row i
+// holding cfgs[i], so callers read d.Target(app)[i].
+func simulate(ctx context.Context, opt Options, backend string, cfgs []params.Config) (*dataset.Dataset, error) {
+	sink := orchestrate.NewDatasetSink(params.FeatureNames(), orchestrate.SuiteNames(opt.Suite))
+	eng := orchestrate.Engine{
+		Source:  orchestrate.SliceSource(cfgs),
+		Suite:   opt.Suite,
+		Backend: backend,
+		Workers: opt.Workers,
+		Sink:    sink,
+	}
+	if _, _, err := eng.Run(ctx); err != nil {
+		return nil, err
+	}
+	if err := sink.FirstError(); err != nil {
+		return nil, err
+	}
+	d, _, err := sink.Dataset()
+	return d, err
 }
 
 // Runner is one named experiment driver.

@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"armdse/internal/workload"
 )
@@ -307,6 +309,38 @@ func TestContextCancellation(t *testing.T) {
 	opt2 := withData(t)
 	if _, err := Fig3(ctx, opt2); err == nil {
 		t.Error("fig3 ignored cancellation")
+	}
+}
+
+// brokenWorkload is a workload whose program never builds.
+type brokenWorkload struct{ workload.Workload }
+
+func (brokenWorkload) Name() string { return "Broken" }
+
+func (brokenWorkload) Program(int) (*workload.Program, error) {
+	return nil, errors.New("program build failed")
+}
+
+// TestSweepFailingProgramReturns pins that a speedup sweep whose runs fail
+// on every worker returns the failure, naming the workload, instead of
+// blocking.
+func TestSweepFailingProgramReturns(t *testing.T) {
+	opt := fastOpt()
+	opt.Samples = 20
+	opt.Workers = 2
+	opt.Suite = []workload.Workload{opt.Suite[0], brokenWorkload{opt.Suite[0]}}
+	errc := make(chan error, 1)
+	go func() {
+		_, err := Fig7(context.Background(), opt)
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		if err == nil || !strings.Contains(err.Error(), "Broken") {
+			t.Fatalf("Fig7 = %v, want an error naming Broken", err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("Fig7 did not return within 20s")
 	}
 }
 

@@ -97,34 +97,29 @@ func ExtPorts(ctx context.Context, opt Options) (Result, error) {
 		tbl.Columns = append(tbl.Columns, w.Name())
 	}
 
-	baselineCycles := make([]float64, len(opt.Suite))
-	rows := make([][]float64, len(sweep))
+	cfgs := make([]params.Config, len(sweep))
+	paperLayout := 0
 	for si, sc := range sweep {
-		rows[si] = make([]float64, len(opt.Suite))
-		cfg := base
-		cfg.Core.Ports = portLayout(3, sc.vec, 1, sc.mix)
-		for wi, w := range opt.Suite {
-			if err := ctx.Err(); err != nil {
-				return Result{}, err
-			}
-			prog, err := w.Program(cfg.Core.VectorLength)
-			if err != nil {
-				return Result{}, err
-			}
-			st, err := orchestrate.Simulate(cfg, prog.Stream())
-			if err != nil {
-				return Result{}, err
-			}
-			rows[si][wi] = float64(st.Cycles)
-			if sc.label == "2V/3M" {
-				baselineCycles[wi] = float64(st.Cycles)
-			}
+		cfgs[si] = base
+		cfgs[si].Core.Ports = portLayout(3, sc.vec, 1, sc.mix)
+		if sc.label == "2V/3M" {
+			paperLayout = si
+		}
+	}
+	d, err := simulate(ctx, opt, orchestrate.BackendSST, cfgs)
+	if err != nil {
+		return Result{}, err
+	}
+	cycles := make([][]float64, len(opt.Suite))
+	for wi, w := range opt.Suite {
+		if cycles[wi], err = d.Target(w.Name()); err != nil {
+			return Result{}, err
 		}
 	}
 	for si, sc := range sweep {
 		row := []string{sc.label}
 		for wi := range opt.Suite {
-			row = append(row, report.F(rows[si][wi]/baselineCycles[wi], 2))
+			row = append(row, report.F(cycles[wi][si]/cycles[wi][paperLayout], 2))
 		}
 		tbl.AddRow(row...)
 	}
@@ -237,27 +232,18 @@ func ExtPrefetch(ctx context.Context, opt Options) (Result, error) {
 		Title:   "ThunderX2 baseline cycles with and without the basic prefetcher",
 		Columns: []string{"Application", "Prefetch on", "Prefetch off", "Slowdown"},
 	}
+	off := params.ThunderX2()
+	off.Mem.DisablePrefetch = true
+	d, err := simulate(ctx, opt, orchestrate.BackendSST, []params.Config{params.ThunderX2(), off})
+	if err != nil {
+		return Result{}, err
+	}
 	for _, w := range opt.Suite {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-		cfg := params.ThunderX2()
-		prog, err := w.Program(cfg.Core.VectorLength)
+		y, err := d.Target(w.Name())
 		if err != nil {
 			return Result{}, err
 		}
-		on, err := orchestrate.Simulate(cfg, prog.Stream())
-		if err != nil {
-			return Result{}, err
-		}
-		cfg.Mem.DisablePrefetch = true
-		off, err := orchestrate.Simulate(cfg, prog.Stream())
-		if err != nil {
-			return Result{}, err
-		}
-		tbl.AddRow(w.Name(),
-			report.I(float64(on.Cycles)), report.I(float64(off.Cycles)),
-			report.F(float64(off.Cycles)/float64(on.Cycles), 2)+"x")
+		tbl.AddRow(w.Name(), report.I(y[0]), report.I(y[1]), report.F(y[1]/y[0], 2)+"x")
 	}
 	return Result{
 		ID:     "extprefetch",

@@ -42,26 +42,26 @@ func ExtMulticore(ctx context.Context, opt Options) (Result, error) {
 		tbl.Columns = append(tbl.Columns, w.Name())
 	}
 
-	// single-core cycles at a 1/n channel share, per app per core count.
+	// single-core cycles at a 1/n channel share, per core count.
+	cfgs := make([]params.Config, len(cores))
+	for ci, n := range cores {
+		cfgs[ci] = base
+		cfgs[ci].Mem.RAMBandwidthGBs = base.Mem.RAMBandwidthGBs / float64(n)
+	}
+	d, err := simulate(ctx, opt, orchestrate.BackendSST, cfgs)
+	if err != nil {
+		return Result{}, err
+	}
 	speedups := make([][]float64, len(opt.Suite))
 	for wi, w := range opt.Suite {
+		y, err := d.Target(w.Name())
+		if err != nil {
+			return Result{}, err
+		}
 		speedups[wi] = make([]float64, len(cores))
 		var oneCore float64
 		for ci, n := range cores {
-			if err := ctx.Err(); err != nil {
-				return Result{}, err
-			}
-			cfg := base
-			cfg.Mem.RAMBandwidthGBs = base.Mem.RAMBandwidthGBs / float64(n)
-			prog, err := w.Program(cfg.Core.VectorLength)
-			if err != nil {
-				return Result{}, err
-			}
-			st, err := orchestrate.Simulate(cfg, prog.Stream())
-			if err != nil {
-				return Result{}, err
-			}
-			perCoreRate := 1 / float64(st.Cycles)
+			perCoreRate := 1 / y[ci]
 			aggregate := float64(n) * perCoreRate
 			if ci == 0 {
 				oneCore = aggregate

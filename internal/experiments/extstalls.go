@@ -27,33 +27,35 @@ func ExtStalls(ctx context.Context, opt Options) (Result, error) {
 		Title:   "ThunderX2 baseline: share of total cycles per stall class (columns sum to 100%)",
 		Columns: []string{"Stall class"},
 	}
-	cfg := params.ThunderX2()
+	d, err := simulate(ctx, opt, orchestrate.BackendSST, []params.Config{params.ThunderX2()})
+	if err != nil {
+		return Result{}, err
+	}
 	shares := make([][]float64, len(classes))
 	for c := range shares {
 		shares[c] = make([]float64, len(opt.Suite))
 	}
 	dominant := make([]simeng.StallClass, len(opt.Suite))
 	for wi, w := range opt.Suite {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
 		baseline.Columns = append(baseline.Columns, w.Name())
-		prog, err := w.Program(cfg.Core.VectorLength)
+		cycles, err := d.Target(w.Name())
 		if err != nil {
 			return Result{}, err
 		}
-		st, err := orchestrate.Simulate(cfg, prog.Stream())
-		if err != nil {
-			return Result{}, err
-		}
-		for c := range classes {
-			shares[c][wi] = st.StallPct(simeng.StallClass(c))
+		stalls := make([]float64, len(classes))
+		for c, name := range classes {
+			col, err := d.StallTarget(w.Name(), name)
+			if err != nil {
+				return Result{}, err
+			}
+			stalls[c] = col[0]
+			shares[c][wi] = 100 * stalls[c] / cycles[0] // Stats.StallPct
 		}
 		// The dominant *stall* excludes busy cycles: it is the class a
 		// designer would attack first.
 		best := simeng.StallFrontend
 		for cl := best + 1; cl < simeng.NumStallClasses; cl++ {
-			if st.Stalls[cl] > st.Stalls[best] {
+			if stalls[cl] > stalls[best] {
 				best = cl
 			}
 		}

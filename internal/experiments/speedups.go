@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"armdse/internal/orchestrate"
 	"armdse/internal/params"
@@ -29,95 +28,42 @@ var (
 	Fig8FPRegs = []int{40, 64, 96, 128, 144, 192, 320, 512}
 )
 
-// sweepJob is one (config, level, app) simulation.
-type sweepJob struct {
-	cfgIdx, lvlIdx, appIdx int
-	cfg                    params.Config
-}
-
-// runSweep simulates every (base config × level × app) combination, where
-// override(cfg, level) applies the swept value, and returns mean cycles
-// indexed [app][level].
+// runSweep simulates the suite on every (base config × level) combination,
+// where override(cfg, level) applies the swept value, and returns mean
+// cycles indexed [app][level].
 func runSweep(ctx context.Context, opt Options, levels []int,
 	override func(*params.Config, int)) ([][]float64, error) {
 	opt = opt.withDefaults()
 	bases := params.SampleN(opt.Seed+1000, sweepCount(opt))
-	suite := opt.Suite
-
-	var jobs []sweepJob
-	for ci, base := range bases {
-		for li, lvl := range levels {
+	cfgs := make([]params.Config, 0, len(bases)*len(levels))
+	for _, base := range bases {
+		for _, lvl := range levels {
 			cfg := base
 			override(&cfg, lvl)
 			if err := cfg.Validate(); err != nil {
 				return nil, fmt.Errorf("experiments: sweep override produced invalid config: %w", err)
 			}
-			for ai := range suite {
-				jobs = append(jobs, sweepJob{cfgIdx: ci, lvlIdx: li, appIdx: ai, cfg: cfg})
-			}
+			cfgs = append(cfgs, cfg)
 		}
 	}
-
-	cycles := make([][][]float64, len(suite)) // [app][level][config]
-	for a := range cycles {
-		cycles[a] = make([][]float64, len(levels))
-		for l := range cycles[a] {
-			cycles[a][l] = make([]float64, len(bases))
-		}
-	}
-
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
-	jobCh := make(chan sweepJob)
-	errCh := make(chan error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobCh {
-				app := suite[j.appIdx]
-				prog, err := app.Program(j.cfg.Core.VectorLength)
-				if err != nil {
-					errCh <- err
-					return
-				}
-				st, err := orchestrate.Simulate(j.cfg, prog.Stream())
-				if err != nil {
-					errCh <- fmt.Errorf("%s: %w", app.Name(), err)
-					return
-				}
-				cycles[j.appIdx][j.lvlIdx][j.cfgIdx] = float64(st.Cycles)
-			}
-		}()
-	}
-	var ctxErr error
-feed:
-	for _, j := range jobs {
-		select {
-		case jobCh <- j:
-		case <-ctx.Done():
-			ctxErr = ctx.Err()
-			break feed
-		}
-	}
-	close(jobCh)
-	wg.Wait()
-	close(errCh)
-	if ctxErr != nil {
-		return nil, ctxErr
-	}
-	if err := <-errCh; err != nil {
+	d, err := simulate(ctx, opt, orchestrate.BackendSST, cfgs)
+	if err != nil {
 		return nil, err
 	}
 
-	means := make([][]float64, len(suite))
-	for a := range means {
+	means := make([][]float64, len(opt.Suite))
+	cycles := make([]float64, len(bases))
+	for a, w := range opt.Suite {
+		y, err := d.Target(w.Name())
+		if err != nil {
+			return nil, err
+		}
 		means[a] = make([]float64, len(levels))
 		for l := range levels {
-			means[a][l] = stats.Mean(cycles[a][l])
+			for c := range bases {
+				cycles[c] = y[c*len(levels)+l]
+			}
+			means[a][l] = stats.Mean(cycles)
 		}
 	}
 	return means, nil
@@ -132,10 +78,6 @@ func sweepCount(opt Options) int {
 	}
 	return n
 }
-
-// defaultWorkers mirrors orchestrate's default without importing runtime in
-// several places.
-func defaultWorkers() int { return gomaxprocs() }
 
 // speedupResult renders a levels × apps speedup grid.
 func speedupResult(id, title, xLabel string, levels []int, suite []workload.Workload,

@@ -4,6 +4,8 @@ import (
 	"context"
 
 	"armdse/internal/hwproxy"
+	"armdse/internal/orchestrate"
+	"armdse/internal/params"
 	"armdse/internal/report"
 	"armdse/internal/stats"
 )
@@ -21,23 +23,28 @@ func Table1(ctx context.Context, opt Options) (Result, error) {
 		Title:   "Simulated vs hardware-proxy cycles, ThunderX2 baseline",
 		Columns: []string{"Application", "Simulated Cycles", "Hardware Cycles", "% Difference"},
 	}
+	sim, err := simulate(ctx, opt, orchestrate.BackendSST, []params.Config{hwproxy.BaselineSim()})
+	if err != nil {
+		return Result{}, err
+	}
+	hw, err := simulate(ctx, opt, orchestrate.BackendProxy, []params.Config{hwproxy.BaselineHW()})
+	if err != nil {
+		return Result{}, err
+	}
 	for _, w := range opt.Suite {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-		sim, err := hwproxy.SimulatedCycles(w)
+		s, err := sim.Target(w.Name())
 		if err != nil {
 			return Result{}, err
 		}
-		hw, err := hwproxy.HardwareCycles(w)
+		h, err := hw.Target(w.Name())
 		if err != nil {
 			return Result{}, err
 		}
 		tbl.AddRow(
 			w.Name(),
-			report.I(float64(sim.Cycles)),
-			report.I(float64(hw.Cycles)),
-			report.F(stats.PctDifference(float64(sim.Cycles), float64(hw.Cycles)), 2)+"%",
+			report.I(s[0]),
+			report.I(h[0]),
+			report.F(stats.PctDifference(s[0], h[0]), 2)+"%",
 		)
 	}
 	return Result{

@@ -26,7 +26,6 @@ import (
 	"armdse/internal/params"
 	"armdse/internal/simeng"
 	"armdse/internal/sstmem"
-	"armdse/internal/workload"
 )
 
 // Backend is the hardware-proxy memory backend: an sstmem hierarchy forced
@@ -69,31 +68,4 @@ func BaselineHW() params.Config {
 	cfg := params.ThunderX2()
 	cfg.Mem.Fidelity = sstmem.High
 	return cfg
-}
-
-// SimulatedCycles runs w on the study's simulation baseline.
-func SimulatedCycles(w workload.Workload) (simeng.Stats, error) {
-	h, err := sstmem.New(BaselineSim().Mem)
-	if err != nil {
-		return simeng.Stats{}, err
-	}
-	return run(BaselineSim(), h, w)
-}
-
-// HardwareCycles runs w on the hardware proxy.
-func HardwareCycles(w workload.Workload) (simeng.Stats, error) {
-	cfg := BaselineHW()
-	b, err := NewBackend(cfg.Mem)
-	if err != nil {
-		return simeng.Stats{}, err
-	}
-	return run(cfg, b, w)
-}
-
-func run(cfg params.Config, mem simeng.MemoryBackend, w workload.Workload) (simeng.Stats, error) {
-	p, err := w.Program(cfg.Core.VectorLength)
-	if err != nil {
-		return simeng.Stats{}, err
-	}
-	return simeng.Simulate(cfg.Core, mem, p.Stream())
 }

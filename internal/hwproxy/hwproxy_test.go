@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"armdse/internal/params"
 	"armdse/internal/simeng"
 	"armdse/internal/sstmem"
 	"armdse/internal/workload"
@@ -33,14 +34,17 @@ func TestSimVsHardwareDiverge(t *testing.T) {
 	// The two fidelities must produce different but same-magnitude cycle
 	// counts: the Table I property.
 	w := workload.NewSTREAM(workload.STREAMInputs{ArraySize: 4096, Times: 1})
-	sim, err := SimulatedCycles(w)
+	basic, err := sstmem.New(BaselineSim().Mem)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hw, err := HardwareCycles(w)
+	sim := simulate(t, BaselineSim(), basic, w)
+	cfg := BaselineHW()
+	proxy, err := NewBackend(cfg.Mem)
 	if err != nil {
 		t.Fatal(err)
 	}
+	hw := simulate(t, cfg, proxy, w)
 	if sim.Cycles == hw.Cycles {
 		t.Error("fidelities produced identical cycles; no divergence to validate")
 	}
@@ -69,35 +73,16 @@ func TestBackendForcesHighFidelity(t *testing.T) {
 	}
 }
 
-// TestBackendEndToEnd runs a workload through a core wired to the proxy
-// backend via the MemoryBackend seam and checks it behaves like the
-// HardwareCycles path (which is the same pairing).
-func TestBackendEndToEnd(t *testing.T) {
-	w := workload.NewSTREAM(workload.STREAMInputs{ArraySize: 4096, Times: 1})
-	cfg := BaselineHW()
-	prog, err := w.Program(cfg.Core.VectorLength)
+// simulate runs w on a fresh core over mem.
+func simulate(t *testing.T, cfg params.Config, mem simeng.MemoryBackend, w workload.Workload) simeng.Stats {
+	t.Helper()
+	p, err := w.Program(cfg.Core.VectorLength)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewBackend(cfg.Mem)
+	st, err := simeng.Simulate(cfg.Core, mem, p.Stream())
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := simeng.Simulate(cfg.Core, b, prog.Stream())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := HardwareCycles(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Cycles != want.Cycles {
-		t.Fatalf("backend path %d cycles, HardwareCycles path %d", st.Cycles, want.Cycles)
-	}
-	if st.Stalls.Total() != st.Cycles {
-		t.Fatalf("stall sum %d != cycles %d", st.Stalls.Total(), st.Cycles)
-	}
-	if st.Mem.RowHits+st.Mem.RowMisses == 0 {
-		t.Error("proxy backend recorded no DRAM row activity")
-	}
+	return st
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"armdse/internal/hwproxy"
-	"armdse/internal/isa"
 	"armdse/internal/params"
 	"armdse/internal/simeng"
 	"armdse/internal/sstmem"
@@ -29,33 +28,18 @@ const (
 // Backends lists the selectable backend names.
 func Backends() []string { return []string{BackendSST, BackendFlat, BackendProxy} }
 
-// NewBackend builds the named memory backend for a design-space point. An
-// empty kind selects BackendSST, the study's default.
+// NewBackend builds a fresh instance of the named memory backend for a
+// design-space point — an empty pool's first Get. An empty kind selects
+// BackendSST, the study's default.
 func NewBackend(kind string, cfg params.Config) (simeng.MemoryBackend, error) {
-	switch kind {
-	case "", BackendSST:
-		return sstmem.New(cfg.Mem)
-	case BackendFlat:
-		mc := cfg.Mem
-		if mc.CoreClockGHz == 0 {
-			mc.CoreClockGHz = sstmem.DefaultCoreClockGHz
-		}
-		if err := mc.Validate(); err != nil {
-			return nil, err
-		}
-		return simeng.NewFlatMem(mc.L1LatencyCore(), mc.CacheLineWidth, 0)
-	case BackendProxy:
-		return hwproxy.NewBackend(cfg.Mem)
-	default:
-		return nil, fmt.Errorf("orchestrate: unknown memory backend %q (want one of %v)", kind, Backends())
-	}
+	return new(BackendPool).Get(kind, cfg)
 }
 
-// BackendPool reuses one memory backend per kind across runs. Get returns a
-// backend configured for cfg exactly as NewBackend would, but after the
-// first call per kind it resets the retained instance in place instead of
-// building a new one, so a worker's hierarchy (cache ways, line tables,
-// MSHR and bank arrays) is allocated once and reused for every run.
+// BackendPool reuses one memory backend per kind across runs. The first Get
+// per kind builds the backend with its constructor; later calls reset the
+// retained instance in place for cfg instead of building a new one, so a
+// worker's hierarchy (cache ways, line tables, MSHR and bank arrays) is
+// allocated once and reused for every run.
 //
 // A pool is single-consumer, like the backends it holds: each engine worker
 // owns one.
@@ -118,20 +102,4 @@ func (p *BackendPool) Get(kind string, cfg params.Config) (simeng.MemoryBackend,
 	default:
 		return nil, fmt.Errorf("orchestrate: unknown memory backend %q (want one of %v)", kind, Backends())
 	}
-}
-
-// Simulate runs stream on a fresh core over the default (SST-like) backend
-// built from cfg — the study's standard core/memory pairing.
-func Simulate(cfg params.Config, stream isa.Stream) (simeng.Stats, error) {
-	return SimulateOn(BackendSST, cfg, stream)
-}
-
-// SimulateOn runs stream on a fresh core over the named backend built from
-// cfg.
-func SimulateOn(backend string, cfg params.Config, stream isa.Stream) (simeng.Stats, error) {
-	mem, err := NewBackend(backend, cfg)
-	if err != nil {
-		return simeng.Stats{}, err
-	}
-	return simeng.Simulate(cfg.Core, mem, stream)
 }

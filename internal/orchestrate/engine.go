@@ -385,6 +385,12 @@ feed:
 			if aborted {
 				break feed
 			}
+			// The select below picks at random between a ready worker and
+			// a closed Done channel, so a cancelled run must be caught
+			// before the configuration is derived.
+			if ctxErr = ctx.Err(); ctxErr != nil {
+				break feed
+			}
 			j := job{idx: i, pending: &pending}
 			if batchMode {
 				j.gen, j.cfg = gen, batch[i-base]

@@ -312,3 +312,23 @@ func TestFixedSourceIsLazy(t *testing.T) {
 		}
 	}
 }
+
+// TestRunHonoursCancelledContext pins that a run whose context is already
+// cancelled derives and sinks nothing: the dispatch select alone picks at
+// random between a ready worker and the closed Done channel.
+func TestRunHonoursCancelledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	src := &countingSource{n: 8}
+	rec := newRowRecorder()
+	e := &Engine{Source: src, Suite: tinySuite(), Sink: rec, Workers: 2}
+	if _, _, err := e.Run(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run = %v, want context.Canceled", err)
+	}
+	if got := src.calls.Load(); got != 0 {
+		t.Errorf("At called %d times, want 0", got)
+	}
+	if got := len(rec.indices()); got != 0 {
+		t.Errorf("Put called %d times, want 0", got)
+	}
+}

@@ -289,7 +289,7 @@ func (w *EvalWorker) simulate(suite []workload.Workload, cfg params.Config) erro
 	for ai, app := range suite {
 		prog, arena, err := e.cache.get(app, cfg.Core.VectorLength, worker)
 		if err != nil {
-			return err
+			return fmt.Errorf("%s: %w", app.Name(), err)
 		}
 		var t0 time.Time
 		if tel != nil {

@@ -129,7 +129,7 @@ func evaluateOne(t *testing.T, kind string, cfg params.Config, w workload.Worklo
 func TestExactEvaluatorMatchesRunOne(t *testing.T) {
 	cfg := params.ThunderX2()
 	w := tinySuite()[0]
-	want, err := RunOne(cfg, w)
+	want, err := RunOneOn(BackendSST, cfg, w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestExactEvaluatorMatchesRunOne(t *testing.T) {
 		t.Errorf("exact evaluation flags: predicted=%v confidence=%g", got.Predicted, got.Confidence)
 	}
 	if !reflect.DeepEqual(got.Stats[0], want) {
-		t.Errorf("exact evaluation stats differ from RunOne:\n got %+v\nwant %+v", got.Stats[0], want)
+		t.Errorf("exact evaluation stats differ from RunOneOn:\n got %+v\nwant %+v", got.Stats[0], want)
 	}
 }
 
@@ -161,7 +161,7 @@ func TestBoundEvaluatorPredicts(t *testing.T) {
 	}
 	// The prediction is the analytical lower bound, so exact simulation can
 	// only be slower.
-	exact, err := RunOne(cfg, w)
+	exact, err := RunOneOn(BackendSST, cfg, w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,20 +88,10 @@ type Result struct {
 	Failed int
 }
 
-// RunOne simulates a single (configuration, workload) pair under the
-// engine's default cycle budget.
-func RunOne(cfg params.Config, w workload.Workload) (simeng.Stats, error) {
-	return RunOneOn(BackendSST, cfg, w, 0)
-}
-
-// RunOneLimited simulates a single (configuration, workload) pair under
-// the given cycle budget — the same protection batch collection gets from
-// Options.MaxCyclesPerRun. maxCycles <= 0 uses the engine default.
-func RunOneLimited(cfg params.Config, w workload.Workload, maxCycles int64) (simeng.Stats, error) {
-	return RunOneOn(BackendSST, cfg, w, maxCycles)
-}
-
-// RunOneOn is RunOneLimited with an explicit memory backend selection.
+// RunOneOn simulates a single (configuration, workload) pair on a fresh
+// core over a fresh instance of the named memory backend, under the given
+// cycle budget (<= 0 uses the engine default) — the fresh-object reference
+// the engine's pooled path is checked against.
 func RunOneOn(backend string, cfg params.Config, w workload.Workload, maxCycles int64) (simeng.Stats, error) {
 	p, err := w.Program(cfg.Core.VectorLength)
 	if err != nil {

@@ -21,7 +21,7 @@ func tinySuite() []workload.Workload {
 
 func TestRunOne(t *testing.T) {
 	cfg := params.ThunderX2()
-	st, err := RunOne(cfg, tinySuite()[0])
+	st, err := RunOneOn(BackendSST, cfg, tinySuite()[0], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
