@@ -80,8 +80,8 @@ func (s *StreamStats) FootprintBytes(lineBytes int) int64 {
 }
 
 // StreamStatsBuilder accumulates StreamStats one instruction at a time, so
-// a pass that already walks the trace (e.g. workload arena materialization)
-// can fold statistics collection in without a second expansion.
+// a pass that already walks the trace can fold statistics collection in
+// without a second expansion.
 type StreamStatsBuilder struct {
 	stats StreamStats
 	// chunks records the distinct MinLineWidth-granularity chunk indices

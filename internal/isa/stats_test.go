@@ -87,8 +87,7 @@ func TestStreamStatsCounts(t *testing.T) {
 }
 
 // TestStreamStatsBuilderMatchesCollect pins that folding stats in one
-// instruction at a time (the Materialize integration path) matches the
-// whole-stream collector.
+// instruction at a time matches the whole-stream collector.
 func TestStreamStatsBuilderMatchesCollect(t *testing.T) {
 	insts := []Inst{
 		{Op: Load, Mem: MemRef{Addr: 0x3000, Bytes: 256}},

@@ -37,29 +37,6 @@ func (s *SliceStream) Next(out *Inst) bool {
 // Reset implements Stream.
 func (s *SliceStream) Reset() { s.pos = 0 }
 
-// ResetTo rewinds the stream and points it at a new instruction slice. It
-// lets a pooled cursor replay different pre-materialized streams without
-// allocating; the slice is read, never written, so many cursors may share
-// one backing arena.
-func (s *SliceStream) ResetTo(insts []Inst) {
-	s.Insts = insts
-	s.pos = 0
-}
-
-// NextRef returns a pointer to the next instruction in place, advancing the
-// stream, or nil at exhaustion. The pointee is part of the (possibly shared)
-// backing slice and MUST be treated as read-only; it stays valid until the
-// slice itself is released. Consumers that can honour that contract skip
-// the per-instruction struct copy Next performs.
-func (s *SliceStream) NextRef() *Inst {
-	if s.pos >= len(s.Insts) {
-		return nil
-	}
-	p := &s.Insts[s.pos]
-	s.pos++
-	return p
-}
-
 // Count drains the stream and returns the number of instructions, resetting
 // it afterwards. Intended for tests and workload statistics.
 func Count(s Stream) int {

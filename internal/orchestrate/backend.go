@@ -38,8 +38,8 @@ func NewBackend(kind string, cfg params.Config) (simeng.MemoryBackend, error) {
 // BackendPool reuses one memory backend per kind across runs. The first Get
 // per kind builds the backend with its constructor; later calls reset the
 // retained instance in place for cfg instead of building a new one, so a
-// worker's hierarchy (cache ways, line tables, MSHR and bank arrays) is
-// allocated once and reused for every run.
+// worker's hierarchy (cache ways, MSHR and bank arrays) is allocated once
+// and reused for every run.
 //
 // A pool is single-consumer, like the backends it holds: each engine worker
 // owns one.

@@ -11,6 +11,7 @@ import (
 // simulated configurations per second.
 func benchRuns(b *testing.B, fn func(b *testing.B, cfg params.Config)) {
 	cfg := params.ThunderX2()
+	fn(b, cfg) // warm-up: program builds and pooled high-water marks
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -42,7 +43,7 @@ func BenchmarkRunFresh(b *testing.B) {
 }
 
 // BenchmarkRunPooled measures the same evaluation through a pooled
-// runContext replaying cached arenas — the collection engine's steady state.
+// runContext replaying cached programs — the collection engine's steady state.
 // allocs/op should be ~0 per run once warm.
 func BenchmarkRunPooled(b *testing.B) {
 	suite := tinySuite()
@@ -50,11 +51,11 @@ func BenchmarkRunPooled(b *testing.B) {
 	rc := newRunContext()
 	benchRuns(b, func(b *testing.B, cfg params.Config) {
 		for _, w := range suite {
-			prog, arena, err := cache.get(w, cfg.Core.VectorLength, 0)
+			prog, err := cache.get(w, cfg.Core.VectorLength, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := rc.simulate(BackendSST, cfg, prog, arena, simeng.DefaultMaxCycles); err != nil {
+			if _, err := rc.simulate(BackendSST, cfg, prog, simeng.DefaultMaxCycles); err != nil {
 				b.Fatal(err)
 			}
 		}

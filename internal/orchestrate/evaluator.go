@@ -287,7 +287,7 @@ func (w *EvalWorker) estimate(suite []workload.Workload, cfg params.Config) (bm 
 func (w *EvalWorker) simulate(suite []workload.Workload, cfg params.Config) error {
 	e, tel, worker := w.ev, w.ev.tel, w.rc.worker
 	for ai, app := range suite {
-		prog, arena, err := e.cache.get(app, cfg.Core.VectorLength, worker)
+		prog, err := e.cache.get(app, cfg.Core.VectorLength, worker)
 		if err != nil {
 			return fmt.Errorf("%s: %w", app.Name(), err)
 		}
@@ -295,7 +295,7 @@ func (w *EvalWorker) simulate(suite []workload.Workload, cfg params.Config) erro
 		if tel != nil {
 			t0 = time.Now()
 		}
-		st, err := w.rc.simulate(e.backend, cfg, prog, arena, e.maxCycles)
+		st, err := w.rc.simulate(e.backend, cfg, prog, e.maxCycles)
 		if tel != nil {
 			tel.appRun(worker, ai, time.Since(t0).Nanoseconds(), st, err)
 		}

@@ -167,28 +167,25 @@ func TestCollectDropsFailingRuns(t *testing.T) {
 func TestProgramCacheSharing(t *testing.T) {
 	pc := newProgramCache()
 	w := tinySuite()[0]
-	p1, a1, err := pc.get(w, 256, 0)
+	p1, err := pc.get(w, 256, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, a2, err := pc.get(w, 256, 0)
+	p2, err := pc.get(w, 256, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p1 != p2 {
 		t.Error("cache rebuilt an existing program")
 	}
-	if a1 == nil || a2 == nil || &a1[0] != &a2[0] {
-		t.Error("cache rebuilt an existing arena")
-	}
-	p3, _, err := pc.get(w, 512, 0)
+	p3, err := pc.get(w, 512, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p3 == p1 {
 		t.Error("cache conflated vector lengths")
 	}
-	if _, _, err := pc.get(w, 100, 0); err == nil {
+	if _, err := pc.get(w, 100, 0); err == nil {
 		t.Error("invalid VL accepted")
 	}
 }

@@ -8,18 +8,11 @@ import (
 	"armdse/internal/workload"
 )
 
-// programCache shares built programs — and their pre-materialized
-// instruction arenas — between workers: the instruction stream depends only
-// on (application, vector length), so at most a handful of programs exist
-// per app. Programs and arenas are immutable after construction; stream
-// cursors are per-run.
-//
-// The arena is the program's full dynamic trace expanded once into a flat
-// []isa.Inst (see workload.Program.Materialize). Every configuration sharing
-// the (app, vl) pair replays the same arena through its own SliceStream
-// cursor instead of re-deriving each instruction from the loop templates per
-// run. Programs whose traces exceed the materialization budget get a nil
-// arena and fall back to the lazy stream.
+// programCache shares built programs between workers: the instruction
+// stream depends only on (application, vector length), so at most a handful
+// of programs exist per app. Programs are immutable after construction; each
+// run replays one from its loop templates through its worker's pooled
+// workload.Cursor, so the cache holds static code only, never a trace.
 //
 // The cache holds its map lock only while resolving the entry; the program
 // itself is built outside the lock under a per-entry sync.Once, so one
@@ -30,7 +23,7 @@ type programCache struct {
 	entries map[progKey]*progEntry
 	// hits/misses/buildWall are optional telemetry handles (nil-safe): a
 	// lookup that finds an existing entry is a hit, one that creates the
-	// entry is a miss, and the miss's build + materialization is timed.
+	// entry is a miss, and the miss's build is timed.
 	hits, misses *obs.Counter
 	buildWall    *obs.Histogram
 }
@@ -41,10 +34,9 @@ type progKey struct {
 }
 
 type progEntry struct {
-	once  sync.Once
-	prog  *workload.Program
-	arena []isa.Inst
-	err   error
+	once sync.Once
+	prog *workload.Program
+	err  error
 	// statsOnce/stats lazily summarise the program's stream for the
 	// analytical evaluators; exact-only runs never pay for the pass.
 	statsOnce sync.Once
@@ -63,7 +55,7 @@ func (pc *programCache) instrument(tel *Telemetry) {
 	pc.hits, pc.misses, pc.buildWall = tel.progHits, tel.progMisses, tel.progBuild
 }
 
-func (pc *programCache) get(w workload.Workload, vl int, worker int) (*workload.Program, []isa.Inst, error) {
+func (pc *programCache) get(w workload.Workload, vl int, worker int) (*workload.Program, error) {
 	key := progKey{name: w.Name(), vl: vl}
 	pc.mu.Lock()
 	e, ok := pc.entries[key]
@@ -80,32 +72,22 @@ func (pc *programCache) get(w workload.Workload, vl int, worker int) (*workload.
 	e.once.Do(func() {
 		sp := pc.buildWall.Start(worker)
 		e.prog, e.err = w.Program(vl)
-		if e.err == nil {
-			e.arena = e.prog.Materialize(0)
-		}
 		sp.End()
 	})
-	return e.prog, e.arena, e.err
+	return e.prog, e.err
 }
 
 // getStats returns the (application, vector length) pair's stream statistics
 // — the analytical evaluators' input. The summary is computed once per entry,
-// replaying the materialized arena when one exists so every configuration
-// sharing the pair answers from the cache.
+// so every configuration sharing the pair answers from the cache.
 func (pc *programCache) getStats(w workload.Workload, vl int, worker int) (isa.StreamStats, error) {
-	prog, arena, err := pc.get(w, vl, worker)
+	prog, err := pc.get(w, vl, worker)
 	if err != nil {
 		return isa.StreamStats{}, err
 	}
 	pc.mu.Lock()
 	e := pc.entries[progKey{name: w.Name(), vl: vl}]
 	pc.mu.Unlock()
-	e.statsOnce.Do(func() {
-		if arena != nil {
-			e.stats = isa.CollectStreamStats(isa.NewSliceStream(arena))
-		} else {
-			e.stats = prog.Stats()
-		}
-	})
+	e.statsOnce.Do(func() { e.stats = prog.Stats() })
 	return e.stats, nil
 }

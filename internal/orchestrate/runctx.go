@@ -1,7 +1,6 @@
 package orchestrate
 
 import (
-	"armdse/internal/isa"
 	"armdse/internal/params"
 	"armdse/internal/simeng"
 	"armdse/internal/workload"
@@ -19,7 +18,7 @@ import (
 type runContext struct {
 	core   *simeng.Core
 	pool   BackendPool
-	cursor isa.SliceStream
+	cursor workload.Cursor
 	// tel/worker are the optional telemetry hub and this worker's shard
 	// index; set by the engine after construction (nil tel = untelemetered).
 	tel    *Telemetry
@@ -28,21 +27,14 @@ type runContext struct {
 
 func newRunContext() *runContext { return &runContext{} }
 
-// simulate runs prog under the cycle budget on the pooled core and backend.
-// When the program has a materialized arena the pooled cursor replays it;
-// otherwise the run falls back to a fresh lazy stream over the program.
-func (rc *runContext) simulate(backend string, cfg params.Config, prog *workload.Program, arena []isa.Inst, maxCycles int64) (simeng.Stats, error) {
+// simulate runs prog under the cycle budget on the pooled core and backend,
+// replaying it through the pooled cursor.
+func (rc *runContext) simulate(backend string, cfg params.Config, prog *workload.Program, maxCycles int64) (simeng.Stats, error) {
 	mem, err := rc.pool.Get(backend, cfg)
 	if err != nil {
 		return simeng.Stats{}, err
 	}
-	var stream isa.Stream
-	if arena != nil {
-		rc.cursor.ResetTo(arena)
-		stream = &rc.cursor
-	} else {
-		stream = prog.Stream()
-	}
+	rc.cursor.ResetTo(prog)
 	if rc.core == nil {
 		rc.tel.poolEvent(rc.worker, false)
 		rc.core, err = simeng.New(cfg.Core, mem)
@@ -53,5 +45,5 @@ func (rc *runContext) simulate(backend string, cfg params.Config, prog *workload
 	if err != nil {
 		return simeng.Stats{}, err
 	}
-	return rc.core.RunLimit(stream, maxCycles)
+	return rc.core.RunLimit(&rc.cursor, maxCycles)
 }

@@ -10,9 +10,7 @@ import (
 )
 
 // freshRunSST is the reference semantics for the pooled path: a brand-new
-// SST backend and core per run, consuming the program's lazy stream (so it
-// also cross-checks the materialized arena against per-instruction
-// generation).
+// SST backend, core and stream per run.
 func freshRunSST(t *testing.T, cfg params.Config, w workload.Workload) simeng.Stats {
 	t.Helper()
 	prog, err := w.Program(cfg.Core.VectorLength)
@@ -32,11 +30,13 @@ func freshRunSST(t *testing.T, cfg params.Config, w workload.Workload) simeng.St
 
 // TestPooledMatchesFresh is the pooled-vs-fresh differential: one runContext
 // carries every (config, workload) run in sequence — the production worker
-// pattern — and each result must equal, field for field, the same run on a
-// freshly constructed core, backend and stream. The config list deliberately
+// pattern, its pooled cursor replaying each program from the loop templates
+// — and each result must equal, field for field, the same run on a freshly
+// constructed core, backend and stream. The config list deliberately
 // whipsaws sizes: a maximal-ROB design immediately followed by a minimal one,
-// so any state the Resets fail to shrink or clear (window slots, line-table
-// entries, heap contents, loop-buffer locks) would leak into the small run.
+// so any state the Resets fail to shrink or clear (window slots, cache-way
+// fill times, heap contents, loop-buffer locks, cursor position) would leak
+// into the small run.
 func TestPooledMatchesFresh(t *testing.T) {
 	big := params.ThunderX2()
 	big.Core.ROBSize = 512
@@ -56,14 +56,11 @@ func TestPooledMatchesFresh(t *testing.T) {
 	rc := newRunContext()
 	for ci, cfg := range configs {
 		for _, w := range tinySuite() {
-			prog, arena, err := cache.get(w, cfg.Core.VectorLength, 0)
+			prog, err := cache.get(w, cfg.Core.VectorLength, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if arena == nil {
-				t.Fatalf("%s vl=%d: no arena for a tiny workload", w.Name(), cfg.Core.VectorLength)
-			}
-			pooled, err := rc.simulate(BackendSST, cfg, prog, arena, simeng.DefaultMaxCycles)
+			pooled, err := rc.simulate(BackendSST, cfg, prog, simeng.DefaultMaxCycles)
 			if err != nil {
 				t.Fatalf("config %d, %s: pooled run failed: %v", ci, w.Name(), err)
 			}
@@ -88,15 +85,15 @@ func TestPooledTruncatedThenFull(t *testing.T) {
 	cfg := params.ThunderX2()
 	w := tinySuite()[0]
 	cache := newProgramCache()
-	prog, arena, err := cache.get(w, cfg.Core.VectorLength, 0)
+	prog, err := cache.get(w, cfg.Core.VectorLength, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rc := newRunContext()
-	if _, err := rc.simulate(BackendSST, cfg, prog, arena, 50); err == nil {
+	if _, err := rc.simulate(BackendSST, cfg, prog, 50); err == nil {
 		t.Fatal("50-cycle budget did not truncate the run")
 	}
-	full, err := rc.simulate(BackendSST, cfg, prog, arena, simeng.DefaultMaxCycles)
+	full, err := rc.simulate(BackendSST, cfg, prog, simeng.DefaultMaxCycles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +121,11 @@ func TestPooledRunSteadyStateAllocs(t *testing.T) {
 	rc := newRunContext()
 	run := func() {
 		for _, w := range suite {
-			prog, arena, err := cache.get(w, cfg.Core.VectorLength, 0)
+			prog, err := cache.get(w, cfg.Core.VectorLength, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := rc.simulate(BackendSST, cfg, prog, arena, simeng.DefaultMaxCycles); err != nil {
+			if _, err := rc.simulate(BackendSST, cfg, prog, simeng.DefaultMaxCycles); err != nil {
 				t.Fatal(err)
 			}
 		}

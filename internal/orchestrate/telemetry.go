@@ -244,7 +244,7 @@ func (t *Telemetry) bind(suite []workload.Workload, workers, total int, start ti
 	t.sinkWall = r.Histogram("armdse_sink_put_nanoseconds", "Wall time per row-sink Put (journal append).")
 	t.progHits = r.Counter("armdse_progcache_hits_total", "Program-cache lookups answered by a cached program.")
 	t.progMisses = r.Counter("armdse_progcache_misses_total", "Program-cache lookups that built a new program.")
-	t.progBuild = r.Histogram("armdse_program_build_nanoseconds", "Wall time per program build + arena materialization.")
+	t.progBuild = r.Histogram("armdse_program_build_nanoseconds", "Wall time per program build.")
 	t.poolBuilds = r.Counter("armdse_pool_builds_total", "Pooled run contexts constructed (first run per worker).")
 	t.poolReuses = r.Counter("armdse_pool_reuse_total", "Runs served by a reset-in-place pooled core/backend.")
 	t.journLines = r.Gauge("armdse_runlog_lines", "Lines written to the JSONL run journal.")

@@ -405,12 +405,12 @@ func TestPooledRunSteadyStateAllocsInstrumented(t *testing.T) {
 		row := Row{Index: index}
 		t0 := time.Now()
 		for ai, w := range suite {
-			prog, arena, err := cache.get(w, cfg.Core.VectorLength, 0)
+			prog, err := cache.get(w, cfg.Core.VectorLength, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			a0 := time.Now()
-			st, err := rc.simulate(BackendSST, cfg, prog, arena, simeng.DefaultMaxCycles)
+			st, err := rc.simulate(BackendSST, cfg, prog, simeng.DefaultMaxCycles)
 			tel.appRun(0, ai, time.Since(a0).Nanoseconds(), st, err)
 			if err != nil {
 				t.Fatal(err)

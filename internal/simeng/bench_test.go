@@ -46,7 +46,7 @@ func BenchmarkCorePooledALUThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var stream isa.SliceStream
+	stream := isa.SliceStream{Insts: insts}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var retired int64
@@ -57,7 +57,7 @@ func BenchmarkCorePooledALUThroughput(b *testing.B) {
 		if err := c.Reset(bigCfg(), h); err != nil {
 			b.Fatal(err)
 		}
-		stream.ResetTo(insts)
+		stream.Reset()
 		st, err := c.Run(&stream)
 		if err != nil {
 			b.Fatal(err)

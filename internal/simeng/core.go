@@ -129,8 +129,8 @@ type Core struct {
 	// fetchQ and renameQ are the inter-stage latches (fetch→rename and
 	// rename→dispatch); they stay on the Core because each is shared by
 	// its producer and consumer stage. fetchQ carries pointers into the
-	// stream arena or the fetch unit's lazyBuf (see fetchUnit) so fetched
-	// instructions are never copied per stage.
+	// fetch unit's lazyBuf (see fetchUnit) so fetched instructions are never
+	// copied per stage.
 	fetchQ  ring[*isa.Inst]
 	renameQ ring[renamed]
 	// events is the idle-skip heap: stages post future wake-up cycles so a
@@ -309,9 +309,6 @@ func (c *Core) RunLimit(stream isa.Stream, maxCycles int64) (Stats, error) {
 		return Stats{}, fmt.Errorf("simeng: core already used; Reset it (or build a new one) per run")
 	}
 	c.fetch.stream = stream
-	if rs, ok := stream.(refStream); ok {
-		c.fetch.refs = rs
-	}
 	for {
 		c.progress = false
 		c.bus.reset()

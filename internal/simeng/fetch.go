@@ -2,29 +2,17 @@ package simeng
 
 import "armdse/internal/isa"
 
-// refStream is an optional Stream extension yielding instructions by
-// read-only reference instead of by copy; isa.SliceStream implements it.
-// When the run's stream provides it, the front end reads instructions
-// directly from the stream's backing storage, skipping the per-instruction
-// struct copy into the peek buffer.
-type refStream interface {
-	NextRef() *isa.Inst
-}
-
 // fetchUnit is the front-end stage component: the stream lookahead and the
 // loop-buffer lock state. peekRef points at the current lookahead
-// instruction — into the stream's storage on the refStream path, into
-// lazyBuf otherwise.
+// instruction in lazyBuf.
 //
-// The fetch queue holds pointers, not values: on the refStream path they
-// point straight into the (shared, read-only) arena, and on the lazy path
-// into lazyBuf, a private ring of fetchQCap+1 slots the stream decodes
-// directly into. A slot is reused only after fetchQCap+1 further pushes, by
-// which point the queue (capacity fetchQCap) must have dropped it — so every
-// pointer stays valid from peek through rename.
+// The fetch queue holds pointers, not values: they point into lazyBuf, a
+// private ring of fetchQCap+1 slots the stream decodes directly into. A slot
+// is reused only after fetchQCap+1 further pushes, by which point the queue
+// (capacity fetchQCap) must have dropped it — so every pointer stays valid
+// from peek through rename.
 type fetchUnit struct {
 	stream     isa.Stream
-	refs       refStream
 	peekRef    *isa.Inst
 	lazyBuf    []isa.Inst
 	lazyIdx    int
@@ -49,16 +37,6 @@ func (u *fetchUnit) ensurePeek() bool {
 	}
 	if u.streamDone {
 		return false
-	}
-	if u.refs != nil {
-		p := u.refs.NextRef()
-		if p == nil {
-			u.streamDone = true
-			return false
-		}
-		u.peekRef = p
-		u.havePeek = true
-		return true
 	}
 	if u.lazyBuf == nil {
 		u.lazyBuf = make([]isa.Inst, fetchQCap+1)
@@ -96,17 +74,13 @@ func (c *Core) fetchStage() {
 				return
 			}
 		}
-		// inst aliases the lookahead (lazyBuf slot or stream storage); the
-		// pointer stays valid through rename — see the fetchUnit comment.
-		// Read-only on the refStream path.
+		// inst aliases the lookahead's lazyBuf slot; the pointer stays
+		// valid through rename — see the fetchUnit comment.
 		inst := u.peekRef
 		u.havePeek = false
-		if u.refs == nil {
-			// Consumed a lazyBuf slot: advance to the next one.
-			u.lazyIdx++
-			if u.lazyIdx == len(u.lazyBuf) {
-				u.lazyIdx = 0
-			}
+		u.lazyIdx++
+		if u.lazyIdx == len(u.lazyBuf) {
+			u.lazyIdx = 0
 		}
 		c.fetchQ.Push(inst)
 		c.stats.Fetched++

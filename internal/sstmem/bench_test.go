@@ -25,7 +25,7 @@ func BenchmarkAccessHigh(b *testing.B)  { benchHierarchy(b, High) }
 func BenchmarkCacheLookup(b *testing.B) {
 	c := newCache(32<<10, 8, 64)
 	for a := 0; a < 32<<10; a += 64 {
-		c.fill(uint64(a), false)
+		c.fill(uint64(a), false, 0)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -14,8 +14,12 @@ type cache struct {
 }
 
 type way struct {
-	tag   uint64
-	used  uint64
+	tag  uint64
+	used uint64
+	// ready is the cycle the line's most recent fill completes; a hit
+	// before then waits for the in-flight fill (the MSHR secondary-miss
+	// path).
+	ready int64
 	valid bool
 	dirty bool
 }
@@ -69,8 +73,9 @@ func (c *cache) reset(capacity, assoc, lineBytes int) {
 func (c *cache) Lines() int { return c.sets * c.assoc }
 
 // lookup probes for the line containing addr, updating LRU on hit. It
-// returns whether it hit and, on a hit, marks the line dirty if store.
-func (c *cache) lookup(addr uint64, store bool) bool {
+// returns whether it hit and, on a hit, the line's fill-ready cycle, and
+// marks the line dirty if store.
+func (c *cache) lookup(addr uint64, store bool) (hit bool, ready int64) {
 	line := addr >> c.lineShift
 	set := int(line) & (c.sets - 1)
 	base := set * c.assoc
@@ -82,10 +87,10 @@ func (c *cache) lookup(addr uint64, store bool) bool {
 			if store {
 				w.dirty = true
 			}
-			return true
+			return true, w.ready
 		}
 	}
-	return false
+	return false, 0
 }
 
 // present probes for the line without touching LRU or dirty state.
@@ -102,10 +107,11 @@ func (c *cache) present(addr uint64) bool {
 	return false
 }
 
-// fill inserts the line containing addr, evicting LRU if needed. It returns
-// the evicted line's first byte address and whether the victim was dirty
-// (needing writeback); evicted is only meaningful when victimValid is true.
-func (c *cache) fill(addr uint64, store bool) (evicted uint64, dirty, victimValid bool) {
+// fill inserts the line containing addr with fill-ready cycle ready, evicting
+// LRU if needed. It returns the evicted line's first byte address and whether
+// the victim was dirty (needing writeback); evicted is only meaningful when
+// victimValid is true.
+func (c *cache) fill(addr uint64, store bool, ready int64) (evicted uint64, dirty, victimValid bool) {
 	line := addr >> c.lineShift
 	set := int(line) & (c.sets - 1)
 	base := set * c.assoc
@@ -116,6 +122,7 @@ func (c *cache) fill(addr uint64, store bool) (evicted uint64, dirty, victimVali
 		if w.valid && w.tag == line {
 			// Already present (e.g. racing prefetch): refresh.
 			w.used = c.clock
+			w.ready = ready
 			if store {
 				w.dirty = true
 			}
@@ -137,6 +144,7 @@ func (c *cache) fill(addr uint64, store bool) (evicted uint64, dirty, victimVali
 	w.valid = true
 	w.dirty = store
 	w.used = c.clock
+	w.ready = ready
 	return evicted, dirty, victimValid
 }
 

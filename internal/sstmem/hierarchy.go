@@ -12,14 +12,12 @@ type Stats = memstats.Counters
 // core's LSQ issues line-sized requests in non-decreasing cycle order and
 // receives the completion cycle of each. A Hierarchy can be rebuilt in
 // place for a new configuration with Reset, retaining all backing arrays
-// (cache ways, line tables, MSHRs, bank state) — a pooled hierarchy
-// allocates nothing per run at steady state.
+// (cache ways, MSHRs, bank state) — a pooled hierarchy allocates nothing
+// per run at steady state.
 type Hierarchy struct {
 	cfg Config
 
-	l1, l2  cache
-	l1Ready lineTable
-	l2Ready lineTable
+	l1, l2 cache
 
 	l1Lat, l2Lat, ramLat int64
 	// ramInterval is the core-cycle spacing between RAM request starts:
@@ -79,7 +77,7 @@ func New(cfg Config) (*Hierarchy, error) {
 
 // Reset rebuilds the hierarchy in place for a new run on cfg, exactly as if
 // it had been built with New — but retaining every backing array (cache
-// way tables, line-state tables, MSHR slots, bank and prefetcher state) so
+// way tables, MSHR slots, bank and prefetcher state) so
 // a pooled hierarchy allocates nothing per run at steady state. The
 // pooled-vs-fresh differential tests pin that a run after Reset is
 // byte-identical to the same run on a fresh hierarchy.
@@ -93,8 +91,6 @@ func (h *Hierarchy) Reset(cfg Config) error {
 	h.cfg = cfg
 	h.l1.reset(cfg.L1DSize, cfg.L1DAssoc, cfg.CacheLineWidth)
 	h.l2.reset(cfg.L2Size, cfg.L2Assoc, cfg.CacheLineWidth)
-	h.l1Ready.reset()
-	h.l2Ready.reset()
 	h.l1Lat = cfg.l1LatencyCore()
 	h.l2Lat = cfg.l2LatencyCore()
 	h.ramLat = cfg.ramLatencyCore()
@@ -156,9 +152,8 @@ func (h *Hierarchy) Access(now int64, addr uint64, store bool) int64 {
 		h.banks[b] = start + 1
 	}
 
-	if h.l1.lookup(addr, store) {
+	if hit, ready := h.l1.lookup(addr, store); hit {
 		h.stats.L1Hits++
-		ready := h.l1Ready.get(line, start)
 		if ready > start {
 			// Hit under an in-flight (typically prefetched) fill: chain
 			// the prefetcher forward so sequential streams run ahead of
@@ -202,12 +197,11 @@ func (h *Hierarchy) Access(now int64, addr uint64, store bool) int64 {
 // beginning the L2 probe after the L1 miss is detected at start, and returns
 // the fill completion cycle.
 func (h *Hierarchy) fetchIntoL1(start int64, addr uint64, store bool) int64 {
-	line := addr >> h.l1.lineShift
 	t := start + h.l1Lat // L1 miss detection
 	var fill int64
-	if h.l2.lookup(addr, false) {
+	if hit, ready := h.l2.lookup(addr, false); hit {
 		h.stats.L2Hits++
-		fill = max(t+h.l2Lat, h.l2Ready.get(line, t))
+		fill = max(t+h.l2Lat, ready)
 	} else {
 		h.stats.L2Misses++
 		fill = h.ramFetch(t+h.l2Lat, addr)
@@ -244,8 +238,7 @@ func (h *Hierarchy) ramFetch(t int64, addr uint64) int64 {
 // fillL2 inserts a line into L2, charging any dirty victim writeback to the
 // RAM channel and back-invalidating L1 for inclusion.
 func (h *Hierarchy) fillL2(addr uint64, readyAt int64) {
-	evicted, dirty, valid := h.l2.fill(addr, false)
-	h.l2Ready.set(addr>>h.l2.lineShift, readyAt)
+	evicted, dirty, valid := h.l2.fill(addr, false, readyAt)
 	if valid {
 		h.l1.invalidate(evicted)
 		if dirty {
@@ -258,8 +251,7 @@ func (h *Hierarchy) fillL2(addr uint64, readyAt int64) {
 // fillL1 inserts a line into L1; dirty victims write back into L2 (which is
 // inclusive, so the line is present there — no RAM traffic).
 func (h *Hierarchy) fillL1(addr uint64, store bool, readyAt int64) {
-	evicted, dirty, valid := h.l1.fill(addr, store)
-	h.l1Ready.set(addr>>h.l1.lineShift, readyAt)
+	evicted, dirty, valid := h.l1.fill(addr, store, readyAt)
 	if valid && dirty {
 		h.stats.Writebacks++
 		h.l2.lookup(evicted, true) // mark dirty in L2 if present
@@ -310,7 +302,7 @@ func (h *Hierarchy) prefetchLine(addr uint64, t int64) {
 	}
 	h.stats.Prefetches++
 	var ready int64
-	if h.l2.lookup(addr, false) {
+	if hit, _ := h.l2.lookup(addr, false); hit {
 		ready = t + h.l2Lat
 	} else {
 		ready = h.ramFetch(t+h.l2Lat, addr)

@@ -108,47 +108,70 @@ func TestCacheGeometry(t *testing.T) {
 	}
 }
 
+// resident reports a lookup hit, touching LRU like a demand load.
+func resident(c *cache, addr uint64) bool {
+	hit, _ := c.lookup(addr, false)
+	return hit
+}
+
 func TestCacheLRU(t *testing.T) {
 	c := newCache(2*64, 2, 64) // one set, two ways
-	if c.lookup(0, false) {
+	if hit, _ := c.lookup(0, false); hit {
 		t.Fatal("cold hit")
 	}
-	c.fill(0, false)
-	c.fill(64, false)
-	if !c.lookup(0, false) || !c.lookup(64, false) {
+	c.fill(0, false, 0)
+	c.fill(64, false, 0)
+	if !resident(c, 0) || !resident(c, 64) {
 		t.Fatal("fills not resident")
 	}
 	// Touch line 0 so line 64 is LRU; filling a third line evicts 64.
 	c.lookup(0, false)
-	evicted, dirty, valid := c.fill(128, false)
+	evicted, dirty, valid := c.fill(128, false, 0)
 	if !valid || evicted != 64 || dirty {
 		t.Errorf("evicted (%d, dirty=%v, valid=%v), want (64, false, true)", evicted, dirty, valid)
 	}
-	if !c.lookup(0, false) || c.lookup(64, false) || !c.lookup(128, false) {
+	if !resident(c, 0) || resident(c, 64) || !resident(c, 128) {
 		t.Error("post-eviction residency wrong")
 	}
 }
 
 func TestCacheDirtyWriteback(t *testing.T) {
 	c := newCache(64, 1, 64) // single line
-	c.fill(0, true)          // dirty fill
-	evicted, dirty, valid := c.fill(64, false)
+	c.fill(0, true, 0)       // dirty fill
+	evicted, dirty, valid := c.fill(64, false, 0)
 	if !valid || evicted != 0 || !dirty {
 		t.Errorf("dirty eviction = (%d, %v, %v)", evicted, dirty, valid)
 	}
 	// Store hit dirties a clean line.
 	c2 := newCache(64, 1, 64)
-	c2.fill(0, false)
+	c2.fill(0, false, 0)
 	c2.lookup(0, true)
-	_, dirty, _ = c2.fill(64, false)
+	_, dirty, _ = c2.fill(64, false, 0)
 	if !dirty {
 		t.Error("store hit did not dirty the line")
 	}
 }
 
+// TestCacheReadyCycle pins the per-way fill-ready cycle: a hit returns the
+// latest fill's ready cycle, including a refill of a line already present.
+func TestCacheReadyCycle(t *testing.T) {
+	c := newCache(2*64, 2, 64)
+	c.fill(0, false, 40)
+	if hit, ready := c.lookup(0, false); !hit || ready != 40 {
+		t.Errorf("lookup = (%v, %d), want (true, 40)", hit, ready)
+	}
+	c.fill(0, false, 25) // already present: the new ready cycle wins
+	if _, ready := c.lookup(0, false); ready != 25 {
+		t.Errorf("refill ready = %d, want 25", ready)
+	}
+	if hit, ready := c.lookup(64, false); hit || ready != 0 {
+		t.Errorf("miss = (%v, %d), want (false, 0)", hit, ready)
+	}
+}
+
 func TestCacheInvalidate(t *testing.T) {
 	c := newCache(4*64, 2, 64)
-	c.fill(0, false)
+	c.fill(0, false, 0)
 	c.invalidate(0)
 	if c.present(0) {
 		t.Error("line survives invalidate")

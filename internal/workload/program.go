@@ -94,33 +94,29 @@ func (p *Program) DynamicInsts() int64 {
 }
 
 // Stream returns a fresh instruction stream over the program.
-func (p *Program) Stream() isa.Stream { return &progStream{prog: p} }
+func (p *Program) Stream() isa.Stream { return &Cursor{prog: p} }
 
 // Stats summarises the program's full dynamic stream for analytical models.
-// The walk is a full trace expansion (same cost as one Materialize pass);
-// callers that evaluate many configurations against one program should cache
-// the result per (application, vector length) — the orchestrate program
-// cache does exactly that.
+// The walk is a full trace expansion; callers that evaluate many
+// configurations against one program should cache the result per
+// (application, vector length) — the orchestrate program cache does exactly
+// that.
 func (p *Program) Stats() isa.StreamStats {
 	return isa.CollectStreamStats(p.Stream())
 }
 
 // DefaultMaterializeLimit is the largest dynamic instruction count Materialize
-// will expand by default: ~88 MB of arena at 88 bytes per instruction. The
-// full paper-scale programs (tens of millions of instructions) stay on the
-// lazy stream; the collection-sweep programs fit comfortably.
+// will expand by default: ~88 MB of trace at 88 bytes per instruction. It
+// serves tests and benchmark probes only; simulation runs replay programs
+// through a Cursor and never materialize them.
 const DefaultMaterializeLimit = 1 << 20
 
 // Materialize expands the program's full dynamic trace into a flat
 // instruction slice, or returns nil if the trace exceeds limit instructions
-// (limit <= 0 means DefaultMaterializeLimit).
-//
-// The returned arena is READ-ONLY by contract: it is built once per
-// (program, vector-length) and then shared by every configuration's run
-// concurrently, each replaying it through its own isa.SliceStream cursor.
-// Callers must never mutate the returned slice or hand it to anything that
-// does. The trace is byte-identical to what Stream produces — the
-// pooled-vs-fresh differential tests pin that.
+// (limit <= 0 means DefaultMaterializeLimit). The trace is exactly what a
+// Cursor over the program yields. It serves tests and benchmark probes
+// only: simulation runs replay the loop templates through a Cursor instead,
+// so no run holds its whole trace in memory.
 func (p *Program) Materialize(limit int64) []isa.Inst {
 	if limit <= 0 {
 		limit = DefaultMaterializeLimit
@@ -130,7 +126,7 @@ func (p *Program) Materialize(limit int64) []isa.Inst {
 		return nil
 	}
 	out := make([]isa.Inst, 0, n)
-	s := progStream{prog: p}
+	s := Cursor{prog: p}
 	var in isa.Inst
 	for s.Next(&in) {
 		out = append(out, in)
@@ -138,8 +134,11 @@ func (p *Program) Materialize(limit int64) []isa.Inst {
 	return out
 }
 
-// progStream lazily expands a Program into dynamic instructions.
-type progStream struct {
+// Cursor lazily expands a Program into its dynamic instruction trace,
+// instantiating each instruction from the loop templates as it is read, so
+// a run holds only the program's static code in memory. A pooled Cursor
+// replays program after program through ResetTo without allocating.
+type Cursor struct {
 	prog *Program
 	rep  int64
 	seg  int
@@ -147,8 +146,11 @@ type progStream struct {
 	idx  int
 }
 
+// ResetTo rewinds the cursor onto the start of p's trace.
+func (s *Cursor) ResetTo(p *Program) { *s = Cursor{prog: p} }
+
 // Next implements isa.Stream.
-func (s *progStream) Next(out *isa.Inst) bool {
+func (s *Cursor) Next(out *isa.Inst) bool {
 	for {
 		if s.rep >= s.prog.Repeat {
 			return false
@@ -188,4 +190,4 @@ func (s *progStream) Next(out *isa.Inst) bool {
 }
 
 // Reset implements isa.Stream.
-func (s *progStream) Reset() { s.rep, s.seg, s.iter, s.idx = 0, 0, 0, 0 }
+func (s *Cursor) Reset() { s.ResetTo(s.prog) }

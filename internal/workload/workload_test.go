@@ -195,6 +195,71 @@ func TestDynamicInstsMatchesStream(t *testing.T) {
 	}
 }
 
+// TestCursorMatchesMaterialize pins the pooled replay path: one Cursor,
+// moved from program to program with ResetTo, yields exactly the
+// materialized trace of every TestSuite program at every vector length —
+// also when it is reset onto a program mid-way through another's trace.
+func TestCursorMatchesMaterialize(t *testing.T) {
+	var c Cursor
+	var prev *Program
+	var in isa.Inst
+	for _, w := range TestSuite() {
+		for _, vl := range []int{128, 256, 512, 1024, 2048} {
+			p, err := w.Program(vl)
+			if err != nil {
+				t.Fatalf("%s vl=%d: %v", w.Name(), vl, err)
+			}
+			want := p.Materialize(0)
+			if want == nil {
+				t.Fatalf("%s vl=%d: %d instructions exceed the materialization limit", w.Name(), vl, p.DynamicInsts())
+			}
+			if prev != nil {
+				// Abandon another program's trace half-way through.
+				c.ResetTo(prev)
+				for i := int64(0); i < prev.DynamicInsts()/2; i++ {
+					c.Next(&in)
+				}
+			}
+			c.ResetTo(p)
+			for pass := 0; pass < 2; pass++ {
+				n := 0
+				for c.Next(&in) {
+					if n >= len(want) || in != want[n] {
+						t.Fatalf("%s vl=%d pass %d: cursor diverges from Materialize at instruction %d", w.Name(), vl, pass, n)
+					}
+					n++
+				}
+				if n != len(want) {
+					t.Fatalf("%s vl=%d pass %d: cursor yields %d instructions, Materialize %d", w.Name(), vl, pass, n, len(want))
+				}
+				c.Reset() // the second pass replays the same program
+			}
+			prev = p
+		}
+	}
+}
+
+// TestPaperSuiteInstructionCounts pins the dynamic instruction count of each
+// paper-input program at the default vector length (128 bits). The counts
+// follow from the loop structure alone; nothing is expanded.
+func TestPaperSuiteInstructionCounts(t *testing.T) {
+	want := map[string]int64{
+		NameSTREAM:    25_000_000,
+		NameMiniBUDE:  349_696,
+		NameTeaLeaf:   7_088_000,
+		NameMiniSweep: 327_680,
+	}
+	for _, w := range PaperSuite() {
+		p, err := w.Program(128)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name(), err)
+		}
+		if got := p.DynamicInsts(); got != want[w.Name()] {
+			t.Errorf("%s: %d dynamic instructions, want %d", w.Name(), got, want[w.Name()])
+		}
+	}
+}
+
 func TestVectorLengthAgnosticStreams(t *testing.T) {
 	// Larger vectors must strictly shrink the dynamic stream of the
 	// vectorised codes and leave the scalar codes nearly unchanged.
