@@ -159,7 +159,9 @@ var workerAllowedFlags = map[string]bool{
 //     which rows were escalated, so neither a resumed run nor a union of
 //     shards would reproduce the uninterrupted run;
 //   - the search-subordinate flags (-search-budget ... -search-workers)
-//     require -search: without it they would be silently ignored.
+//     require -search: without it they would be silently ignored;
+//   - -search-budget, -search-batch and -search-pool must not be negative:
+//     the proposer would silently replace them with their defaults.
 func validateFlags(fs *flag.FlagSet, worker, eval, search, shard string, resume bool) error {
 	if worker != "" {
 		var bad []string
@@ -196,6 +198,11 @@ func validateFlags(fs *flag.FlagSet, worker, eval, search, shard string, resume 
 			sort.Strings(bad)
 			return fmt.Errorf("%s require(s) -search: these flags configure the adaptive proposer and would be silently ignored by a fixed sweep",
 				strings.Join(bad, ", "))
+		}
+	}
+	for _, name := range []string{"search-budget", "search-batch", "search-pool"} {
+		if v := fs.Lookup(name).Value.(flag.Getter).Get().(int); v < 0 {
+			return fmt.Errorf("-%s %d < 0", name, v)
 		}
 	}
 	return nil

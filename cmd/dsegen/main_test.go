@@ -301,6 +301,20 @@ func TestRunAdaptiveRejects(t *testing.T) {
 		[]string{"-samples", "4", "-out", out, "-search", "anneal", "-q"}, &buf, &buf); err == nil {
 		t.Error("unknown strategy accepted")
 	}
+	// Negative proposer sizes are usage errors, not a silent fallback to
+	// the defaults, and leave no journal or runlog behind.
+	for _, f := range []string{"-search-budget", "-search-batch", "-search-pool"} {
+		err := run(context.Background(),
+			[]string{"-samples", "20", "-out", out, "-search", "ucb", f, "-1", "-q"}, &buf, &buf)
+		if err == nil || !strings.Contains(err.Error(), f) {
+			t.Errorf("%s -1 accepted: %v", f, err)
+		}
+	}
+	for _, f := range []string{out + ".journal", out + ".runlog.jsonl"} {
+		if _, err := os.Stat(f); !os.IsNotExist(err) {
+			t.Errorf("stray %s after usage error", f)
+		}
+	}
 }
 
 // Search-subordinate flags without -search are a usage error naming every

@@ -393,8 +393,8 @@ func scalingCurve(runs []RunReport) []ScalingPoint {
 	return pts
 }
 
-// reportDoc is the -format json output: directly mergeable into
-// BENCH_simeng.json as a "fleet_scaling" section.
+// reportDoc is the -format json output: the per-run reports plus, for
+// several runlogs, the scaling curve against the fewest-worker run.
 type reportDoc struct {
 	Description string         `json:"description"`
 	Runs        []RunReport    `json:"runs"`

@@ -24,7 +24,6 @@ func Extensions() []Runner {
 		{ID: "extforest", Title: "Random-forest surrogate (paper future work: richer models)", Run: ExtForest},
 		{ID: "extmulticore", Title: "Multi-core scaling under a shared memory controller (paper future work)", Run: ExtMulticore},
 		{ID: "extstalls", Title: "Stall-class ranking and per-class surrogates (top-down attribution)", Run: ExtStalls},
-		{ID: "extadaptive", Title: "Adaptive search sample efficiency (generation-driven proposal batches)", Run: ExtAdaptive},
 	}
 }
 

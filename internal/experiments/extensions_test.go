@@ -8,12 +8,12 @@ import (
 
 func TestExtensionsRegistry(t *testing.T) {
 	exts := Extensions()
-	if len(exts) != 7 {
-		t.Fatalf("extensions = %d, want 7", len(exts))
+	if len(exts) != 6 {
+		t.Fatalf("extensions = %d, want 6", len(exts))
 	}
 	all := AllWithExtensions()
-	if len(all) != 19 {
-		t.Fatalf("all+ext = %d, want 19", len(all))
+	if len(all) != 18 {
+		t.Fatalf("all+ext = %d, want 18", len(all))
 	}
 	for _, e := range exts {
 		if !strings.HasPrefix(e.ID, "ext") {
@@ -208,26 +208,5 @@ func TestExtMulticore(t *testing.T) {
 	// Compute-bound scaling is near-linear.
 	if bude < 16 {
 		t.Errorf("miniBUDE scaling at 32 cores = %.1fx, want near-linear", bude)
-	}
-}
-
-func TestExtAdaptive(t *testing.T) {
-	opt := fastOpt()
-	res, err := ExtAdaptive(context.Background(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := res.Tables[0].Rows
-	if len(rows) != len(opt.Suite) {
-		t.Fatalf("rows = %d, want %d", len(rows), len(opt.Suite))
-	}
-	// rho is a correlation: every cell must parse into [-1, 1].
-	for _, row := range rows {
-		for _, cell := range row[1:] {
-			v := parseF(t, cell)
-			if v < -1.0001 || v > 1.0001 {
-				t.Errorf("rho %q out of range in row %v", cell, row)
-			}
-		}
 	}
 }

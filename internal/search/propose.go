@@ -79,10 +79,6 @@ type ProposeOptions struct {
 	Kappa float64
 	// Trees is the per-app forest size (default 20).
 	Trees int
-	// Refit is the number of trees retrained per generation under the
-	// warm-start refit; 0 selects Trees/4 (minimum 1) and values >= Trees
-	// retrain the full ensemble every barrier — the pre-warm-start cost.
-	Refit int
 	// Workers bounds the acquisition concurrency — forest refits, pool
 	// generation and candidate scoring; the proposals are identical at
 	// every value.
@@ -157,13 +153,13 @@ func (p *Proposer) LastBatchStats() orchestrate.BatchStats { return p.stats }
 // resuming against a differently-configured proposer is rejected at the
 // meta comparison. The trailing algorithm revision (v2: chunked pool
 // substreams, warm-started refits) changed the proposal stream relative to
-// v1 journals, which therefore must not resume either. The d0 field is the
-// retired diversity weight, kept as a literal so existing journals stay
-// resumable.
+// v1 journals, which therefore must not resume either. The d0 and r0
+// fields are the retired diversity weight and refit count, kept as
+// literals so existing journals stay resumable.
 func (p *Proposer) Digest() string {
 	o := p.opt
-	return fmt.Sprintf("%s/s%d/n%d/b%d/p%d/k%g/t%d/d0/r%d/v2",
-		o.Strategy, o.Seed, o.Budget, o.Batch, o.Pool, o.Kappa, o.Trees, o.Refit)
+	return fmt.Sprintf("%s/s%d/n%d/b%d/p%d/k%g/t%d/d0/r0/v2",
+		o.Strategy, o.Seed, o.Budget, o.Batch, o.Pool, o.Kappa, o.Trees)
 }
 
 // minTrainRows is the fewest non-failed prior rows a model-based strategy
@@ -318,8 +314,7 @@ func (p *Proposer) modelBatch(n, gen int, train []orchestrate.Row) []params.Conf
 				Seed:    params.SubSeed(genSeed, ai),
 				Workers: o.Workers,
 			},
-			Refresh: o.Refit,
-			Gen:     p.modelGens,
+			Gen: p.modelGens,
 		})
 		if err != nil {
 			// Training can only fail on an empty set, which trainable()

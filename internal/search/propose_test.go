@@ -103,7 +103,7 @@ func TestWarmForestWorkerInvariance(t *testing.T) {
 	run := func(workers int) ([][]float64, [][]byte) {
 		prop, err := NewProposer(ProposeOptions{
 			Strategy: StrategyUCB, Seed: 7, Budget: 48, Batch: 12, Pool: 80,
-			Trees: 8, Refit: 2, Workers: workers,
+			Trees: 8, Workers: workers,
 			Apps: []string{"a", "b"},
 		})
 		if err != nil {
@@ -275,13 +275,17 @@ func TestProposerDigestCoversOptions(t *testing.T) {
 		return p.Digest()
 	}
 	ref := d(base)
+	// Journals stamp this exact string: a format change makes every
+	// existing adaptive journal unresumable.
+	if want := "ucb/s1/n100/b10/p80/k2/t20/d0/r0/v2"; ref != want {
+		t.Errorf("digest = %q, want %q", ref, want)
+	}
 	for name, mut := range map[string]func(*ProposeOptions){
 		"strategy": func(o *ProposeOptions) { o.Strategy = StrategyEI },
 		"seed":     func(o *ProposeOptions) { o.Seed = 2 },
 		"budget":   func(o *ProposeOptions) { o.Budget = 200 },
 		"batch":    func(o *ProposeOptions) { o.Batch = 20 },
 		"kappa":    func(o *ProposeOptions) { o.Kappa = 3 },
-		"refit":    func(o *ProposeOptions) { o.Refit = 3 },
 	} {
 		o := base
 		mut(&o)
