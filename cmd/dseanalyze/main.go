@@ -41,6 +41,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := validateFlags(*split, *repeats, *top, *workers, *bins); err != nil {
+		return err
+	}
 
 	data, err := armdse.LoadDataset(*dataPath)
 	if err != nil {
@@ -110,6 +113,24 @@ func run(args []string, stdout, stderr io.Writer) error {
 			values[i] = im.Pct
 		}
 		fmt.Fprintln(stdout, report.BarChart(app+" — permutation feature importance % (positive = fewer cycles)", labels, values, 40))
+	}
+	return nil
+}
+
+// validateFlags rejects values the analysis would otherwise coerce or fail
+// on late: it runs before the dataset loads, so a typo costs no training.
+func validateFlags(split float64, repeats, top, workers, bins int) error {
+	switch {
+	case !(split > 0 && split < 1):
+		return fmt.Errorf("-split %g: the training fraction must lie strictly between 0 and 1", split)
+	case repeats < 1:
+		return fmt.Errorf("-repeats %d < 1: permutation importance needs at least one shuffle per feature", repeats)
+	case top < 0:
+		return fmt.Errorf("-top %d < 0", top)
+	case workers < 0:
+		return fmt.Errorf("-workers %d < 0 (0 selects all CPUs)", workers)
+	case bins < 0 || bins == 1:
+		return fmt.Errorf("-bins %d: want 0 (exact scan) or at least 2", bins)
 	}
 	return nil
 }

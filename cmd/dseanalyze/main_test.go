@@ -90,4 +90,25 @@ func TestRunAnalysisErrors(t *testing.T) {
 	if err := run([]string{"-zzz"}, &buf, &buf); err == nil {
 		t.Error("bad flag accepted")
 	}
+	// Out-of-range values are refused before the dataset loads (the
+	// missing path proves it), never coerced or left to panic mid-report.
+	for _, bad := range [][]string{
+		{"-top", "-1"},
+		{"-split", "1.5"},
+		{"-split", "0"},
+		{"-repeats", "0"},
+		{"-bins", "-5"},
+		{"-bins", "1"},
+		{"-workers", "-4"},
+	} {
+		err := run(append([]string{"-data", "/no/such.csv"}, bad...), &buf, &buf)
+		if err == nil || !strings.Contains(err.Error(), bad[0]) {
+			t.Errorf("%v: err = %v, want a %s error", bad, err, bad[0])
+		}
+	}
+	// Against a real dataset, -top -1 must fail up front, not after
+	// training every tree with a panic slicing the importances.
+	if err := run([]string{"-data", path, "-repeats", "1", "-top", "-1"}, &buf, &buf); err == nil {
+		t.Error("-top -1 accepted")
+	}
 }

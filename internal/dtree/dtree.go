@@ -19,7 +19,6 @@ package dtree
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 )
 
@@ -91,8 +90,9 @@ type splitResult struct {
 // splitScratch holds one build task's reusable buffers; tasks borrow it from
 // the trainer's pool for the duration of a node's split search.
 type splitScratch struct {
-	perm  []int // exact-mode sort buffer, also the partition buffer
-	feats []int // feature-subsample buffer
+	perm  []int      // partition buffer
+	recs  []splitRec // exact-mode (value, target) sort buffer
+	feats []int      // feature-subsample buffer
 	// Histogram-mode sparse per-bin accumulators: a set bit in bits marks
 	// the bin live for the current (node, feature) pass; stale bins are
 	// zeroed lazily on first touch (see findSplitHist).
@@ -243,16 +243,20 @@ func (tr *trainer) findBestSplit(idx []int, seed uint64, sum, sumSq, parentSSE f
 
 // findSplitExact is the paper's exhaustive split search for one feature:
 // sort the node's samples by the feature and scan every boundary between
-// distinct consecutive values.
+// distinct consecutive values. The samples are gathered into contiguous
+// (value, target) records first, so the sort and the scan never chase a row
+// pointer; sortRecs orders them exactly as sort.Slice over the index
+// permutation would (see splitsort.go), which keeps every tree identical.
 func (tr *trainer) findSplitExact(idx []int, f int, sum, sumSq, parentSSE float64, sc *splitScratch, best *splitResult) {
 	n := len(idx)
-	perm := sc.perm[:n]
-	copy(perm, idx)
-	xf := tr.x
-	sort.Slice(perm, func(a, b int) bool { return xf[perm[a]][f] < xf[perm[b]][f] })
+	recs := sc.recs[:n]
+	for k, i := range idx {
+		recs[k] = splitRec{v: tr.x[i][f], y: tr.y[i]}
+	}
+	sortRecs(recs)
 	var lSum, lSq float64
 	for k := 0; k < n-1; k++ {
-		yi := tr.y[perm[k]]
+		yi := recs[k].y
 		lSum += yi
 		lSq += yi * yi
 		nl := k + 1
@@ -260,8 +264,8 @@ func (tr *trainer) findSplitExact(idx []int, f int, sum, sumSq, parentSSE float6
 		if nl < tr.opt.MinSamplesLeaf || nr < tr.opt.MinSamplesLeaf {
 			continue
 		}
-		v0 := xf[perm[k]][f]
-		v1 := xf[perm[k+1]][f]
+		v0 := recs[k].v
+		v1 := recs[k+1].v
 		if v0 == v1 {
 			continue
 		}
@@ -315,6 +319,9 @@ func (tr *trainer) getScratch(n int) *splitScratch {
 	sc := tr.scratch.Get().(*splitScratch)
 	if cap(sc.perm) < n {
 		sc.perm = make([]int, n)
+	}
+	if tr.hist == nil && cap(sc.recs) < n {
+		sc.recs = make([]splitRec, n)
 	}
 	if cap(sc.feats) < tr.nf {
 		sc.feats = make([]int, tr.nf)

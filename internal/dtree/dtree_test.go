@@ -324,6 +324,9 @@ func TestTopN(t *testing.T) {
 	if len(TopN(imps, 100)) != 4 {
 		t.Error("TopN overflow not clamped")
 	}
+	if got := TopN(imps, -1); len(got) != 0 {
+		t.Errorf("TopN(-1) = %+v, want none", got)
+	}
 	// Original slice untouched.
 	if imps[0].Feature != "a" {
 		t.Error("TopN mutated input")

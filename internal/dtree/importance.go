@@ -151,14 +151,12 @@ func effectSign(x [][]float64, y []float64, f int) float64 {
 
 // TopN returns the n importances with the largest magnitude, ordered
 // descending by |Pct| — the layout of the paper's Figs. 3-5, which plot the
-// "ten greatest feature importance percentages".
+// "ten greatest feature importance percentages". A negative n selects none.
 func TopN(imps []Importance, n int) []Importance {
 	sorted := append([]Importance(nil), imps...)
 	sort.Slice(sorted, func(a, b int) bool {
 		return math.Abs(sorted[a].Pct) > math.Abs(sorted[b].Pct)
 	})
-	if n > len(sorted) {
-		n = len(sorted)
-	}
+	n = max(0, min(n, len(sorted)))
 	return sorted[:n]
 }

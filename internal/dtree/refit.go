@@ -1,6 +1,11 @@
 package dtree
 
-import "fmt"
+import (
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
+)
 
 // Warm-started forest refits. An adaptive sweep retrains its surrogate at
 // every generation barrier while all simulation workers idle, so the refit
@@ -121,4 +126,33 @@ func RefitForest(prev *Forest, x [][]float64, y []float64, opt RefitOptions) (*F
 		}
 	}
 	return f, refresh, nil
+}
+
+// ForEachForest runs fn(i, treeWorkers) for every forest i in [0, n) on one
+// bounded pool of workers goroutines (0 selects GOMAXPROCS) and returns when
+// every call has finished. Up to min(n, workers) forests refit at once, and
+// each call gets treeWorkers = ceil(workers / that) to pass on as its
+// ForestOptions.Workers. An adaptive barrier refits one small forest per
+// application; running those refits one after another, each splitting its
+// few retrained trees into uneven per-worker chunks, leaves workers idle,
+// while one fan-out over the forests keeps them busy. Forests train
+// independently, so as long as fn writes its result at index i the models
+// are identical at every workers value.
+func ForEachForest(n, workers int, fn func(i, treeWorkers int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	outer := min(workers, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < outer; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i, (workers+outer-1)/outer)
+			}
+		}()
+	}
+	wg.Wait()
 }

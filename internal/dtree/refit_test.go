@@ -2,6 +2,7 @@ package dtree
 
 import (
 	"bytes"
+	"sync/atomic"
 	"testing"
 )
 
@@ -166,5 +167,32 @@ func TestRefitErrors(t *testing.T) {
 	}
 	if _, _, err := RefitForest(prev, [][]float64{{1}}, []float64{1, 2}, RefitOptions{ForestOptions: ForestOptions{Trees: 4}}); err == nil {
 		t.Error("length mismatch accepted")
+	}
+}
+
+// TestForEachForest checks the refit fan-out's schedule: every forest index
+// runs exactly once, and each call's tree-worker share splits the budget
+// over the forests running at once.
+func TestForEachForest(t *testing.T) {
+	for _, c := range []struct{ n, workers, treeWorkers int }{
+		{0, 2, 0},
+		{1, 2, 2}, // one forest keeps the whole budget for its trees
+		{4, 2, 1}, // four forests on two workers: one tree worker each
+		{3, 8, 3}, // ceil(8/3)
+		{5, 1, 1},
+	} {
+		runs := make([]atomic.Int32, c.n)
+		ForEachForest(c.n, c.workers, func(i, treeWorkers int) {
+			runs[i].Add(1)
+			if treeWorkers != c.treeWorkers {
+				t.Errorf("n=%d workers=%d: forest %d got %d tree workers, want %d",
+					c.n, c.workers, i, treeWorkers, c.treeWorkers)
+			}
+		})
+		for i := range runs {
+			if got := runs[i].Load(); got != 1 {
+				t.Errorf("n=%d workers=%d: forest %d ran %d times", c.n, c.workers, i, got)
+			}
+		}
 	}
 }

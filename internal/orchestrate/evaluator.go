@@ -412,11 +412,14 @@ func (h *hybridState) refresh() int64 {
 	}
 	sort.Strings(names)
 	genSeed := dtree.SubSeed(h.seed, h.gens)
-	var total int64
-	for ai, name := range names {
-		rs := h.apps[name]
+	// One fan-out over the apps' refits; each writes only its own slot
+	// (and sorts only its own samples), and the map is read-only under
+	// the held lock.
+	fits := make([]*dtree.Forest, len(names))
+	dtree.ForEachForest(len(names), h.workers, func(ai, treeWorkers int) {
+		rs := h.apps[names[ai]]
 		if len(rs.samples) < evalMinSamplesLeaf*2 {
-			continue
+			return
 		}
 		sort.Slice(rs.samples, func(i, j int) bool { return rs.samples[i].index < rs.samples[j].index })
 		x := make([][]float64, len(rs.samples))
@@ -429,17 +432,23 @@ func (h *hybridState) refresh() int64 {
 				Trees:          evalForestTrees,
 				MinSamplesLeaf: evalMinSamplesLeaf,
 				Seed:           dtree.SubSeed(genSeed, ai),
-				Workers:        h.workers,
+				Workers:        treeWorkers,
 			},
 			Gen: h.gens,
 		})
-		if err != nil {
-			// Training can only fail on an empty set, which the size guard
-			// excludes; keep the previous forest if it somehow does.
-			continue
+		// Training can only fail on an empty set, which the size guard
+		// excludes; keep the previous forest if it somehow does.
+		if err == nil {
+			fits[ai] = f
 		}
-		rs.forest = f
-		total += int64(len(rs.samples))
+	})
+	var total int64
+	for ai, name := range names {
+		if fits[ai] != nil {
+			rs := h.apps[name]
+			rs.forest = fits[ai]
+			total += int64(len(rs.samples))
+		}
 	}
 	h.gens++
 	return total

@@ -207,8 +207,18 @@ func TestConstrainedSampleFallback(t *testing.T) {
 	// A constraint excluding every value falls back to the maximum.
 	p := Param{Name: "x", Min: 16, Max: 64, Scale: Pow2}
 	rng := rand.New(rand.NewSource(1))
-	if got := p.sample(rng, 1000, -1); got != 64 {
+	if got := sampleAbove(rng, p.Values(), 1000, -1); got != 64 {
 		t.Errorf("fallback = %g, want 64", got)
+	}
+}
+
+// TestSampleAllocFree pins that drawing a configuration allocates nothing:
+// the value tables are built once, and the constrained draws index them in
+// place. Candidate pools draw thousands of configurations per generation.
+func TestSampleAllocFree(t *testing.T) {
+	rng := NewRand(3)
+	if n := testing.AllocsPerRun(200, func() { _ = Sample(rng) }); n != 0 {
+		t.Errorf("Sample allocates %v times per draw, want 0", n)
 	}
 }
 

@@ -42,22 +42,31 @@ func (p Param) Values() []float64 {
 	return out
 }
 
-// sample draws one value uniformly, restricted to values >= lo (for the
-// paper's dependent lower bounds) and > strictAbove when nonnegative.
-func (p Param) sample(rng *rand.Rand, lo float64, strictAbove float64) float64 {
-	vals := p.Values()
-	var allowed []float64
-	for _, v := range vals {
-		if v >= lo && v > strictAbove {
-			allowed = append(allowed, v)
-		}
+// sampleAbove draws one value uniformly from the ascending value list vals,
+// restricted to values >= lo (for the paper's dependent lower bounds) and
+// > strictAbove when nonnegative. Both bounds keep a suffix of vals, so the
+// draw indexes that suffix in place: the same rng call, and the same value,
+// as drawing from a filtered copy, without building one.
+func sampleAbove(rng *rand.Rand, vals []float64, lo, strictAbove float64) float64 {
+	j := 0
+	for j < len(vals) && !(vals[j] >= lo && vals[j] > strictAbove) {
+		j++
 	}
-	if len(allowed) == 0 {
+	if j == len(vals) {
 		// The constraint excludes everything; fall back to the maximum.
 		return vals[len(vals)-1]
 	}
-	return allowed[rng.Intn(len(allowed))]
+	return vals[j+rng.Intn(len(vals)-j)]
 }
+
+// valueTables holds every parameter's ascending value list in canonical
+// feature order, built once so Sample allocates nothing.
+var valueTables = func() (t [NumFeatures][]float64) {
+	for i, p := range Space() {
+		t[i] = p.Values()
+	}
+	return t
+}()
 
 // Space returns the full 30-parameter design space in canonical feature
 // order: Table II (18 core parameters) followed by the reconstructed
@@ -111,19 +120,18 @@ func SpaceByName() map[string]Param {
 // L2 size strictly above L1 size, L2 latency strictly above L1 latency. The
 // result always validates.
 func Sample(rng *rand.Rand) Config {
-	sp := Space()
-	f := make([]float64, NumFeatures)
+	var f [NumFeatures]float64
 	// Independent draws first.
-	for i, p := range sp {
-		f[i] = p.sample(rng, 0, -1)
+	for i := range f {
+		f[i] = sampleAbove(rng, valueTables[i], 0, -1)
 	}
 	// Dependent lower bounds (§V-A).
 	vecBytes := f[FVectorLength] / 8
-	f[FLoadBandwidth] = sp[FLoadBandwidth].sample(rng, vecBytes, -1)
-	f[FStoreBandwidth] = sp[FStoreBandwidth].sample(rng, vecBytes, -1)
-	f[FL2Size] = sp[FL2Size].sample(rng, 0, f[FL1DSize])
-	f[FL2Latency] = sp[FL2Latency].sample(rng, 0, f[FL1DLatency])
-	cfg, err := FromFeatures(f)
+	f[FLoadBandwidth] = sampleAbove(rng, valueTables[FLoadBandwidth], vecBytes, -1)
+	f[FStoreBandwidth] = sampleAbove(rng, valueTables[FStoreBandwidth], vecBytes, -1)
+	f[FL2Size] = sampleAbove(rng, valueTables[FL2Size], 0, f[FL1DSize])
+	f[FL2Latency] = sampleAbove(rng, valueTables[FL2Latency], 0, f[FL1DLatency])
+	cfg, err := FromFeatures(f[:])
 	if err != nil {
 		panic(fmt.Sprintf("params: internal sampling error: %v", err))
 	}

@@ -22,7 +22,8 @@ import (
 // and between-tree spread, and propose the best-scoring candidates; uniform
 // is the control that reproduces the classic fixed sweep.
 //
-// The generation barrier is parallel: pool generation, constraint repair
+// The generation barrier is parallel: the per-app forest refits run as one
+// fan-out (dtree.ForEachForest), and pool generation, constraint repair
 // and acquisition scoring fan out in fixed-size chunks across a bounded
 // worker pool (ProposeOptions.Workers), with every chunk drawing from its
 // own splitmix64 substream keyed (seed, generation, chunk) and results
@@ -307,23 +308,30 @@ func (p *Proposer) modelBatch(n, gen int, train []orchestrate.Row) []params.Conf
 	if p.forests == nil {
 		p.forests = make([]*dtree.Forest, len(o.Apps))
 	}
-	for ai := range o.Apps {
-		f, retrained, err := dtree.RefitForest(p.forests[ai], x, ys[ai], dtree.RefitOptions{
+	forests := make([]*dtree.Forest, len(o.Apps))
+	retrained := make([]int, len(o.Apps))
+	errs := make([]error, len(o.Apps))
+	dtree.ForEachForest(len(o.Apps), o.Workers, func(ai, treeWorkers int) {
+		forests[ai], retrained[ai], errs[ai] = dtree.RefitForest(p.forests[ai], x, ys[ai], dtree.RefitOptions{
 			ForestOptions: dtree.ForestOptions{
 				Trees:   o.Trees,
 				Seed:    params.SubSeed(genSeed, ai),
-				Workers: o.Workers,
+				Workers: treeWorkers,
 			},
 			Gen: p.modelGens,
 		})
+	})
+	for _, err := range errs {
 		if err != nil {
 			// Training can only fail on an empty set, which trainable()
 			// already excluded — but degrade to uniform rather than panic.
 			return p.uniformBatch(n)
 		}
-		p.forests[ai] = f
-		p.stats.TreesRetrained += retrained
-		p.stats.TreesRetained += o.Trees - retrained
+	}
+	copy(p.forests, forests)
+	for _, r := range retrained {
+		p.stats.TreesRetrained += r
+		p.stats.TreesRetained += o.Trees - r
 	}
 	p.modelGens++
 	p.stats.RefitNanos = time.Since(t0).Nanoseconds()
