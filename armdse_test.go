@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"armdse"
@@ -135,6 +136,22 @@ func TestConfigIO(t *testing.T) {
 	}
 	if _, err := armdse.LoadConfig(invalid); err == nil {
 		t.Error("invalid config accepted")
+	}
+}
+
+// TestLoadConfigRejectsShrunkCache pins that dserun -config refuses a cache
+// the model would round down: a 1.5 MiB, 16-way, 64-B L2 has 1,536 sets,
+// which the cache would index as 1,024 and so model 1 MiB.
+func TestLoadConfigRejectsShrunkCache(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "l2.json")
+	cfg := armdse.ThunderX2()
+	cfg.Mem.L2Size, cfg.Mem.L2Assoc, cfg.Mem.CacheLineWidth = 1536<<10, 16, 64
+	if err := armdse.SaveConfig(cfg, path); err != nil {
+		t.Fatal(err)
+	}
+	_, err := armdse.LoadConfig(path)
+	if err == nil || !strings.Contains(err.Error(), "1024 sets") {
+		t.Errorf("LoadConfig(1.5 MiB 16-way L2) err = %v, want it to name 1024 sets", err)
 	}
 }
 

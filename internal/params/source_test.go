@@ -31,11 +31,15 @@ func TestConfigAtPrefixStable(t *testing.T) {
 	}
 }
 
+// TestConfigAtValid pins that sampled configurations pass Validate,
+// including its check that every cache level has a power-of-two set count.
 func TestConfigAtValid(t *testing.T) {
-	for i := 0; i < 500; i++ {
-		cfg := ConfigAt(13, i)
-		if err := cfg.Validate(); err != nil {
-			t.Fatalf("ConfigAt(13, %d) invalid: %v", i, err)
+	for _, seed := range []int64{1, 13} {
+		for i := 0; i < 10000; i++ {
+			cfg := ConfigAt(seed, i)
+			if err := cfg.Validate(); err != nil {
+				t.Fatalf("ConfigAt(%d, %d) invalid: %v", seed, i, err)
+			}
 		}
 	}
 }

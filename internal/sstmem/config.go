@@ -89,6 +89,9 @@ func (c Config) Validate() error {
 	if c.L1DAssoc < 1 {
 		return fmt.Errorf("sstmem: L1D associativity %d < 1", c.L1DAssoc)
 	}
+	if err := validateGeometry("L1D", c.L1DSize, c.L1DAssoc, c.CacheLineWidth); err != nil {
+		return err
+	}
 	if c.L1DLatency < 1 {
 		return fmt.Errorf("sstmem: L1D latency %d < 1", c.L1DLatency)
 	}
@@ -104,6 +107,9 @@ func (c Config) Validate() error {
 	if c.L2Assoc < 1 {
 		return fmt.Errorf("sstmem: L2 associativity %d < 1", c.L2Assoc)
 	}
+	if err := validateGeometry("L2", c.L2Size, c.L2Assoc, c.CacheLineWidth); err != nil {
+		return err
+	}
 	if c.L2Latency <= c.L1DLatency {
 		return fmt.Errorf("sstmem: L2 latency %d not larger than L1D latency %d", c.L2Latency, c.L1DLatency)
 	}
@@ -112,6 +118,24 @@ func (c Config) Validate() error {
 	}
 	if c.RAMBandwidthGBs <= 0 {
 		return fmt.Errorf("sstmem: RAM bandwidth %g GB/s", c.RAMBandwidthGBs)
+	}
+	return nil
+}
+
+// validateGeometry rejects a cache level the model would not hold as
+// specified: a size that is not a whole number of lines, or a set count
+// (lines ÷ associativity) that is not a power of two, which the cache would
+// silently round down.
+func validateGeometry(level string, size, assoc, lineBytes int) error {
+	lines := size / lineBytes
+	if lines > maxCacheLines {
+		return fmt.Errorf("sstmem: %s of %d lines exceeds the model's limit of %d", level, lines, maxCacheLines)
+	}
+	sets, ways := cacheGeometry(size, assoc, lineBytes)
+	if size%lineBytes != 0 || sets*ways != lines {
+		return fmt.Errorf("sstmem: %s of %d B (%d-way, %d-B lines) would model %d sets × %d ways = %d B; "+
+			"size must be a whole number of lines and lines ÷ associativity a power of two",
+			level, size, assoc, lineBytes, sets, ways, sets*ways*lineBytes)
 	}
 	return nil
 }

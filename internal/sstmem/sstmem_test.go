@@ -1,6 +1,7 @@
 package sstmem
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -47,6 +48,9 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.L1DMSHRs = 0 },
 		func(c *Config) { c.L2Size = c.L1DSize },
 		func(c *Config) { c.L2Assoc = 0 },
+		func(c *Config) { c.L1DSize = 48 << 10 },    // 192 sets
+		func(c *Config) { c.L2Size = 1536 << 10 },   // 3,072 sets
+		func(c *Config) { c.L2Size = 512<<10 + 32 }, // not whole lines
 		func(c *Config) { c.L2Latency = c.L1DLatency },
 		func(c *Config) { c.L2ClockGHz = -1 },
 		func(c *Config) { c.RAMLatencyNs = 0 },
@@ -61,6 +65,22 @@ func TestConfigValidate(t *testing.T) {
 		if _, err := New(c); err == nil {
 			t.Errorf("New accepted mutation %d", i)
 		}
+	}
+}
+
+// TestValidateRejectsShrunkGeometry pins that a level whose set count the
+// cache would round down is refused with the set count it would model, while
+// a non-power-of-two associativity over a power-of-two set count passes.
+func TestValidateRejectsShrunkGeometry(t *testing.T) {
+	c := testConfig()
+	c.L2Size, c.L2Assoc = 1536<<10, 16 // 1,536 sets would model 1,024: 1 MiB
+	err := c.Validate()
+	if err == nil || !strings.Contains(err.Error(), "1024 sets") || !strings.Contains(err.Error(), "1048576 B") {
+		t.Errorf("1.5 MiB 16-way L2: err = %v, want it to name 1024 sets and 1048576 B", err)
+	}
+	c.L2Size, c.L2Assoc = 96<<10, 3 // 512 sets of 3 ways
+	if err := c.Validate(); err != nil {
+		t.Errorf("96 KiB 3-way L2 rejected: %v", err)
 	}
 }
 
