@@ -191,9 +191,6 @@ const (
 	// EvalExact runs the full simulator on every configuration — the
 	// study's default and the ground-truth reference.
 	EvalExact = orchestrate.EvalExact
-	// EvalBound answers every configuration from the analytical roofline
-	// bound model: no simulation, microsecond evaluations.
-	EvalBound = orchestrate.EvalBound
 	// EvalHybrid predicts from bounds plus a learned residual when the
 	// forest is confident, escalating the rest to exact simulation.
 	EvalHybrid = orchestrate.EvalHybrid
@@ -227,7 +224,7 @@ func NewEvaluator(kind string, opt EvalOptions) (*Evaluator, error) {
 	return orchestrate.NewEvaluator(kind, opt)
 }
 
-// NewBoundModel builds the analytical evaluator's core: per-application
+// NewBoundModel builds the hybrid evaluator's analytical core: per-application
 // cycle lower/upper bounds from the configuration and the application's
 // stream statistics (cfg.MemProfile() supplies the memory-system view).
 func NewBoundModel(core CoreConfig, mem simeng.MemProfile) (*BoundModel, error) {
@@ -393,15 +390,6 @@ func NewTelemetry(reg *MetricsRegistry, journal *RunJournal) *Telemetry {
 // /debug/vars (snapshot JSON) and /debug/pprof.
 func TelemetryHandler(reg *MetricsRegistry, status func() any) http.Handler {
 	return obs.Handler(reg, status)
-}
-
-// QuantileStatus adapts a bare metrics registry into a /status function:
-// the payload maps every histogram family to per-series count, mean and
-// bucket-interpolated p50/p90/p99 (TimeHistogram families in seconds). For
-// tools without a sweep Telemetry hub (dserun), this keeps /status live
-// instead of 404ing.
-func QuantileStatus(reg *MetricsRegistry) func() any {
-	return func() any { return obs.SnapshotQuantiles(reg.Snapshot()) }
 }
 
 // ServeTelemetry binds addr and serves the handler in the background,

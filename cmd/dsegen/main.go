@@ -10,7 +10,7 @@
 // collections can be split across machines with -shard i/n (one output file
 // per shard, same seed everywhere): the shards partition the same index
 // space, so their union equals the unsharded run. Both guarantees hold for
-// the exact and bound evaluators; -eval hybrid refuses -resume and -shard,
+// the exact evaluator; -eval hybrid refuses -resume and -shard,
 // because its routing depends on earlier results in the same run.
 //
 // A run is observable while it executes: a structured JSONL run journal
@@ -47,52 +47,15 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"runtime/pprof"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
 	"armdse"
 	"armdse/internal/fabric"
+	"armdse/internal/obs"
 )
-
-// profileTo starts CPU profiling into cpuPath (empty = off) and returns a
-// stop function that also writes an allocation profile to memPath (empty =
-// off). Collection sweeps are the binaries' hot path, so both CLIs expose
-// the standard pprof pair.
-func profileTo(cpuPath, memPath string) (stop func() error, err error) {
-	var cpuF *os.File
-	if cpuPath != "" {
-		cpuF, err = os.Create(cpuPath)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(cpuF); err != nil {
-			cpuF.Close()
-			return nil, err
-		}
-	}
-	return func() error {
-		if cpuF != nil {
-			pprof.StopCPUProfile()
-			if err := cpuF.Close(); err != nil {
-				return err
-			}
-		}
-		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			runtime.GC() // materialise final live-heap numbers
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				return err
-			}
-		}
-		return nil
-	}, nil
-}
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -176,10 +139,8 @@ func validateFlags(fs *flag.FlagSet, worker, eval, search, shard string, resume 
 				strings.Join(bad, ", "))
 		}
 	}
-	switch eval {
-	case "", armdse.EvalExact, armdse.EvalBound, armdse.EvalHybrid:
-	default:
-		return fmt.Errorf("unknown evaluator %q (want %s, %s or %s)", eval, armdse.EvalExact, armdse.EvalBound, armdse.EvalHybrid)
+	if eval != "" && !slices.Contains(armdse.Evaluators(), eval) {
+		return fmt.Errorf("unknown evaluator %q (want one of %v)", eval, armdse.Evaluators())
 	}
 	if search != "" && shard != "" {
 		return fmt.Errorf("-search and -shard are incompatible: proposal batches depend on every earlier result, so the index space cannot be partitioned across machines")
@@ -236,7 +197,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		paper    = fs.Bool("paper", false, "use the paper's Table IV inputs (1-5 minute runs each, as in the study)")
 		resume   = fs.Bool("resume", false, "resume an interrupted run from <out>.journal, skipping completed configs")
 		shard    = fs.String("shard", "", "collect only shard i/n of the index space (e.g. 3/8); union of shards = full run")
-		eval     = fs.String("eval", "", "per-config evaluator: exact (default), bound (analytical), hybrid (bounds + learned residual, escalating uncertain configs to exact)")
+		eval     = fs.String("eval", "", "per-config evaluator: exact (default) or hybrid (bounds + learned residual, escalating uncertain configs to exact)")
 		evalEsc  = fs.Float64("eval-escalate", 0, "hybrid escalation threshold on the residual forest's log spread (0 = default)")
 		srch     = fs.String("search", "", "adaptive proposal strategy: uniform, ucb or ei (\"\" = classic fixed sweep)")
 		srchBud  = fs.Int("search-budget", 0, "adaptive run total config budget (0 = -samples)")
@@ -262,17 +223,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if *samples <= 0 {
 		return fmt.Errorf("samples %d <= 0", *samples)
 	}
-	if *cpuProf != "" || *memProf != "" {
-		stopProf, err := profileTo(*cpuProf, *memProf)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if err := stopProf(); err != nil {
-				fmt.Fprintln(stderr, "dsegen: profile:", err)
-			}
-		}()
+	stopProf, err := obs.StartProfile(*cpuProf, *memProf)
+	if err != nil {
+		return err
 	}
+	defer func() {
+		if err := stopProf(); err != nil {
+			fmt.Fprintln(stderr, "dsegen: profile:", err)
+		}
+	}()
 	if *worker != "" {
 		var logw io.Writer
 		if !*quiet {
@@ -289,7 +248,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	// leave a stray empty journal behind.
 	shardIndex, shardCount := 0, 0
 	if *shard != "" {
-		var err error
 		shardIndex, shardCount, err = parseShard(*shard)
 		if err != nil {
 			return err
@@ -311,7 +269,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if *srchBud > 0 {
 			budget = *srchBud
 		}
-		var err error
 		searchWorkers := *srchWrk
 		if searchWorkers <= 0 {
 			searchWorkers = *workers
@@ -340,7 +297,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	aux := armdse.StallColumns(apps)
 
 	var sw *armdse.StreamWriter
-	var err error
 	if *resume {
 		// Resuming a pre-stall-column (schema v1) journal keeps its layout:
 		// ResumeStreamAux drops the aux columns rather than rejecting it.

@@ -51,35 +51,6 @@ func TestRunBadFlags(t *testing.T) {
 	}
 }
 
-func TestRunEvalBound(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "bound.csv")
-	var stdout, stderr bytes.Buffer
-	err := run(context.Background(),
-		[]string{"-samples", "3", "-seed", "7", "-out", out, "-eval", "bound", "-q"},
-		&stdout, &stderr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := armdse.LoadDataset(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if data.Len() != 3 {
-		t.Errorf("bound dataset rows = %d", data.Len())
-	}
-	for _, app := range data.Apps {
-		y, err := data.Target(app)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, v := range y {
-			if v <= 0 {
-				t.Errorf("%s row %d predicted cycles = %g", app, i, v)
-			}
-		}
-	}
-}
-
 func TestRunEvalUnknown(t *testing.T) {
 	var buf bytes.Buffer
 	out := filepath.Join(t.TempDir(), "ds.csv")

@@ -58,16 +58,20 @@ func TestRunWorkerAllowsWorkerFlags(t *testing.T) {
 	}
 }
 
+// An unknown evaluator, including the removed "bound", is refused before
+// the journal or runlog exists.
 func TestRunEvalUnknownLeavesNoJournal(t *testing.T) {
-	dir := t.TempDir()
-	var buf bytes.Buffer
-	err := run(context.Background(),
-		[]string{"-samples", "2", "-out", filepath.Join(dir, "ds.csv"), "-eval", "oracle", "-q"},
-		&buf, &buf)
-	if err == nil || !strings.Contains(err.Error(), "unknown evaluator") {
-		t.Fatalf("err = %v", err)
+	for _, eval := range []string{"oracle", "bound"} {
+		dir := t.TempDir()
+		var buf bytes.Buffer
+		err := run(context.Background(),
+			[]string{"-samples", "2", "-out", filepath.Join(dir, "ds.csv"), "-eval", eval, "-q"},
+			&buf, &buf)
+		if err == nil || !strings.Contains(err.Error(), "unknown evaluator") {
+			t.Fatalf("-eval %s: err = %v", eval, err)
+		}
+		assertNoStrayFiles(t, dir)
 	}
-	assertNoStrayFiles(t, dir)
 }
 
 func TestRunSearchShardExclusive(t *testing.T) {

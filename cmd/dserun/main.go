@@ -2,69 +2,25 @@
 // the run statistics — the single-run entry point of the toolkit, equivalent
 // to invoking SimEng once in the paper's workflow.
 //
-// For performance work the run can be profiled offline with
-// -cpuprofile/-memprofile, or inspected live with -http, which serves the
-// standard /debug/pprof endpoints (plus /metrics and /debug/vars) while the
-// simulation runs — useful with -paper runs that take minutes.
+// For performance work the run can be profiled with -cpuprofile/-memprofile.
 //
 // Usage:
 //
-//	dserun [-app STREAM] [-config cfg.json] [-vl 512] [-paper] [-mem sst] [-eval exact] [-v]
+//	dserun [-app STREAM] [-config cfg.json] [-vl 512] [-paper] [-mem sst] [-v]
 //	dserun -dump-baseline tx2.json
-//	dserun -app TeaLeaf -paper -http :8080 -cpuprofile cpu.pb.gz
+//	dserun -app TeaLeaf -paper -cpuprofile cpu.pb.gz
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
-	"runtime"
-	"runtime/pprof"
-	"time"
 
 	"armdse"
+	"armdse/internal/obs"
 	"armdse/internal/workload"
 )
-
-// profileTo starts CPU profiling into cpuPath (empty = off) and returns a
-// stop function that also writes an allocation profile to memPath (empty =
-// off).
-func profileTo(cpuPath, memPath string) (stop func() error, err error) {
-	var cpuF *os.File
-	if cpuPath != "" {
-		cpuF, err = os.Create(cpuPath)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(cpuF); err != nil {
-			cpuF.Close()
-			return nil, err
-		}
-	}
-	return func() error {
-		if cpuF != nil {
-			pprof.StopCPUProfile()
-			if err := cpuF.Close(); err != nil {
-				return err
-			}
-		}
-		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			runtime.GC() // materialise final live-heap numbers
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				return err
-			}
-		}
-		return nil
-	}, nil
-}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
@@ -82,42 +38,24 @@ func run(args []string, stdout, stderr io.Writer) error {
 		vl       = fs.Int("vl", 0, "override SVE vector length in bits (power of two, 128-2048)")
 		paper    = fs.Bool("paper", false, "use the paper's Table IV inputs instead of the scaled test inputs")
 		mem      = fs.String("mem", "", "memory backend: sst (default), flat, proxy")
-		eval     = fs.String("eval", "", "evaluator: exact (default), bound (analytical), hybrid (bounds + learned residual)")
-		evalEsc  = fs.Float64("eval-escalate", 0, "hybrid escalation threshold on the residual forest's log spread (0 = default)")
 		verbose  = fs.Bool("v", false, "print detailed memory statistics")
 		maxCyc   = fs.Int64("max-cycles", 0, "abort the run after this many simulated cycles (0 = engine default)")
 		dumpBase = fs.String("dump-baseline", "", "write the ThunderX2 baseline config to this path and exit")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = fs.String("memprofile", "", "write an allocation profile to this file at exit")
-		httpAddr = fs.String("http", "", "serve the live monitor (/metrics, /status, /debug/vars, /debug/pprof) on this address while the run executes")
-		linger   = fs.Duration("http-linger", 0, "keep the -http server up this long after the run finishes (for scrapers; interrupt exits early)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// The monitor registry records the evaluation's wall time so /status can
-	// answer with bucket-interpolated latency quantiles even for this
-	// single-run tool.
-	reg := armdse.NewMetricsRegistry(1)
-	if *httpAddr != "" {
-		srv, bound, err := armdse.ServeTelemetry(*httpAddr, armdse.TelemetryHandler(reg, armdse.QuantileStatus(reg)))
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(stderr, "monitor: http://%s/status\n", bound)
+	stopProf, err := obs.StartProfile(*cpuProf, *memProf)
+	if err != nil {
+		return err
 	}
-	if *cpuProf != "" || *memProf != "" {
-		stopProf, err := profileTo(*cpuProf, *memProf)
-		if err != nil {
-			return err
+	defer func() {
+		if err := stopProf(); err != nil {
+			fmt.Fprintln(stderr, "dserun: profile:", err)
 		}
-		defer func() {
-			if err := stopProf(); err != nil {
-				fmt.Fprintln(stderr, "dserun: profile:", err)
-			}
-		}()
-	}
+	}()
 
 	if *dumpBase != "" {
 		if err := armdse.SaveConfig(armdse.ThunderX2(), *dumpBase); err != nil {
@@ -129,7 +67,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	cfg := armdse.ThunderX2()
 	if *cfgPath != "" {
-		var err error
 		cfg, err = armdse.LoadConfig(*cfgPath)
 		if err != nil {
 			return err
@@ -156,26 +93,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	evaluator, err := armdse.NewEvaluator(*eval, armdse.EvalOptions{
+	evaluator, err := armdse.NewEvaluator(armdse.EvalExact, armdse.EvalOptions{
 		Backend:   *mem,
 		MaxCycles: *maxCyc,
-		Escalate:  *evalEsc,
 	})
 	if err != nil {
 		return err
 	}
-	evalSpan := reg.TimeHistogram("armdse_config_wall_nanoseconds",
-		"Wall time per configuration (full suite).").Start(0)
 	evaluation, err := evaluator.Worker(0).Evaluate([]armdse.Workload{w}, 0, cfg)
-	evalSpan.End()
 	if err != nil {
 		return err
 	}
 	st := evaluation.Stats[0]
 	fmt.Fprintf(stdout, "app=%s vl=%d\n", w.Name(), cfg.Core.VectorLength)
-	if evaluation.Predicted {
-		fmt.Fprintf(stdout, "eval:                %s (predicted, confidence %.3f)\n", *eval, evaluation.Confidence)
-	}
 	fmt.Fprintf(stdout, "cycles:              %d\n", st.Cycles)
 	fmt.Fprintf(stdout, "retired:             %d (IPC %.3f)\n", st.Retired, st.IPC())
 	fmt.Fprintf(stdout, "sve retired:         %d (%.1f%%)\n", st.SVERetired, st.VectorisationPct())
@@ -207,15 +137,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stdout, " %s=%.2f", name, u)
 		}
 		fmt.Fprintln(stdout)
-	}
-	if *httpAddr != "" && *linger > 0 {
-		fmt.Fprintf(stderr, "monitor lingering %s (interrupt to exit)\n", *linger)
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-		defer stop()
-		select {
-		case <-ctx.Done():
-		case <-time.After(*linger):
-		}
 	}
 	return nil
 }

@@ -51,18 +51,19 @@ func TestRunVLOverrideAndHW(t *testing.T) {
 	}
 }
 
+// TestRunEvalFlag checks that the removed evaluator and monitor flags are
+// rejected as unknown: dserun always simulates exactly.
 func TestRunEvalFlag(t *testing.T) {
-	var out, errBuf bytes.Buffer
-	if err := run([]string{"-app", "STREAM", "-eval", "bound"}, &out, &errBuf); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	if !strings.Contains(s, "eval:") || !strings.Contains(s, "predicted") {
-		t.Errorf("bound evaluation output missing eval line:\n%s", s)
-	}
-	if err := run([]string{"-app", "STREAM", "-eval", "oracle"}, &out, &errBuf); err == nil ||
-		!strings.Contains(err.Error(), "oracle") {
-		t.Errorf("unknown evaluator accepted: %v", err)
+	var buf bytes.Buffer
+	for _, args := range [][]string{
+		{"-app", "STREAM", "-eval", "bound"},
+		{"-app", "STREAM", "-eval-escalate", "1"},
+		{"-app", "STREAM", "-http", ":0"},
+		{"-app", "STREAM", "-http-linger", "1s"},
+	} {
+		if err := run(args, &buf, &buf); err == nil || !strings.Contains(err.Error(), "not defined") {
+			t.Errorf("removed flag %s: err = %v, want unknown flag", args[2], err)
+		}
 	}
 }
 

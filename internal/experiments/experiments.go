@@ -35,10 +35,6 @@ type Options struct {
 	// same count drives the surrogate trainer's deterministic parallel
 	// build, so it never changes the trained models — only their cost.
 	Workers int
-	// Bins, when positive, trains the surrogates with the histogram-
-	// binned split finder at that many quantile bins per feature;
-	// 0 keeps the paper's exact split scan.
-	Bins int
 	// Suite is the workload set (nil = workload.TestSuite()).
 	Suite []workload.Workload
 	// Repeats is the permutation-importance repeat count (paper: 10).
@@ -72,9 +68,9 @@ func (o Options) withDefaults() Options {
 
 // treeOptions returns the surrogate-training options the drivers share: the
 // experiment's worker count re-used for the deterministic parallel build
-// (0 resolves to GOMAXPROCS inside dtree) and the configured bin count.
+// (0 resolves to GOMAXPROCS inside dtree) and the paper's exact split scan.
 func (o Options) treeOptions() dtree.Options {
-	return dtree.Options{Workers: o.Workers, Bins: o.Bins}
+	return dtree.Options{Workers: o.Workers}
 }
 
 // importanceOptions returns the matching permutation-importance options.

@@ -47,7 +47,7 @@ func ExtForest(ctx context.Context, opt Options) (Result, error) {
 			return Result{}, err
 		}
 		forest, err := dtree.TrainForest(train.X, yTrain, dtree.ForestOptions{
-			Trees: 30, Seed: opt.Seed, Workers: opt.Workers, Bins: opt.Bins,
+			Trees: 30, Seed: opt.Seed, Workers: opt.Workers,
 		})
 		if err != nil {
 			return Result{}, err

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -272,7 +274,7 @@ func referenceCSV(t *testing.T, seed int64, samples int) []byte {
 
 // TestFleetByteIdentity is the fault-injection harness the fabric's
 // correctness bar rests on: coordinator plus N in-process workers over
-// httptest, workers killed mid-lease at seeded chunk boundaries, leases
+// httptest, workers killed mid-lease at fixed chunk boundaries, leases
 // expiring and reassigned — and the merged CSV must still be byte-identical
 // to the single-process reference, at every fleet size.
 func TestFleetByteIdentity(t *testing.T) {
@@ -285,17 +287,19 @@ func TestFleetByteIdentity(t *testing.T) {
 	cases := []struct {
 		name  string
 		fleet int
-		// kills[i] kills worker i after its k-th uploaded chunk (0 =
-		// never). Killed workers are respawned once, as a replacement
-		// node would be.
+		// kills lists fleet-wide chunk ordinals: whichever worker is
+		// about to upload the fleet's k-th chunk is killed instead. Every
+		// chunk is uploaded before the run completes, so each ordinal up
+		// to the run's 6 chunks is sure to fire. A killed worker is
+		// respawned, as a replacement node would be.
 		kills []int
 	}{
 		{name: "fleet1", fleet: 1},
 		{name: "fleet2", fleet: 2},
 		{name: "fleet4", fleet: 4},
 		{name: "fleet1-kill", fleet: 1, kills: []int{2}},
-		{name: "fleet2-kill1", fleet: 2, kills: []int{0, 2}},
-		{name: "fleet4-kill2", fleet: 4, kills: []int{1, 0, 3, 0}},
+		{name: "fleet2-kill1", fleet: 2, kills: []int{2}},
+		{name: "fleet4-kill2", fleet: 4, kills: []int{1, 3}},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -315,17 +319,19 @@ func TestFleetByteIdentity(t *testing.T) {
 			defer cancel()
 
 			errInjected := fmt.Errorf("injected kill")
+			var fleetChunks atomic.Int64
+			onChunk := func(lease, cursor int) error {
+				if slices.Contains(tc.kills, int(fleetChunks.Add(1))) {
+					return errInjected
+				}
+				return nil
+			}
 			var wg sync.WaitGroup
 			errs := make([]error, tc.fleet)
 			for i := 0; i < tc.fleet; i++ {
-				killAt := 0
-				if i < len(tc.kills) {
-					killAt = tc.kills[i]
-				}
 				wg.Add(1)
-				go func(slot, killAt int) {
+				go func(slot int) {
 					defer wg.Done()
-					chunks := 0
 					// One simulation thread per worker: the interesting
 					// concurrency is between workers, and oversubscribing
 					// the host's cores 4x just slows every fleet down.
@@ -335,32 +341,18 @@ func TestFleetByteIdentity(t *testing.T) {
 						Threads:   1,
 						PollEvery: 20 * time.Millisecond,
 						Client:    srv.Client(),
-					}
-					if killAt > 0 {
-						cfg.OnChunk = func(lease, cursor int) error {
-							chunks++
-							if chunks >= killAt {
-								return errInjected
-							}
-							return nil
-						}
+						OnChunk:   onChunk,
 					}
 					err := RunWorker(ctx, cfg)
-					if err == errInjected {
+					for n := 1; err == errInjected; n++ {
 						// The kill leaves a lease mid-flight; a
 						// replacement worker joins, as a respawned node
 						// would, and must pick up the expired tail.
-						respawn := WorkerConfig{
-							Coord:     srv.URL,
-							Name:      fmt.Sprintf("w%d-respawn", slot),
-							Threads:   1,
-							PollEvery: 20 * time.Millisecond,
-							Client:    srv.Client(),
-						}
-						err = RunWorker(ctx, respawn)
+						cfg.Name = fmt.Sprintf("w%d-respawn%d", slot, n)
+						err = RunWorker(ctx, cfg)
 					}
 					errs[slot] = err
-				}(i, killAt)
+				}(i)
 			}
 			wg.Wait()
 			for slot, err := range errs {

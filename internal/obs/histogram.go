@@ -136,40 +136,6 @@ func SummaryFromBuckets(buckets []int64) QuantileSummary {
 	}
 }
 
-// SeriesQuantiles summarises one histogram series for /status payloads.
-type SeriesQuantiles struct {
-	Labels    []Label         `json:"labels,omitempty"`
-	Count     int64           `json:"count"`
-	Mean      float64         `json:"mean"`
-	Quantiles QuantileSummary `json:"quantiles"`
-}
-
-// SnapshotQuantiles extracts a quantile summary for every histogram series
-// in the snapshot, keyed by family name. Estimates and means are divided by
-// the family's exposition scale, so TimeHistogram families report seconds.
-func SnapshotQuantiles(snap Snapshot) map[string][]SeriesQuantiles {
-	out := make(map[string][]SeriesQuantiles)
-	for _, f := range snap.Families {
-		if f.Kind != KindHistogram.String() {
-			continue
-		}
-		scale := f.Scale
-		if scale <= 0 {
-			scale = 1
-		}
-		for _, s := range f.Series {
-			sq := SeriesQuantiles{Labels: s.Labels, Count: s.Count}
-			if s.Count > 0 {
-				sq.Mean = float64(s.Sum) / float64(s.Count) / scale
-			}
-			qs := SummaryFromBuckets(s.Buckets)
-			sq.Quantiles = QuantileSummary{P50: qs.P50 / scale, P90: qs.P90 / scale, P99: qs.P99 / scale}
-			out[f.Name] = append(out[f.Name], sq)
-		}
-	}
-	return out
-}
-
 // Quantile estimates the q-quantile of the histogram's observations across
 // all shards. Nil-safe: returns 0.
 func (h *Histogram) Quantile(q float64) float64 {

@@ -122,36 +122,3 @@ func snapshotBuckets(t *testing.T, r *Registry, family string) []int64 {
 	t.Fatalf("family %s not found", family)
 	return nil
 }
-
-func TestSnapshotQuantilesScaled(t *testing.T) {
-	r := NewRegistry(1)
-	h := r.TimeHistogram("armdse_config_wall_nanoseconds", "wall", L("phase", "sim"))
-	// 4 observations of ~2^30 ns (~1.07 s): all in bucket 31 [2^30, 2^31).
-	for i := 0; i < 4; i++ {
-		h.Observe(0, 1<<30)
-	}
-	r.Counter("armdse_runs_total", "runs").Inc(0)
-
-	qs := SnapshotQuantiles(r.Snapshot())
-	if _, ok := qs["armdse_runs_total"]; ok {
-		t.Fatal("counter family leaked into quantile map")
-	}
-	series := qs["armdse_config_wall_nanoseconds"]
-	if len(series) != 1 {
-		t.Fatalf("series = %d, want 1", len(series))
-	}
-	sq := series[0]
-	if sq.Count != 4 {
-		t.Fatalf("count = %d, want 4", sq.Count)
-	}
-	if want := float64(1<<30) / TimeScale; sq.Mean != want {
-		t.Fatalf("mean = %v, want %v", sq.Mean, want)
-	}
-	// All mass in one bucket: p50 halfway through [2^30, 2^31), in seconds.
-	if want := (1 << 30) * 1.5 / TimeScale; math.Abs(sq.Quantiles.P50-want) > 1e-9 {
-		t.Fatalf("p50 = %v, want %v", sq.Quantiles.P50, want)
-	}
-	if len(sq.Labels) != 1 || sq.Labels[0].Key != "phase" {
-		t.Fatalf("labels = %+v", sq.Labels)
-	}
-}

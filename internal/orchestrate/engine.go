@@ -79,9 +79,9 @@ type Row struct {
 	Cycles int64
 	// Err records the first per-run failure; nil for a clean row.
 	Err error
-	// Predicted reports that Targets came from an analytical or learned
-	// model rather than exact simulation — always false under the exact
-	// evaluator, true for bound rows and the hybrid's non-escalated rows.
+	// Predicted reports that Targets came from the learned model rather
+	// than exact simulation — always false under the exact evaluator, true
+	// for the hybrid's non-escalated rows.
 	Predicted bool
 	// Confidence is the evaluator's self-assessed reliability of a
 	// predicted row, in (0, 1]; zero on exact rows.
@@ -145,7 +145,7 @@ type Engine struct {
 	// Backend selects the memory backend by name (BackendSST, BackendFlat,
 	// BackendProxy); empty uses BackendSST, the study's default.
 	Backend string
-	// Eval selects the per-config evaluator by name (EvalExact, EvalBound,
+	// Eval selects the per-config evaluator by name (EvalExact,
 	// EvalHybrid); empty uses EvalExact, the study's default. The exact
 	// path is untouched by the seam: an empty or "exact" Eval produces
 	// byte-identical output to engines predating the field.

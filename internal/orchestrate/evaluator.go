@@ -17,27 +17,23 @@ import (
 
 // Per-config evaluation seam. Every design-space point needs a cycle count
 // per application; how that number is produced is pluggable. Exact
-// simulation is the ground truth; the analytical bound model answers from
-// stream statistics alone in microseconds; the hybrid routes between them —
-// a dtree residual forest learned on escalated (exactly-simulated) configs
-// predicts on top of the analytical lower bound, and any config the forest
-// is not confident about escalates to exact simulation, whose result feeds
-// the next residual refresh. Selection is by name so it can ride a CLI flag
+// simulation is the ground truth; the hybrid answers from a dtree residual
+// forest, learned on escalated (exactly-simulated) configs, on top of the
+// analytical lower bound (simeng.BoundModel), and any config the forest is
+// not confident about escalates to exact simulation, whose result feeds the
+// next residual refresh. Selection is by name so it can ride a CLI flag
 // (-eval) exactly like the memory backend's -mem.
 const (
 	// EvalExact runs the full simulator on every configuration — the
 	// study's default and the ground-truth reference.
 	EvalExact = "exact"
-	// EvalBound answers every configuration from the analytical bound
-	// model (simeng.BoundModel): no simulation, roofline accuracy.
-	EvalBound = "bound"
 	// EvalHybrid predicts from bounds plus a learned residual when the
 	// forest is confident, escalating the rest to exact simulation.
 	EvalHybrid = "hybrid"
 )
 
 // Evaluators lists the selectable evaluator names.
-func Evaluators() []string { return []string{EvalExact, EvalBound, EvalHybrid} }
+func Evaluators() []string { return []string{EvalExact, EvalHybrid} }
 
 // Hybrid routing defaults. The escalation threshold is in log-cycle units
 // (the residual forest predicts ln(exact/lower), so a between-tree spread
@@ -74,15 +70,13 @@ type EvalOptions struct {
 }
 
 // Evaluator evaluates whole configurations: one run record per suite
-// application, simulated exactly or predicted analytically. It holds the
+// application, simulated exactly or predicted by the hybrid. It holds the
 // state every worker of a run shares — the program cache and, under the
 // hybrid, the residual routing state — while each worker evaluates through
 // its own EvalWorker. The collection engine and dserun use the same path.
 type Evaluator struct {
 	backend   string
 	maxCycles int64
-	// bound answers every configuration from the analytical bound model.
-	bound bool
 	// hybrid is the residual routing state; nil unless the hybrid router
 	// is selected. Its forests only change at refit.
 	hybrid *hybridState
@@ -102,7 +96,6 @@ func NewEvaluator(kind string, opt EvalOptions) (*Evaluator, error) {
 	e := &Evaluator{
 		backend:   opt.Backend,
 		maxCycles: opt.MaxCycles,
-		bound:     kind == EvalBound,
 		cache:     newProgramCache(),
 	}
 	if e.maxCycles <= 0 {
@@ -122,8 +115,8 @@ func (e *Evaluator) instrument(tel *Telemetry) {
 }
 
 // refit retrains the hybrid's residual forests on every escalation observed
-// so far — the work of a generation barrier. A no-op for the other
-// evaluators.
+// so far — the work of a generation barrier. A no-op for the exact
+// evaluator.
 func (e *Evaluator) refit() {
 	if e.hybrid != nil {
 		e.tel.evalRefresh(e.hybrid.refresh())
@@ -135,18 +128,17 @@ type Evaluation struct {
 	// Stats holds one run record per suite application, in suite order.
 	// For exact evaluations it is the simulator's full record; for
 	// predicted ones the architectural counts (retired, loads, stores...)
-	// are exact stream properties, the cycle count is the model's
+	// are exact stream properties, the cycle count is the hybrid's
 	// estimate, and the stall breakdown is the bound model's synthetic
 	// attribution (still summing to Cycles). On error it holds only the
 	// runs made before the failure, the failing run included.
 	Stats []simeng.Stats
-	// Predicted reports that Stats came from the analytical or learned
-	// model rather than exact simulation.
+	// Predicted reports that Stats came from the learned model rather
+	// than exact simulation.
 	Predicted bool
 	// Confidence is the self-assessed reliability of a predicted
-	// evaluation in (0, 1] — the bound model's Lower/Upper tightness, or a
-	// decreasing function of the residual forest's between-tree spread —
-	// and zero on exact ones.
+	// evaluation in (0, 1] — a decreasing function of the residual
+	// forest's between-tree spread — and zero on exact ones.
 	Confidence float64
 }
 
@@ -161,9 +153,9 @@ type EvalWorker struct {
 	plans []appPlan
 }
 
-// appPlan is one application's analytical estimate: its stream statistics
-// and bounds and, under the hybrid, its residual features and the forest's
-// log-space mean. A nil x marks an application the hybrid cannot learn from.
+// appPlan is one application's hybrid estimate: its stream statistics and
+// bounds, its residual features and the forest's log-space mean. A nil x
+// marks an application the hybrid cannot learn from.
 type appPlan struct {
 	st   isa.StreamStats
 	b    simeng.Bounds
@@ -193,17 +185,10 @@ func (w *EvalWorker) Evaluate(suite []workload.Workload, i int, cfg params.Confi
 	tel.beginConfig(worker)
 	w.stats = w.stats[:0]
 	w.plans = w.plans[:0]
-	if e.bound || e.hybrid != nil {
-		bm, conf, confident, err := w.estimate(suite, cfg)
-		if err != nil {
-			return Evaluation{}, err
-		}
-		if confident {
+	if e.hybrid != nil {
+		if bm, conf, confident := w.estimate(suite, cfg); confident {
 			for ai, p := range w.plans {
-				cycles := p.b.Lower
-				if e.hybrid != nil {
-					cycles = predictCycles(p.b, p.mean)
-				}
+				cycles := predictCycles(p.b, p.mean)
 				var t0 time.Time
 				if tel != nil {
 					t0 = time.Now()
@@ -234,49 +219,36 @@ func (w *EvalWorker) Evaluate(suite []workload.Workload, i int, cfg params.Confi
 	return Evaluation{Stats: w.stats}, err
 }
 
-// estimate plans every application of suite analytically into w.plans and
-// reports whether the whole configuration may be answered without
-// simulation, with the lowest per-application confidence. The bound
-// evaluator always answers, so its failures are errors; the hybrid instead
-// escalates anything it cannot plan — a stats error or a configuration
-// outside the bound model's domain.
-func (w *EvalWorker) estimate(suite []workload.Workload, cfg params.Config) (bm *simeng.BoundModel, conf float64, confident bool, err error) {
+// estimate plans every application of suite into w.plans for the hybrid
+// and reports whether the whole configuration may be answered without
+// simulation, with the lowest per-application confidence. Anything it
+// cannot plan — a stats error or a configuration outside the bound model's
+// domain — escalates to exact simulation, which reports the error if the
+// failure is real.
+func (w *EvalWorker) estimate(suite []workload.Workload, cfg params.Config) (bm *simeng.BoundModel, conf float64, confident bool) {
 	e := w.ev
-	bm, err = simeng.NewBoundModel(cfg.Core, cfg.MemProfile())
+	bm, err := simeng.NewBoundModel(cfg.Core, cfg.MemProfile())
 	if err != nil {
-		if e.hybrid != nil {
-			return nil, 0, false, nil
-		}
-		return nil, 0, false, err
+		return nil, 0, false
 	}
-	var feats []float64
-	if e.hybrid != nil {
-		feats = cfg.Features()
-	}
+	feats := cfg.Features()
 	conf, confident = 1, true
 	for _, app := range suite {
 		st, err := e.cache.getStats(app, cfg.Core.VectorLength, w.rc.worker)
 		if err != nil {
-			if e.hybrid == nil {
-				return nil, 0, false, fmt.Errorf("%s: %w", app.Name(), err)
-			}
 			w.plans = append(w.plans, appPlan{})
 			confident = false
 			continue
 		}
 		p := appPlan{st: st, b: bm.Bounds(st)}
-		if e.hybrid == nil {
-			conf = min(conf, boundTightness(p.b))
-		} else {
-			p.x = hybridFeatures(feats, bm, p.b)
-			mean, std, ok := e.hybrid.decide(app.Name(), p.x)
-			p.mean = mean
-			confident = confident && ok
-			conf = min(conf, spreadConfidence(std))
-		}
+		p.x = hybridFeatures(feats, bm, p.b)
+		mean, std, ok := e.hybrid.decide(app.Name(), p.x)
+		p.mean = mean
+		confident = confident && ok
+		conf = min(conf, spreadConfidence(std))
 		w.plans = append(w.plans, p)
 	}
-	return bm, conf, confident, nil
+	return bm, conf, confident
 }
 
 // simulate runs every application of suite on cfg exactly through the
@@ -305,15 +277,6 @@ func (w *EvalWorker) simulate(suite []workload.Workload, cfg params.Config) erro
 		}
 	}
 	return nil
-}
-
-// boundTightness maps a bounds pair to (0, 1]: 1 when the interval is a
-// point, shrinking as the upper bound loosens.
-func boundTightness(b simeng.Bounds) float64 {
-	if b.Upper <= b.Lower {
-		return 1
-	}
-	return float64(b.Lower) / float64(b.Upper)
 }
 
 // spreadConfidence maps the residual forest's between-tree log-space

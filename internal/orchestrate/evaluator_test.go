@@ -24,8 +24,8 @@ func TestEvaluatorFactoryErrors(t *testing.T) {
 	}{
 		{"empty is exact", "", false},
 		{"exact", EvalExact, false},
-		{"bound", EvalBound, false},
 		{"hybrid", EvalHybrid, false},
+		{"bound", "bound", true},
 		{"unknown", "oracle", true},
 		{"case sensitive", "Exact", true},
 		{"whitespace", " exact", true},
@@ -142,34 +142,6 @@ func TestExactEvaluatorMatchesRunOne(t *testing.T) {
 	}
 }
 
-func TestBoundEvaluatorPredicts(t *testing.T) {
-	cfg := params.ThunderX2()
-	w := tinySuite()[0]
-	got := evaluateOne(t, EvalBound, cfg, w)
-	st := got.Stats[0]
-	if !got.Predicted {
-		t.Error("bound evaluation claims exactness")
-	}
-	if got.Confidence <= 0 || got.Confidence > 1 {
-		t.Errorf("confidence = %g", got.Confidence)
-	}
-	if st.Cycles <= 0 {
-		t.Errorf("cycles = %d", st.Cycles)
-	}
-	if sum := st.Stalls.Total(); sum != st.Cycles {
-		t.Errorf("stall breakdown sums to %d, cycles %d", sum, st.Cycles)
-	}
-	// The prediction is the analytical lower bound, so exact simulation can
-	// only be slower.
-	exact, err := RunOneOn(BackendSST, cfg, w, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exact.Cycles < st.Cycles {
-		t.Errorf("exact %d below analytical lower bound %d", exact.Cycles, st.Cycles)
-	}
-}
-
 // rowRecorder captures every emitted row keyed by index.
 type rowRecorder struct {
 	mu   sync.Mutex
@@ -194,40 +166,6 @@ func (r *rowRecorder) indices() []int {
 	}
 	sort.Ints(idx)
 	return idx
-}
-
-func TestCollectBoundEval(t *testing.T) {
-	rec := newRowRecorder()
-	res, err := Collect(context.Background(), Options{
-		Seed: 5, Samples: 6, Workers: 3, Suite: tinySuite(),
-		Eval: EvalBound, Sink: rec,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Done != 6 {
-		t.Fatalf("done = %d", res.Done)
-	}
-	for _, i := range rec.indices() {
-		row := rec.rows[i]
-		if row.Failed() {
-			t.Fatalf("row %d failed: %v", i, row.Err)
-		}
-		if !row.Predicted {
-			t.Errorf("row %d not marked predicted", i)
-		}
-		if row.Confidence <= 0 || row.Confidence > 1 {
-			t.Errorf("row %d confidence = %g", i, row.Confidence)
-		}
-		for app, cycles := range row.Targets {
-			if cycles <= 0 {
-				t.Errorf("row %d %s cycles = %g", i, app, cycles)
-			}
-			if sum := row.Stalls[app].Total(); float64(sum) != cycles {
-				t.Errorf("row %d %s stall sum %d != cycles %g", i, app, sum, cycles)
-			}
-		}
-	}
 }
 
 // smallHybridGenerations shrinks the hybrid's fixed-source generation sizes

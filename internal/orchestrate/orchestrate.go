@@ -43,7 +43,7 @@ type Options struct {
 	// Backend selects the memory backend by name (BackendSST, BackendFlat,
 	// BackendProxy); empty uses BackendSST, the study's default.
 	Backend string
-	// Eval selects the per-config evaluator by name (EvalExact, EvalBound,
+	// Eval selects the per-config evaluator by name (EvalExact,
 	// EvalHybrid); empty uses EvalExact. See Engine.Eval — exact runs are
 	// byte-identical to pre-seam collections.
 	Eval string

@@ -38,7 +38,7 @@ type progEntry struct {
 	prog *workload.Program
 	err  error
 	// statsOnce/stats lazily summarise the program's stream for the
-	// analytical evaluators; exact-only runs never pay for the pass.
+	// hybrid evaluator; exact-only runs never pay for the pass.
 	statsOnce sync.Once
 	stats     isa.StreamStats
 }
@@ -78,7 +78,7 @@ func (pc *programCache) get(w workload.Workload, vl int, worker int) (*workload.
 }
 
 // getStats returns the (application, vector length) pair's stream statistics
-// — the analytical evaluators' input. The summary is computed once per entry,
+// — the hybrid evaluator's bound-model input. The summary is computed once per entry,
 // so every configuration sharing the pair answers from the cache.
 func (pc *programCache) getStats(w workload.Workload, vl int, worker int) (isa.StreamStats, error) {
 	prog, err := pc.get(w, vl, worker)

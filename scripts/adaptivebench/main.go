@@ -43,7 +43,7 @@ func run(args []string) error {
 		budget   = fs.Int("budget", 1024, "configs per run")
 		batch    = fs.Int("batch", 0, "proposal batch size: configs per generation barrier (0 = default)")
 		workers  = fs.Int("workers", 0, "worker pool size (0 = all cores)")
-		eval     = fs.String("eval", armdse.EvalHybrid, "evaluator (exact, bound or hybrid)")
+		eval     = fs.String("eval", armdse.EvalHybrid, "evaluator (exact or hybrid)")
 		escalate = fs.Float64("escalate", 2.0, "hybrid escalation threshold")
 	)
 	if err := fs.Parse(args); err != nil {
