@@ -156,7 +156,7 @@ func SampleConfigs(seed int64, n int) []Config { return params.SampleN(seed, n) 
 
 // ConfigAt derives the index-th configuration of seed's sampling stream in
 // O(1), without materialising earlier configurations — the indexed config
-// source behind Collect's worker-count/shard/resume invariance.
+// source behind Collect's worker-count and resume invariance.
 func ConfigAt(seed int64, index int) Config { return params.ConfigAt(seed, index) }
 
 // Simulate runs one workload on one configuration and returns the run
@@ -285,7 +285,7 @@ type (
 // Collect simulates every workload on each of the design space's sampled
 // configurations in parallel, returning the dataset (the paper's T1-T3
 // pipeline). Identical seeds yield byte-identical datasets regardless of
-// Workers, sharding, or interruption/resume; on cancellation the partial
+// Workers or interruption/resume; on cancellation the partial
 // result is returned alongside ctx.Err().
 func Collect(ctx context.Context, opt CollectOptions) (CollectResult, error) {
 	return orchestrate.Collect(ctx, opt)

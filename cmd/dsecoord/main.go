@@ -8,9 +8,16 @@
 // whose workers die mid-lease.
 //
 // Workers carrying a different seed/samples/suite identity or a different
-// column layout (a mismatched build) are rejected; duplicate uploads from
-// lease re-runs are deduplicated, and conflicting duplicates abort the
-// merge rather than silently corrupting the dataset.
+// column layout (a mismatched build) are rejected, and an upload that
+// disagrees with a row already journaled is refused rather than silently
+// corrupting the dataset.
+//
+// Every committed row is journaled to <out>.journal, in the format dsegen
+// journals to. After a crash, rerun dsecoord with the same flags (and start
+// workers again): it resumes the journal and leases only the configurations
+// it does not yet hold. The journal is dsegen's, so an interrupted
+// `dsegen -out <out>` run can be finished by a fleet, and an interrupted
+// fleet by `dsegen -out <out> -resume`.
 //
 // The listen address doubles as the monitor: /metrics (Prometheus),
 // /status (JSON fleet view: lease states, per-worker rows/sec, fleet ETA),
@@ -53,7 +60,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		addr    = fs.String("addr", "127.0.0.1:8070", "listen address for workers and the monitor (\":0\" picks a free port, printed at startup)")
 		samples = fs.Int("samples", 2000, "number of design-space configurations to collect across the fleet")
 		seed    = fs.Int64("seed", 1, "sampling seed (identical seeds reproduce identical datasets)")
-		out     = fs.String("out", "dataset.csv", "output CSV path (per-lease journals in <out>.fabric while running)")
+		out     = fs.String("out", "dataset.csv", "output CSV path (rows journaled to <out>.journal while running; a rerun with the same flags resumes it)")
 		paper   = fs.Bool("paper", false, "use the paper's Table IV inputs (1-5 minute runs each, as in the study)")
 		lease   = fs.Int("lease", 64, "configurations per lease")
 		chunk   = fs.Int("chunk", 16, "configurations per worker check-in: the advance granularity and minimum steal split")
@@ -67,6 +74,18 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	if *samples <= 0 {
 		return fmt.Errorf("samples %d <= 0", *samples)
+	}
+	// Lease geometry is checked before the runlog or journal exists; the
+	// coordinator would silently replace these with its defaults.
+	switch {
+	case *lease <= 0:
+		return fmt.Errorf("-lease %d <= 0", *lease)
+	case *chunk <= 0:
+		return fmt.Errorf("-chunk %d <= 0", *chunk)
+	case *chunk > *lease:
+		return fmt.Errorf("-chunk %d > -lease %d: a chunk is a slice of one lease", *chunk, *lease)
+	case *expiry <= 0:
+		return fmt.Errorf("-expiry %s <= 0", *expiry)
 	}
 
 	runlogPath := *runlog
@@ -125,7 +144,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 	if err := coord.Wait(ctx); err != nil {
 		st := coord.Status()
-		fmt.Fprintf(stderr, "interrupted: %d/%d configs journaled in %s.fabric\n", st.Done, st.Total, *out)
+		fmt.Fprintf(stderr, "interrupted: %d/%d configs journaled in %s.journal; rerun with the same flags to continue\n", st.Done, st.Total, *out)
 		return err
 	}
 	data, failed, err := coord.Merge()
@@ -133,7 +152,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	if data.Len() == 0 {
-		return fmt.Errorf("every configuration failed; journals kept in %s.fabric", *out)
+		return fmt.Errorf("every configuration failed; journal kept at %s.journal", *out)
 	}
 	if err := data.SaveFile(*out); err != nil {
 		return err

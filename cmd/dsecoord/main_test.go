@@ -53,34 +53,32 @@ func waitForURL(t *testing.T, buf *syncBuf) string {
 	return ""
 }
 
-// TestRunFleetMatchesSingleProcess drives the dsecoord entrypoint end to
-// end — coordinator on a kernel-assigned port, two in-process workers — and
-// checks the written dataset is byte-identical to the single-process
-// pipeline, the journal directory is cleaned up, and the runlog validates
-// structurally (meta first, lease events, summary last).
-func TestRunFleetMatchesSingleProcess(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulating real workloads; skipped in -short")
-	}
-	const seed, samples = 3, 6
+// collectJournal runs the single-process pipeline (dsegen's) into a
+// journal at path, skipping the indices skip names: a whole reference run
+// with a nil skip, or the journal an interrupted dsegen leaves behind.
+func collectJournal(t *testing.T, path string, seed int64, samples int, skip func(int) bool) {
+	t.Helper()
 	spec := fabric.NewSpec(seed, samples, false)
-
-	// Single-process reference: journal, compact, CSV — the dsegen pipeline.
-	dir := t.TempDir()
-	journal := filepath.Join(dir, "ref.journal")
-	sw, err := dataset.CreateStreamAux(journal, spec.Features, spec.Apps, spec.Aux, spec.Meta)
+	sw, err := dataset.CreateStreamAux(path, spec.Features, spec.Apps, spec.Aux, spec.Meta)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := orchestrate.Collect(context.Background(), orchestrate.Options{
 		Seed: seed, Samples: samples, Suite: spec.Suite(),
-		Sink: orchestrate.StreamSink{W: sw},
+		Sink: orchestrate.StreamSink{W: sw}, Skip: skip,
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// referenceCSV is the single-process dataset: journal, compact, CSV.
+func referenceCSV(t *testing.T, seed int64, samples int) []byte {
+	t.Helper()
+	journal := filepath.Join(t.TempDir(), "ref.journal")
+	collectJournal(t, journal, seed, samples, nil)
 	refDS, _, err := dataset.CompactStream(journal)
 	if err != nil {
 		t.Fatal(err)
@@ -89,18 +87,22 @@ func TestRunFleetMatchesSingleProcess(t *testing.T) {
 	if err := refDS.WriteCSV(&ref); err != nil {
 		t.Fatal(err)
 	}
+	return ref.Bytes()
+}
 
-	out := filepath.Join(dir, "fleet.csv")
+// runFleet runs dsecoord with args on a kernel-assigned port plus two
+// in-process workers, and returns its stdout once all three have finished.
+func runFleet(t *testing.T, args ...string) string {
+	t.Helper()
 	var stdout bytes.Buffer
 	var stderr syncBuf
 	coordErr := make(chan error, 1)
 	go func() {
-		coordErr <- run(context.Background(), []string{
-			"-addr", "127.0.0.1:0", "-samples", "6", "-seed", "3", "-out", out,
-			// Workers poll every 20ms, so half a second of linger guarantees
-			// both observe done:true instead of a vanished coordinator.
-			"-lease", "2", "-chunk", "1", "-expiry", "10s", "-linger", "500ms", "-q",
-		}, &stdout, &stderr)
+		// Workers poll every 20ms, so half a second of linger guarantees
+		// both observe done:true instead of a vanished coordinator.
+		coordErr <- run(context.Background(), append([]string{
+			"-addr", "127.0.0.1:0", "-expiry", "10s", "-linger", "500ms", "-q",
+		}, args...), &stdout, &stderr)
 	}()
 	url := waitForURL(t, &stderr)
 
@@ -127,19 +129,34 @@ func TestRunFleetMatchesSingleProcess(t *testing.T) {
 	if err := <-coordErr; err != nil {
 		t.Fatalf("coordinator: %v", err)
 	}
+	return stdout.String()
+}
+
+// TestRunFleetMatchesSingleProcess drives the dsecoord entrypoint end to
+// end — coordinator on a kernel-assigned port, two in-process workers — and
+// checks the written dataset is byte-identical to the single-process
+// pipeline, the journal is removed, and the runlog validates structurally
+// (meta first, lease events, summary last).
+func TestRunFleetMatchesSingleProcess(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulating real workloads; skipped in -short")
+	}
+	ref := referenceCSV(t, 3, 6)
+	out := filepath.Join(t.TempDir(), "fleet.csv")
+	stdout := runFleet(t, "-samples", "6", "-seed", "3", "-out", out, "-lease", "2", "-chunk", "1")
 
 	got, err := os.ReadFile(out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, ref.Bytes()) {
-		t.Errorf("fleet dataset differs from single-process reference (%d vs %d bytes)", len(got), ref.Len())
+	if !bytes.Equal(got, ref) {
+		t.Errorf("fleet dataset differs from single-process reference (%d vs %d bytes)", len(got), len(ref))
 	}
-	if !strings.Contains(stdout.String(), "6 rows x") || !strings.Contains(stdout.String(), "2 workers") {
-		t.Errorf("summary = %q", stdout.String())
+	if !strings.Contains(stdout, "6 rows x") || !strings.Contains(stdout, "2 workers") {
+		t.Errorf("summary = %q", stdout)
 	}
-	if _, err := os.Stat(out + ".fabric"); !os.IsNotExist(err) {
-		t.Error("journal directory not cleaned up")
+	if _, err := os.Stat(out + ".journal"); !os.IsNotExist(err) {
+		t.Error("journal not removed")
 	}
 
 	// Runlog structure: meta first, summary last, lease events in between.
@@ -189,6 +206,69 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		if err := run(context.Background(), args, &buf, &buf); err == nil {
 			t.Errorf("%s accepted", name)
 		}
+	}
+}
+
+// TestRunRejectsBadLeaseGeometry: a non-positive -lease, -chunk or -expiry,
+// or a chunk larger than its lease, is a usage error — not a silent fallback
+// to the defaults — and leaves no runlog or journal behind.
+func TestRunRejectsBadLeaseGeometry(t *testing.T) {
+	for _, args := range [][]string{
+		{"-lease", "-5"}, {"-lease", "0"},
+		{"-chunk", "-3"}, {"-chunk", "0"},
+		{"-expiry", "-1s"}, {"-expiry", "0s"},
+		{"-lease", "4", "-chunk", "8"},
+	} {
+		dir := t.TempDir()
+		var buf bytes.Buffer
+		err := run(context.Background(), append([]string{
+			"-addr", "127.0.0.1:0", "-samples", "10", "-out", filepath.Join(dir, "ds.csv"), "-q",
+		}, args...), &buf, &buf)
+		if err == nil || !strings.Contains(err.Error(), args[len(args)-2]) {
+			t.Errorf("%v: err = %v, want an error naming %s", args, err, args[len(args)-2])
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			t.Errorf("%v left %s behind", args, e.Name())
+		}
+	}
+}
+
+// TestRunFinishesInterruptedDsegen: an exact dsegen run interrupted with
+// part of its journal written is finished by a fleet on the same -out —
+// the coordinator resumes the journal, leases only the missing indices,
+// and the dataset is byte-identical to an uninterrupted run.
+func TestRunFinishesInterruptedDsegen(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulating real workloads; skipped in -short")
+	}
+	ref := referenceCSV(t, 3, 6)
+	out := filepath.Join(t.TempDir(), "ds.csv")
+	collectJournal(t, out+".journal", 3, 6, func(i int) bool { return i%3 == 2 })
+	runFleet(t, "-samples", "6", "-seed", "3", "-out", out, "-lease", "2", "-chunk", "1")
+
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, ref) {
+		t.Errorf("finished dataset differs from an uninterrupted run (%d vs %d bytes)", len(got), len(ref))
+	}
+	if _, err := os.Stat(out + ".journal"); !os.IsNotExist(err) {
+		t.Error("journal not removed")
+	}
+	var meta struct {
+		Type    string `json:"type"`
+		Resumed int    `json:"resumed"`
+	}
+	if err := json.Unmarshal([]byte(readLines(t, out+".runlog.jsonl")[0]), &meta); err != nil {
+		t.Fatal(err)
+	}
+	if meta.Type != "meta" || meta.Resumed != 4 {
+		t.Errorf("runlog meta = %+v, want resumed 4", meta)
 	}
 }
 

@@ -6,12 +6,12 @@
 // Rows are journaled to <out>.journal as they complete, so an interrupted
 // run (Ctrl-C, node eviction) keeps everything already simulated and can be
 // restarted with -resume; the final CSV is byte-identical to an
-// uninterrupted run with the same seed, regardless of -workers. Large
-// collections can be split across machines with -shard i/n (one output file
-// per shard, same seed everywhere): the shards partition the same index
-// space, so their union equals the unsharded run. Both guarantees hold for
-// the exact evaluator; -eval hybrid refuses -resume and -shard,
-// because its routing depends on earlier results in the same run.
+// uninterrupted run with the same seed, regardless of -workers. The
+// guarantee holds for the exact evaluator; -eval hybrid refuses -resume,
+// because its routing depends on earlier results in the same run. Large
+// collections spread over machines run as a dsecoord fleet, which journals
+// to the same <out>.journal: an interrupted exact run can be finished by
+// either tool.
 //
 // A run is observable while it executes: a structured JSONL run journal
 // (-runlog, default <out>.runlog.jsonl) records one line per configuration
@@ -25,9 +25,7 @@
 //
 //	dsegen -samples 2000 -seed 1 -out dataset.csv [-workers 16] [-paper]
 //	dsegen -samples 2000 -seed 1 -out dataset.csv -resume
-//	dsegen -samples 180006 -seed 1 -out shard3.csv -shard 3/8
 //	dsegen -seed 1 -out dataset.csv -search ucb -search-budget 500 -search-batch 50
-//	dsegen -seed 1 -out dataset.csv -search ei -search-workers 8
 //	dsegen -samples 2000 -seed 1 -out dataset.csv -http :8080
 //	dsegen -samples 2000 -seed 1 -out dataset.csv -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
 //	dsegen -worker http://coord-host:8070
@@ -68,8 +66,8 @@ func main() {
 
 // journalMeta identifies the dataset a journal belongs to, so -resume
 // refuses a journal from a run with a different seed, sample count, suite,
-// or evaluator. Workers and shard are excluded: both may change across a
-// resume without affecting which rows the journal holds. The evaluator is
+// or evaluator. Workers are excluded: they may change across a resume
+// without affecting which rows the journal holds. The evaluator is
 // included only when non-exact, keeping old exact journals resumable, and
 // makes resuming an exact journal under -eval hybrid (or vice versa) an
 // error — that would silently mix simulated and predicted rows. An adaptive
@@ -115,17 +113,15 @@ var workerAllowedFlags = map[string]bool{
 //     ignored at best and a split-brain run at worst);
 //   - -eval must name a known evaluator (previously checked deep inside
 //     the engine, after the journal was created);
-//   - -search and -shard are mutually exclusive (proposal batches depend
-//     on every earlier result, so the index space cannot be partitioned);
-//   - -eval hybrid excludes -resume and -shard: its routing depends on
-//     every earlier result in the run, and the journal does not record
-//     which rows were escalated, so neither a resumed run nor a union of
-//     shards would reproduce the uninterrupted run;
-//   - the search-subordinate flags (-search-budget ... -search-workers)
+//   - -eval hybrid excludes -resume: its routing depends on every earlier
+//     result in the run, and the journal does not record which rows were
+//     escalated, so a resumed run would not reproduce the uninterrupted
+//     run;
+//   - the search-subordinate flags (-search-budget ... -search-kappa)
 //     require -search: without it they would be silently ignored;
 //   - -search-budget, -search-batch and -search-pool must not be negative:
 //     the proposer would silently replace them with their defaults.
-func validateFlags(fs *flag.FlagSet, worker, eval, search, shard string, resume bool) error {
+func validateFlags(fs *flag.FlagSet, worker, eval, search string, resume bool) error {
 	if worker != "" {
 		var bad []string
 		fs.Visit(func(f *flag.Flag) {
@@ -142,11 +138,8 @@ func validateFlags(fs *flag.FlagSet, worker, eval, search, shard string, resume 
 	if eval != "" && !slices.Contains(armdse.Evaluators(), eval) {
 		return fmt.Errorf("unknown evaluator %q (want one of %v)", eval, armdse.Evaluators())
 	}
-	if search != "" && shard != "" {
-		return fmt.Errorf("-search and -shard are incompatible: proposal batches depend on every earlier result, so the index space cannot be partitioned across machines")
-	}
-	if eval == armdse.EvalHybrid && (resume || shard != "") {
-		return fmt.Errorf("-eval hybrid cannot be combined with -resume or -shard: hybrid routing depends on every earlier result in the run, and the journal does not record which rows were escalated")
+	if eval == armdse.EvalHybrid && resume {
+		return fmt.Errorf("-eval hybrid cannot be combined with -resume: hybrid routing depends on every earlier result in the run, and the journal does not record which rows were escalated")
 	}
 	if search == "" {
 		var bad []string
@@ -173,17 +166,7 @@ func validateFlags(fs *flag.FlagSet, worker, eval, search, shard string, resume 
 // meaningless, and therefore rejected, without -search.
 var searchSubFlags = map[string]bool{
 	"search-budget": true, "search-batch": true, "search-pool": true,
-	"search-kappa": true, "search-workers": true,
-}
-
-// parseShard parses "i/n" into (i, n).
-func parseShard(s string) (int, int, error) {
-	var i, n int
-	if _, err := fmt.Sscanf(s, "%d/%d", &i, &n); err != nil || n < 1 || i < 0 || i >= n ||
-		s != fmt.Sprintf("%d/%d", i, n) {
-		return 0, 0, fmt.Errorf("bad -shard %q, want i/n with 0 <= i < n", s)
-	}
-	return i, n, nil
+	"search-kappa": true,
 }
 
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
@@ -196,7 +179,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		workers  = fs.Int("workers", 0, "worker pool size (0 = all cores)")
 		paper    = fs.Bool("paper", false, "use the paper's Table IV inputs (1-5 minute runs each, as in the study)")
 		resume   = fs.Bool("resume", false, "resume an interrupted run from <out>.journal, skipping completed configs")
-		shard    = fs.String("shard", "", "collect only shard i/n of the index space (e.g. 3/8); union of shards = full run")
 		eval     = fs.String("eval", "", "per-config evaluator: exact (default) or hybrid (bounds + learned residual, escalating uncertain configs to exact)")
 		evalEsc  = fs.Float64("eval-escalate", 0, "hybrid escalation threshold on the residual forest's log spread (0 = default)")
 		srch     = fs.String("search", "", "adaptive proposal strategy: uniform, ucb or ei (\"\" = classic fixed sweep)")
@@ -204,7 +186,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		srchBat  = fs.Int("search-batch", 0, "adaptive proposal batch size: configs per generation (0 = default 64)")
 		srchPool = fs.Int("search-pool", 0, "adaptive candidate pool per batch (0 = default 8x batch)")
 		srchKap  = fs.Float64("search-kappa", 0, "ucb exploration weight on the forest spread (0 = default 2.0)")
-		srchWrk  = fs.Int("search-workers", 0, "acquisition concurrency: forest refits and candidate-pool scoring at each generation barrier (0 = -workers; proposals are identical at any value)")
 		quiet    = fs.Bool("q", false, "suppress progress output")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = fs.String("memprofile", "", "write an allocation profile to this file at exit")
@@ -217,7 +198,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := validateFlags(fs, *worker, *eval, *srch, *shard, *resume); err != nil {
+	if err := validateFlags(fs, *worker, *eval, *srch, *resume); err != nil {
 		return err
 	}
 	if *samples <= 0 {
@@ -244,16 +225,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			Log:     logw,
 		})
 	}
-	// Validate the shard spec before the journal exists, so a typo does not
-	// leave a stray empty journal behind.
-	shardIndex, shardCount := 0, 0
-	if *shard != "" {
-		shardIndex, shardCount, err = parseShard(*shard)
-		if err != nil {
-			return err
-		}
-	}
-
 	suite := armdse.TestSuite()
 	if *paper {
 		suite = armdse.PaperSuite()
@@ -269,10 +240,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if *srchBud > 0 {
 			budget = *srchBud
 		}
-		searchWorkers := *srchWrk
-		if searchWorkers <= 0 {
-			searchWorkers = *workers
-		}
+		// Barrier refits and pool scoring run while every simulation
+		// worker waits, so they use the same pool size; proposals are
+		// identical at any value.
 		proposer, err = armdse.NewProposer(armdse.ProposeOptions{
 			Strategy: *srch,
 			Seed:     *seed,
@@ -280,7 +250,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			Batch:    *srchBat,
 			Pool:     *srchPool,
 			Kappa:    *srchKap,
-			Workers:  searchWorkers,
+			Workers:  *workers,
 			Apps:     apps,
 		})
 		if err != nil {
@@ -368,13 +338,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stderr, "monitor: http://%s/\n", bound)
 		}
 	}
-	if err := tel.JournalMeta(*seed, budget, resolvedWorkers, shardIndex, shardCount, apps); err != nil {
+	if err := tel.JournalMeta(*seed, budget, resolvedWorkers, apps); err != nil {
 		return err
 	}
 
-	// A shard is a Skip predicate: it drops every index outside i mod n,
-	// alongside the indices a resumed journal already holds.
-	skipIndex := func(i int) bool { return skip[i] || (shardCount > 0 && i%shardCount != shardIndex) }
 	start := time.Now()
 	opt := armdse.CollectOptions{
 		Seed:         *seed,
@@ -387,7 +354,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		EvalEscalate: *evalEsc,
 		Validate:     true,
 		Sink:         armdse.NewStreamSink(sw),
-		Skip:         skipIndex,
+		Skip:         func(i int) bool { return skip[i] },
 		Telemetry:    tel,
 	}
 	if !*quiet {
@@ -437,13 +404,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
-	shardNote := ""
-	if *shard != "" {
-		shardNote = fmt.Sprintf(" [shard %s]", strings.TrimSpace(*shard))
-	}
-	fmt.Fprintf(stdout, "wrote %s: %d rows x %d features (+%d app targets), %d failed configs, %s%s\n",
+	fmt.Fprintf(stdout, "wrote %s: %d rows x %d features (+%d app targets), %d failed configs, %s\n",
 		*out, data.Len(), data.NumFeatures(), len(data.Apps), failed,
-		time.Since(start).Round(time.Second), shardNote)
+		time.Since(start).Round(time.Second))
 	if *httpAddr != "" && *linger > 0 {
 		if !*quiet {
 			fmt.Fprintf(stderr, "monitor lingering %s (interrupt to exit)\n", *linger)

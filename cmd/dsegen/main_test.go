@@ -43,12 +43,6 @@ func TestRunBadFlags(t *testing.T) {
 	if err := run(context.Background(), []string{"-samples", "0", "-q"}, &buf, &buf); err == nil {
 		t.Error("zero samples accepted")
 	}
-	out := filepath.Join(t.TempDir(), "ds.csv")
-	for _, s := range []string{"x", "3/2", "-1/2", "1/0", "1/2/3"} {
-		if err := run(context.Background(), []string{"-samples", "2", "-out", out, "-shard", s, "-q"}, &buf, &buf); err == nil {
-			t.Errorf("shard %q accepted", s)
-		}
-	}
 }
 
 func TestRunEvalUnknown(t *testing.T) {
@@ -193,31 +187,6 @@ func TestRunResumeV1Journal(t *testing.T) {
 	}
 }
 
-func TestRunShardUnionMatchesUnsharded(t *testing.T) {
-	dir := t.TempDir()
-	full := cliCSV(t, filepath.Join(dir, "full.csv"))
-	s0 := cliCSV(t, filepath.Join(dir, "s0.csv"), "-shard", "0/2")
-	s1 := cliCSV(t, filepath.Join(dir, "s1.csv"), "-shard", "1/2")
-
-	lines := func(b []byte) []string {
-		ls := strings.Split(strings.TrimSpace(string(b)), "\n")
-		return ls[1:] // drop header
-	}
-	union := map[string]bool{}
-	for _, l := range append(lines(s0), lines(s1)...) {
-		union[l] = true
-	}
-	fullLines := lines(full)
-	if len(union) != len(fullLines) {
-		t.Fatalf("shard union has %d rows, full run %d", len(union), len(fullLines))
-	}
-	for _, l := range fullLines {
-		if !union[l] {
-			t.Errorf("full-run row missing from shard union: %.60s...", l)
-		}
-	}
-}
-
 // TestRunAdaptiveUniform pins the adaptive control arm to the classic
 // sweep: -search uniform must produce a byte-identical CSV.
 func TestRunAdaptiveUniform(t *testing.T) {
@@ -263,11 +232,6 @@ func TestRunAdaptiveUCB(t *testing.T) {
 func TestRunAdaptiveRejects(t *testing.T) {
 	var buf bytes.Buffer
 	out := filepath.Join(t.TempDir(), "ds.csv")
-	err := run(context.Background(),
-		[]string{"-samples", "4", "-out", out, "-search", "ucb", "-shard", "0/2", "-q"}, &buf, &buf)
-	if err == nil || !strings.Contains(err.Error(), "-shard") {
-		t.Errorf("adaptive shard accepted: %v", err)
-	}
 	if err := run(context.Background(),
 		[]string{"-samples", "4", "-out", out, "-search", "anneal", "-q"}, &buf, &buf); err == nil {
 		t.Error("unknown strategy accepted")
@@ -295,7 +259,6 @@ func TestRunSearchSubFlagsRequireSearch(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "ds.csv")
 	var buf bytes.Buffer
 	cases := [][]string{
-		{"-search-workers", "4"},
 		{"-search-budget", "10", "-search-pool", "16"},
 		{"-search-batch", "8"},
 		{"-search-kappa", "3"},
@@ -320,19 +283,20 @@ func TestRunSearchSubFlagsRequireSearch(t *testing.T) {
 	}
 }
 
-// TestRunSearchWorkersCSVParity is the CLI face of the acquisition
-// determinism contract: -search-workers changes only the barrier wall time,
-// never the dataset bytes, and the runlog carries barrier records.
-func TestRunSearchWorkersCSVParity(t *testing.T) {
+// TestRunAdaptiveWorkersCSVParity is the CLI face of the adaptive
+// determinism contract: -workers sizes both the simulation pool and the
+// barrier's refits and pool scoring, and changes only wall time, never the
+// dataset bytes; the runlog carries barrier records.
+func TestRunAdaptiveWorkersCSVParity(t *testing.T) {
 	dir := t.TempDir()
 	common := []string{"-search", "ucb", "-search-budget", "12", "-search-batch", "4",
 		"-search-pool", "16"}
 	serial := cliCSV(t, filepath.Join(dir, "w1.csv"),
-		append(common, "-search-workers", "1")...)
+		append(common, "-workers", "1")...)
 	parallel := cliCSV(t, filepath.Join(dir, "w4.csv"),
-		append(common, "-search-workers", "4")...)
+		append(common, "-workers", "4")...)
 	if !bytes.Equal(serial, parallel) {
-		t.Error("-search-workers 4 CSV differs from -search-workers 1")
+		t.Error("-workers 4 adaptive CSV differs from -workers 1")
 	}
 	rl, err := os.ReadFile(filepath.Join(dir, "w4.csv.runlog.jsonl"))
 	if err != nil {

@@ -74,35 +74,45 @@ func TestRunEvalUnknownLeavesNoJournal(t *testing.T) {
 	}
 }
 
-func TestRunSearchShardExclusive(t *testing.T) {
-	dir := t.TempDir()
-	var buf bytes.Buffer
-	err := run(context.Background(),
-		[]string{"-samples", "4", "-out", filepath.Join(dir, "ds.csv"),
-			"-search", "ucb", "-shard", "0/2", "-q"},
-		&buf, &buf)
-	if err == nil || !strings.Contains(err.Error(), "-search and -shard are incompatible") {
-		t.Fatalf("err = %v", err)
+// -shard (a dsecoord fleet replaces it) and -search-workers (-workers
+// sizes the barrier too) are gone: both are unknown flags, refused before
+// any file exists.
+func TestRunRemovedFlagsUnknown(t *testing.T) {
+	for _, extra := range [][]string{
+		{"-shard", "0/2"},
+		{"-search", "ucb", "-search-workers", "2"},
+	} {
+		dir := t.TempDir()
+		var buf bytes.Buffer
+		args := append([]string{"-samples", "4", "-out", filepath.Join(dir, "ds.csv"), "-q"}, extra...)
+		err := run(context.Background(), args, &buf, &buf)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%v: err = %v, want an unknown-flag error", extra, err)
+		}
+		assertNoStrayFiles(t, dir)
 	}
-	assertNoStrayFiles(t, dir)
 }
 
 // Hybrid routing depends on earlier results in the same run, and the
-// journal does not record which rows were escalated: a resumed or sharded
-// hybrid run would not reproduce the uninterrupted one, so both are
-// refused before any file exists.
+// journal does not record which rows were escalated: a resumed hybrid run
+// would not reproduce the uninterrupted one, so it is refused before any
+// file exists. -shard, the other way to split a hybrid run, is gone and is
+// refused as an unknown flag, also before any file exists.
 func TestRunHybridRefusesResumeAndShard(t *testing.T) {
-	for name, extra := range map[string][]string{
-		"resume": {"-resume"},
-		"shard":  {"-shard", "0/2"},
+	for name, tc := range map[string]struct {
+		extra []string
+		want  string
+	}{
+		"resume": {[]string{"-resume"}, "-eval hybrid cannot be combined with -resume"},
+		"shard":  {[]string{"-shard", "0/2"}, "flag provided but not defined"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			var buf bytes.Buffer
-			args := append([]string{"-samples", "2", "-out", filepath.Join(dir, "ds.csv"), "-eval", "hybrid", "-q"}, extra...)
+			args := append([]string{"-samples", "2", "-out", filepath.Join(dir, "ds.csv"), "-eval", "hybrid", "-q"}, tc.extra...)
 			err := run(context.Background(), args, &buf, &buf)
-			if err == nil || !strings.Contains(err.Error(), "-eval hybrid cannot be combined with -resume or -shard") {
-				t.Fatalf("err = %v", err)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want %q", err, tc.want)
 			}
 			assertNoStrayFiles(t, dir)
 		})

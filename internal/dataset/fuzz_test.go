@@ -58,7 +58,7 @@ func fuzzJournal(t *testing.T, data []byte) string {
 
 // FuzzJournalHeader feeds arbitrary journal files to the resume and compact
 // paths, which must tolerate any torn, truncated or hostile content without
-// panicking: resume truncates to the last clean record boundary and keeps
+// panicking: resume cuts back to the last clean record boundary and keeps
 // appending, and whatever a resumed journal holds must compact.
 func FuzzJournalHeader(f *testing.F) {
 	names := []string{"a", "b"}
@@ -98,7 +98,10 @@ func FuzzJournalHeader(f *testing.F) {
 		s, err := ResumeStream(path, names, apps, meta)
 		if err == nil {
 			// A resumable journal must accept further rows and then compact.
-			if err := s.Append(len(s.Done()), false, []float64{7, 8}, map[string]float64{"app": 9}); err != nil {
+			next := 0
+			for done := s.Done(); done[next]; next++ {
+			}
+			if err := s.Append(next, false, []float64{7, 8}, map[string]float64{"app": 9}); err != nil {
 				t.Fatalf("appending to resumed journal: %v", err)
 			}
 			if err := s.Close(); err != nil {

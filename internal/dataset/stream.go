@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -18,8 +19,8 @@ import (
 // order. CompactStream turns a journal into a clean Dataset sorted by index
 // — because every row is keyed by its global index and configurations are
 // derived independently per index, the compacted output is byte-identical
-// regardless of worker count, shard assignment, or how many times the run
-// was interrupted and resumed.
+// regardless of worker count, which fleet worker simulated which row, or how
+// many times the run was interrupted and resumed.
 
 // Journal bookkeeping columns: index and failed ahead of the feature
 // columns, and an optional metadata column at the end whose header embeds a
@@ -33,18 +34,49 @@ const (
 	journalMetaPrefix = "_meta:"
 )
 
+// ErrConflict rejects an append whose row disagrees with the row already
+// journaled for its index. Every configuration is simulated
+// deterministically, so a true duplicate is value-identical; a conflicting
+// one means two runs computed different rows for one configuration, and it
+// must surface rather than be dropped.
+var ErrConflict = errors.New("dataset: conflicting rows for one index")
+
 // StreamWriter appends row records to an on-disk journal. All methods are
 // safe for concurrent use.
 type StreamWriter struct {
 	mu           sync.Mutex
 	f            *os.File
+	out          countingWriter
 	w            *csv.Writer
 	featureNames []string
 	apps         []string
 	auxNames     []string
 	meta         string
-	done         map[int]bool
+	// done maps each journaled index to the digest of its record, so a
+	// duplicate append can be told apart: identical is a no-op, different
+	// is ErrConflict.
+	done map[int]uint64
+	// size is the length of the journal's intact prefix. When torn, the
+	// bytes past it are a partial record — left by a crash or by a write
+	// that failed — and are cut before the next append. When unterminated,
+	// the prefix ends in a whole record whose newline a crash cut off, and
+	// the next append writes that newline first.
+	size         int64
+	torn         bool
+	unterminated bool
 	closed       bool
+}
+
+// countingWriter counts the bytes that reach the journal file.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // AuxNames returns the journal's auxiliary column set; empty for a
@@ -70,19 +102,15 @@ func CreateStreamAux(path string, featureNames, apps, auxNames []string, meta st
 	}
 	s := &StreamWriter{
 		f:            f,
-		w:            csv.NewWriter(f),
+		out:          countingWriter{w: f},
 		featureNames: append([]string(nil), featureNames...),
 		apps:         append([]string(nil), apps...),
 		auxNames:     append([]string(nil), auxNames...),
 		meta:         meta,
-		done:         make(map[int]bool),
+		done:         make(map[int]uint64),
 	}
-	if err := s.w.Write(s.header()); err != nil {
-		f.Close()
-		return nil, err
-	}
-	s.w.Flush()
-	if err := s.w.Error(); err != nil {
+	s.w = csv.NewWriter(&s.out)
+	if err := s.writeLocked([][]string{s.header()}); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -90,12 +118,13 @@ func CreateStreamAux(path string, featureNames, apps, auxNames []string, meta st
 }
 
 // ResumeStream reopens an existing journal for appending. It verifies the
-// header matches the expected columns and metadata, reads every intact
-// record to rebuild the set of completed indices, and truncates a torn
-// final record (a crash mid-write) so appending resumes from a clean
-// boundary. A metadata mismatch (e.g. the journal was written with a
-// different seed) is an error: appending would silently mix rows from two
-// different sampling streams.
+// header matches the expected columns and metadata and reads every intact
+// record to rebuild the set of completed indices. A torn final record (a
+// crash mid-write) is cut at the first append, so appending resumes from a
+// clean boundary; reopening alone never changes the file. A metadata
+// mismatch (e.g. the journal was written with a different seed) is an
+// error: appending would silently mix rows from two different sampling
+// streams.
 func ResumeStream(path string, featureNames, apps []string, meta string) (*StreamWriter, error) {
 	return ResumeStreamAux(path, featureNames, apps, nil, meta)
 }
@@ -114,7 +143,7 @@ func ResumeStreamAux(path string, featureNames, apps, auxNames []string, meta st
 		apps:         append([]string(nil), apps...),
 		auxNames:     append([]string(nil), auxNames...),
 		meta:         meta,
-		done:         make(map[int]bool),
+		done:         make(map[int]uint64),
 	}
 	cr := csv.NewReader(f)
 	cr.FieldsPerRecord = -1 // validate the header ourselves first
@@ -161,19 +190,27 @@ func ResumeStreamAux(path string, featureNames, apps, auxNames []string, meta st
 		if err != nil {
 			break
 		}
-		s.done[idx] = true
+		if _, dup := s.done[idx]; !dup {
+			s.done[idx] = recordDigest(rec[1:])
+		}
 		goodOffset = cr.InputOffset()
 	}
-	if err := f.Truncate(goodOffset); err != nil {
-		f.Close()
-		return nil, err
+	end, err := f.Seek(0, io.SeekEnd)
+	var last [1]byte
+	if err == nil {
+		_, err = f.ReadAt(last[:], goodOffset-1)
 	}
-	if _, err := f.Seek(goodOffset, io.SeekStart); err != nil {
+	if err == nil {
+		_, err = f.Seek(goodOffset, io.SeekStart)
+	}
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
 	s.f = f
-	s.w = csv.NewWriter(f)
+	s.out = countingWriter{w: f, n: goodOffset}
+	s.w = csv.NewWriter(&s.out)
+	s.size, s.torn, s.unterminated = goodOffset, end != goodOffset, last[0] != '\n'
 	return s, nil
 }
 
@@ -203,45 +240,126 @@ func (s *StreamWriter) Append(index int, failed bool, features []float64, target
 // AppendFull is Append with the row's auxiliary values; missing (or all,
 // via nil map) aux values journal as zero, mirroring failed rows' targets.
 func (s *StreamWriter) AppendFull(index int, failed bool, features []float64, targets, aux map[string]float64) error {
-	if len(features) != len(s.featureNames) {
-		return fmt.Errorf("dataset: journal row has %d features, want %d", len(features), len(s.featureNames))
-	}
-	rec := make([]string, 0, 3+len(features)+len(s.apps)+len(s.auxNames))
-	rec = append(rec, strconv.Itoa(index))
-	if failed {
-		rec = append(rec, "1")
-	} else {
-		rec = append(rec, "0")
-	}
-	for _, v := range features {
-		rec = append(rec, strconv.FormatFloat(v, 'g', -1, 64))
-	}
-	for _, a := range s.apps {
-		rec = append(rec, strconv.FormatFloat(targets[a], 'g', -1, 64))
-	}
-	for _, n := range s.auxNames {
-		rec = append(rec, strconv.FormatFloat(aux[n], 'g', -1, 64))
-	}
-	if s.meta != "" {
-		rec = append(rec, "")
+	return s.AppendRows([]StreamRow{{Index: index, Failed: failed, Features: features, Targets: targets, Aux: aux}})
+}
+
+// AppendRows journals rows as one unit and flushes them to the file. A row
+// whose index is already journaled with identical values is skipped; one
+// with different values fails the whole batch with ErrConflict. Either
+// every new row is journaled or none is: a failed write is cut back out of
+// the file before the next append.
+func (s *StreamWriter) AppendRows(rows []StreamRow) error {
+	recs := make([][]string, len(rows))
+	for i, r := range rows {
+		if len(r.Features) != len(s.featureNames) {
+			return fmt.Errorf("dataset: journal row has %d features, want %d", len(r.Features), len(s.featureNames))
+		}
+		recs[i] = s.record(r)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return fmt.Errorf("dataset: append to closed journal")
 	}
-	if s.done[index] {
-		return nil // resumed run raced a duplicate; first record wins
+	fresh := make(map[int]uint64, len(rows))
+	var write [][]string
+	for i, r := range rows {
+		sum := recordDigest(recs[i][1:])
+		prev, dup := s.done[r.Index]
+		if !dup {
+			prev, dup = fresh[r.Index]
+		}
+		if dup {
+			if prev != sum {
+				return fmt.Errorf("%w: index %d", ErrConflict, r.Index)
+			}
+			continue
+		}
+		fresh[r.Index] = sum
+		write = append(write, recs[i])
 	}
-	if err := s.w.Write(rec); err != nil {
+	if err := s.writeLocked(write); err != nil {
 		return err
+	}
+	for i, sum := range fresh {
+		s.done[i] = sum
+	}
+	return nil
+}
+
+// record encodes one row in the journal's column order.
+func (s *StreamWriter) record(r StreamRow) []string {
+	rec := make([]string, 0, 3+len(r.Features)+len(s.apps)+len(s.auxNames))
+	rec = append(rec, strconv.Itoa(r.Index))
+	if r.Failed {
+		rec = append(rec, "1")
+	} else {
+		rec = append(rec, "0")
+	}
+	for _, v := range r.Features {
+		rec = append(rec, strconv.FormatFloat(v, 'g', -1, 64))
+	}
+	for _, a := range s.apps {
+		rec = append(rec, strconv.FormatFloat(r.Targets[a], 'g', -1, 64))
+	}
+	for _, n := range s.auxNames {
+		rec = append(rec, strconv.FormatFloat(r.Aux[n], 'g', -1, 64))
+	}
+	if s.meta != "" {
+		rec = append(rec, "")
+	}
+	return rec
+}
+
+// writeLocked writes and flushes recs, first cutting any torn bytes past
+// the intact prefix. On a write error the journal is marked torn, so the
+// partial batch is cut before the next append. Caller holds mu.
+func (s *StreamWriter) writeLocked(recs [][]string) error {
+	if len(recs) == 0 {
+		return nil
+	}
+	if s.torn {
+		if err := s.f.Truncate(s.size); err != nil {
+			return err
+		}
+		if _, err := s.f.Seek(s.size, io.SeekStart); err != nil {
+			return err
+		}
+		s.out.n, s.torn = s.size, false
+	}
+	if s.unterminated {
+		if _, err := s.out.Write([]byte{'\n'}); err != nil {
+			s.torn = true
+			return err
+		}
+	}
+	for _, rec := range recs {
+		if err := s.w.Write(rec); err != nil {
+			break // the csv writer keeps the error; Error reports it
+		}
 	}
 	s.w.Flush()
 	if err := s.w.Error(); err != nil {
+		s.torn = true
+		s.w = csv.NewWriter(&s.out) // drop the failed writer's sticky error
 		return err
 	}
-	s.done[index] = true
+	s.size, s.unterminated = s.out.n, false
 	return nil
+}
+
+// recordDigest is the FNV-1a hash of a record's fields after the index:
+// equal rows format to equal strings, so equal digests.
+func recordDigest(fields []string) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for _, f := range fields {
+		for i := 0; i < len(f); i++ {
+			h = (h ^ uint64(f[i])) * prime
+		}
+		h = (h ^ ',') * prime
+	}
+	return h
 }
 
 // Done returns a copy of the set of journaled indices (including failures).
@@ -304,11 +422,11 @@ type StreamRow struct {
 }
 
 // ReadStreamRows reads every intact record of a collection journal, deduped
-// by index (first record wins, matching AppendFull) and sorted by global
-// index. Torn tail records and rows with unparseable values are dropped,
-// matching ResumeStream and CompactStream. This is the resume path's view
-// of a journal's contents — an adaptive run reconstructs its prior
-// generations from it.
+// by index (first record wins; StreamWriter never journals two different
+// records for one index) and sorted by global index. Torn tail records and
+// rows with unparseable values are dropped, matching ResumeStream and
+// CompactStream. This is the resume path's view of a journal's contents —
+// an adaptive run reconstructs its prior generations from it.
 func ReadStreamRows(path string) (StreamSchema, []StreamRow, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -1,6 +1,8 @@
 package dataset
 
 import (
+	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -77,8 +79,12 @@ func TestStreamResume(t *testing.T) {
 	if len(done) != 2 || !done[0] || !done[4] {
 		t.Fatalf("done = %v, want {0, 4}", done)
 	}
-	// A duplicate append of a done index is a silent no-op.
-	appendRow(t, r, 4, false, 99)
+	// A duplicate append of a done index is a no-op when identical and
+	// ErrConflict when its values differ.
+	appendRow(t, r, 4, false, 4)
+	if err := r.Append(4, false, []float64{99, 100}, nil); !errors.Is(err, ErrConflict) {
+		t.Errorf("conflicting duplicate: err = %v, want ErrConflict", err)
+	}
 	appendRow(t, r, 2, false, 2)
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
@@ -116,6 +122,10 @@ func TestStreamResumeTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
+	torn, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	r, err := ResumeStream(path, streamFeatures, streamApps, "")
 	if err != nil {
@@ -123,6 +133,11 @@ func TestStreamResumeTornTail(t *testing.T) {
 	}
 	if done := r.Done(); len(done) != 2 {
 		t.Fatalf("done = %v, want exactly indices 0 and 1", done)
+	}
+	// Reopening alone leaves the file as it was; the torn record is cut
+	// at the first append.
+	if b, err := os.ReadFile(path); err != nil || !bytes.Equal(b, torn) {
+		t.Fatalf("reopening changed the journal (err %v)", err)
 	}
 	// Index 2 can be re-journaled cleanly after truncation.
 	appendRow(t, r, 2, false, 2)
@@ -135,6 +150,46 @@ func TestStreamResumeTornTail(t *testing.T) {
 	}
 	if d.Len() != 3 || d.X[2][0] != 2 {
 		t.Fatalf("post-truncation dataset wrong: len %d", d.Len())
+	}
+}
+
+// TestStreamResumeUnterminatedRecord: a crash between a record's last
+// field and its newline leaves a whole record; resuming keeps it, and the
+// next append starts on a line of its own instead of joining it.
+func TestStreamResumeUnterminatedRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.csv")
+	s, err := CreateStream(path, streamFeatures, streamApps, "seed=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendRow(t, s, 0, false, 0)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, bytes.TrimSuffix(raw, []byte("\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := ResumeStream(path, streamFeatures, streamApps, "seed=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done := r.Done(); len(done) != 1 || !done[0] {
+		t.Fatalf("done = %v, want {0}", done)
+	}
+	appendRow(t, r, 1, false, 1)
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d, _, err := CompactStream(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Len() != 2 || d.X[1][0] != 1 {
+		t.Fatalf("compacted %d rows, want rows 0 and 1", d.Len())
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -19,21 +18,22 @@ import (
 )
 
 // The coordinator side of the fabric. A Coordinator owns the lease table,
-// one on-disk journal per lease (the streaming merge sink: workers upload
-// chunk by chunk and every committed row is on disk before the cursor
-// moves), the obs metrics/status surface, and the JSONL runlog. When the
-// table completes, Merge compacts the per-lease journals into the final
-// dataset with the same identity and conflict checks a single-process
-// resume gets.
+// the run's journal (workers upload chunk by chunk, and every committed row
+// is on disk before the cursor moves), the obs metrics/status surface, and
+// the JSONL runlog. The journal is <out>.journal in dsegen's format, so a
+// restarted coordinator resumes it exactly as dsegen -resume would, and
+// either tool can finish a collection the other started. When the table
+// completes, Merge compacts the journal into the final dataset.
 
 // CoordConfig configures a Coordinator. Zero values get defaults.
 type CoordConfig struct {
 	// Spec is the run identity; required (see NewSpec).
 	Spec Spec
-	// Out is the final dataset CSV path; required. Per-lease journals live
-	// in Dir (default Out + ".fabric") until Merge compacts them.
+	// Out is the final dataset CSV path; required. Committed rows are
+	// journaled to Out + ".journal" until Merge compacts them. When that
+	// journal exists, NewCoordinator resumes it: by determinism, a journal
+	// whose stamp matches holds exactly this run's rows.
 	Out string
-	Dir string
 	// LeaseSize is the config count per initial lease (default 64); Chunk
 	// is the advance/steal granularity (default 16, clamped to LeaseSize).
 	LeaseSize int
@@ -55,31 +55,29 @@ type CoordConfig struct {
 // Coordinator runs one fleet collection. Create with NewCoordinator, mount
 // Handler on an HTTP server, then Wait + Merge.
 type Coordinator struct {
-	spec   Spec
-	digest string
-	out    string
-	dir    string
-	table  *Table
-	reg    *obs.Registry
-	runlog *obs.Journal
-	logw   io.Writer
-	hbEach time.Duration
-	start  time.Time
+	spec    Spec
+	digest  string
+	path    string // the journal, Out + ".journal"
+	journal *dataset.StreamWriter
+	resumed int // rows journaled before this coordinator started
+	table   *Table
+	reg     *obs.Registry
+	runlog  *obs.Journal
+	logw    io.Writer
+	hbEach  time.Duration
+	start   time.Time
 
 	doneOnce sync.Once
 	doneCh   chan struct{}
 
-	// mu guards the journals, per-worker stats, row totals and runlog
-	// clock. Never held while taking the table lock.
-	mu       sync.Mutex
-	journals map[int]*dataset.StreamWriter
-	paths    map[int]string
-	workers  map[string]*fleetWorker
-	rows     int // journaled configs, duplicates excluded
-	failed   int // journaled failed configs
-	cycles   int64
-	lastHB   time.Time
-	merged   bool
+	// mu guards the per-worker stats, row totals and runlog clock. Never
+	// held while taking the table lock.
+	mu      sync.Mutex
+	workers map[string]*fleetWorker
+	failed  int // failed configs journaled by this coordinator
+	cycles  int64
+	lastHB  time.Time
+	merged  bool
 
 	mGrants, mExpiries, mSteals *obs.Counter
 	mRows                       *obs.Counter
@@ -100,9 +98,10 @@ type fleetWorker struct {
 	telAt    time.Time
 }
 
-// NewCoordinator builds the coordinator state: the lease table over the
-// spec's index space, the journal directory, the metric handles, and the
-// runlog meta record.
+// NewCoordinator builds the coordinator state: the journal, the lease table
+// over the indices it does not yet hold, the metric handles, and the runlog
+// meta record. A journal of another run (a different stamp or column
+// layout) is refused and left as it is.
 func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 	if cfg.Spec.Samples <= 0 {
 		return nil, fmt.Errorf("fabric: coordinator spec has %d samples", cfg.Spec.Samples)
@@ -125,25 +124,36 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 	if cfg.HeartbeatEvery <= 0 {
 		cfg.HeartbeatEvery = 5 * time.Second
 	}
-	if cfg.Dir == "" {
-		cfg.Dir = cfg.Out + ".fabric"
-	}
 	if cfg.Registry == nil {
 		cfg.Registry = obs.NewRegistry(1)
 	}
-	table, err := NewTable(cfg.Spec.Samples, cfg.LeaseSize, cfg.Chunk, cfg.Expiry)
+	path := cfg.Out + ".journal"
+	jw, resumed, err := openJournal(path, cfg.Spec)
 	if err != nil {
 		return nil, err
 	}
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+	// A resumed run's lease epochs start at the wall clock in nanoseconds.
+	// An earlier run re-granted a lease only after its deadline passed, so
+	// it issued at most one epoch per lease per nanosecond on top of a base
+	// that was 0 or its own start time: every epoch it issued is below the
+	// time it stopped. A worker left over from before the crash therefore
+	// never names a live lease; it gets 409 and asks for a new one.
+	epoch0 := 0
+	if resumed {
+		epoch0 = int(time.Now().UnixNano())
+	}
+	table, err := NewTable(cfg.Spec.Samples, cfg.LeaseSize, cfg.Chunk, cfg.Expiry, jw.Done(), epoch0)
+	if err != nil {
+		jw.Close()
 		return nil, err
 	}
 	r := cfg.Registry
 	c := &Coordinator{
 		spec:      cfg.Spec,
 		digest:    cfg.Spec.Digest(),
-		out:       cfg.Out,
-		dir:       cfg.Dir,
+		path:      path,
+		journal:   jw,
+		resumed:   jw.Len(),
 		table:     table,
 		reg:       r,
 		runlog:    cfg.Runlog,
@@ -151,8 +161,6 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		hbEach:    cfg.HeartbeatEvery,
 		start:     time.Now(),
 		doneCh:    make(chan struct{}),
-		journals:  make(map[int]*dataset.StreamWriter),
-		paths:     make(map[int]string),
 		workers:   make(map[string]*fleetWorker),
 		lastHB:    time.Now(),
 		mGrants:   r.Counter("armdse_fabric_lease_grants_total", "Leases granted, including re-grants after expiry."),
@@ -169,10 +177,32 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		gCycles:   r.Gauge("armdse_fabric_cycles_total", "Core cycles simulated across the fleet."),
 	}
 	c.gTotal.SetInt(int64(cfg.Spec.Samples))
-	if err := c.journalMeta(); err != nil {
-		return nil, err
+	c.gConfigs.SetInt(int64(c.resumed))
+	c.journalMeta(cfg)
+	if table.Done() {
+		c.signalDone()
 	}
 	return c, nil
+}
+
+// openJournal resumes the run's journal at path, or creates it when none
+// exists. ResumeStreamAux refuses another run's stamp or columns without
+// touching the file; a schema-v1 journal, which it would open with the
+// stall columns dropped, is refused here.
+func openJournal(path string, spec Spec) (jw *dataset.StreamWriter, resumed bool, err error) {
+	jw, err = dataset.ResumeStreamAux(path, spec.Features, spec.Apps, spec.Aux, spec.Meta)
+	if errors.Is(err, os.ErrNotExist) {
+		jw, err = dataset.CreateStreamAux(path, spec.Features, spec.Apps, spec.Aux, spec.Meta)
+		return jw, false, err
+	}
+	if err != nil {
+		return nil, false, err
+	}
+	if len(jw.AuxNames()) != len(spec.Aux) {
+		jw.Close()
+		return nil, false, fmt.Errorf("fabric: %s has no stall columns (schema v1); this run journals them", path)
+	}
+	return jw, true, nil
 }
 
 // Registry returns the coordinator's metrics registry.
@@ -328,31 +358,30 @@ func (c *Coordinator) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	var journaledFailed int
 	var journaledCycles int64
 	// The commit callback runs inside the table lock after the cursor move
-	// is validated and before it happens: the chunk's rows hit the lease
-	// journal (flushed per row) or the advance is rejected whole. A crash
-	// between commit and response just means the worker re-uploads a
-	// byte-identical chunk, which the journal dedupes.
+	// is validated and before it happens: the chunk's rows hit the journal
+	// as one flushed batch, or none of them do and the advance is rejected
+	// whole. A crash between commit and response loses nothing: the
+	// restarted coordinator finds the chunk journaled and leases only what
+	// is missing.
 	commit := func(lo, prev, hi int) error {
 		if len(req.Rows) != req.Cursor-prev {
 			return fmt.Errorf("%w: %d rows for range [%d, %d)", ErrBadAdvance, len(req.Rows), prev, req.Cursor)
 		}
-		for i := range req.Rows {
-			if req.Rows[i].Index != prev+i {
-				return fmt.Errorf("%w: row %d has index %d, want %d", ErrBadAdvance, i, req.Rows[i].Index, prev+i)
+		rows := make([]dataset.StreamRow, len(req.Rows))
+		for i, row := range req.Rows {
+			if row.Index != prev+i {
+				return fmt.Errorf("%w: row %d has index %d, want %d", ErrBadAdvance, i, row.Index, prev+i)
 			}
-		}
-		jw, err := c.journalFor(req.LeaseID)
-		if err != nil {
-			return err
-		}
-		for _, row := range req.Rows {
 			targets, aux, err := c.rowMaps(row)
 			if err != nil {
 				return err
 			}
-			if err := jw.AppendFull(row.Index, row.Failed, row.Features, targets, aux); err != nil {
-				return err
-			}
+			rows[i] = dataset.StreamRow{Index: row.Index, Failed: row.Failed, Features: row.Features, Targets: targets, Aux: aux}
+		}
+		if err := c.journal.AppendRows(rows); err != nil {
+			return err
+		}
+		for _, row := range req.Rows {
 			journaled++
 			journaledCycles += row.Cycles
 			if row.Failed {
@@ -401,49 +430,36 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, HeartbeatResponse{Hi: hi})
 }
 
-// statusFor maps lease-table errors to HTTP statuses: stale assignments are
-// conflicts (the worker drops the lease and re-acquires), unknown leases
-// are not-found, malformed advances are bad requests.
+// statusFor maps advance and heartbeat errors to HTTP statuses: stale
+// assignments are conflicts (the worker drops the lease and re-acquires),
+// unknown leases are not-found, malformed advances and rows that disagree
+// with the journal are bad requests, and a failed journal write is the
+// coordinator's own error.
 func statusFor(err error) int {
 	switch {
 	case errors.Is(err, ErrStaleLease):
 		return http.StatusConflict
 	case errors.Is(err, ErrUnknownLease):
 		return http.StatusNotFound
-	default:
+	case errors.Is(err, ErrBadAdvance), errors.Is(err, dataset.ErrConflict):
 		return http.StatusBadRequest
+	default:
+		return http.StatusInternalServerError
 	}
-}
-
-// journalFor returns (creating on first use) the lease's journal.
-func (c *Coordinator) journalFor(id int) (*dataset.StreamWriter, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if jw, ok := c.journals[id]; ok {
-		return jw, nil
-	}
-	path := filepath.Join(c.dir, fmt.Sprintf("lease-%04d.journal", id))
-	jw, err := dataset.CreateStreamAux(path, c.spec.Features, c.spec.Apps, c.spec.Aux, c.spec.Meta)
-	if err != nil {
-		return nil, err
-	}
-	c.journals[id] = jw
-	c.paths[id] = path
-	return jw, nil
 }
 
 // rowMaps rebuilds the journal's column-keyed maps from a wire row's
 // spec-ordered vectors.
 func (c *Coordinator) rowMaps(row WireRow) (targets, aux map[string]float64, err error) {
 	if len(row.Features) != len(c.spec.Features) {
-		return nil, nil, fmt.Errorf("fabric: row %d has %d features, spec has %d", row.Index, len(row.Features), len(c.spec.Features))
+		return nil, nil, fmt.Errorf("%w: row %d has %d features, spec has %d", ErrBadAdvance, row.Index, len(row.Features), len(c.spec.Features))
 	}
 	if row.Failed {
 		return nil, nil, nil
 	}
 	if len(row.Targets) != len(c.spec.Apps) || len(row.Aux) != len(c.spec.Aux) {
-		return nil, nil, fmt.Errorf("fabric: row %d has %d targets / %d aux, spec has %d / %d",
-			row.Index, len(row.Targets), len(row.Aux), len(c.spec.Apps), len(c.spec.Aux))
+		return nil, nil, fmt.Errorf("%w: row %d has %d targets / %d aux, spec has %d / %d",
+			ErrBadAdvance, row.Index, len(row.Targets), len(row.Aux), len(c.spec.Apps), len(c.spec.Aux))
 	}
 	targets = make(map[string]float64, len(c.spec.Apps))
 	for i, app := range c.spec.Apps {
@@ -489,7 +505,6 @@ func (c *Coordinator) noteRows(worker string, rows, failed int, cycles int64, no
 	_, _, _, doneConfigs := c.table.Counts()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.rows += rows
 	c.failed += failed
 	c.cycles += cycles
 	fw := c.workerLocked(worker, now)
@@ -499,14 +514,10 @@ func (c *Coordinator) noteRows(worker string, rows, failed int, cycles int64, no
 	c.mRows.Add(0, int64(rows))
 
 	elapsed := now.Sub(c.start)
-	rps := float64(doneConfigs) / elapsed.Seconds()
+	rps, eta := c.progress(doneConfigs, elapsed.Seconds())
 	c.gConfigs.SetInt(int64(doneConfigs))
 	c.gRPS.Set(rps)
 	c.gCycles.SetInt(c.cycles)
-	eta := 0.0
-	if doneConfigs > 0 && doneConfigs < c.spec.Samples {
-		eta = elapsed.Seconds() * float64(c.spec.Samples-doneConfigs) / float64(doneConfigs)
-	}
 	c.gETA.Set(eta)
 
 	if c.runlog != nil && (now.Sub(c.lastHB) >= c.hbEach || doneConfigs == c.spec.Samples) {
@@ -518,6 +529,20 @@ func (c *Coordinator) noteRows(worker string, rows, failed int, cycles int64, no
 		})
 		c.writeUtilLocked(now)
 	}
+}
+
+// progress returns the fleet's upload rate and ETA with done of the run's
+// configs finished after elapsed seconds. Rows the journal held at start
+// count as done but not toward the rate.
+func (c *Coordinator) progress(done int, elapsed float64) (rps, eta float64) {
+	ran := done - c.resumed
+	if elapsed > 0 {
+		rps = float64(ran) / elapsed
+	}
+	if ran > 0 && done < c.spec.Samples {
+		eta = elapsed * float64(c.spec.Samples-done) / float64(ran)
+	}
+	return rps, eta
 }
 
 // noteEvents records lease state transitions: counters, state gauges, the
@@ -555,28 +580,22 @@ func (c *Coordinator) noteEvents(events []LeaseEvent, now time.Time) {
 	}
 }
 
-// Merge closes the per-lease journals and compacts them into the final
-// dataset, verifying the merge covers the whole index space. Call after
-// Wait; the failed count reports configurations dropped by the validation
-// gate, exactly as a single-process compaction would.
+// Merge closes the journal and compacts it into the final dataset,
+// verifying it covers the whole index space. Call after Wait; the failed
+// count reports configurations dropped by the validation gate, exactly as
+// a single-process compaction would.
 func (c *Coordinator) Merge() (*dataset.Dataset, int, error) {
 	c.mu.Lock()
-	if c.merged {
-		c.mu.Unlock()
+	merged := c.merged
+	c.merged = true
+	c.mu.Unlock()
+	if merged {
 		return nil, 0, fmt.Errorf("fabric: coordinator already merged")
 	}
-	c.merged = true
-	var paths []string
-	for id, jw := range c.journals {
-		if err := jw.Close(); err != nil {
-			c.mu.Unlock()
-			return nil, 0, err
-		}
-		paths = append(paths, c.paths[id])
+	if err := c.journal.Close(); err != nil {
+		return nil, 0, err
 	}
-	c.mu.Unlock()
-	sort.Strings(paths)
-	ds, failed, err := dataset.MergeStreams(paths)
+	ds, failed, err := dataset.CompactStream(c.path)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -595,9 +614,9 @@ func (c *Coordinator) Merge() (*dataset.Dataset, int, error) {
 	return ds, failed, nil
 }
 
-// Cleanup removes the per-lease journal directory — call once the merged
-// dataset is safely written.
-func (c *Coordinator) Cleanup() error { return os.RemoveAll(c.dir) }
+// Cleanup removes the journal — call once the merged dataset is safely
+// written.
+func (c *Coordinator) Cleanup() error { return os.Remove(c.path) }
 
 // FleetWorkerStatus is one worker's row in the fleet status view. BusyS,
 // UpS and BusyFrac come from the worker's piggybacked telemetry (zero until
@@ -653,12 +672,7 @@ func (c *Coordinator) Status() FleetStatus {
 		LeaseGrants: ts.Granted, LeaseExpiries: ts.Expired, LeaseSteals: ts.Stolen,
 		Leases: ts.Leases,
 	}
-	if elapsed > 0 {
-		st.RowsPerSec = float64(ts.DoneConfigs) / elapsed
-	}
-	if ts.DoneConfigs > 0 && ts.DoneConfigs < c.spec.Samples {
-		st.ETASec = elapsed * float64(c.spec.Samples-ts.DoneConfigs) / float64(ts.DoneConfigs)
-	}
+	st.RowsPerSec, st.ETASec = c.progress(ts.DoneConfigs, elapsed)
 	for name, fw := range c.workers {
 		ws := FleetWorkerStatus{Name: name, Rows: fw.rows, LastSeenS: now.Sub(fw.lastSeen).Seconds()}
 		if d := fw.lastSeen.Sub(fw.first).Seconds(); d > 0 {
@@ -692,13 +706,14 @@ func (c *Coordinator) Status() FleetStatus {
 // record type is the fabric's own.
 
 type coordMeta struct {
-	Type         string     `json:"type"`
-	Version      int        `json:"version"`
-	Seed         int64      `json:"seed"`
-	Samples      int        `json:"samples"`
-	Workers      int        `json:"workers"`
-	ShardIndex   int        `json:"shard_index"`
-	ShardCount   int        `json:"shard_count"`
+	Type    string `json:"type"`
+	Version int    `json:"version"`
+	Seed    int64  `json:"seed"`
+	Samples int    `json:"samples"`
+	Workers int    `json:"workers"`
+	// Resumed counts the rows the journal held when the coordinator
+	// started: 0 on a fresh run.
+	Resumed      int        `json:"resumed"`
 	Apps         []string   `json:"apps"`
 	StallClasses []string   `json:"stall_classes"`
 	Fabric       coordFleet `json:"fabric"`
@@ -757,27 +772,17 @@ type coordSummary struct {
 	JournalBytes int64   `json:"journal_bytes"`
 }
 
-// journalMeta writes the runlog's first record. Workers is 0: the fleet
-// size is dynamic, discovered lease by lease.
-func (c *Coordinator) journalMeta() error {
-	if c.runlog == nil {
-		return nil
-	}
-	table := c.table
-	// Recover lease geometry from the table for the fabric block.
-	rec := coordMeta{
-		Type: "meta", Version: 1,
-		Seed: c.spec.Seed, Samples: c.spec.Samples,
-		Apps: c.spec.Apps, StallClasses: simeng.StallClassNames(),
-		Fabric: coordFleet{Chunk: table.chunk, ExpiryMS: table.expiry.Milliseconds()},
-	}
-	if len(table.leases) > 0 {
-		rec.Fabric.LeaseSize = table.leases[0].hi - table.leases[0].lo
-	}
+// journalMeta writes the runlog's first record from the defaulted config.
+// Workers is 0: the fleet size is dynamic, discovered lease by lease.
+func (c *Coordinator) journalMeta(cfg CoordConfig) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.writeRunlog(rec)
-	return nil
+	c.writeRunlog(coordMeta{
+		Type: "meta", Version: 1,
+		Seed: c.spec.Seed, Samples: c.spec.Samples, Resumed: c.resumed,
+		Apps: c.spec.Apps, StallClasses: simeng.StallClassNames(),
+		Fabric: coordFleet{LeaseSize: cfg.LeaseSize, Chunk: cfg.Chunk, ExpiryMS: cfg.Expiry.Milliseconds()},
+	})
 }
 
 // writeRunlog marshals and appends one runlog record. Caller holds mu.

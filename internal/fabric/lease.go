@@ -30,7 +30,7 @@ import (
 // and the re-granted lease resimulates exactly the rows that never landed.
 // Every (re)grant increments the lease's epoch, and Advance/Heartbeat
 // reject stale epochs, so a zombie worker whose lease was reassigned can
-// never move the cursor or corrupt the journals.
+// never move the cursor or corrupt the journal.
 //
 // Stealing: when Acquire finds nothing pending but active leases remain,
 // it splits the lease with the largest un-started remainder — everything
@@ -77,7 +77,7 @@ type tableLease struct {
 	id       int
 	lo, hi   int // [lo, hi) global index range; hi shrinks on steal
 	cursor   int // first index not yet uploaded
-	epoch    int // assignment generation; 0 = never granted
+	epoch    int // assignment generation; the table's epoch0 = never granted
 	state    leaseState
 	worker   string
 	deadline time.Time
@@ -92,14 +92,21 @@ type Table struct {
 	leases []*tableLease
 	chunk  int
 	expiry time.Duration
+	// epoch0 is every lease's epoch before its first grant; journaled
+	// counts the configurations done before the table was built.
+	epoch0    int
+	journaled int
 
 	granted, expired, stolen, completed int64
 }
 
-// NewTable partitions the index space [0, samples) into ceil(samples/
-// leaseSize) pending leases. chunk is the advance granularity (and minimum
-// steal split), expiry the heartbeat deadline.
-func NewTable(samples, leaseSize, chunk int, expiry time.Duration) (*Table, error) {
+// NewTable partitions the index space [0, samples), less the indices in
+// journaled, into pending leases of at most leaseSize contiguous configs;
+// with nothing journaled that is ceil(samples/leaseSize) leases. chunk is
+// the advance granularity (and minimum steal split), expiry the heartbeat
+// deadline, and epoch0 the epoch every lease starts from (its first grant
+// is epoch0+1).
+func NewTable(samples, leaseSize, chunk int, expiry time.Duration, journaled map[int]bool, epoch0 int) (*Table, error) {
 	if samples <= 0 {
 		return nil, fmt.Errorf("fabric: table over %d samples", samples)
 	}
@@ -109,15 +116,29 @@ func NewTable(samples, leaseSize, chunk int, expiry time.Duration) (*Table, erro
 	if expiry <= 0 {
 		return nil, fmt.Errorf("fabric: non-positive expiry %s", expiry)
 	}
-	t := &Table{chunk: chunk, expiry: expiry}
-	for lo := 0; lo < samples; lo += leaseSize {
-		hi := lo + leaseSize
-		if hi > samples {
-			hi = samples
+	t := &Table{chunk: chunk, expiry: expiry, epoch0: epoch0}
+	for lo := 0; lo < samples; {
+		if journaled[lo] {
+			t.journaled++
+			lo++
+			continue
 		}
-		t.leases = append(t.leases, &tableLease{id: len(t.leases), lo: lo, hi: hi, cursor: lo})
+		hi := lo + 1
+		for hi < samples && hi-lo < leaseSize && !journaled[hi] {
+			hi++
+		}
+		t.newLease(lo, hi)
+		lo = hi
 	}
 	return t, nil
+}
+
+// newLease appends a pending lease over [lo, hi). Caller holds mu or owns
+// the table.
+func (t *Table) newLease(lo, hi int) *tableLease {
+	l := &tableLease{id: len(t.leases), lo: lo, hi: hi, cursor: lo, epoch: t.epoch0}
+	t.leases = append(t.leases, l)
+	return l
 }
 
 // LeaseEvent records one state transition for the coordinator's runlog.
@@ -192,9 +213,8 @@ func (t *Table) Acquire(worker string, now time.Time) (lease *Lease, done bool, 
 		}
 		claimed := t.claimed(victim)
 		mid := claimed + (victim.hi-claimed)/2
-		stolen := &tableLease{id: len(t.leases), lo: mid, hi: victim.hi, cursor: mid}
+		stolen := t.newLease(mid, victim.hi)
 		victim.hi = mid
-		t.leases = append(t.leases, stolen)
 		t.stolen++
 		events = append(events, LeaseEvent{Event: "steal", Lease: victim.id, Epoch: victim.epoch,
 			Worker: victim.worker, Lo: stolen.lo, Hi: stolen.hi, Cursor: victim.cursor})
@@ -307,11 +327,13 @@ func (t *Table) doneLocked() bool {
 	return true
 }
 
-// Counts returns the per-state lease counts and the number of uploaded
-// configurations — the cheap snapshot behind the coordinator's gauges.
+// Counts returns the per-state lease counts and the number of done
+// configurations, journaled before the table was built or uploaded since —
+// the cheap snapshot behind the coordinator's gauges.
 func (t *Table) Counts() (pending, active, completed, doneConfigs int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	doneConfigs = t.journaled
 	for _, l := range t.leases {
 		switch l.state {
 		case leasePending:
@@ -342,8 +364,8 @@ type LeaseStatus struct {
 type TableStatus struct {
 	Pending, Active, Completed int
 	Granted, Expired, Stolen   int64
-	// DoneConfigs is the number of uploaded configurations (sum of
-	// cursor-lo over all leases).
+	// DoneConfigs is the number of done configurations: those journaled
+	// before the table was built plus cursor-lo over all leases.
 	DoneConfigs int
 	Leases      []LeaseStatus
 }
@@ -352,7 +374,7 @@ type TableStatus struct {
 func (t *Table) Status() TableStatus {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	st := TableStatus{Granted: t.granted, Expired: t.expired, Stolen: t.stolen}
+	st := TableStatus{Granted: t.granted, Expired: t.expired, Stolen: t.stolen, DoneConfigs: t.journaled}
 	for _, l := range t.leases {
 		switch l.state {
 		case leasePending:

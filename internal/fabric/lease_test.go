@@ -12,7 +12,7 @@ var t0 = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
 func mustTable(t *testing.T, samples, leaseSize, chunk int, expiry time.Duration) *Table {
 	t.Helper()
-	tab, err := NewTable(samples, leaseSize, chunk, expiry)
+	tab, err := NewTable(samples, leaseSize, chunk, expiry, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,15 +39,43 @@ func TestTablePartition(t *testing.T) {
 	}
 }
 
+// TestTablePartitionSkipsJournaled: a restarted table leases only the
+// indices its journal lacks, in runs of at most leaseSize, counts the rest
+// as done, and grants above its starting epoch.
+func TestTablePartitionSkipsJournaled(t *testing.T) {
+	journaled := map[int]bool{0: true, 1: true, 5: true, 9: true}
+	tab, err := NewTable(12, 3, 1, time.Minute, journaled, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := tab.Status()
+	wantRanges := [][2]int{{2, 5}, {6, 9}, {10, 12}}
+	if len(st.Leases) != len(wantRanges) || st.DoneConfigs != 4 {
+		t.Fatalf("leases %+v, done %d; want %v and 4 done", st.Leases, st.DoneConfigs, wantRanges)
+	}
+	for i, l := range st.Leases {
+		if l.Lo != wantRanges[i][0] || l.Hi != wantRanges[i][1] {
+			t.Errorf("lease %d = [%d, %d), want %v", i, l.Lo, l.Hi, wantRanges[i])
+		}
+	}
+	if lease, _, _ := tab.Acquire("w1", t0); lease.Epoch != 1001 {
+		t.Errorf("first grant epoch %d, want 1001", lease.Epoch)
+	}
+	full, err := NewTable(2, 4, 1, time.Minute, map[int]bool{0: true, 1: true}, 1000)
+	if err != nil || !full.Done() {
+		t.Errorf("fully journaled table: done %v, err %v", full != nil && full.Done(), err)
+	}
+}
+
 func TestTableRejectsBadGeometry(t *testing.T) {
 	for _, c := range []struct{ samples, lease, chunk int }{
 		{0, 8, 4}, {-1, 8, 4}, {10, 0, 4}, {10, 8, 0}, {10, 4, 8},
 	} {
-		if _, err := NewTable(c.samples, c.lease, c.chunk, time.Minute); err == nil {
+		if _, err := NewTable(c.samples, c.lease, c.chunk, time.Minute, nil, 0); err == nil {
 			t.Errorf("NewTable(%d, %d, %d) accepted", c.samples, c.lease, c.chunk)
 		}
 	}
-	if _, err := NewTable(10, 8, 4, 0); err == nil {
+	if _, err := NewTable(10, 8, 4, 0, nil, 0); err == nil {
 		t.Error("zero expiry accepted")
 	}
 }

@@ -3,7 +3,9 @@
 // out to dsegen -worker processes over HTTP, survives worker loss through
 // heartbeat-driven lease expiry and reassignment, splits straggling leases
 // so idle workers can steal their un-started tails, and streams every
-// uploaded row into per-lease journals that compact into one dataset.
+// uploaded row into one journal that compacts into the dataset. The journal
+// is the one dsegen writes, so a restarted coordinator resumes it the way
+// dsegen -resume does.
 //
 // The fabric inherits the repo's standing correctness bar and extends it
 // across machines: because every configuration is derived independently
@@ -37,8 +39,8 @@ type Spec struct {
 	Samples int   `json:"samples"`
 	// Paper selects the paper-scale workload inputs (dsegen -paper).
 	Paper bool `json:"paper"`
-	// Meta is the journal identity stamp (the _meta: header field) every
-	// per-lease journal is written under.
+	// Meta is the journal identity stamp (the _meta: header field) the
+	// run's journal is written under.
 	Meta string `json:"meta"`
 	// Features, Apps and Aux are the journal column layout, in order.
 	Features []string `json:"features"`
@@ -75,7 +77,8 @@ func (s Spec) Suite() []workload.Workload {
 }
 
 // RunMeta is the fabric's journal identity stamp for an exact-evaluator
-// collection — the same shape dsegen stamps into single-process journals.
+// collection — the string dsegen stamps into its journal for the same run,
+// so either tool resumes the other's journal.
 func RunMeta(seed int64, samples int, paper bool) string {
 	return fmt.Sprintf("seed=%d samples=%d paper=%t", seed, samples, paper)
 }

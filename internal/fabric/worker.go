@@ -22,7 +22,7 @@ import (
 // local build, then lease ranges and simulate them chunk by chunk, uploading
 // each chunk's rows with the cursor move that commits them. Workers are
 // stateless between leases — all durable state lives in the coordinator's
-// journals — so killing one at any instant loses at most the chunk it was
+// journal — so killing one at any instant loses at most the chunk it was
 // simulating.
 
 // WorkerConfig configures RunWorker. Coord is required; zero values

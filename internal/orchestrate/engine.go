@@ -20,7 +20,7 @@ import (
 //
 // The source yields design-space points by global index, derived
 // independently per index (params.ConfigAt), so any subset of indices can
-// be simulated on any worker, in any shard, or in any resumed run and the
+// be simulated on any worker, in any fleet lease, or in any resumed run and the
 // final dataset is identical. The worker stage simulates the full workload
 // suite on one configuration and emits a Row outcome record. The sink
 // consumes rows as they complete — in memory (DatasetSink) or streamed to
@@ -164,8 +164,7 @@ type Engine struct {
 	// default.
 	MaxCyclesPerRun int64
 	// Skip, when non-nil, drops index i before simulation — the resume
-	// hook (pass the journal's completed-index set) and the sharding hook
-	// (drop indices outside the shard).
+	// hook (pass the journal's completed-index set).
 	Skip func(i int) bool
 	// Progress, when non-nil, is invoked after every finished
 	// configuration.

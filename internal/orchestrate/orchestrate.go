@@ -7,7 +7,7 @@
 // Collection is organised as a staged engine (see Engine): an indexed
 // config source, a simulating worker stage, and a pluggable RowSink.
 // Collect wires the stages into the classic one-call API; callers needing
-// streaming output, sharding, or resume drive the options directly.
+// streaming output or resume drive the options directly.
 package orchestrate
 
 import (
@@ -24,7 +24,7 @@ import (
 type Options struct {
 	// Seed drives configuration derivation; identical seeds with
 	// identical options produce identical datasets, regardless of
-	// Workers, sharding, or resume point (configs are derived
+	// Workers or resume point (configs are derived
 	// independently per index — see params.ConfigAt).
 	Seed int64
 	// Samples is the size of the run's global index space. Ignored when
@@ -61,10 +61,9 @@ type Options struct {
 	// pass a StreamSink to journal rows to disk as they complete.
 	Sink RowSink
 	// Skip, when non-nil, drops index i without simulating it — the
-	// resume hook (pass the journal's completed-index set) and the
-	// sharding hook: shard i of n skips every index not congruent to i
-	// modulo n, and the union of all shards of a seed equals the unsharded
-	// run.
+	// resume hook (pass the journal's completed-index set). Any partition
+	// of a seed's indices into skipped and kept sets unions back to the
+	// full run.
 	Skip func(i int) bool
 	// Progress, when non-nil, receives a ProgressEvent after each
 	// configuration finishes. See Engine.Progress for the concurrency

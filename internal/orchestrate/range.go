@@ -8,7 +8,7 @@ import "armdse/internal/params"
 // this source and re-bases the emitted row indices by Lo (see Base), so the
 // rows it uploads carry the same global indices a single-process sweep
 // would journal: the union of all lease ranges compacts byte-identically to
-// the unsharded run, exactly like modulo shards.
+// the single-process run.
 type RangeSource struct {
 	Seed   int64
 	Lo, Hi int

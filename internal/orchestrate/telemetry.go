@@ -79,10 +79,8 @@ type Telemetry struct {
 
 	scratch []workerScratch
 
-	total int
-	// shardIndex/shardCount are set by JournalMeta, guarded by mu.
-	shardIndex, shardCount int
-	startedAt              time.Time
+	total     int
+	startedAt time.Time
 	// emitGen adds the proposal-generation tag to config records; bound
 	// true only for batch-source runs so fixed-sweep runlogs stay
 	// byte-identical.
@@ -155,8 +153,6 @@ type SweepStatus struct {
 	ETASec     float64 `json:"eta_s"`
 	RowsPerSec float64 `json:"rows_per_sec"`
 	Cycles     int64   `json:"cycles"`
-	ShardIndex int     `json:"shard_index"`
-	ShardCount int     `json:"shard_count"`
 	// Gen is the current proposal generation of an adaptive run (0 for
 	// fixed sweeps, which never bind the search gauges).
 	Gen     int              `json:"gen,omitempty"`
@@ -523,7 +519,6 @@ func (t *Telemetry) Status() SweepStatus {
 		st.Workers = append(st.Workers, WorkerProgress{Worker: w, Done: t.scratch[w].done.Load()})
 	}
 	t.mu.Lock()
-	st.ShardIndex, st.ShardCount = t.shardIndex, t.shardCount
 	st.Slowest = append(st.Slowest, t.slow...)
 	t.mu.Unlock()
 	sort.Slice(st.Slowest, func(i, j int) bool { return st.Slowest[i].WallMs > st.Slowest[j].WallMs })
@@ -535,20 +530,14 @@ func (t *Telemetry) Status() SweepStatus {
 func (t *Telemetry) StatusAny() any { return t.Status() }
 
 // JournalMeta writes the journal's header record identifying the run: seed,
-// index-space size, resolved worker count, shard, application order and the
-// stall-class taxonomy the per-config stall arrays are indexed by. The shard
-// is also recorded for the live status view, journal or not: sharding is
-// the caller's Skip predicate, so the engine never sees it.
-func (t *Telemetry) JournalMeta(seed int64, samples, workers, shardIndex, shardCount int, apps []string) error {
-	if t == nil {
+// index-space size, resolved worker count, application order and the
+// stall-class taxonomy the per-config stall arrays are indexed by.
+func (t *Telemetry) JournalMeta(seed int64, samples, workers int, apps []string) error {
+	if t == nil || t.journal == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.shardIndex, t.shardCount = shardIndex, shardCount
-	if t.journal == nil {
-		return nil
-	}
 	b := t.jbuf[:0]
 	b = append(b, `{"type":"meta","version":1,"seed":`...)
 	b = strconv.AppendInt(b, seed, 10)
@@ -556,10 +545,6 @@ func (t *Telemetry) JournalMeta(seed int64, samples, workers, shardIndex, shardC
 	b = strconv.AppendInt(b, int64(samples), 10)
 	b = append(b, `,"workers":`...)
 	b = strconv.AppendInt(b, int64(workers), 10)
-	b = append(b, `,"shard_index":`...)
-	b = strconv.AppendInt(b, int64(shardIndex), 10)
-	b = append(b, `,"shard_count":`...)
-	b = strconv.AppendInt(b, int64(shardCount), 10)
 	if t.Search != "" {
 		b = append(b, `,"search":`...)
 		b = appendJSONString(b, t.Search)

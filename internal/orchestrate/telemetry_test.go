@@ -30,7 +30,7 @@ func TestTelemetryCollect(t *testing.T) {
 
 	suite := tinySuite()
 	opt := Options{Seed: 11, Samples: 6, Workers: 2, Suite: suite, Telemetry: tel}
-	if err := tel.JournalMeta(opt.Seed, opt.Samples, opt.Workers, 0, 0, SuiteNames(suite)); err != nil {
+	if err := tel.JournalMeta(opt.Seed, opt.Samples, opt.Workers, SuiteNames(suite)); err != nil {
 		t.Fatal(err)
 	}
 	res, err := Collect(context.Background(), opt)
@@ -331,30 +331,6 @@ func TestProgressElapsedETA(t *testing.T) {
 	}
 }
 
-// TestStatusReportsShard pins that a sharded run's status view still
-// reports its shard: the engine only sees the shard as a Skip predicate, so
-// the shard reaches /status through JournalMeta, run journal or not.
-func TestStatusReportsShard(t *testing.T) {
-	tel := NewTelemetry(obs.NewRegistry(1), nil)
-	if err := tel.JournalMeta(1, 9, 1, 2, 3, SuiteNames(tinySuite())); err != nil {
-		t.Fatal(err)
-	}
-	res, err := Collect(context.Background(), Options{
-		Seed: 1, Samples: 9, Workers: 1, Suite: tinySuite(), Telemetry: tel,
-		Skip: func(i int) bool { return i%3 != 2 },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := tel.Status()
-	if st.ShardIndex != 2 || st.ShardCount != 3 {
-		t.Errorf("status shard = %d/%d, want 2/3", st.ShardIndex, st.ShardCount)
-	}
-	if res.Done != 3 || st.Done != 3 || st.Total != 3 {
-		t.Errorf("done %d, status done %d of %d, want 3 of 3", res.Done, st.Done, st.Total)
-	}
-}
-
 // TestNilTelemetryHooks drives every engine-facing hook on a nil hub — the
 // untelemetered path must be a pure no-op.
 func TestNilTelemetryHooks(t *testing.T) {
@@ -372,7 +348,7 @@ func TestNilTelemetryHooks(t *testing.T) {
 	if st := tel.Status(); st.Total != 0 {
 		t.Error("nil hub returned non-zero status")
 	}
-	if err := tel.JournalMeta(1, 1, 1, 0, 0, nil); err != nil {
+	if err := tel.JournalMeta(1, 1, 1, nil); err != nil {
 		t.Error(err)
 	}
 	if err := tel.JournalSummary(0, 0, 0); err != nil {

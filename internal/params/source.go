@@ -6,7 +6,7 @@ import "math/rand"
 // design-space point by a global index i in [0, Samples); ConfigAt derives
 // configuration i directly from (seed, i) without replaying a shared RNG
 // stream through configurations 0..i-1. That independence is what makes the
-// collected dataset identical regardless of worker count, shard assignment,
+// collected dataset identical regardless of worker count, fleet lease,
 // or resume point: any subset of indices can be produced anywhere, in any
 // order, and still agree byte-for-byte with a sequential run.
 //

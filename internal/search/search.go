@@ -85,7 +85,7 @@ func Best(obj Objective, opt Options) (Result, error) {
 	screened := 0
 	// Screening draws candidate i from the same indexed config source the
 	// collection engine uses (params.ConfigAt), so the pool is stable per
-	// (seed, index) and screening can be sharded or resumed like a
+	// (seed, index) and screening can be split or resumed like a
 	// collection run.
 	for i := 0; i < opt.Candidates; i++ {
 		cfg := params.ConfigAt(opt.Seed, i)

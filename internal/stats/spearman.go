@@ -7,13 +7,11 @@ import (
 )
 
 // SpearmanRank returns Spearman's rank correlation coefficient between two
-// paired samples — the sample-efficiency metric of the adaptive-search
-// evaluation, which compares the feature-importance ordering a small
-// adaptive budget recovers against the full sweep's. Ties receive average
-// ranks (the fractional-rank convention), which matters here: a design
-// space where two thirds of the parameters have ~zero importance would
-// otherwise have its coefficient dominated by the arbitrary ordering of
-// the irrelevant block. The coefficient is computed as the Pearson
+// paired samples, such as two feature-importance orderings of the same
+// parameters. Ties receive average ranks (the fractional-rank convention),
+// which matters for importances: a design space where two thirds of the
+// parameters have ~zero importance would otherwise have its coefficient
+// dominated by the arbitrary ordering of the irrelevant block. The coefficient is computed as the Pearson
 // correlation of the rank vectors, which is exact under ties.
 func SpearmanRank(a, b []float64) (float64, error) {
 	if len(a) != len(b) {

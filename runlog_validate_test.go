@@ -67,7 +67,7 @@ func runFixedSweep(t *testing.T, path string) {
 	tel := armdse.NewTelemetry(armdse.NewMetricsRegistry(2), j)
 	tel.HeartbeatEvery = time.Nanosecond
 	suite := armdse.TestSuite()
-	if err := tel.JournalMeta(11, 6, 2, 0, 0, armdse.SuiteNames(suite)); err != nil {
+	if err := tel.JournalMeta(11, 6, 2, armdse.SuiteNames(suite)); err != nil {
 		t.Fatal(err)
 	}
 	res, err := armdse.Collect(context.Background(), armdse.CollectOptions{
@@ -101,7 +101,7 @@ func runAdaptiveSweep(t *testing.T, path string) {
 	tel := armdse.NewTelemetry(armdse.NewMetricsRegistry(2), j)
 	tel.HeartbeatEvery = time.Nanosecond
 	tel.Search = proposer.Digest()
-	if err := tel.JournalMeta(11, 8, 2, 0, 0, apps); err != nil {
+	if err := tel.JournalMeta(11, 8, 2, apps); err != nil {
 		t.Fatal(err)
 	}
 	res, err := armdse.Collect(context.Background(), armdse.CollectOptions{

@@ -4,10 +4,13 @@
 # Builds dsecoord and dsegen, collects a 300-config single-process reference
 # dataset, then re-collects the same run through a coordinator with two
 # dsegen -worker processes on an ephemeral port. The fleet dataset must be
-# byte-identical to the reference (`cmp`), the per-lease journal directory
-# must be cleaned up, the coordinator's /metrics and /status endpoints must
-# serve the fleet accounting, and the coordinator runlog must validate
-# against scripts/runlog.schema.json. Exits non-zero on any failure.
+# byte-identical to the reference (`cmp`), its <out>.journal must be
+# removed, the coordinator's /metrics and /status endpoints must serve the
+# fleet accounting, and the coordinator runlog must validate against
+# scripts/runlog.schema.json. Then an interrupted dsegen run is finished by
+# a fleet on the same -out whose coordinator is killed mid-run and
+# restarted with the same flags; that dataset must be byte-identical to the
+# reference too. Exits non-zero on any failure.
 #
 # Usage:
 #   scripts/fabric_smoke.sh
@@ -28,22 +31,27 @@ go build -o "$TMP/dsereport" ./cmd/dsereport
 echo "== single-process reference ($SAMPLES configs)"
 "$TMP/dsegen" -samples "$SAMPLES" -seed "$SEED" -out "$TMP/ref.csv" -runlog none -q
 
+# start_coord OUT LINGER starts dsecoord on an ephemeral port, collecting
+# to OUT, and sets COORD_PID and ADDR. dsecoord prints
+# "coordinator: http://HOST:PORT/" on stderr before granting leases.
+start_coord() {
+	"$TMP/dsecoord" -samples "$SAMPLES" -seed "$SEED" -out "$1" \
+		-addr 127.0.0.1:0 -lease 32 -chunk 8 -expiry 30s -linger "$2" -q \
+		>"$TMP/dsecoord.out" 2>"$TMP/dsecoord.err" &
+	COORD_PID=$!
+	ADDR=""
+	for i in $(seq 1 100); do
+		ADDR=$(sed -n 's|^coordinator: http://\([^/]*\)/.*|\1|p' "$TMP/dsecoord.err" 2>/dev/null | head -1)
+		[[ -n "$ADDR" ]] && break
+		kill -0 "$COORD_PID" 2>/dev/null || { cat "$TMP/dsecoord.err" >&2; echo "FAIL: dsecoord exited early" >&2; exit 1; }
+		sleep 0.2
+	done
+	[[ -n "$ADDR" ]] || { echo "FAIL: coordinator address never printed" >&2; exit 1; }
+	echo "-- coordinator at $ADDR"
+}
+
 echo "== coordinator + 2 workers"
-"$TMP/dsecoord" -samples "$SAMPLES" -seed "$SEED" -out "$TMP/fleet.csv" \
-	-addr 127.0.0.1:0 -lease 32 -chunk 8 -expiry 30s -linger 5s -q \
-	>"$TMP/dsecoord.out" 2>"$TMP/dsecoord.err" &
-COORD_PID=$!
-# dsecoord binds an ephemeral port and prints "coordinator: http://HOST:PORT/"
-# on stderr before granting leases; wait for it.
-ADDR=""
-for i in $(seq 1 100); do
-	ADDR=$(sed -n 's|^coordinator: http://\([^/]*\)/.*|\1|p' "$TMP/dsecoord.err" 2>/dev/null | head -1)
-	[[ -n "$ADDR" ]] && break
-	kill -0 "$COORD_PID" 2>/dev/null || { cat "$TMP/dsecoord.err" >&2; echo "FAIL: dsecoord exited early" >&2; exit 1; }
-	sleep 0.2
-done
-[[ -n "$ADDR" ]] || { echo "FAIL: coordinator address never printed" >&2; exit 1; }
-echo "-- coordinator at $ADDR"
+start_coord "$TMP/fleet.csv" 5s
 
 "$TMP/dsegen" -worker "http://$ADDR" -worker-name smoke-a -q &
 WA=$!
@@ -97,7 +105,7 @@ cat "$TMP/dsecoord.out"
 echo "== fleet dataset must be byte-identical to the reference"
 cmp "$TMP/ref.csv" "$TMP/fleet.csv"
 echo "-- cmp OK ($(wc -c <"$TMP/fleet.csv") bytes)"
-[[ -e "$TMP/fleet.csv.fabric" ]] && { echo "FAIL: journal directory not cleaned up" >&2; exit 1; }
+[[ -e "$TMP/fleet.csv.journal" ]] && { echo "FAIL: journal not removed" >&2; exit 1; }
 
 echo "== validate coordinator runlog"
 python3 scripts/validate_runlog.py --require lease,util,heartbeat "$TMP/fleet.csv.runlog.jsonl"
@@ -131,5 +139,42 @@ threads = [e for e in evs if e["ph"] == "M" and e["name"] == "thread_name"]
 assert len(threads) == 2, threads
 print("-- trace: {n} events, {t} worker tracks".format(n=len(evs), t=len(threads)))
 ' "$TMP/fleet.trace.json"
+
+echo "== interrupted dsegen run finished by a fleet on the same -out"
+"$TMP/dsegen" -samples "$SAMPLES" -seed "$SEED" -out "$TMP/cross.csv" -workers 1 -runlog none -q &
+GEN_PID=$!
+sleep 3
+kill -INT "$GEN_PID"
+wait "$GEN_PID" && { echo "FAIL: dsegen finished before it was interrupted" >&2; exit 1; }
+START=$(($(wc -l <"$TMP/cross.csv.journal") - 1))
+echo "-- dsegen journaled $START configs"
+start_coord "$TMP/cross.csv" 2s
+"$TMP/dsegen" -worker "http://$ADDR" -worker-name cross-a -q 2>/dev/null &
+"$TMP/dsegen" -worker "http://$ADDR" -worker-name cross-b -q 2>/dev/null &
+# Kill the coordinator once the fleet has added rows of its own.
+for i in $(seq 1 300); do
+	DONE=$(curl -sf "http://$ADDR/status" | python3 -c 'import json, sys; print(json.load(sys.stdin)["done"])' || echo 0)
+	((DONE >= START + 16)) && break
+	sleep 0.1
+done
+kill -9 "$COORD_PID"
+wait "$COORD_PID" 2>/dev/null || true
+COORD_PID=""
+wait || true # the workers lose their coordinator and exit
+echo "-- coordinator killed at $DONE/$SAMPLES; restarting with the same flags"
+start_coord "$TMP/cross.csv" 2s
+"$TMP/dsegen" -worker "http://$ADDR" -worker-name cross-c -q &
+WC=$!
+"$TMP/dsegen" -worker "http://$ADDR" -worker-name cross-d -q &
+WD=$!
+wait "$WC" || { echo "FAIL: worker c failed" >&2; exit 1; }
+wait "$WD" || { echo "FAIL: worker d failed" >&2; exit 1; }
+wait "$COORD_PID" || { cat "$TMP/dsecoord.err" >&2; echo "FAIL: restarted dsecoord failed" >&2; exit 1; }
+COORD_PID=""
+RESUMED=$(head -1 "$TMP/cross.csv.runlog.jsonl" | python3 -c 'import json, sys; print(json.load(sys.stdin)["resumed"])')
+((RESUMED >= DONE)) || { echo "FAIL: restarted coordinator resumed $RESUMED rows, $DONE were done" >&2; exit 1; }
+cmp "$TMP/ref.csv" "$TMP/cross.csv"
+[[ -e "$TMP/cross.csv.journal" ]] && { echo "FAIL: journal not removed" >&2; exit 1; }
+echo "-- cmp OK: resumed $RESUMED journaled rows"
 
 echo "fabric smoke: PASS"

@@ -131,6 +131,6 @@ func EncodeConfig(c Config) []float64 { return params.Encode(c) }
 func DecodeConfig(f []float64) (Config, error) { return params.Decode(f) }
 
 // SpearmanRank returns Spearman's rank correlation between paired samples
-// (fractional ranks under ties) — the sample-efficiency metric comparing an
-// adaptive run's feature-importance ranking against the full sweep's.
+// (fractional ranks under ties), such as two feature-importance rankings
+// of the same parameters.
 func SpearmanRank(a, b []float64) (float64, error) { return stats.SpearmanRank(a, b) }
