@@ -291,35 +291,30 @@ func Collect(ctx context.Context, opt CollectOptions) (CollectResult, error) {
 	return orchestrate.Collect(ctx, opt)
 }
 
-// CreateStream starts a fresh collection journal at path; pass the result
-// to NewStreamSink to stream rows to disk as they complete. A non-empty
-// meta string (e.g. "seed=1 samples=2000") is stamped into the journal
-// header and must match on ResumeStream.
-func CreateStream(path string, featureNames, apps []string, meta string) (*StreamWriter, error) {
-	return dataset.CreateStream(path, featureNames, apps, meta)
-}
-
-// ResumeStream reopens an interrupted collection journal; its Done set is
-// the CollectOptions.Skip input for a resumed run. It is an error to resume
-// a journal whose columns or meta string differ from this run's — that
-// would silently mix rows from two different sampling streams.
-func ResumeStream(path string, featureNames, apps []string, meta string) (*StreamWriter, error) {
-	return dataset.ResumeStream(path, featureNames, apps, meta)
-}
-
-// CreateStreamAux is CreateStream with auxiliary (stall-breakdown) columns,
-// producing a schema-v2 journal; pass StallColumns(apps) to journal the
-// collection's per-class stall attribution alongside its cycle targets.
+// CreateStreamAux starts a fresh collection journal at path, truncating any
+// existing file; pass the result to NewStreamSink to stream rows to disk as
+// they complete. Pass StallColumns(apps) as auxNames to journal the
+// collection's per-class stall attribution alongside its cycle targets. A
+// non-empty meta string (see RunMeta) is stamped into the journal header
+// and must match on OpenJournal.
 func CreateStreamAux(path string, featureNames, apps, auxNames []string, meta string) (*StreamWriter, error) {
 	return dataset.CreateStreamAux(path, featureNames, apps, auxNames, meta)
 }
 
-// ResumeStreamAux is ResumeStream for journals created with CreateStreamAux.
-// Resuming a schema-v1 journal (written before stall columns existed) with
-// non-empty auxNames degrades gracefully: the writer drops the aux columns
-// and keeps appending in the journal's original layout.
-func ResumeStreamAux(path string, featureNames, apps, auxNames []string, meta string) (*StreamWriter, error) {
-	return dataset.ResumeStreamAux(path, featureNames, apps, auxNames, meta)
+// OpenJournal opens a collection run's journal the way dsegen and dsecoord
+// do: it creates the journal when none exists and resumes it (resumed is
+// true, and its Done set is the CollectOptions.Skip input) when its columns
+// and meta stamp are this run's. A journal of another run is refused and
+// left byte-unchanged — resuming it would mix rows from two runs.
+func OpenJournal(path string, featureNames, apps, auxNames []string, meta string) (sw *StreamWriter, resumed bool, err error) {
+	return dataset.OpenJournal(path, featureNames, apps, auxNames, meta)
+}
+
+// RunMeta is a collection journal's identity stamp: seed, sample count and
+// suite scale, plus the evaluator when it is not exact and an adaptive
+// run's proposer digest.
+func RunMeta(seed int64, samples int, paper bool, eval, search string) string {
+	return orchestrate.RunMeta(seed, samples, paper, eval, search)
 }
 
 // StallColumns returns the auxiliary column names a collection over the

@@ -12,12 +12,14 @@
 // disagrees with a row already journaled is refused rather than silently
 // corrupting the dataset.
 //
-// Every committed row is journaled to <out>.journal, in the format dsegen
-// journals to. After a crash, rerun dsecoord with the same flags (and start
-// workers again): it resumes the journal and leases only the configurations
-// it does not yet hold. The journal is dsegen's, so an interrupted
-// `dsegen -out <out>` run can be finished by a fleet, and an interrupted
-// fleet by `dsegen -out <out> -resume`.
+// Every committed row is journaled to <out>.journal, which dsecoord and
+// dsegen open through one policy: a rerun with the same flags resumes it,
+// and a journal of another run is refused and left, with the runlog, as it
+// was. After a crash, rerun dsecoord with the same flags (and start workers
+// again): it leases only the configurations the journal does not yet hold.
+// An interrupted exact `dsegen -out <out>` run can be finished by a fleet,
+// and an interrupted fleet by rerunning `dsegen -out <out>` with the same
+// -seed and -samples.
 //
 // The listen address doubles as the monitor: /metrics (Prometheus),
 // /status (JSON fleet view: lease states, per-worker rows/sec, fleet ETA),
@@ -88,27 +90,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("-expiry %s <= 0", *expiry)
 	}
 
-	runlogPath := *runlog
-	if runlogPath == "" {
-		runlogPath = *out + ".runlog.jsonl"
-	}
-	if runlogPath == "none" || runlogPath == "off" {
-		runlogPath = ""
-	}
-	var rj *obs.Journal
-	if runlogPath != "" {
-		var err error
-		rj, err = obs.CreateJournal(runlogPath)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if rj != nil {
-				rj.Close()
-			}
-		}()
-	}
-
 	var logw io.Writer
 	if !*quiet {
 		logw = stderr
@@ -120,12 +101,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		LeaseSize: *lease,
 		Chunk:     *chunk,
 		Expiry:    *expiry,
-		Runlog:    rj,
+		Runlog:    obs.RunlogPath(*runlog, *out),
 		Log:       logw,
 	})
 	if err != nil {
 		return err
 	}
+	defer coord.Close()
 	srv, bound, err := obs.Serve(*addr, coord.Handler())
 	if err != nil {
 		return err
@@ -160,12 +142,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err := coord.Cleanup(); err != nil {
 		return err
 	}
-	if rj != nil {
-		err := rj.Close()
-		rj = nil
-		if err != nil {
-			return err
-		}
+	if err := coord.Close(); err != nil {
+		return err
 	}
 	st := coord.Status()
 	fmt.Fprintf(stdout, "wrote %s: %d rows x %d features (+%d app targets), %d failed configs, %s [%d workers, %d grants, %d expiries, %d steals]\n",

@@ -272,6 +272,43 @@ func TestRunFinishesInterruptedDsegen(t *testing.T) {
 	}
 }
 
+// TestRunRestartRefusesForeignJournal: a rerun on an -out whose journal is
+// another run's (here, another -seed) exits before serving and leaves both
+// the journal and the earlier run's runlog byte-unchanged.
+func TestRunRestartRefusesForeignJournal(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "ds.csv")
+	spec := fabric.NewSpec(4, 6, false)
+	sw, err := dataset.CreateStreamAux(out+".journal", spec.Features, spec.Apps, spec.Aux, spec.Meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	runlog := out + ".runlog.jsonl"
+	if err := os.WriteFile(runlog, []byte(`{"type":"meta","seed":4}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := map[string][]byte{}
+	for _, f := range []string{out + ".journal", runlog} {
+		if before[f], err = os.ReadFile(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	err = run(context.Background(), []string{
+		"-addr", "127.0.0.1:0", "-samples", "6", "-seed", "3", "-out", out, "-q",
+	}, &buf, &buf)
+	for f, b := range before {
+		if after, err := os.ReadFile(f); err != nil || !bytes.Equal(after, b) {
+			t.Errorf("refused restart changed %s (err %v)", filepath.Base(f), err)
+		}
+	}
+	if err == nil || !strings.Contains(err.Error(), "another run") {
+		t.Errorf("foreign journal: err = %v", err)
+	}
+}
+
 func TestRunRunlogDisabled(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "ds.csv")

@@ -4,13 +4,15 @@
 // pipeline in one binary.
 //
 // Rows are journaled to <out>.journal as they complete, so an interrupted
-// run (Ctrl-C, node eviction) keeps everything already simulated and can be
-// restarted with -resume; the final CSV is byte-identical to an
-// uninterrupted run with the same seed, regardless of -workers. The
-// guarantee holds for the exact evaluator; -eval hybrid refuses -resume,
-// because its routing depends on earlier results in the same run. Large
-// collections spread over machines run as a dsecoord fleet, which journals
-// to the same <out>.journal: an interrupted exact run can be finished by
+// run (Ctrl-C, node eviction) keeps everything already simulated: rerun it
+// with the same flags and it resumes the journal, and the final CSV is
+// byte-identical to an uninterrupted run, regardless of -workers. A journal
+// of another run (a different seed, sample count, suite, evaluator or
+// search) is refused and left as it is. The guarantee holds for the exact
+// evaluator; -eval hybrid refuses any existing journal, because its
+// routing depends on earlier results in the same run. Large collections
+// spread over machines run as a dsecoord fleet, which opens the same
+// <out>.journal the same way: an interrupted exact run can be finished by
 // either tool.
 //
 // A run is observable while it executes: a structured JSONL run journal
@@ -24,7 +26,6 @@
 // Usage:
 //
 //	dsegen -samples 2000 -seed 1 -out dataset.csv [-workers 16] [-paper]
-//	dsegen -samples 2000 -seed 1 -out dataset.csv -resume
 //	dsegen -seed 1 -out dataset.csv -search ucb -search-budget 500 -search-batch 50
 //	dsegen -samples 2000 -seed 1 -out dataset.csv -http :8080
 //	dsegen -samples 2000 -seed 1 -out dataset.csv -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
@@ -64,28 +65,6 @@ func main() {
 	}
 }
 
-// journalMeta identifies the dataset a journal belongs to, so -resume
-// refuses a journal from a run with a different seed, sample count, suite,
-// or evaluator. Workers are excluded: they may change across a resume
-// without affecting which rows the journal holds. The evaluator is
-// included only when non-exact, keeping old exact journals resumable, and
-// makes resuming an exact journal under -eval hybrid (or vice versa) an
-// error — that would silently mix simulated and predicted rows. An adaptive
-// run additionally stamps its proposer digest (strategy, seed, budget,
-// batch geometry): a proposed-batch journal resumed under different search
-// settings would replay a different proposal sequence, so it is rejected
-// the same way.
-func journalMeta(seed int64, samples int, paper bool, eval, searchDigest string) string {
-	m := fmt.Sprintf("seed=%d samples=%d paper=%t", seed, samples, paper)
-	if eval != "" && eval != armdse.EvalExact {
-		m += " eval=" + eval
-	}
-	if searchDigest != "" {
-		m += " search=" + searchDigest
-	}
-	return m
-}
-
 // batchSource wraps a possibly-nil proposer for the Batches option without
 // producing a non-nil interface around a nil pointer (which would switch
 // the engine into batch mode with no proposer).
@@ -113,15 +92,11 @@ var workerAllowedFlags = map[string]bool{
 //     ignored at best and a split-brain run at worst);
 //   - -eval must name a known evaluator (previously checked deep inside
 //     the engine, after the journal was created);
-//   - -eval hybrid excludes -resume: its routing depends on every earlier
-//     result in the run, and the journal does not record which rows were
-//     escalated, so a resumed run would not reproduce the uninterrupted
-//     run;
 //   - the search-subordinate flags (-search-budget ... -search-kappa)
 //     require -search: without it they would be silently ignored;
 //   - -search-budget, -search-batch and -search-pool must not be negative:
 //     the proposer would silently replace them with their defaults.
-func validateFlags(fs *flag.FlagSet, worker, eval, search string, resume bool) error {
+func validateFlags(fs *flag.FlagSet, worker, eval, search string) error {
 	if worker != "" {
 		var bad []string
 		fs.Visit(func(f *flag.Flag) {
@@ -137,9 +112,6 @@ func validateFlags(fs *flag.FlagSet, worker, eval, search string, resume bool) e
 	}
 	if eval != "" && !slices.Contains(armdse.Evaluators(), eval) {
 		return fmt.Errorf("unknown evaluator %q (want one of %v)", eval, armdse.Evaluators())
-	}
-	if eval == armdse.EvalHybrid && resume {
-		return fmt.Errorf("-eval hybrid cannot be combined with -resume: hybrid routing depends on every earlier result in the run, and the journal does not record which rows were escalated")
 	}
 	if search == "" {
 		var bad []string
@@ -175,10 +147,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	var (
 		samples  = fs.Int("samples", 2000, "number of design-space configurations to simulate")
 		seed     = fs.Int64("seed", 1, "sampling seed (identical seeds reproduce identical datasets)")
-		out      = fs.String("out", "dataset.csv", "output CSV path (rows journaled to <out>.journal while running)")
+		out      = fs.String("out", "dataset.csv", "output CSV path (rows journaled to <out>.journal while running; a rerun with the same flags resumes it)")
 		workers  = fs.Int("workers", 0, "worker pool size (0 = all cores)")
 		paper    = fs.Bool("paper", false, "use the paper's Table IV inputs (1-5 minute runs each, as in the study)")
-		resume   = fs.Bool("resume", false, "resume an interrupted run from <out>.journal, skipping completed configs")
 		eval     = fs.String("eval", "", "per-config evaluator: exact (default) or hybrid (bounds + learned residual, escalating uncertain configs to exact)")
 		evalEsc  = fs.Float64("eval-escalate", 0, "hybrid escalation threshold on the residual forest's log spread (0 = default)")
 		srch     = fs.String("search", "", "adaptive proposal strategy: uniform, ucb or ei (\"\" = classic fixed sweep)")
@@ -198,7 +169,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := validateFlags(fs, *worker, *eval, *srch, *resume); err != nil {
+	if err := validateFlags(fs, *worker, *eval, *srch); err != nil {
 		return err
 	}
 	if *samples <= 0 {
@@ -262,50 +233,35 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		searchDigest = proposer.Digest()
 	}
 	journal := *out + ".journal"
-	meta := journalMeta(*seed, budget, *paper, *eval, searchDigest)
-
-	aux := armdse.StallColumns(apps)
-
-	var sw *armdse.StreamWriter
-	if *resume {
-		// Resuming a pre-stall-column (schema v1) journal keeps its layout:
-		// ResumeStreamAux drops the aux columns rather than rejecting it.
-		sw, err = armdse.ResumeStreamAux(journal, features, apps, aux, meta)
-		if errors.Is(err, os.ErrNotExist) {
-			fmt.Fprintf(stderr, "no journal at %s; starting fresh\n", journal)
-			sw, err = armdse.CreateStreamAux(journal, features, apps, aux, meta)
-		}
-	} else {
-		sw, err = armdse.CreateStreamAux(journal, features, apps, aux, meta)
-	}
+	sw, resumed, err := armdse.OpenJournal(journal, features, apps, armdse.StallColumns(apps),
+		armdse.RunMeta(*seed, budget, *paper, *eval, searchDigest))
 	if err != nil {
 		return err
 	}
+	defer sw.Close()
+	if resumed && *eval == armdse.EvalHybrid {
+		return fmt.Errorf("-eval hybrid does not resume %s: hybrid routing depends on every earlier result in the run, and the journal does not record which rows were escalated; remove it to start over", journal)
+	}
 	skip := sw.Done()
-	if *resume && len(skip) > 0 && !*quiet {
-		fmt.Fprintf(stderr, "resuming: %d configs already journaled\n", len(skip))
+	if resumed && !*quiet {
+		fmt.Fprintf(stderr, "resuming %s: %d configs already journaled\n", journal, len(skip))
 	}
 	// Resuming an adaptive run must replay the proposal sequence: the
 	// journaled rows re-enter as Prior (so each generation's proposer sees
 	// exactly what it saw the first time) while Skip prevents re-simulation.
 	var prior []armdse.Row
-	if proposer != nil && *resume && len(skip) > 0 {
+	if proposer != nil && len(skip) > 0 {
 		prior, err = armdse.PriorRowsFromJournal(journal)
 		if err != nil {
 			return err
 		}
 	}
 
-	// Telemetry: a JSONL run journal next to the dataset (default on) and an
-	// optional live monitor server. Both are purely observational — the CSV
-	// is byte-identical with them enabled.
-	runlogPath := *runlog
-	if runlogPath == "" {
-		runlogPath = *out + ".runlog.jsonl"
-	}
-	if runlogPath == "none" || runlogPath == "off" {
-		runlogPath = ""
-	}
+	// Telemetry: a JSONL run journal next to the dataset (default on),
+	// created only now that the journal is accepted, and an optional live
+	// monitor server. Both are purely observational — the CSV is
+	// byte-identical with them enabled.
+	runlogPath := obs.RunlogPath(*runlog, *out)
 	resolvedWorkers := *workers
 	if resolvedWorkers <= 0 {
 		resolvedWorkers = runtime.GOMAXPROCS(0)
@@ -338,7 +294,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stderr, "monitor: http://%s/\n", bound)
 		}
 	}
-	if err := tel.JournalMeta(*seed, budget, resolvedWorkers, apps); err != nil {
+	if err := tel.JournalMeta(*seed, budget, resolvedWorkers, len(skip), apps); err != nil {
 		return err
 	}
 
@@ -375,8 +331,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	if collectErr != nil {
 		if errors.Is(collectErr, context.Canceled) {
-			fmt.Fprintf(stderr, "interrupted: %d configs this run (%d total) journaled in %s; rerun with -resume to continue\n",
-				res.Done, sw.Len(), journal)
+			next := "rerun with the same flags to continue"
+			if *eval == armdse.EvalHybrid {
+				next = "-eval hybrid does not resume it; remove it to start over"
+			}
+			fmt.Fprintf(stderr, "interrupted: %d configs this run (%d total) journaled in %s; %s\n",
+				res.Done, sw.Len(), journal, next)
 		}
 		return collectErr
 	}

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -81,109 +83,122 @@ func cliCSV(t *testing.T, out string, extra ...string) []byte {
 	return b
 }
 
-func TestRunResumeMatchesUninterrupted(t *testing.T) {
-	dir := t.TempDir()
-	full := cliCSV(t, filepath.Join(dir, "full.csv"))
-
-	// Simulate an interrupted run: journal only indices 0 and 1, exactly
-	// as a killed dsegen would leave behind.
-	out := filepath.Join(dir, "resumed.csv")
+// interruptedJournal leaves at out+".journal" what dsegen -seed 9 -workers 1
+// leaves when interrupted after at least k configs — the journal of an
+// exact sweep of samples configs, or with a non-nil proposer, of that
+// adaptive run (samples is then its budget) — and returns its row count.
+func interruptedJournal(t *testing.T, out string, samples, k int, proposer *armdse.Proposer) int {
+	t.Helper()
 	suite := armdse.TestSuite()
 	apps := armdse.SuiteNames(suite)
+	digest := ""
+	if proposer != nil {
+		digest = proposer.Digest()
+	}
 	sw, err := armdse.CreateStreamAux(out+".journal", armdse.FeatureNames(), apps,
-		armdse.StallColumns(apps), journalMeta(9, 4, false, "", ""))
+		armdse.StallColumns(apps), armdse.RunMeta(9, samples, false, "", digest))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = armdse.Collect(context.Background(), armdse.CollectOptions{
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, err = armdse.Collect(ctx, armdse.CollectOptions{
 		Seed:    9,
-		Samples: 4,
+		Samples: samples,
+		Batches: batchSource(proposer),
+		Workers: 1,
 		Suite:   suite,
 		Sink:    armdse.NewStreamSink(sw),
-		Skip:    func(i int) bool { return i >= 2 },
+		Progress: func(ev armdse.ProgressEvent) {
+			if ev.Done >= k {
+				cancel()
+			}
+		},
 	})
-	if err != nil {
-		t.Fatal(err)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted collection: err = %v, want context.Canceled", err)
+	}
+	n := sw.Len()
+	if n < k || n >= samples {
+		t.Fatalf("interrupted journal holds %d of %d configs, want at least %d and not all", n, samples, k)
 	}
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return n
+}
 
-	resumed := cliCSV(t, out, "-resume")
-	if !bytes.Equal(full, resumed) {
-		t.Error("resumed CSV differs from uninterrupted run")
+// TestRunRerunResumesJournal: rerunning an interrupted exact sweep with
+// the same flags resumes its journal, and the CSV is byte-identical to an
+// uninterrupted run's; the runlog's meta record counts the resumed rows.
+func TestRunRerunResumesJournal(t *testing.T) {
+	dir := t.TempDir()
+	full := cliCSV(t, filepath.Join(dir, "full.csv"))
+	out := filepath.Join(dir, "rerun.csv")
+	resumed := interruptedJournal(t, out, 4, 2, nil)
+	if got := cliCSV(t, out); !bytes.Equal(full, got) {
+		t.Error("rerun CSV differs from uninterrupted run")
 	}
-
-	// -resume with no journal starts fresh and still matches.
-	fresh := cliCSV(t, filepath.Join(dir, "fresh.csv"), "-resume")
-	if !bytes.Equal(full, fresh) {
-		t.Error("-resume without a journal differs from a fresh run")
+	rl, err := os.ReadFile(out + ".runlog.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(rl, []byte(fmt.Sprintf(`"resumed":%d,`, resumed))) {
+		t.Errorf("runlog meta does not count the resumed rows: %.200s", rl)
 	}
 }
 
-// TestRunResumeV1Journal resumes a journal written before stall columns
-// existed (schema v1): the run must succeed and keep the journal's original
-// layout, producing a CSV whose feature and target columns match a fresh
-// run's but with no stall columns.
-func TestRunResumeV1Journal(t *testing.T) {
+// TestRunRerunResumesAdaptiveJournal: the same for -search ucb, where the
+// rerun must replay the proposal sequence from the journaled rows.
+func TestRunRerunResumesAdaptiveJournal(t *testing.T) {
 	dir := t.TempDir()
-	cliCSV(t, filepath.Join(dir, "full.csv"))
-
-	out := filepath.Join(dir, "v1.csv")
-	suite := armdse.TestSuite()
-	sw, err := armdse.CreateStream(out+".journal", armdse.FeatureNames(), armdse.SuiteNames(suite),
-		journalMeta(9, 4, false, "", ""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = armdse.Collect(context.Background(), armdse.CollectOptions{
-		Seed:    9,
-		Samples: 4,
-		Suite:   suite,
-		Sink:    armdse.NewStreamSink(sw),
-		Skip:    func(i int) bool { return i >= 2 },
+	args := []string{"-search", "ucb", "-search-budget", "12", "-search-batch", "4", "-search-pool", "16"}
+	full := cliCSV(t, filepath.Join(dir, "full.csv"), args...)
+	proposer, err := armdse.NewProposer(armdse.ProposeOptions{
+		Strategy: "ucb", Seed: 9, Budget: 12, Batch: 4, Pool: 16,
+		Apps: armdse.SuiteNames(armdse.TestSuite()),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.Close(); err != nil {
-		t.Fatal(err)
+	out := filepath.Join(dir, "rerun.csv")
+	interruptedJournal(t, out, 12, 6, proposer)
+	if got := cliCSV(t, out, args...); !bytes.Equal(full, got) {
+		t.Error("rerun adaptive CSV differs from uninterrupted run")
 	}
+}
 
-	v1 := cliCSV(t, out, "-resume")
-	if strings.Contains(string(v1), "stall:") {
-		t.Error("resumed v1 journal produced stall columns")
-	}
-	// Projecting the fresh v2 run onto the v1 columns must reproduce the
-	// v1 output exactly: same rows, stall columns simply absent.
-	data, err := armdse.LoadDataset(out)
-	if err != nil {
+// TestRunRerunRefusesForeignJournal: a run whose -seed differs from the
+// leftover journal's exits with an error and leaves the journal and the
+// earlier runlog byte-unchanged.
+func TestRunRerunRefusesForeignJournal(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "ds.csv")
+	interruptedJournal(t, out, 4, 1, nil)
+	runlog := out + ".runlog.jsonl"
+	if err := os.WriteFile(runlog, []byte(`{"type":"meta","seed":9}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if v := data.SchemaVersion(); v != 1 {
-		t.Errorf("resumed dataset schema v%d, want v1", v)
-	}
-	fullData, err := armdse.LoadDataset(filepath.Join(dir, "full.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := fullData.SchemaVersion(); v != 2 {
-		t.Errorf("fresh dataset schema v%d, want v2", v)
-	}
-	if data.Len() != fullData.Len() {
-		t.Fatalf("v1 run has %d rows, fresh run %d", data.Len(), fullData.Len())
-	}
-	for r := range data.X {
-		for c := range data.X[r] {
-			if data.X[r][c] != fullData.X[r][c] {
-				t.Fatalf("row %d feature %d: v1 %v, fresh %v", r, c, data.X[r][c], fullData.X[r][c])
-			}
+	before := map[string][]byte{}
+	for _, f := range []string{out + ".journal", runlog} {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, a := range data.Apps {
-			if data.Y[a][r] != fullData.Y[a][r] {
-				t.Fatalf("row %d target %s: v1 %v, fresh %v", r, a, data.Y[a][r], fullData.Y[a][r])
-			}
+		before[f] = b
+	}
+	var buf bytes.Buffer
+	err := run(context.Background(),
+		[]string{"-samples", "4", "-seed", "10", "-out", out, "-q"}, &buf, &buf)
+	for f, b := range before {
+		if after, err := os.ReadFile(f); err != nil || !bytes.Equal(after, b) {
+			t.Errorf("refused rerun changed %s (err %v)", filepath.Base(f), err)
 		}
+	}
+	if err == nil || !strings.Contains(err.Error(), "another run") {
+		t.Errorf("foreign journal: err = %v", err)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Error("refused rerun wrote a dataset")
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"armdse"
 )
 
 // assertNoStrayFiles pins the up-front flag validation contract: a rejected
@@ -74,13 +76,14 @@ func TestRunEvalUnknownLeavesNoJournal(t *testing.T) {
 	}
 }
 
-// -shard (a dsecoord fleet replaces it) and -search-workers (-workers
-// sizes the barrier too) are gone: both are unknown flags, refused before
-// any file exists.
+// -shard (a dsecoord fleet replaces it), -search-workers (-workers sizes
+// the barrier too) and -resume (a rerun with the same flags resumes) are
+// gone: each is an unknown flag, refused before any file exists.
 func TestRunRemovedFlagsUnknown(t *testing.T) {
 	for _, extra := range [][]string{
 		{"-shard", "0/2"},
 		{"-search", "ucb", "-search-workers", "2"},
+		{"-resume"},
 	} {
 		dir := t.TempDir()
 		var buf bytes.Buffer
@@ -95,15 +98,16 @@ func TestRunRemovedFlagsUnknown(t *testing.T) {
 
 // Hybrid routing depends on earlier results in the same run, and the
 // journal does not record which rows were escalated: a resumed hybrid run
-// would not reproduce the uninterrupted one, so it is refused before any
-// file exists. -shard, the other way to split a hybrid run, is gone and is
-// refused as an unknown flag, also before any file exists.
+// would not reproduce the uninterrupted one. So a hybrid rerun refuses the
+// journal an interrupted hybrid run left, leaving it byte-unchanged and
+// writing no runlog. -resume and -shard are gone and are refused as
+// unknown flags before any file exists.
 func TestRunHybridRefusesResumeAndShard(t *testing.T) {
 	for name, tc := range map[string]struct {
 		extra []string
 		want  string
 	}{
-		"resume": {[]string{"-resume"}, "-eval hybrid cannot be combined with -resume"},
+		"resume": {[]string{"-resume"}, "flag provided but not defined"},
 		"shard":  {[]string{"-shard", "0/2"}, "flag provided but not defined"},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -117,4 +121,33 @@ func TestRunHybridRefusesResumeAndShard(t *testing.T) {
 			assertNoStrayFiles(t, dir)
 		})
 	}
+	t.Run("rerun", func(t *testing.T) {
+		dir := t.TempDir()
+		out := filepath.Join(dir, "ds.csv")
+		apps := armdse.SuiteNames(armdse.TestSuite())
+		sw, err := armdse.CreateStreamAux(out+".journal", armdse.FeatureNames(), apps,
+			armdse.StallColumns(apps), armdse.RunMeta(1, 2, false, armdse.EvalHybrid, ""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		before, err := os.ReadFile(out + ".journal")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		err = run(context.Background(),
+			[]string{"-samples", "2", "-out", out, "-eval", "hybrid", "-q"}, &buf, &buf)
+		if err == nil || !strings.Contains(err.Error(), "-eval hybrid does not resume") {
+			t.Fatalf("err = %v, want a hybrid resume refusal", err)
+		}
+		if after, err := os.ReadFile(out + ".journal"); err != nil || !bytes.Equal(after, before) {
+			t.Errorf("refused hybrid journal changed (err %v)", err)
+		}
+		if _, err := os.Stat(out + ".runlog.jsonl"); !os.IsNotExist(err) {
+			t.Error("refused hybrid rerun wrote a runlog")
+		}
+	})
 }

@@ -98,7 +98,7 @@ func TestStreamAppendConflict(t *testing.T) {
 	}
 
 	// A resumed journal checks against the rows on disk.
-	r, err := ResumeStreamAux(path, []string{"a", "b"}, []string{"x"}, []string{"s"}, conflictTestMeta)
+	r, _, err := OpenJournal(path, []string{"a", "b"}, []string{"x"}, []string{"s"}, conflictTestMeta)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,7 +69,7 @@ func FuzzJournalHeader(f *testing.F) {
 	// fuzzer starts from the actual header layout.
 	dir := f.TempDir()
 	seedPath := filepath.Join(dir, "seed.csv")
-	w, err := CreateStream(seedPath, names, apps, meta)
+	w, err := CreateStreamAux(seedPath, names, apps, nil, meta)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func FuzzJournalHeader(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := fuzzJournal(t, data)
-		s, err := ResumeStream(path, names, apps, meta)
+		s, _, err := OpenJournal(path, names, apps, nil, meta)
 		if err == nil {
 			// A resumable journal must accept further rows and then compact.
 			next := 0

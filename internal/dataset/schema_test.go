@@ -112,14 +112,14 @@ func TestParseStallColumn(t *testing.T) {
 	}
 }
 
-// TestStreamV1Degrade resumes a schema-v1 journal with aux columns
-// requested: the writer must keep the journal's v1 layout and keep
-// accepting rows (dropping their aux values).
-func TestStreamV1Degrade(t *testing.T) {
+// TestOpenJournalRefusesV1: a schema-v1 journal, written before the stall
+// columns existed, belongs to another run than one that journals them; it
+// is refused and left byte-unchanged, torn tail included.
+func TestOpenJournalRefusesV1(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "v1.journal")
 	feats := []string{"f0", "f1"}
 	apps := []string{"a"}
-	sw, err := CreateStream(path, feats, apps, "seed=1")
+	sw, err := CreateStreamAux(path, feats, apps, nil, "seed=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,33 +129,24 @@ func TestStreamV1Degrade(t *testing.T) {
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	aux := []string{StallColumn("a", "busy")}
-	sw, err = ResumeStreamAux(path, feats, apps, aux, "seed=1")
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sw.AuxNames(); len(got) != 0 {
-		t.Errorf("degraded journal kept aux columns %v", got)
-	}
-	if !sw.Done()[0] {
-		t.Error("resumed journal lost row 0")
-	}
-	err = sw.AppendFull(1, false, []float64{3, 4}, map[string]float64{"a": 11},
-		map[string]float64{StallColumn("a", "busy"): 99})
-	if err != nil {
+	if _, err := f.WriteString("1,0,3"); err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.Close(); err != nil {
+	f.Close()
+	before, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	d, failed, err := CompactStream(path)
-	if err != nil {
-		t.Fatal(err)
+	if _, _, err := OpenJournal(path, feats, apps, []string{StallColumn("a", "busy")}, "seed=1"); err == nil {
+		t.Fatal("v1 journal opened by a run with stall columns")
 	}
-	if failed != 0 || d.Len() != 2 || d.SchemaVersion() != 1 {
-		t.Errorf("compact: %d rows, %d failed, schema v%d", d.Len(), failed, d.SchemaVersion())
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Errorf("refused v1 journal changed (err %v)", err)
 	}
 }
 
@@ -179,12 +170,9 @@ func TestStreamV2RoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sw, err = ResumeStreamAux(path, feats, apps, aux, "seed=2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sw.AuxNames(); !reflect.DeepEqual(got, aux) {
-		t.Errorf("AuxNames() = %v, want %v", got, aux)
+	sw, resumed, err := OpenJournal(path, feats, apps, aux, "seed=2")
+	if err != nil || !resumed || !sw.Done()[0] {
+		t.Fatalf("resuming: resumed %t, err %v", resumed, err)
 	}
 	err = sw.AppendFull(1, false, []float64{2}, map[string]float64{"a": 20},
 		map[string]float64{aux[0]: 13, aux[1]: 7})

@@ -24,9 +24,9 @@ import (
 
 // Journal bookkeeping columns: index and failed ahead of the feature
 // columns, and an optional metadata column at the end whose header embeds a
-// caller-supplied run description (e.g. "seed=1 samples=2000"). ResumeStream
-// refuses a journal whose metadata differs from the resuming run's, which
-// catches resuming with a different seed before mixed-provenance rows reach
+// caller-supplied run description (e.g. "seed=1 samples=2000"). OpenJournal
+// refuses a journal whose metadata differs from the opening run's, which
+// catches a rerun with a different seed before mixed-provenance rows reach
 // a dataset.
 const (
 	journalIndexCol   = "_index"
@@ -79,22 +79,10 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// AuxNames returns the journal's auxiliary column set; empty for a
-// schema-v1 journal (including a v1 journal a v2 run degraded to on
-// resume).
-func (s *StreamWriter) AuxNames() []string {
-	return append([]string(nil), s.auxNames...)
-}
-
-// CreateStream starts a fresh schema-v1 journal at path (truncating any
-// existing file) with the given feature and target columns. A non-empty
-// meta string is recorded in the header and must match on ResumeStream.
-func CreateStream(path string, featureNames, apps []string, meta string) (*StreamWriter, error) {
-	return CreateStreamAux(path, featureNames, apps, nil, meta)
-}
-
-// CreateStreamAux is CreateStream with auxiliary columns (schema v2); nil
-// auxNames writes the v1 layout.
+// CreateStreamAux starts a fresh journal at path (truncating any existing
+// file) with the given feature, target and auxiliary columns; nil auxNames
+// writes the schema-v1 layout. A non-empty meta string is recorded in the
+// header and must match on OpenJournal.
 func CreateStreamAux(path string, featureNames, apps, auxNames []string, meta string) (*StreamWriter, error) {
 	f, err := os.Create(path)
 	if err != nil {
@@ -117,23 +105,27 @@ func CreateStreamAux(path string, featureNames, apps, auxNames []string, meta st
 	return s, nil
 }
 
-// ResumeStream reopens an existing journal for appending. It verifies the
+// OpenJournal is the one open policy for a collection journal: it creates
+// the journal at path when none exists, and resumes it — resumed is true —
+// when its columns and meta stamp are this run's. A journal of another run
+// (a different stamp or column layout, a schema-v1 journal included) is
+// refused and left byte-unchanged. No flag is needed to resume: by
+// determinism, a journal whose stamp matches holds exactly this run's rows.
+func OpenJournal(path string, featureNames, apps, auxNames []string, meta string) (sw *StreamWriter, resumed bool, err error) {
+	sw, err = resumeStream(path, featureNames, apps, auxNames, meta)
+	if errors.Is(err, os.ErrNotExist) {
+		sw, err = CreateStreamAux(path, featureNames, apps, auxNames, meta)
+		return sw, false, err
+	}
+	return sw, err == nil, err
+}
+
+// resumeStream reopens an existing journal for appending. It verifies the
 // header matches the expected columns and metadata and reads every intact
 // record to rebuild the set of completed indices. A torn final record (a
 // crash mid-write) is cut at the first append, so appending resumes from a
-// clean boundary; reopening alone never changes the file. A metadata
-// mismatch (e.g. the journal was written with a different seed) is an
-// error: appending would silently mix rows from two different sampling
-// streams.
-func ResumeStream(path string, featureNames, apps []string, meta string) (*StreamWriter, error) {
-	return ResumeStreamAux(path, featureNames, apps, nil, meta)
-}
-
-// ResumeStreamAux is ResumeStream with auxiliary columns. A journal written
-// without the aux columns (schema v1) resumes successfully with the aux
-// columns dropped — check AuxNames afterwards — so pre-v2 journals keep
-// working; any other column difference is an error.
-func ResumeStreamAux(path string, featureNames, apps, auxNames []string, meta string) (*StreamWriter, error) {
+// clean boundary; reopening alone never changes the file.
+func resumeStream(path string, featureNames, apps, auxNames []string, meta string) (*StreamWriter, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
@@ -153,16 +145,9 @@ func ResumeStreamAux(path string, featureNames, apps, auxNames []string, meta st
 		return nil, fmt.Errorf("dataset: resuming %s: reading header: %w", path, err)
 	}
 	want := s.header()
-	if len(s.auxNames) > 0 && len(header) == len(want)-len(s.auxNames) {
-		// The journal may predate this run's aux columns: a v1 header is
-		// the same layout minus the aux block. Degrade to v1 so old
-		// journals resume (the column-by-column check below still runs).
-		s.auxNames = nil
-		want = s.header()
-	}
 	if len(header) != len(want) {
 		f.Close()
-		return nil, fmt.Errorf("dataset: resuming %s: journal has %d columns, want %d", path, len(header), len(want))
+		return nil, fmt.Errorf("dataset: %s belongs to another run: it has %d columns, this run journals %d", path, len(header), len(want))
 	}
 	for i := range want {
 		if header[i] == want[i] {
@@ -170,10 +155,10 @@ func ResumeStreamAux(path string, featureNames, apps, auxNames []string, meta st
 		}
 		f.Close()
 		if strings.HasPrefix(header[i], journalMetaPrefix) && strings.HasPrefix(want[i], journalMetaPrefix) {
-			return nil, fmt.Errorf("dataset: resuming %s: journal was written with %q, this run is %q",
+			return nil, fmt.Errorf("dataset: %s belongs to another run: it was written with %q, this run is %q",
 				path, strings.TrimPrefix(header[i], journalMetaPrefix), strings.TrimPrefix(want[i], journalMetaPrefix))
 		}
-		return nil, fmt.Errorf("dataset: resuming %s: column %d is %q, want %q", path, i, header[i], want[i])
+		return nil, fmt.Errorf("dataset: %s belongs to another run: its column %d is %q, this run's is %q", path, i, header[i], want[i])
 	}
 	cr.FieldsPerRecord = len(want)
 	goodOffset := cr.InputOffset()
@@ -424,7 +409,7 @@ type StreamRow struct {
 // ReadStreamRows reads every intact record of a collection journal, deduped
 // by index (first record wins; StreamWriter never journals two different
 // records for one index) and sorted by global index. Torn tail records and
-// rows with unparseable values are dropped, matching ResumeStream and
+// rows with unparseable values are dropped, matching OpenJournal and
 // CompactStream. This is the resume path's view of a journal's contents —
 // an adaptive run reconstructs its prior generations from it.
 func ReadStreamRows(path string) (StreamSchema, []StreamRow, error) {
@@ -515,7 +500,7 @@ func ReadStreamRows(path string) (StreamSchema, []StreamRow, error) {
 
 // CompactStream reads a journal written by StreamWriter and materialises it
 // as a Dataset: failed rows are dropped (and counted), the rest are sorted
-// by global index. Torn tail records are ignored, matching ResumeStream.
+// by global index. Torn tail records are ignored, matching OpenJournal.
 func CompactStream(path string) (*Dataset, int, error) {
 	schema, rows, err := ReadStreamRows(path)
 	if err != nil {

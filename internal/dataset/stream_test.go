@@ -24,7 +24,7 @@ func appendRow(t *testing.T, s *StreamWriter, idx int, failed bool, base float64
 
 func TestStreamCompactSortsAndDropsFailed(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.csv")
-	s, err := CreateStream(path, streamFeatures, streamApps, "")
+	s, err := CreateStreamAux(path, streamFeatures, streamApps, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestStreamCompactSortsAndDropsFailed(t *testing.T) {
 
 func TestStreamResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.csv")
-	s, err := CreateStream(path, streamFeatures, streamApps, "")
+	s, err := CreateStreamAux(path, streamFeatures, streamApps, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,9 +71,9 @@ func TestStreamResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := ResumeStream(path, streamFeatures, streamApps, "")
-	if err != nil {
-		t.Fatal(err)
+	r, resumed, err := OpenJournal(path, streamFeatures, streamApps, nil, "")
+	if err != nil || !resumed {
+		t.Fatalf("resumed %t, err %v", resumed, err)
 	}
 	done := r.Done()
 	if len(done) != 2 || !done[0] || !done[4] {
@@ -104,7 +104,7 @@ func TestStreamResume(t *testing.T) {
 
 func TestStreamResumeTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.csv")
-	s, err := CreateStream(path, streamFeatures, streamApps, "")
+	s, err := CreateStreamAux(path, streamFeatures, streamApps, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestStreamResumeTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := ResumeStream(path, streamFeatures, streamApps, "")
+	r, _, err := OpenJournal(path, streamFeatures, streamApps, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestStreamResumeTornTail(t *testing.T) {
 // next append starts on a line of its own instead of joining it.
 func TestStreamResumeUnterminatedRecord(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.csv")
-	s, err := CreateStream(path, streamFeatures, streamApps, "seed=1")
+	s, err := CreateStreamAux(path, streamFeatures, streamApps, nil, "seed=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestStreamResumeUnterminatedRecord(t *testing.T) {
 	if err := os.WriteFile(path, bytes.TrimSuffix(raw, []byte("\n")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r, err := ResumeStream(path, streamFeatures, streamApps, "seed=1")
+	r, _, err := OpenJournal(path, streamFeatures, streamApps, nil, "seed=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,25 +195,34 @@ func TestStreamResumeUnterminatedRecord(t *testing.T) {
 
 func TestStreamResumeHeaderMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.csv")
-	s, err := CreateStream(path, streamFeatures, streamApps, "")
+	s, err := CreateStreamAux(path, streamFeatures, streamApps, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
-	if _, err := ResumeStream(path, streamFeatures, []string{"other"}, ""); err == nil {
+	if _, _, err := OpenJournal(path, streamFeatures, []string{"other"}, nil, ""); err == nil {
 		t.Error("mismatched apps accepted")
 	}
-	if _, err := ResumeStream(path, []string{"a"}, streamApps, ""); err == nil {
+	if _, _, err := OpenJournal(path, []string{"a"}, streamApps, nil, ""); err == nil {
 		t.Error("mismatched features accepted")
 	}
-	if _, err := ResumeStream(filepath.Join(t.TempDir(), "nope.csv"), streamFeatures, streamApps, ""); err == nil {
-		t.Error("missing journal accepted")
+	// A missing journal is created, not resumed.
+	fresh := filepath.Join(t.TempDir(), "fresh.csv")
+	sw, resumed, err := OpenJournal(fresh, streamFeatures, streamApps, nil, "")
+	if err != nil || resumed || sw.Len() != 0 {
+		t.Fatalf("missing journal: resumed %t, err %v", resumed, err)
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(fresh); err != nil {
+		t.Errorf("missing journal not created: %v", err)
 	}
 }
 
 func TestStreamMeta(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.csv")
-	s, err := CreateStream(path, streamFeatures, streamApps, "seed=7 samples=4")
+	s, err := CreateStreamAux(path, streamFeatures, streamApps, nil, "seed=7 samples=4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +232,7 @@ func TestStreamMeta(t *testing.T) {
 	}
 
 	// Same metadata resumes; different or missing metadata does not.
-	r, err := ResumeStream(path, streamFeatures, streamApps, "seed=7 samples=4")
+	r, _, err := OpenJournal(path, streamFeatures, streamApps, nil, "seed=7 samples=4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,10 +240,10 @@ func TestStreamMeta(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ResumeStream(path, streamFeatures, streamApps, "seed=8 samples=4"); err == nil {
+	if _, _, err := OpenJournal(path, streamFeatures, streamApps, nil, "seed=8 samples=4"); err == nil {
 		t.Error("journal resumed under a different seed")
 	}
-	if _, err := ResumeStream(path, streamFeatures, streamApps, ""); err == nil {
+	if _, _, err := OpenJournal(path, streamFeatures, streamApps, nil, ""); err == nil {
 		t.Error("metadata journal resumed by a run without metadata")
 	}
 
@@ -250,7 +259,7 @@ func TestStreamMeta(t *testing.T) {
 
 func TestStreamAppendErrors(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.csv")
-	s, err := CreateStream(path, streamFeatures, streamApps, "")
+	s, err := CreateStreamAux(path, streamFeatures, streamApps, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,10 +20,11 @@ import (
 // The coordinator side of the fabric. A Coordinator owns the lease table,
 // the run's journal (workers upload chunk by chunk, and every committed row
 // is on disk before the cursor moves), the obs metrics/status surface, and
-// the JSONL runlog. The journal is <out>.journal in dsegen's format, so a
-// restarted coordinator resumes it exactly as dsegen -resume would, and
-// either tool can finish a collection the other started. When the table
-// completes, Merge compacts the journal into the final dataset.
+// the JSONL runlog. The journal is <out>.journal, opened by
+// dataset.OpenJournal exactly as dsegen opens it, so a restarted
+// coordinator resumes it and either tool can finish a collection the other
+// started. When the table completes, Merge compacts the journal into the
+// final dataset.
 
 // CoordConfig configures a Coordinator. Zero values get defaults.
 type CoordConfig struct {
@@ -45,9 +46,11 @@ type CoordConfig struct {
 	HeartbeatEvery time.Duration
 	// Registry receives the fleet metrics; nil allocates a private one.
 	Registry *obs.Registry
-	// Runlog, when non-nil, receives the coordinator's JSONL records (meta,
-	// lease events, heartbeats, summary).
-	Runlog *obs.Journal
+	// Runlog, when non-empty, is the path of the coordinator's JSONL runlog
+	// (meta, lease events, heartbeats, summary). It is created only once
+	// the journal is accepted, so a refused restart leaves the earlier
+	// run's runlog as it was; Close closes it.
+	Runlog string
 	// Log, when non-nil, receives human-readable progress lines.
 	Log io.Writer
 }
@@ -78,6 +81,7 @@ type Coordinator struct {
 	cycles  int64
 	lastHB  time.Time
 	merged  bool
+	closed  bool
 
 	mGrants, mExpiries, mSteals *obs.Counter
 	mRows                       *obs.Counter
@@ -99,9 +103,9 @@ type fleetWorker struct {
 }
 
 // NewCoordinator builds the coordinator state: the journal, the lease table
-// over the indices it does not yet hold, the metric handles, and the runlog
-// meta record. A journal of another run (a different stamp or column
-// layout) is refused and left as it is.
+// over the indices it does not yet hold, the runlog and its meta record, and
+// the metric handles. A journal of another run (a different stamp or column
+// layout) is refused, and neither it nor the runlog is touched.
 func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 	if cfg.Spec.Samples <= 0 {
 		return nil, fmt.Errorf("fabric: coordinator spec has %d samples", cfg.Spec.Samples)
@@ -128,7 +132,7 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		cfg.Registry = obs.NewRegistry(1)
 	}
 	path := cfg.Out + ".journal"
-	jw, resumed, err := openJournal(path, cfg.Spec)
+	jw, resumed, err := dataset.OpenJournal(path, cfg.Spec.Features, cfg.Spec.Apps, cfg.Spec.Aux, cfg.Spec.Meta)
 	if err != nil {
 		return nil, err
 	}
@@ -147,6 +151,13 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		jw.Close()
 		return nil, err
 	}
+	var runlog *obs.Journal
+	if cfg.Runlog != "" {
+		if runlog, err = obs.CreateJournal(cfg.Runlog); err != nil {
+			jw.Close()
+			return nil, err
+		}
+	}
 	r := cfg.Registry
 	c := &Coordinator{
 		spec:      cfg.Spec,
@@ -156,7 +167,7 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		resumed:   jw.Len(),
 		table:     table,
 		reg:       r,
-		runlog:    cfg.Runlog,
+		runlog:    runlog,
 		logw:      cfg.Log,
 		hbEach:    cfg.HeartbeatEvery,
 		start:     time.Now(),
@@ -183,26 +194,6 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		c.signalDone()
 	}
 	return c, nil
-}
-
-// openJournal resumes the run's journal at path, or creates it when none
-// exists. ResumeStreamAux refuses another run's stamp or columns without
-// touching the file; a schema-v1 journal, which it would open with the
-// stall columns dropped, is refused here.
-func openJournal(path string, spec Spec) (jw *dataset.StreamWriter, resumed bool, err error) {
-	jw, err = dataset.ResumeStreamAux(path, spec.Features, spec.Apps, spec.Aux, spec.Meta)
-	if errors.Is(err, os.ErrNotExist) {
-		jw, err = dataset.CreateStreamAux(path, spec.Features, spec.Apps, spec.Aux, spec.Meta)
-		return jw, false, err
-	}
-	if err != nil {
-		return nil, false, err
-	}
-	if len(jw.AuxNames()) != len(spec.Aux) {
-		jw.Close()
-		return nil, false, fmt.Errorf("fabric: %s has no stall columns (schema v1); this run journals them", path)
-	}
-	return jw, true, nil
 }
 
 // Registry returns the coordinator's metrics registry.
@@ -617,6 +608,22 @@ func (c *Coordinator) Merge() (*dataset.Dataset, int, error) {
 // Cleanup removes the journal — call once the merged dataset is safely
 // written.
 func (c *Coordinator) Cleanup() error { return os.Remove(c.path) }
+
+// Close closes the journal and the runlog; later calls do nothing. Merge
+// closes the journal but leaves the runlog open for its summary record.
+func (c *Coordinator) Close() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return nil
+	}
+	c.closed = true
+	jerr := c.journal.Close()
+	if err := c.runlog.Close(); err != nil {
+		return err
+	}
+	return jerr
+}
 
 // FleetWorkerStatus is one worker's row in the fleet status view. BusyS,
 // UpS and BusyFrac come from the worker's piggybacked telemetry (zero until

@@ -328,18 +328,18 @@ func TestFleetRestartStaleWorker(t *testing.T) {
 // TestFleetRestartRefusesForeignJournal: a journal of another run — a
 // different stamp, a different column layout, or schema v1 without the
 // stall columns — is refused at start and left byte-for-byte as it was,
-// torn tail included.
+// torn tail included, and so is the earlier run's runlog.
 func TestFleetRestartRefusesForeignJournal(t *testing.T) {
 	spec := NewSpec(3, 8, false)
 	for name, write := range map[string]func(path string) (*dataset.StreamWriter, error){
 		"stamp": func(path string) (*dataset.StreamWriter, error) {
-			return dataset.CreateStreamAux(path, spec.Features, spec.Apps, spec.Aux, RunMeta(4, 8, false))
+			return dataset.CreateStreamAux(path, spec.Features, spec.Apps, spec.Aux, NewSpec(4, 8, false).Meta)
 		},
 		"columns": func(path string) (*dataset.StreamWriter, error) {
 			return dataset.CreateStreamAux(path, spec.Features, spec.Apps[:1], spec.Aux, spec.Meta)
 		},
 		"v1": func(path string) (*dataset.StreamWriter, error) {
-			return dataset.CreateStream(path, spec.Features, spec.Apps, spec.Meta)
+			return dataset.CreateStreamAux(path, spec.Features, spec.Apps, nil, spec.Meta)
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -356,15 +356,23 @@ func TestFleetRestartRefusesForeignJournal(t *testing.T) {
 				t.Fatal(err)
 			}
 			tearJournal(t, out+".journal")
-			before, err := os.ReadFile(out + ".journal")
-			if err != nil {
+			runlog := out + ".runlog.jsonl"
+			if err := os.WriteFile(runlog, []byte(`{"type":"meta"}`+"\n"), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := NewCoordinator(CoordConfig{Spec: spec, Out: out}); err == nil {
+			before := map[string][]byte{}
+			for _, f := range []string{out + ".journal", runlog} {
+				if before[f], err = os.ReadFile(f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := NewCoordinator(CoordConfig{Spec: spec, Out: out, Runlog: runlog}); err == nil {
 				t.Fatal("foreign journal accepted")
 			}
-			if after, err := os.ReadFile(out + ".journal"); err != nil || !bytes.Equal(after, before) {
-				t.Errorf("refused journal changed (err %v)", err)
+			for f, b := range before {
+				if after, err := os.ReadFile(f); err != nil || !bytes.Equal(after, b) {
+					t.Errorf("refused restart changed %s (err %v)", filepath.Base(f), err)
+				}
 			}
 		})
 	}

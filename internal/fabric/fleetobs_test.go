@@ -107,16 +107,12 @@ func TestFlagStragglers(t *testing.T) {
 func TestFleetTelemetryAggregation(t *testing.T) {
 	dir := t.TempDir()
 	runlogPath := filepath.Join(dir, "fleet.runlog.jsonl")
-	runlog, err := obs.CreateJournal(runlogPath)
-	if err != nil {
-		t.Fatal(err)
-	}
 	spec := NewSpec(11, 12, false)
 	coord, srv := newTestCoordinator(t, CoordConfig{
 		Spec: spec, Out: filepath.Join(dir, "fleet.csv"),
 		LeaseSize: 4, Chunk: 2, Expiry: time.Minute,
 		HeartbeatEvery: time.Nanosecond, // journal a heartbeat+util batch per committed chunk
-		Runlog:         runlog,
+		Runlog:         runlogPath,
 	})
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -138,7 +134,7 @@ func TestFleetTelemetryAggregation(t *testing.T) {
 	if _, _, err := coord.Merge(); err != nil {
 		t.Fatalf("merge: %v", err)
 	}
-	if err := runlog.Close(); err != nil {
+	if err := coord.Close(); err != nil {
 		t.Fatal(err)
 	}
 

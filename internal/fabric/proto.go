@@ -4,8 +4,8 @@
 // heartbeat-driven lease expiry and reassignment, splits straggling leases
 // so idle workers can steal their un-started tails, and streams every
 // uploaded row into one journal that compacts into the dataset. The journal
-// is the one dsegen writes, so a restarted coordinator resumes it the way
-// dsegen -resume does.
+// is the one dsegen writes, opened by the same policy: a restarted
+// coordinator resumes it, as a rerun dsegen does.
 //
 // The fabric inherits the repo's standing correctness bar and extends it
 // across machines: because every configuration is derived independently
@@ -61,7 +61,7 @@ func NewSpec(seed int64, samples int, paper bool) Spec {
 		Seed:     seed,
 		Samples:  samples,
 		Paper:    paper,
-		Meta:     RunMeta(seed, samples, paper),
+		Meta:     orchestrate.RunMeta(seed, samples, paper, "", ""),
 		Features: params.FeatureNames(),
 		Apps:     apps,
 		Aux:      orchestrate.StallColumns(apps),
@@ -74,13 +74,6 @@ func (s Spec) Suite() []workload.Workload {
 		return workload.PaperSuite()
 	}
 	return workload.TestSuite()
-}
-
-// RunMeta is the fabric's journal identity stamp for an exact-evaluator
-// collection — the string dsegen stamps into its journal for the same run,
-// so either tool resumes the other's journal.
-func RunMeta(seed int64, samples int, paper bool) string {
-	return fmt.Sprintf("seed=%d samples=%d paper=%t", seed, samples, paper)
 }
 
 // ColumnsDigest fingerprints a column layout (FNV-1a over the

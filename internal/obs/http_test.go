@@ -97,6 +97,19 @@ func TestServeBindsAndServes(t *testing.T) {
 	}
 }
 
+func TestRunlogPath(t *testing.T) {
+	for flag, want := range map[string]string{
+		"":       "ds.csv.runlog.jsonl",
+		"none":   "",
+		"off":    "",
+		"x.json": "x.json",
+	} {
+		if got := RunlogPath(flag, "ds.csv"); got != want {
+			t.Errorf("RunlogPath(%q) = %q, want %q", flag, got, want)
+		}
+	}
+}
+
 func TestJournal(t *testing.T) {
 	path := t.TempDir() + "/run.jsonl"
 	j, err := CreateJournal(path)

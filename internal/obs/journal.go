@@ -19,6 +19,19 @@ type Journal struct {
 	bytes int64
 }
 
+// RunlogPath resolves a -runlog flag against the dataset path out: "" is
+// out + ".runlog.jsonl", "none" or "off" disables the runlog (returns ""),
+// and anything else is the path itself.
+func RunlogPath(flag, out string) string {
+	switch flag {
+	case "":
+		return out + ".runlog.jsonl"
+	case "none", "off":
+		return ""
+	}
+	return flag
+}
+
 // CreateJournal creates (truncating) a journal file at path.
 func CreateJournal(path string) (*Journal, error) {
 	f, err := os.Create(path)

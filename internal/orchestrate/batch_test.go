@@ -151,7 +151,7 @@ func TestBatchResumeEqualsUninterrupted(t *testing.T) {
 	}
 
 	full := filepath.Join(dir, "full.journal")
-	sw, err := dataset.CreateStream(full, features, apps, "")
+	sw, err := dataset.CreateStreamAux(full, features, apps, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestBatchResumeEqualsUninterrupted(t *testing.T) {
 
 	// Interrupt after 4 completions (mid-generation-1), then resume.
 	part := filepath.Join(dir, "part.journal")
-	pw, err := dataset.CreateStream(part, features, apps, "")
+	pw, err := dataset.CreateStreamAux(part, features, apps, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestBatchResumeEqualsUninterrupted(t *testing.T) {
 	if len(prior) < 4 {
 		t.Fatalf("journal kept %d rows, want >= 4", len(prior))
 	}
-	rw, err := dataset.ResumeStream(part, features, apps, "")
+	rw, _, err := dataset.OpenJournal(part, features, apps, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestSliceSourceResumeRejectedOnDigestMismatch(t *testing.T) {
 	src := SliceSource{params.ConfigAt(7, 0), params.ConfigAt(7, 1)}
 	meta := "suite=tiny source=" + SourceDigest(src)
 	path := filepath.Join(dir, "slice.journal")
-	sw, err := dataset.CreateStream(path, features, apps, meta)
+	sw, err := dataset.CreateStreamAux(path, features, apps, nil, meta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,12 +256,12 @@ func TestSliceSourceResumeRejectedOnDigestMismatch(t *testing.T) {
 
 	other := SliceSource{params.ConfigAt(7, 0), params.ConfigAt(7, 2)}
 	otherMeta := "suite=tiny source=" + SourceDigest(other)
-	if _, err := dataset.ResumeStream(path, features, apps, otherMeta); err == nil {
+	if _, _, err := dataset.OpenJournal(path, features, apps, nil, otherMeta); err == nil {
 		t.Fatal("resume against a different source accepted")
 	} else if errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("unexpected error kind: %v", err)
 	}
-	if _, err := dataset.ResumeStream(path, features, apps, meta); err != nil {
+	if _, _, err := dataset.OpenJournal(path, features, apps, nil, meta); err != nil {
 		t.Fatalf("resume against the same source rejected: %v", err)
 	}
 }

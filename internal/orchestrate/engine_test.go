@@ -50,7 +50,7 @@ func TestResumeEqualsUninterrupted(t *testing.T) {
 
 	// Uninterrupted run through the streaming path.
 	full := filepath.Join(dir, "full.journal")
-	sw, err := dataset.CreateStream(full, features, apps, "")
+	sw, err := dataset.CreateStreamAux(full, features, apps, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestResumeEqualsUninterrupted(t *testing.T) {
 
 	// Interrupted run: cancel after 3 completions, then resume.
 	part := filepath.Join(dir, "part.journal")
-	pw, err := dataset.CreateStream(part, features, apps, "")
+	pw, err := dataset.CreateStreamAux(part, features, apps, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestResumeEqualsUninterrupted(t *testing.T) {
 	}
 
 	// Resume from the journal's completed-index set.
-	rw, err := dataset.ResumeStream(part, features, apps, "")
+	rw, _, err := dataset.OpenJournal(part, features, apps, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestShardUnionEqualsUnsharded(t *testing.T) {
 	apps := SuiteNames(tinySuite())
 
 	full := filepath.Join(dir, "full.journal")
-	sw, err := dataset.CreateStream(full, features, apps, "")
+	sw, err := dataset.CreateStreamAux(full, features, apps, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestShardUnionEqualsUnsharded(t *testing.T) {
 	// Three shards appending to one shared journal; a shard is a Skip
 	// predicate over the index space.
 	union := filepath.Join(dir, "union.journal")
-	uw, err := dataset.CreateStream(union, features, apps, "")
+	uw, err := dataset.CreateStreamAux(union, features, apps, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package orchestrate
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 
@@ -13,6 +14,24 @@ import (
 // pair, app-major, classes in simeng enum order.
 func StallColumns(apps []string) []string {
 	return dataset.StallColumns(apps, simeng.StallClassNames())
+}
+
+// RunMeta is a collection journal's identity stamp: seed, index-space size
+// and suite scale, plus the evaluator when it is not exact and the proposer
+// digest of an adaptive run. Workers are left out: they never change which
+// rows a journal holds. dsegen and the dsecoord fleet both stamp through
+// it, so either tool resumes the other's exact journal, and a journal of
+// another run — say, a different evaluator, which would mix simulated and
+// predicted rows — carries another stamp and is refused.
+func RunMeta(seed int64, samples int, paper bool, eval, search string) string {
+	m := fmt.Sprintf("seed=%d samples=%d paper=%t", seed, samples, paper)
+	if eval != "" && eval != EvalExact {
+		m += " eval=" + eval
+	}
+	if search != "" {
+		m += " search=" + search
+	}
+	return m
 }
 
 // StallAux flattens the row's per-app stall breakdowns into auxiliary

@@ -530,9 +530,10 @@ func (t *Telemetry) Status() SweepStatus {
 func (t *Telemetry) StatusAny() any { return t.Status() }
 
 // JournalMeta writes the journal's header record identifying the run: seed,
-// index-space size, resolved worker count, application order and the
+// index-space size, resolved worker count, the rows the collection journal
+// held when the run started (0 on a fresh run), application order and the
 // stall-class taxonomy the per-config stall arrays are indexed by.
-func (t *Telemetry) JournalMeta(seed int64, samples, workers int, apps []string) error {
+func (t *Telemetry) JournalMeta(seed int64, samples, workers, resumed int, apps []string) error {
 	if t == nil || t.journal == nil {
 		return nil
 	}
@@ -545,6 +546,8 @@ func (t *Telemetry) JournalMeta(seed int64, samples, workers int, apps []string)
 	b = strconv.AppendInt(b, int64(samples), 10)
 	b = append(b, `,"workers":`...)
 	b = strconv.AppendInt(b, int64(workers), 10)
+	b = append(b, `,"resumed":`...)
+	b = strconv.AppendInt(b, int64(resumed), 10)
 	if t.Search != "" {
 		b = append(b, `,"search":`...)
 		b = appendJSONString(b, t.Search)

@@ -67,7 +67,7 @@ func runFixedSweep(t *testing.T, path string) {
 	tel := armdse.NewTelemetry(armdse.NewMetricsRegistry(2), j)
 	tel.HeartbeatEvery = time.Nanosecond
 	suite := armdse.TestSuite()
-	if err := tel.JournalMeta(11, 6, 2, armdse.SuiteNames(suite)); err != nil {
+	if err := tel.JournalMeta(11, 6, 2, 0, armdse.SuiteNames(suite)); err != nil {
 		t.Fatal(err)
 	}
 	res, err := armdse.Collect(context.Background(), armdse.CollectOptions{
@@ -101,7 +101,7 @@ func runAdaptiveSweep(t *testing.T, path string) {
 	tel := armdse.NewTelemetry(armdse.NewMetricsRegistry(2), j)
 	tel.HeartbeatEvery = time.Nanosecond
 	tel.Search = proposer.Digest()
-	if err := tel.JournalMeta(11, 8, 2, apps); err != nil {
+	if err := tel.JournalMeta(11, 8, 2, 0, apps); err != nil {
 		t.Fatal(err)
 	}
 	res, err := armdse.Collect(context.Background(), armdse.CollectOptions{
@@ -121,17 +121,13 @@ func runAdaptiveSweep(t *testing.T, path string) {
 
 func runFleet(t *testing.T, path string) {
 	t.Helper()
-	j, err := armdse.CreateRunJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	dir := t.TempDir()
 	coord, err := fabric.NewCoordinator(fabric.CoordConfig{
 		Spec:      fabric.NewSpec(11, 12, false),
 		Out:       filepath.Join(dir, "fleet.csv"),
 		LeaseSize: 4, Chunk: 2, Expiry: time.Minute,
 		HeartbeatEvery: time.Nanosecond,
-		Runlog:         j,
+		Runlog:         path,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +153,7 @@ func runFleet(t *testing.T, path string) {
 	if _, _, err := coord.Merge(); err != nil {
 		t.Fatalf("merge: %v", err)
 	}
-	if err := j.Close(); err != nil {
+	if err := coord.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

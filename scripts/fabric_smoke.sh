@@ -1,8 +1,12 @@
 #!/usr/bin/env bash
 # fabric_smoke.sh — end-to-end smoke test of the distributed sweep fabric.
 #
-# Builds dsecoord and dsegen, collects a 300-config single-process reference
-# dataset, then re-collects the same run through a coordinator with two
+# Builds dsecoord and dsegen and collects a 300-config single-process
+# reference dataset. A dsegen -workers 1 run of the same sweep is killed
+# with SIGKILL part-way; a run with another -seed must refuse its journal
+# (exit 1, journal and runlog unchanged), and a rerun with the same flags
+# must finish it byte-identical to the reference. Then the same run is
+# re-collected through a coordinator with two
 # dsegen -worker processes on an ephemeral port. The fleet dataset must be
 # byte-identical to the reference (`cmp`), its <out>.journal must be
 # removed, the coordinator's /metrics and /status endpoints must serve the
@@ -30,6 +34,26 @@ go build -o "$TMP/dsereport" ./cmd/dsereport
 
 echo "== single-process reference ($SAMPLES configs)"
 "$TMP/dsegen" -samples "$SAMPLES" -seed "$SEED" -out "$TMP/ref.csv" -runlog none -q
+
+echo "== dsegen killed part-way, then rerun with the same flags"
+RERUN=("$TMP/dsegen" -samples "$SAMPLES" -seed "$SEED" -out "$TMP/rerun.csv" -workers 1 -q)
+"${RERUN[@]}" &
+GEN_PID=$!
+sleep 3
+kill -9 "$GEN_PID"
+wait "$GEN_PID" 2>/dev/null && { echo "FAIL: dsegen finished before it was killed" >&2; exit 1; }
+echo "-- killed with $(($(wc -l <"$TMP/rerun.csv.journal") - 1)) configs journaled"
+SUMS=$(sha256sum "$TMP/rerun.csv.journal" "$TMP/rerun.csv.runlog.jsonl")
+RC=0
+"$TMP/dsegen" -samples "$SAMPLES" -seed $((SEED + 1)) -out "$TMP/rerun.csv" -workers 1 -q 2>"$TMP/foreign.err" || RC=$?
+((RC == 1)) || { echo "FAIL: a run with another -seed exited $RC on the journal, want 1" >&2; exit 1; }
+[[ "$(sha256sum "$TMP/rerun.csv.journal" "$TMP/rerun.csv.runlog.jsonl")" == "$SUMS" ]] ||
+	{ echo "FAIL: the refused run changed the journal or the runlog" >&2; exit 1; }
+echo "-- another -seed refused: $(cat "$TMP/foreign.err")"
+"${RERUN[@]}"
+cmp "$TMP/ref.csv" "$TMP/rerun.csv"
+[[ -e "$TMP/rerun.csv.journal" ]] && { echo "FAIL: journal not removed" >&2; exit 1; }
+echo "-- cmp OK: the rerun resumed the journal"
 
 # start_coord OUT LINGER starts dsecoord on an ephemeral port, collecting
 # to OUT, and sets COORD_PID and ADDR. dsecoord prints

@@ -4,8 +4,7 @@
 Usage: validate_runlog.py [--require TYPE[,TYPE...]] <runlog.jsonl> [schema.json]
 
 Checks, per line: the record parses as JSON, its type is known, every
-required field is present with the schema's JSON type (including the
-fields 'required_with' ties to a field the record carries), config.apps items
+required field is present with the schema's JSON type, config.apps items
 match the nested schema, and each app's stalls array has one entry per
 stall class declared in the meta record. Whole-file checks: exactly one
 meta (first line) and one summary (last line), and the summary's
@@ -31,10 +30,6 @@ def check_fields(rec, spec, where, errors):
     for field in spec["required"]:
         if field not in rec:
             errors.append(f"{where}: missing required field {field!r}")
-    for key, fields in spec.get("required_with", {}).items():
-        for field in fields:
-            if key in rec and field not in rec:
-                errors.append(f"{where}: field {key!r} requires field {field!r}")
     for field, value in rec.items():
         want = spec["types"].get(field)
         if want is None:
