@@ -71,8 +71,7 @@ type (
 	// Tree is a trained CART regression surrogate.
 	Tree = dtree.Tree
 	// TreeOptions configure surrogate training (zero value = paper's);
-	// Workers selects the deterministic parallel build and Bins the
-	// histogram-binned split finder.
+	// Workers selects the deterministic parallel build.
 	TreeOptions = dtree.Options
 	// Importance is one feature's signed permutation importance.
 	Importance = dtree.Importance
@@ -408,8 +407,7 @@ func TrainSurrogate(d *Dataset, app string) (*Tree, error) {
 
 // TrainSurrogateOpt is TrainSurrogate with explicit training options: set
 // opt.Workers for the deterministic parallel build (byte-identical model at
-// every worker count) and opt.Bins for the histogram-binned split finder
-// (faster, near-exact; 0 keeps the paper's exact scan).
+// every worker count).
 func TrainSurrogateOpt(d *Dataset, app string, opt TreeOptions) (*Tree, error) {
 	y, err := d.Target(app)
 	if err != nil {

@@ -201,10 +201,10 @@ func TestSearchAndSurrogateIO(t *testing.T) {
 
 	// Surrogate round trip through disk.
 	path := filepath.Join(t.TempDir(), "tree.json")
-	if err := armdse.SaveSurrogate(tree, path); err != nil {
+	if err := armdse.SaveModel(tree, path); err != nil {
 		t.Fatal(err)
 	}
-	back, err := armdse.LoadSurrogate(path)
+	back, err := armdse.LoadModel(path)
 	if err != nil {
 		t.Fatal(err)
 	}

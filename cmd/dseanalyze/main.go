@@ -5,7 +5,7 @@
 // Usage:
 //
 //	dseanalyze -data dataset.csv [-split 0.8] [-seed 1] [-repeats 10] [-top 10]
-//	           [-workers 0] [-bins 0]
+//	           [-workers 0]
 package main
 
 import (
@@ -36,12 +36,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		repeats  = fs.Int("repeats", 10, "permutation-importance repeats")
 		top      = fs.Int("top", 10, "importances to print per application")
 		workers  = fs.Int("workers", 0, "training/importance workers (0 = all CPUs; never changes the models)")
-		bins     = fs.Int("bins", 0, "histogram bins per feature for split finding (0 = exact scan, the paper's setting)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := validateFlags(*split, *repeats, *top, *workers, *bins); err != nil {
+	if err := validateFlags(*split, *repeats, *top, *workers); err != nil {
 		return err
 	}
 
@@ -61,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Title:   fmt.Sprintf("Held-out accuracy (train %d / test %d)", train.Len(), test.Len()),
 		Columns: []string{"Application", "<=1%", "<=2%", "<=5%", "<=10%", "<=25%", "Mean accuracy", "Leaves", "Depth"},
 	}
-	treeOpt := armdse.TreeOptions{Workers: *workers, Bins: *bins}
+	treeOpt := armdse.TreeOptions{Workers: *workers}
 	var accSum float64
 	for _, app := range data.Apps {
 		tree, err := armdse.TrainSurrogateOpt(train, app, treeOpt)
@@ -119,7 +118,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 // validateFlags rejects values the analysis would otherwise coerce or fail
 // on late: it runs before the dataset loads, so a typo costs no training.
-func validateFlags(split float64, repeats, top, workers, bins int) error {
+func validateFlags(split float64, repeats, top, workers int) error {
 	switch {
 	case !(split > 0 && split < 1):
 		return fmt.Errorf("-split %g: the training fraction must lie strictly between 0 and 1", split)
@@ -129,8 +128,6 @@ func validateFlags(split float64, repeats, top, workers, bins int) error {
 		return fmt.Errorf("-top %d < 0", top)
 	case workers < 0:
 		return fmt.Errorf("-workers %d < 0 (0 selects all CPUs)", workers)
-	case bins < 0 || bins == 1:
-		return fmt.Errorf("-bins %d: want 0 (exact scan) or at least 2", bins)
 	}
 	return nil
 }

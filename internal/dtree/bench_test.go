@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"armdse/internal/stats"
 )
 
 // benchData builds a 30-feature dataset resembling the study's shape.
@@ -23,16 +25,14 @@ func benchData(n int) ([][]float64, []float64) {
 	return x, y
 }
 
-// trainVariants are the split-finder x worker combinations the README's
-// benchmark table compares; benchstat groups them by the /mode=... key.
+// trainVariants are the worker counts the README's benchmark table
+// compares; benchstat groups them by the /mode=... key.
 var trainVariants = []struct {
 	name string
 	opt  Options
 }{
 	{"exact-serial", Options{Workers: 1}},
 	{"exact-8w", Options{Workers: 8}},
-	{"hist256-serial", Options{Workers: 1, Bins: 256}},
-	{"hist256-8w", Options{Workers: 8, Bins: 256}},
 }
 
 // BenchmarkTrain measures surrogate training at the dataset sizes the paper's
@@ -186,7 +186,7 @@ func BenchmarkForestWarmRefit(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := RefitForest(prev, x, y, RefitOptions{
-					ForestOptions: ForestOptions{Trees: 20, Seed: SubSeed(20, i)},
+					ForestOptions: ForestOptions{Trees: 20, Seed: stats.SubSeed(20, i)},
 					Refresh:       bc.refresh,
 					Gen:           i,
 				}); err != nil {

@@ -4,27 +4,24 @@
 // maximum leaf count, and single-sample leaves — plus the permutation
 // feature importance analysis used to rank parameters (§V-C, §VI-B).
 //
-// Training scales two ways beyond the paper's serial setup, both without
-// changing the model the default options produce:
-//
-//   - Options.Workers builds independent subtrees concurrently and merges
-//     them in deterministic preorder, so the packed node array — and hence
-//     Serialize output — is byte-identical at every worker count.
-//   - Options.Bins switches the exhaustive sorted split scan to a
-//     histogram-binned search over per-dataset quantile bins, turning the
-//     per-node O(n·f·log n) sort into an O(n·f) accumulation. Exact mode
-//     (Bins == 0) remains the default for paper fidelity.
+// Every tree grows by the exact CART scan: each node sorts its samples per
+// feature and splits at the midpoint of the best boundary, as scikit-learn
+// does. Options.Workers builds independent subtrees concurrently and merges
+// them in deterministic preorder, so the packed node array — and hence
+// Serialize output — is byte-identical at every worker count.
 package dtree
 
 import (
 	"fmt"
 	"math"
 	"sync"
+
+	"armdse/internal/stats"
 )
 
 // Options configure training. The zero value is the paper's configuration:
 // unlimited depth, single-sample leaves, all features considered at every
-// split, exact split search, GOMAXPROCS build workers (the build result is
+// split, GOMAXPROCS build workers (the build result is
 // worker-count-invariant, so parallelism is on by default).
 type Options struct {
 	// MaxDepth caps tree depth; 0 means unlimited.
@@ -47,11 +44,6 @@ type Options struct {
 	// the node tree in preorder, so scheduling never leaks into the
 	// model.
 	Workers int
-	// Bins, when positive, selects the histogram-binned split finder with
-	// at most that many quantile bins per feature (clamped to [2, 65536]).
-	// 0 selects the exact sorted scan, the paper's configuration. See
-	// hist.go for the fidelity trade-off.
-	Bins int
 }
 
 // node is one tree node. Leaves have feature == -1.
@@ -91,15 +83,8 @@ type splitResult struct {
 // the trainer's pool for the duration of a node's split search.
 type splitScratch struct {
 	perm  []int      // partition buffer
-	recs  []splitRec // exact-mode (value, target) sort buffer
+	recs  []splitRec // (value, target) sort buffer
 	feats []int      // feature-subsample buffer
-	// Histogram-mode sparse per-bin accumulators: a set bit in bits marks
-	// the bin live for the current (node, feature) pass; stale bins are
-	// zeroed lazily on first touch (see findSplitHist).
-	cnt  []int
-	sum  []float64
-	sq   []float64
-	bits []uint64
 }
 
 // trainer carries shared, read-only state through the (possibly concurrent)
@@ -112,8 +97,6 @@ type trainer struct {
 	// allFeats is the shared 0..nf-1 list used when no subsampling is
 	// configured; read-only across goroutines.
 	allFeats []int
-	// hist is non-nil in histogram mode; immutable after construction.
-	hist *histogram
 	// sem holds spawn tokens for Workers-1 extra goroutines; nil when the
 	// build is serial.
 	sem     chan struct{}
@@ -149,9 +132,6 @@ func Train(x [][]float64, y []float64, opt Options) (*Tree, error) {
 	for i := range tr.allFeats {
 		tr.allFeats[i] = i
 	}
-	if opt.Bins > 0 {
-		tr.hist = buildHistogram(x, nf, opt.Bins, opt.Workers)
-	}
 	if w := clampWorkers(opt.Workers, len(x)); w > 1 {
 		tr.sem = make(chan struct{}, w-1)
 	}
@@ -160,7 +140,7 @@ func Train(x [][]float64, y []float64, opt Options) (*Tree, error) {
 	for i := range idx {
 		idx[i] = i
 	}
-	root := tr.build(idx, 1, subSeed(opt.Seed, 0))
+	root := tr.build(idx, 1, uint64(stats.SubSeed(opt.Seed, 0)))
 	return flatten(root, nf), nil
 }
 
@@ -212,11 +192,7 @@ func (tr *trainer) findBestSplit(idx []int, seed uint64, sum, sumSq, parentSSE f
 
 	best := splitResult{feature: -1}
 	for _, f := range tr.splitFeatures(sc, seed) {
-		if tr.hist != nil {
-			tr.findSplitHist(idx, f, sum, sumSq, parentSSE, sc, &best)
-		} else {
-			tr.findSplitExact(idx, f, sum, sumSq, parentSSE, sc, &best)
-		}
+		tr.findSplit(idx, f, sum, sumSq, parentSSE, sc, &best)
 	}
 	if best.feature < 0 {
 		return best, 0
@@ -241,13 +217,13 @@ func (tr *trainer) findBestSplit(idx []int, seed uint64, sum, sumSq, parentSSE f
 	return best, nl
 }
 
-// findSplitExact is the paper's exhaustive split search for one feature:
+// findSplit is the paper's exhaustive split search for one feature:
 // sort the node's samples by the feature and scan every boundary between
 // distinct consecutive values. The samples are gathered into contiguous
 // (value, target) records first, so the sort and the scan never chase a row
 // pointer; sortRecs orders them exactly as sort.Slice over the index
 // permutation would (see splitsort.go), which keeps every tree identical.
-func (tr *trainer) findSplitExact(idx []int, f int, sum, sumSq, parentSSE float64, sc *splitScratch, best *splitResult) {
+func (tr *trainer) findSplit(idx []int, f int, sum, sumSq, parentSSE float64, sc *splitScratch, best *splitResult) {
 	n := len(idx)
 	recs := sc.recs[:n]
 	for k, i := range idx {
@@ -279,6 +255,14 @@ func (tr *trainer) findSplitExact(idx []int, f int, sum, sumSq, parentSSE float6
 			best.threshold = v0 + (v1-v0)/2
 		}
 	}
+}
+
+// childSeed derives a node's child substream from the parent's, keyed by
+// side (0 = left, 1 = right), so every node's stream is a pure function of
+// its root-to-node path — independent of build scheduling.
+func childSeed(s uint64, side uint64) uint64 {
+	v := s ^ (0x9e3779b97f4a7c15 * (side + 1))
+	return stats.Splitmix64(&v)
 }
 
 // childPair carries the two built subtrees of a split node.
@@ -320,19 +304,11 @@ func (tr *trainer) getScratch(n int) *splitScratch {
 	if cap(sc.perm) < n {
 		sc.perm = make([]int, n)
 	}
-	if tr.hist == nil && cap(sc.recs) < n {
+	if cap(sc.recs) < n {
 		sc.recs = make([]splitRec, n)
 	}
 	if cap(sc.feats) < tr.nf {
 		sc.feats = make([]int, tr.nf)
-	}
-	if tr.hist != nil {
-		if nb := tr.hist.maxBinCount(); cap(sc.cnt) < nb {
-			sc.cnt = make([]int, nb)
-			sc.sum = make([]float64, nb)
-			sc.sq = make([]float64, nb)
-			sc.bits = make([]uint64, (nb+63)/64)
-		}
 	}
 	return sc
 }
@@ -345,7 +321,7 @@ func (tr *trainer) splitFeatures(sc *splitScratch, seed uint64) []int {
 	}
 	feats := sc.feats[:tr.nf]
 	copy(feats, tr.allFeats)
-	rng := subRand(seed)
+	rng := stats.NewRand(int64(seed))
 	rng.Shuffle(len(feats), func(a, b int) {
 		feats[a], feats[b] = feats[b], feats[a]
 	})

@@ -3,6 +3,8 @@ package dtree
 import (
 	"fmt"
 	"math"
+
+	"armdse/internal/stats"
 )
 
 // ForestOptions configure random-forest training.
@@ -23,9 +25,6 @@ type ForestOptions struct {
 	// GOMAXPROCS, 1 trains serially. The trained forest is identical at
 	// every value.
 	Workers int
-	// Bins selects the histogram-binned split finder for the ensemble's
-	// trees (see Options.Bins); 0 keeps the exact scan.
-	Bins int
 }
 
 // Forest is a bagged ensemble of regression trees — the "more complex
@@ -64,7 +63,7 @@ func TrainForest(x [][]float64, y []float64, opt ForestOptions) (*Forest, error)
 		bx := make([][]float64, n)
 		by := make([]float64, n)
 		for t := lo; t < hi; t++ {
-			rng := subRand(subSeed(opt.Seed, t))
+			rng := stats.NewRand(stats.SubSeed(opt.Seed, t))
 			for i := 0; i < n; i++ {
 				j := rng.Intn(n)
 				bx[i] = x[j]
@@ -74,7 +73,6 @@ func TrainForest(x [][]float64, y []float64, opt ForestOptions) (*Forest, error)
 				MinSamplesLeaf: opt.MinSamplesLeaf,
 				MaxFeatures:    opt.MaxFeatures,
 				Seed:           rng.Int63(),
-				Bins:           opt.Bins,
 			})
 			if errs[t] != nil {
 				return

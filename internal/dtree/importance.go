@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"armdse/internal/stats"
 )
 
 // Importance is one feature's permutation importance. Pct is the paper's
@@ -96,7 +98,7 @@ func PermutationImportanceModel(m Predictor, x [][]float64, y []float64, names [
 				for i := range col {
 					col[i] = x[i][f]
 				}
-				rng := subRand(subSeed(opt.Seed, f*repeats+r))
+				rng := stats.NewRand(stats.SubSeed(opt.Seed, f*repeats+r))
 				rng.Shuffle(n, func(a, b int) { col[a], col[b] = col[b], col[a] })
 				var err float64
 				for i := range x {

@@ -5,11 +5,13 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"armdse/internal/stats"
 )
 
 func trainSmallModels(t *testing.T) (*Tree, *Forest, [][]float64, []float64) {
 	t.Helper()
-	rng := subRand(subSeed(7, 0))
+	rng := stats.NewRand(stats.SubSeed(7, 0))
 	x := make([][]float64, 200)
 	y := make([]float64, 200)
 	for i := range x {

@@ -2,7 +2,6 @@ package dtree
 
 import (
 	"bytes"
-	"math"
 	"testing"
 
 	"armdse/internal/dataset"
@@ -22,10 +21,10 @@ func serializeWith(t *testing.T, x [][]float64, y []float64, opt Options) []byte
 	return b
 }
 
-// TestParallelByteIdentity pins the tentpole determinism contract: the build
-// result is invariant under the worker count, byte for byte, for every
-// split-finder mode — including MaxFeatures, whose per-node feature subsets
-// are keyed by tree path rather than by scheduling order.
+// TestParallelByteIdentity pins the determinism contract: the build result
+// is invariant under the worker count, byte for byte — including under
+// MaxFeatures, whose per-node feature subsets are keyed by tree path rather
+// than by scheduling order.
 func TestParallelByteIdentity(t *testing.T) {
 	x, y := benchData(3000)
 	cases := []struct {
@@ -33,9 +32,8 @@ func TestParallelByteIdentity(t *testing.T) {
 		opt  Options
 	}{
 		{"exact", Options{}},
-		{"hist64", Options{Bins: 64}},
 		{"maxfeat", Options{MaxFeatures: 10, Seed: 7}},
-		{"hist-maxfeat-minleaf", Options{Bins: 32, MaxFeatures: 10, Seed: 7, MinSamplesLeaf: 3}},
+		{"maxfeat-minleaf", Options{MaxFeatures: 10, Seed: 7, MinSamplesLeaf: 3}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -167,82 +165,4 @@ func loadGolden(t *testing.T) *dataset.Dataset {
 		t.Fatal(err)
 	}
 	return d
-}
-
-// TestHistogramToleranceGolden bounds the accuracy cost of histogram binning
-// on real design-space data: an exact tree and a 256-bin tree are trained on
-// the same 80% split of the golden fixture, and the histogram tree's held-out
-// RMSE against the simulated truth must stay within 10% of the exact tree's.
-// Near-tie splits resolve differently under binned accumulation, so the two
-// trees are not node-identical off the training rows — the contract is that
-// binning never costs meaningful accuracy (measured ratios on this fixture:
-// 0.86-0.94, i.e. slightly better than exact).
-func TestHistogramToleranceGolden(t *testing.T) {
-	d := loadGolden(t)
-	train, test := d.Split(1, 0.8)
-	if train.Len() == 0 || test.Len() == 0 {
-		t.Fatalf("golden fixture too small: %d rows", d.Len())
-	}
-	const maxRMSERatio = 1.10
-	rmse := func(tr *Tree, x [][]float64, y []float64) float64 {
-		p := tr.PredictBatch(x, 1)
-		var sse float64
-		for i := range y {
-			sse += (p[i] - y[i]) * (p[i] - y[i])
-		}
-		return math.Sqrt(sse / float64(len(y)))
-	}
-	for _, app := range d.Apps {
-		yTrain, err := train.Target(app)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exact, err := Train(train.X, yTrain, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		hist, err := Train(train.X, yTrain, Options{Bins: 256})
-		if err != nil {
-			t.Fatal(err)
-		}
-		yTest, err := test.Target(app)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ratio := rmse(hist, test.X, yTest) / rmse(exact, test.X, yTest)
-		t.Logf("%s: held-out RMSE ratio hist/exact = %.3f", app, ratio)
-		if ratio > maxRMSERatio {
-			t.Errorf("%s: histogram RMSE is %.3fx exact's (max %v)", app, ratio, maxRMSERatio)
-		}
-		// On the rows it was trained on, the single-sample-leaf histogram
-		// tree must still memorize exactly, like the exact tree does.
-		if got := rmse(hist, train.X, yTrain); got != 0 {
-			t.Errorf("%s: histogram tree training RMSE %g, want exact memorization", app, got)
-		}
-	}
-}
-
-// TestHistogramBinExtremes pins the binner's edge behavior: a bin count far
-// above the distinct-value count degenerates to the exact split on every
-// feature, and the minimum count of two still produces a working tree.
-func TestHistogramBinExtremes(t *testing.T) {
-	x := [][]float64{{1}, {2}, {3}, {4}, {5}, {6}, {7}, {8}}
-	y := []float64{1, 1, 1, 1, 9, 9, 9, 9}
-	wide, err := Train(x, y, Options{Bins: maxBins})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := wide.Predict([]float64{2}); got != 1 {
-		t.Errorf("wide-bin Predict(2) = %g, want 1", got)
-	}
-	if got := wide.Predict([]float64{7}); got != 9 {
-		t.Errorf("wide-bin Predict(7) = %g, want 9", got)
-	}
-	narrow, err := Train(x, y, Options{Bins: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := narrow.Predict([]float64{7}); got != 9 {
-		t.Errorf("two-bin Predict(7) = %g, want 9", got)
-	}
 }

@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"armdse/internal/stats"
 )
 
 // Warm-started forest refits. An adaptive sweep retrains its surrogate at
@@ -23,8 +25,8 @@ import (
 // retained trees are shared pointers — immutable once trained. The refitted
 // forest (and its serialized form) is therefore byte-identical at every
 // Workers value. Callers that want fresh randomness per generation pass a
-// per-generation Seed (e.g. SubSeed(base, gen)); Gen only selects which
-// trees retrain.
+// per-generation Seed (e.g. stats.SubSeed(base, gen)); Gen only selects
+// which trees retrain.
 
 // RefitOptions configure RefitForest. The embedded ForestOptions carry the
 // ensemble geometry and training substreams, with the same defaults as
@@ -103,7 +105,7 @@ func RefitForest(prev *Forest, x [][]float64, y []float64, opt RefitOptions) (*F
 		by := make([]float64, n)
 		for j := lo; j < hi; j++ {
 			t := (start + j) % fo.Trees
-			rng := subRand(subSeed(fo.Seed, t))
+			rng := stats.NewRand(stats.SubSeed(fo.Seed, t))
 			for i := 0; i < n; i++ {
 				k := rng.Intn(n)
 				bx[i] = x[k]
@@ -113,7 +115,6 @@ func RefitForest(prev *Forest, x [][]float64, y []float64, opt RefitOptions) (*F
 				MinSamplesLeaf: fo.MinSamplesLeaf,
 				MaxFeatures:    fo.MaxFeatures,
 				Seed:           rng.Int63(),
-				Bins:           fo.Bins,
 			})
 			if errs[j] != nil {
 				return

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"sync/atomic"
 	"testing"
+
+	"armdse/internal/stats"
 )
 
 // modelBytes serialises a forest through the versioned envelope — the
@@ -74,7 +76,7 @@ func TestRefitWorkerInvariance(t *testing.T) {
 		var err error
 		for gen, n := 0, 160; n <= len(xAll); gen, n = gen+1, n+160 {
 			f, _, err = RefitForest(f, xAll[:n], yAll[:n], RefitOptions{
-				ForestOptions: ForestOptions{Trees: 16, Seed: SubSeed(11, gen), Workers: workers},
+				ForestOptions: ForestOptions{Trees: 16, Seed: stats.SubSeed(11, gen), Workers: workers},
 				Refresh:       4,
 				Gen:           gen,
 			})
@@ -112,7 +114,7 @@ func TestRefitRotationCoversEnsemble(t *testing.T) {
 	seen := make(map[int]bool)
 	for gen := 0; gen < 4; gen++ { // ceil(10/3) = 4 refits cover the ensemble
 		next, retrained, err := RefitForest(f, x, y, RefitOptions{
-			ForestOptions: ForestOptions{Trees: trees, Seed: SubSeed(2, gen)},
+			ForestOptions: ForestOptions{Trees: trees, Seed: stats.SubSeed(2, gen)},
 			Refresh:       refresh,
 			Gen:           gen,
 		})

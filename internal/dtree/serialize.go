@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 )
 
 // treeJSON is the on-disk form of a Tree.
@@ -99,27 +98,4 @@ func Read(r io.Reader) (*Tree, error) {
 		return nil, fmt.Errorf("dtree: decoding tree: %w", err)
 	}
 	return treeFromJSON(tj)
-}
-
-// SaveFile writes the tree to path.
-func (t *Tree) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := t.Write(f); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// LoadFile reads a tree from path.
-func LoadFile(path string) (*Tree, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Read(f)
 }

@@ -3,7 +3,6 @@ package dtree
 import (
 	"bytes"
 	"math/rand"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -43,24 +42,6 @@ func TestTreeSerializationRoundTrip(t *testing.T) {
 		if back.Predict(row) != tree.Predict(row) {
 			t.Fatal("predictions changed after round trip")
 		}
-	}
-}
-
-func TestTreeSaveLoadFile(t *testing.T) {
-	tree, x := trainedTree(t)
-	path := filepath.Join(t.TempDir(), "tree.json")
-	if err := tree.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Predict(x[0]) != tree.Predict(x[0]) {
-		t.Error("file round trip changed predictions")
-	}
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Error("missing file accepted")
 	}
 }
 

@@ -10,7 +10,7 @@ package dtree
 // generated from the same template (sort/zsortfunc.go), so on the same input
 // both make the same comparisons and the same swaps: ties between equal
 // feature values land in the same order, every running target sum in
-// findSplitExact rounds the same, and every trained tree is byte-identical
+// findSplit rounds the same, and every trained tree is byte-identical
 // to one built with sort.Slice over a permutation of sample indices. Only
 // the functions pdqsort reaches are kept. cmp.Less is not used because it
 // orders NaN, which sort.Slice's < comparator does not.

@@ -24,7 +24,7 @@ func TestFixedBatchesMatchesFixedSweep(t *testing.T) {
 			Seed:    11,
 			Suite:   tinySuite(),
 			Workers: workers,
-			Batches: singleBatch(IndexedSource{Seed: 11, N: 10}),
+			Batches: singleBatch(RangeSource{Seed: 11, Hi: 10}),
 		}
 		got := collectCSV(t, batch)
 		if !bytes.Equal(want, got) {
@@ -122,8 +122,8 @@ func (t rowTap) Put(row Row) error {
 func TestEngineRejectsSourceAndBatches(t *testing.T) {
 	sink := NewDatasetSink(params.FeatureNames(), SuiteNames(tinySuite()))
 	both := &Engine{
-		Source:  IndexedSource{Seed: 1, N: 2},
-		Batches: singleBatch(IndexedSource{Seed: 1, N: 2}),
+		Source:  RangeSource{Seed: 1, Hi: 2},
+		Batches: singleBatch(RangeSource{Seed: 1, Hi: 2}),
 		Suite:   tinySuite(),
 		Sink:    sink,
 	}
@@ -234,7 +234,7 @@ func TestSourceDigest(t *testing.T) {
 	if SourceDigest(a) != SourceDigest(SliceSource{params.ConfigAt(1, 0), params.ConfigAt(1, 1)}) {
 		t.Error("identical sources digest differently")
 	}
-	if SourceDigest(a) != SourceDigest(IndexedSource{Seed: 1, N: 2}) {
+	if SourceDigest(a) != SourceDigest(RangeSource{Seed: 1, Hi: 2}) {
 		t.Error("digest depends on source representation, not contents")
 	}
 }

@@ -35,19 +35,6 @@ type ConfigSource interface {
 	At(i int) params.Config
 }
 
-// IndexedSource derives configuration i directly from (Seed, i) via
-// params.ConfigAt — the engine's default source.
-type IndexedSource struct {
-	Seed int64
-	N    int
-}
-
-// Len implements ConfigSource.
-func (s IndexedSource) Len() int { return s.N }
-
-// At implements ConfigSource.
-func (s IndexedSource) At(i int) params.Config { return params.ConfigAt(s.Seed, i) }
-
 // SliceSource serves a pre-materialised configuration list.
 type SliceSource []params.Config
 

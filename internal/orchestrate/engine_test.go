@@ -212,7 +212,7 @@ func TestEngineValidation(t *testing.T) {
 	if _, _, err := e.Run(context.Background()); err == nil {
 		t.Error("engine without source accepted")
 	}
-	e = &Engine{Source: IndexedSource{Seed: 1, N: 2}, Sink: sink}
+	e = &Engine{Source: RangeSource{Seed: 1, Hi: 2}, Sink: sink}
 	if _, _, err := e.Run(context.Background()); err == nil {
 		t.Error("engine without suite accepted")
 	}

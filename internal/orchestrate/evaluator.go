@@ -12,6 +12,7 @@ import (
 	"armdse/internal/isa"
 	"armdse/internal/params"
 	"armdse/internal/simeng"
+	"armdse/internal/stats"
 	"armdse/internal/workload"
 )
 
@@ -374,7 +375,7 @@ func (h *hybridState) refresh() int64 {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	genSeed := dtree.SubSeed(h.seed, h.gens)
+	genSeed := stats.SubSeed(h.seed, h.gens)
 	// One fan-out over the apps' refits; each writes only its own slot
 	// (and sorts only its own samples), and the map is read-only under
 	// the held lock.
@@ -394,7 +395,7 @@ func (h *hybridState) refresh() int64 {
 			ForestOptions: dtree.ForestOptions{
 				Trees:          evalForestTrees,
 				MinSamplesLeaf: evalMinSamplesLeaf,
-				Seed:           dtree.SubSeed(genSeed, ai),
+				Seed:           stats.SubSeed(genSeed, ai),
 				Workers:        treeWorkers,
 			},
 			Gen: h.gens,

@@ -307,7 +307,7 @@ func TestHybridEscalatedRowsMatchExact(t *testing.T) {
 func TestHybridSkipInvariance(t *testing.T) {
 	smallHybridGenerations(t, 6, 4)
 	const n = 40
-	src := IndexedSource{Seed: 7, N: n}
+	src := RangeSource{Seed: 7, Hi: n}
 	inShard := func(i int) bool { return i%2 == 1 }
 	var kept SliceSource
 	var keptIdx []int

@@ -160,7 +160,7 @@ func Collect(ctx context.Context, opt Options) (Result, error) {
 		Telemetry:       opt.Telemetry,
 	}
 	if opt.Batches == nil {
-		eng.Source = IndexedSource{Seed: opt.Seed, N: opt.Samples}
+		eng.Source = RangeSource{Seed: opt.Seed, Hi: opt.Samples}
 	}
 	done, failed, runErr := eng.Run(ctx)
 	res := Result{Done: done, Failed: failed}

@@ -3,12 +3,13 @@ package orchestrate
 import "armdse/internal/params"
 
 // RangeSource derives the contiguous global-index range [Lo, Hi) of seed's
-// sampling stream — the lease-range config source behind the distributed
-// sweep fabric. A worker holding a lease over [Lo, Hi) runs the engine over
-// this source and re-bases the emitted row indices by Lo (see Base), so the
-// rows it uploads carry the same global indices a single-process sweep
-// would journal: the union of all lease ranges compacts byte-identically to
-// the single-process run.
+// sampling stream via params.ConfigAt. With Lo = 0 it is a whole fixed
+// sweep (Collect's source); otherwise it is the lease range of a worker in
+// the distributed sweep fabric. That worker runs the engine over this
+// source and re-bases the emitted row indices by Lo (see Base), so the rows
+// it uploads carry the same global indices a single-process sweep would
+// journal: the union of all lease ranges compacts byte-identically to the
+// single-process run.
 type RangeSource struct {
 	Seed   int64
 	Lo, Hi int

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"armdse/internal/stats"
 )
 
 func TestFeatureRoundTrip(t *testing.T) {
@@ -216,7 +218,7 @@ func TestConstrainedSampleFallback(t *testing.T) {
 // the value tables are built once, and the constrained draws index them in
 // place. Candidate pools draw thousands of configurations per generation.
 func TestSampleAllocFree(t *testing.T) {
-	rng := NewRand(3)
+	rng := stats.NewRand(3)
 	if n := testing.AllocsPerRun(200, func() { _ = Sample(rng) }); n != 0 {
 		t.Errorf("Sample allocates %v times per draw, want 0", n)
 	}

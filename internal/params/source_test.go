@@ -7,6 +7,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"armdse/internal/stats"
 )
 
 func TestConfigAtMatchesSampleN(t *testing.T) {
@@ -70,8 +72,8 @@ func TestConfigAtNotShiftedStreams(t *testing.T) {
 	// the second draw of stream i with the first draw of stream i+1.
 	hits := 0
 	for i := 0; i < 50; i++ {
-		a := indexedRand(3, i)
-		b := indexedRand(3, i+1)
+		a := stats.NewRand(stats.SubSeed(3, i))
+		b := stats.NewRand(stats.SubSeed(3, i+1))
 		a.Uint64()
 		if a.Uint64() == b.Uint64() {
 			hits++

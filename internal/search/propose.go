@@ -11,6 +11,7 @@ import (
 	"armdse/internal/dtree"
 	"armdse/internal/orchestrate"
 	"armdse/internal/params"
+	"armdse/internal/stats"
 )
 
 // The adaptive proposal loop. A Proposer plugs into the collection engine's
@@ -32,7 +33,7 @@ import (
 // function of the worker count, because the chunks carry RNG draws.
 //
 // Everything is therefore deterministic given (seed, strategy, options):
-// candidate pools draw from substreams chained via params.SubSeed, forests
+// candidate pools draw from substreams chained via stats.SubSeed, forests
 // refit on chained per-(generation, app) seeds with generation-keyed tree
 // rotation, and ties break on candidate index. Combined with the engine's
 // barrier contract (the proposer only ever sees complete earlier batches),
@@ -287,7 +288,7 @@ func forChunks(n, workers int, fn func(chunk, lo, hi int)) {
 // substreams, scores it across the worker pool, and assembles the batch.
 func (p *Proposer) modelBatch(n, gen int, train []orchestrate.Row) []params.Config {
 	o := p.opt
-	genSeed := params.SubSeed(params.SubSeed(o.Seed, gen), strategyID[o.Strategy])
+	genSeed := stats.SubSeed(stats.SubSeed(o.Seed, gen), strategyID[o.Strategy])
 
 	x := make([][]float64, len(train))
 	ys := make([][]float64, len(o.Apps))
@@ -315,7 +316,7 @@ func (p *Proposer) modelBatch(n, gen int, train []orchestrate.Row) []params.Conf
 		forests[ai], retrained[ai], errs[ai] = dtree.RefitForest(p.forests[ai], x, ys[ai], dtree.RefitOptions{
 			ForestOptions: dtree.ForestOptions{
 				Trees:   o.Trees,
-				Seed:    params.SubSeed(genSeed, ai),
+				Seed:    stats.SubSeed(genSeed, ai),
 				Workers: treeWorkers,
 			},
 			Gen: p.modelGens,
@@ -337,10 +338,10 @@ func (p *Proposer) modelBatch(n, gen int, train []orchestrate.Row) []params.Conf
 	p.stats.RefitNanos = time.Since(t0).Nanoseconds()
 
 	t1 := time.Now()
-	poolSeed := params.SubSeed(genSeed, streamPool)
+	poolSeed := stats.SubSeed(genSeed, streamPool)
 	cands := make([]params.Config, o.Pool)
 	forChunks(o.Pool, o.Workers, func(c, lo, hi int) {
-		rng := params.NewRand(params.SubSeed(poolSeed, c))
+		rng := stats.NewRand(stats.SubSeed(poolSeed, c))
 		for i := lo; i < hi; i++ {
 			cands[i] = params.Sample(rng)
 		}
@@ -406,7 +407,7 @@ func assemble(n int, genSeed int64, cands []params.Config, scores []float64) []p
 			batch = append(batch, cands[best])
 		}
 	}
-	rng := params.NewRand(params.SubSeed(genSeed, streamExplore))
+	rng := stats.NewRand(stats.SubSeed(genSeed, streamExplore))
 	for len(batch) < n {
 		batch = append(batch, params.Sample(rng))
 	}

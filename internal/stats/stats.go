@@ -1,7 +1,9 @@
 // Package stats implements the paper's evaluation metrics: the percentage of
 // predictions within a confidence interval of the simulated truth (Fig. 2),
 // the mean prediction accuracy (the headline 93.38% figure), and the
-// mean-speedup curves over parameter values (Figs. 6-8).
+// mean-speedup curves over parameter values (Figs. 6-8). It also holds the
+// splitmix64 substream derivation (SubSeed, NewRand) that configuration
+// sampling, proposal pools and tree training all draw from.
 package stats
 
 import (

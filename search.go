@@ -1,12 +1,9 @@
 package armdse
 
 import (
-	"fmt"
-
 	"armdse/internal/dtree"
 	"armdse/internal/params"
 	"armdse/internal/search"
-	"armdse/internal/stats"
 )
 
 // Design-space search types (see internal/search).
@@ -38,29 +35,11 @@ func WeightedObjective(objs []Objective, weights []float64) (Objective, error) {
 	return search.WeightedObjective(objs, weights)
 }
 
-// SaveSurrogate writes any trained model — Tree or Forest — to path in the
+// SaveModel writes any trained model — Tree or Forest — to path in the
 // versioned model envelope ({"version":1,"kind":...}).
-func SaveSurrogate(m Predictor, path string) error { return dtree.SaveModel(m, path) }
-
-// LoadSurrogate reads a tree written by SaveSurrogate (either the envelope
-// or the pre-envelope bare-tree format). Use LoadModel for files that may
-// hold a forest.
-func LoadSurrogate(path string) (*Tree, error) {
-	m, err := dtree.LoadModel(path)
-	if err != nil {
-		return nil, err
-	}
-	t, ok := m.(*Tree)
-	if !ok {
-		return nil, fmt.Errorf("armdse: %s holds a %T, not a tree; use LoadModel", path, m)
-	}
-	return t, nil
-}
-
-// SaveModel is SaveSurrogate under its seam-level name.
 func SaveModel(m Predictor, path string) error { return dtree.SaveModel(m, path) }
 
-// LoadModel reads any model written by SaveSurrogate/SaveModel, returning a
+// LoadModel reads any model written by SaveModel, returning a
 // *Tree or *Forest behind the Predictor interface. Files written before the
 // envelope existed (bare tree JSON) load as trees.
 func LoadModel(path string) (Predictor, error) { return dtree.LoadModel(path) }
@@ -129,8 +108,3 @@ func EncodeConfig(c Config) []float64 { return params.Encode(c) }
 // are repaired. Total on arbitrary inputs — the inverse seam search
 // strategies use to turn model-space points into simulatable configs.
 func DecodeConfig(f []float64) (Config, error) { return params.Decode(f) }
-
-// SpearmanRank returns Spearman's rank correlation between paired samples
-// (fractional ranks under ties), such as two feature-importance rankings
-// of the same parameters.
-func SpearmanRank(a, b []float64) (float64, error) { return stats.SpearmanRank(a, b) }
