@@ -41,7 +41,7 @@ func TestStallBreakdownSumsToCycles(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 50 + rng.Intn(300)
-		insts := randomProgram(rng, n)
+		insts := randomProgram(rng, n, mixedGroups)
 		cfg := randomConfig(rng)
 		mems := map[string]MemoryBackend{"sstmem": testMem()}
 		if fm, err := NewFlatMem(3, 64, 1+rng.Intn(4)); err == nil {
