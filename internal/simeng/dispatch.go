@@ -2,13 +2,12 @@ package simeng
 
 import "armdse/internal/isa"
 
-// dispatchStage moves renamed instructions into the window, allocating their
-// ROB/RS/LQ/SQ slots and subscribing unresolved sources to their producers'
-// wake lists. A full structure stops dispatch for the cycle; which one is
-// posted to the stall bus (and counted per-instruction in Stats).
+// dispatchStage admits renamed instructions to the reorder buffer, allocating
+// their ROB/RS/LQ/SQ slots and subscribing unresolved sources to their
+// producers' wake lists. A full structure stops dispatch for the cycle; which
+// one is posted to the stall bus (and counted per-instruction in Stats).
 func (c *Core) dispatchStage() {
-	for n := 0; n < isa.DispatchRate && !c.renameQ.Empty(); n++ {
-		rec := c.renameQ.Peek()
+	for n := 0; n < isa.DispatchRate && c.seqDispatched < c.seqRenamed; n++ {
 		if c.seqDispatched-c.seqCommitted >= c.cp {
 			c.stats.ROBStalls++
 			c.bus.robFull = true
@@ -19,7 +18,9 @@ func (c *Core) dispatchStage() {
 			c.bus.rsFull = true
 			return
 		}
-		switch rec.op {
+		seq := c.seqDispatched
+		e := &c.window[seq&c.wmask]
+		switch e.op {
 		case isa.Load:
 			if c.lsq.lqCount >= c.cfg.LoadQueueSize {
 				c.stats.LQStalls++
@@ -33,35 +34,22 @@ func (c *Core) dispatchStage() {
 				return
 			}
 		}
-		r := rec
-		seq := c.seqDispatched
 		c.seqDispatched++
-		e := &c.window[seq&c.wmask]
-		// Field-by-field store: a composite literal here builds a ~130-byte
-		// stack temp and duffcopies it into the slot on every dispatch.
+		// Rename stored the instruction's own fields in the slot; these
+		// are the scheduling fields.
 		e.resultAt = doneNever
 		e.memDone = 0
-		e.nextLine = r.addr
-		e.endAddr = r.addr + uint64(r.bytes)
-		e.addr = r.addr
 		e.earliestReady = 0
-		e.pc = r.pc
 		e.dispatchedAt = c.cycle
 		e.issuedAt = -1
 		e.wakeHead = -1
-		e.wakeNext[0] = -1
-		e.wakeNext[1] = -1
-		e.wakeNext[2] = -1
-		e.wakeNext[3] = -1
-		e.op = r.op
-		e.sve = r.sve
 		e.state = stInRS
-		e.nd = r.nd
 		e.pendingSrcs = 0
-		e.destClass = r.destClass
-		// Resolve sources now or subscribe to their producers.
-		for i := 0; i < int(r.ns); i++ {
-			s := r.srcSeq[i]
+		// Resolve sources now or subscribe to their producers. wakeNext[i]
+		// holds source i's producer until it becomes the slot's link.
+		for i := 0; i < int(e.ns); i++ {
+			s := e.wakeNext[i]
+			e.wakeNext[i] = -1
 			if s < 0 || s < c.seqCommitted {
 				continue // architectural or committed: ready
 			}
@@ -80,13 +68,12 @@ func (c *Core) dispatchStage() {
 		if e.pendingSrcs == 0 {
 			c.markReady(seq, e)
 		}
-		switch r.op {
+		switch e.op {
 		case isa.Load:
 			c.lsq.lqCount++
 		case isa.Store:
 			c.lsq.sqCount++
 		}
-		c.renameQ.Drop()
 		c.issue.rsCount++
 		c.progress = true
 	}

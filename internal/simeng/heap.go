@@ -1,54 +1,5 @@
 package simeng
 
-// int64Heap is a minimal binary min-heap of cycle timestamps, used as the
-// event wheel driving idle-cycle skipping.
-type int64Heap struct{ a []int64 }
-
-func (h *int64Heap) Len() int { return len(h.a) }
-
-// reset empties the heap, retaining the backing array for reuse by the next
-// run of a pooled core.
-func (h *int64Heap) reset() { h.a = h.a[:0] }
-
-func (h *int64Heap) Push(v int64) {
-	h.a = append(h.a, v)
-	i := len(h.a) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h.a[p] <= h.a[i] {
-			break
-		}
-		h.a[p], h.a[i] = h.a[i], h.a[p]
-		i = p
-	}
-}
-
-func (h *int64Heap) Min() int64 { return h.a[0] }
-
-func (h *int64Heap) Pop() int64 {
-	v := h.a[0]
-	last := len(h.a) - 1
-	h.a[0] = h.a[last]
-	h.a = h.a[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < last && h.a[l] < h.a[m] {
-			m = l
-		}
-		if r < last && h.a[r] < h.a[m] {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		h.a[i], h.a[m] = h.a[m], h.a[i]
-		i = m
-	}
-	return v
-}
-
 // seqEvent pairs a completion cycle with a window sequence number.
 type seqEvent struct {
 	at  int64

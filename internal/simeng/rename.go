@@ -33,10 +33,12 @@ func (u *renameUnit) reset(cfg Config) {
 
 // renameStage maps fetched instructions' sources to producer sequence
 // numbers and claims physical destination registers, stalling (and posting
-// to the stall bus) when a class's free list is exhausted.
+// to the stall bus) when a class's free list is exhausted. Each renamed
+// instruction is written into its window slot, where it waits for dispatch;
+// at most renameQCap wait at once.
 func (c *Core) renameStage() {
 	u := &c.rename
-	for n := 0; n < c.cfg.FrontendWidth && !c.fetchQ.Empty() && !c.renameQ.Full(); n++ {
+	for n := 0; n < c.cfg.FrontendWidth && !c.fetchQ.Empty() && c.seqRenamed-c.seqDispatched < renameQCap; n++ {
 		in := *c.fetchQ.Peek()
 		// Check free physical registers for every destination class.
 		// NDests <= 2, so the per-class tally unrolls to a pair check.
@@ -72,34 +74,36 @@ func (c *Core) renameStage() {
 		}
 		seq := c.seqRenamed
 		c.seqRenamed++
-		// Build the record in its queue slot. The slot is dirty (PushSlot
-		// does not zero), so every field a consumer reads is stored:
-		// srcSeq/destClass entries beyond ns/nd are never read, and a
-		// failed build aborts the run before dispatch sees the slot.
-		r := c.renameQ.PushSlot()
-		r.op = in.Op
-		r.sve = in.SVE
-		r.pc = in.PC
-		r.nd = in.NDests
-		r.ns = in.NSrcs
+		// Build the entry in its window slot. The slot is dirty (the
+		// window is never cleared), so every field a later stage reads is
+		// stored here or at dispatch: wakeNext/destClass entries beyond
+		// ns/nd are never read, and a failed build aborts the run before
+		// dispatch sees the slot.
+		e := &c.window[seq&c.wmask]
+		e.op = in.Op
+		e.sve = in.SVE
+		e.pc = in.PC
+		e.nd = in.NDests
+		e.ns = in.NSrcs
 		if in.Op.IsMem() {
 			if in.Mem.Bytes == 0 {
 				c.fail("simeng: zero-byte memory access at pc %#x", in.PC)
 				return
 			}
-			r.addr = in.Mem.Addr
-			r.bytes = in.Mem.Bytes
+			e.addr = in.Mem.Addr
+			e.endAddr = in.Mem.Addr + uint64(in.Mem.Bytes)
 		} else {
-			r.addr = 0
-			r.bytes = 0
+			e.addr = 0
+			e.endAddr = 0
 		}
+		e.nextLine = e.addr
 		for i := 0; i < int(in.NSrcs); i++ {
 			s := in.Srcs[i]
 			if int(s.ID) >= len(u.regProducer[s.Class]) {
 				c.fail("simeng: source register %v out of architectural range at pc %#x", s, in.PC)
 				return
 			}
-			r.srcSeq[i] = u.regProducer[s.Class][s.ID]
+			e.wakeNext[i] = u.regProducer[s.Class][s.ID]
 		}
 		for i := 0; i < int(in.NDests); i++ {
 			d := in.Dests[i]
@@ -108,7 +112,7 @@ func (c *Core) renameStage() {
 				return
 			}
 			u.regProducer[d.Class][d.ID] = seq
-			r.destClass[i] = uint8(d.Class)
+			e.destClass[i] = uint8(d.Class)
 			u.inFlight[d.Class]++
 		}
 		c.fetchQ.Drop()

@@ -59,19 +59,6 @@ func (r *ring[T]) Push(v T) {
 	r.count++
 }
 
-// PushSlot reserves the next slot and returns a pointer to it for in-place
-// construction, saving the element copy Push performs. The slot still holds
-// whatever its previous occupant left: the caller must store every field a
-// consumer may read.
-func (r *ring[T]) PushSlot() *T {
-	if r.Full() {
-		panic("simeng: ring overflow")
-	}
-	p := &r.buf[(r.head+r.count)&(len(r.buf)-1)]
-	r.count++
-	return p
-}
-
 // Peek returns a pointer to the head element; mutations persist.
 func (r *ring[T]) Peek() *T {
 	if r.Empty() {

@@ -40,38 +40,14 @@ func TestRingResetRetainsStorage(t *testing.T) {
 	}
 }
 
-// TestHeapResetRetainsStorage pins the same contract for the event and
-// load-return heaps: reset empties them but keeps the backing array.
+// TestHeapResetRetainsStorage pins the same contract for the load-return
+// heap: reset empties it but keeps the backing array.
 func TestHeapResetRetainsStorage(t *testing.T) {
-	var ih int64Heap
-	for i := int64(200); i > 0; i-- {
-		ih.Push(i)
-	}
-	big := cap(ih.a)
-	ih.reset()
-	if ih.Len() != 0 {
-		t.Errorf("reset int64Heap len = %d", ih.Len())
-	}
-	if cap(ih.a) != big {
-		t.Errorf("int64Heap reset reallocated: cap %d -> %d", big, cap(ih.a))
-	}
-	ih.Push(3)
-	ih.Push(1)
-	ih.Push(2)
-	if cap(ih.a) != big {
-		t.Errorf("post-reset pushes reallocated: cap %d -> %d", big, cap(ih.a))
-	}
-	for want := int64(1); want <= 3; want++ {
-		if got := ih.Pop(); got != want {
-			t.Errorf("Pop = %d, want %d", got, want)
-		}
-	}
-
 	var sh seqHeap
 	for i := int64(200); i > 0; i-- {
 		sh.Push(seqEvent{at: i, seq: i})
 	}
-	big = cap(sh.a)
+	big := cap(sh.a)
 	sh.reset()
 	if sh.Len() != 0 {
 		t.Errorf("reset seqHeap len = %d", sh.Len())
