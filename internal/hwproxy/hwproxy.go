@@ -19,7 +19,7 @@
 // the reference behaviour unconditionally — it can never silently degrade
 // into the model it is supposed to check. Everything else about the
 // MemoryBackend contract (single consumer, non-decreasing access cycles,
-// event-timed so Tick is a no-op) is inherited from sstmem.
+// every latency computed at Access time) is inherited from sstmem.
 package hwproxy
 
 import (

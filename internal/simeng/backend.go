@@ -21,14 +21,10 @@ type MemoryBackend interface {
 	// Access issues one demand request for the line containing addr at
 	// core cycle now and returns the cycle its data is available to the
 	// core (loads) or owned (stores). Calls are made in non-decreasing
-	// now order.
-	Access(now int64, addr uint64, store bool) int64
-	// Tick notifies the backend that the core's clock reached now, once
-	// per simulated step before any Access of that step. now is
-	// non-decreasing but not contiguous — the core skips idle cycles —
+	// now order, but now is not contiguous — the core skips idle cycles —
 	// so backends with per-cycle state (credits, slot counters) must key
-	// off the value, not count calls.
-	Tick(now int64)
+	// it off now, not count calls.
+	Access(now int64, addr uint64, store bool) int64
 	// LineBytes is the request granule in bytes (the cache line width);
 	// the core splits wider accesses into LineBytes-sized requests. It
 	// must be a power of two and constant over the backend's lifetime.

@@ -54,9 +54,8 @@ func (m *FlatMem) Reset(latency int64, lineBytes, linesPerCycle int) error {
 	return nil
 }
 
-// Tick implements MemoryBackend: a new cycle resets the per-cycle issue
-// counter.
-func (m *FlatMem) Tick(now int64) {
+// tick starts the per-cycle issue count afresh when now is a new cycle.
+func (m *FlatMem) tick(now int64) {
 	if now != m.cycle {
 		m.cycle, m.issued = now, 0
 	}
@@ -69,7 +68,7 @@ func (m *FlatMem) Access(now int64, addr uint64, store bool) int64 {
 	m.stats.L1Hits++
 	var queued int64
 	if m.linesPerCycle > 0 {
-		m.Tick(now) // in case the core skipped ahead within one step
+		m.tick(now)
 		queued = int64(m.issued / m.linesPerCycle)
 		m.issued++
 	}

@@ -56,7 +56,6 @@ func TestFlatMemThroughputCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Tick(10)
 	// Two lines fit in the cycle; the third and fourth queue one extra
 	// cycle behind them.
 	want := []int64{15, 15, 16, 16}
@@ -65,10 +64,15 @@ func TestFlatMemThroughputCap(t *testing.T) {
 			t.Fatalf("access %d completed at %d, want %d", i, done, w)
 		}
 	}
-	// A new cycle resets the window.
-	m.Tick(11)
+	// An access in a new cycle starts a new window, also after skipped
+	// cycles.
 	if done := m.Access(11, 0, false); done != 16 {
-		t.Fatalf("post-tick access completed at %d, want 16", done)
+		t.Fatalf("next-cycle access completed at %d, want 16", done)
+	}
+	for i, w := range []int64{25, 25, 26} {
+		if done := m.Access(20, uint64(i)*64, false); done != w {
+			t.Fatalf("access %d after a skip completed at %d, want %d", i, done, w)
+		}
 	}
 }
 

@@ -130,11 +130,6 @@ func (h *Hierarchy) Stats() Stats { return h.stats }
 // LineBytes returns the cache line width.
 func (h *Hierarchy) LineBytes() int { return h.cfg.CacheLineWidth }
 
-// Tick implements the core's per-cycle backend hook. The hierarchy is purely
-// event-timed — every latency is computed at Access time — so it has no
-// per-cycle work.
-func (h *Hierarchy) Tick(now int64) {}
-
 // Access issues one demand request for the line containing addr at core
 // cycle now and returns the cycle its data is available to the core. Stores
 // are write-allocate and return ownership time. Calls must be made in
