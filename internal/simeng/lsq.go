@@ -124,9 +124,9 @@ func (c *Core) memoryStage() {
 			c.postEvent(c.cycle + 1)
 			break
 		}
-		// memDone is not posted to the events heap: the idle skipper
-		// consults loadHeap.Min directly, so the wake-up is already
-		// represented without the duplicate heap traffic.
+		// memDone is not posted to the events wheel: a data return can
+		// lie hundreds of cycles ahead, past the wheel's horizon, so the
+		// idle skipper consults loadHeap.Min directly.
 		e.state = stLoadMem
 		c.lsq.loadHeap.Push(seqEvent{at: e.memDone, seq: lr.seq})
 		c.lsq.loadReqQ.Drop()
