@@ -139,9 +139,10 @@ func (h *Hierarchy) Access(now int64, addr uint64, store bool) int64 {
 	line := addr >> h.l1.lineShift
 
 	// Bank arbitration (High fidelity only): requests to the same bank in
-	// the same cycle serialise.
+	// the same cycle serialise. Gated on the fidelity, not on the banks
+	// array, which a Reset keeps for later Basic runs.
 	start := now
-	if h.banks != nil {
+	if h.cfg.Fidelity == High {
 		b := int(line) & (len(h.banks) - 1)
 		start = max(now, h.banks[b])
 		h.banks[b] = start + 1
