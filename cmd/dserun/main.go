@@ -93,18 +93,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	evaluator, err := armdse.NewEvaluator(armdse.EvalExact, armdse.EvalOptions{
-		Backend:   *mem,
-		MaxCycles: *maxCyc,
-	})
+	st, err := armdse.SimulateOn(*mem, cfg, w, *maxCyc)
 	if err != nil {
-		return err
+		return fmt.Errorf("%s: %w", w.Name(), err)
 	}
-	evaluation, err := evaluator.Worker(0).Evaluate([]armdse.Workload{w}, 0, cfg)
-	if err != nil {
-		return err
-	}
-	st := evaluation.Stats[0]
 	fmt.Fprintf(stdout, "app=%s vl=%d\n", w.Name(), cfg.Core.VectorLength)
 	fmt.Fprintf(stdout, "cycles:              %d\n", st.Cycles)
 	fmt.Fprintf(stdout, "retired:             %d (IPC %.3f)\n", st.Retired, st.IPC())

@@ -122,15 +122,15 @@ func CollectData(ctx context.Context, opt Options) (*dataset.Dataset, error) {
 }
 
 // simulate runs every configuration of cfgs on opt.Suite through the
-// collection engine over the named memory backend, at opt.Workers. It
-// returns the first failed run's error, or else the dataset with row i
-// holding cfgs[i], so callers read d.Target(app)[i].
-func simulate(ctx context.Context, opt Options, backend string, cfgs []params.Config) (*dataset.Dataset, error) {
+// collection engine at opt.Workers; each config's Mem picks its memory model
+// (fidelity, prefetching). It returns the first failed run's error, or else
+// the dataset with row i holding cfgs[i], so callers read
+// d.Target(app)[i].
+func simulate(ctx context.Context, opt Options, cfgs []params.Config) (*dataset.Dataset, error) {
 	sink := orchestrate.NewDatasetSink(params.FeatureNames(), orchestrate.SuiteNames(opt.Suite))
 	eng := orchestrate.Engine{
 		Source:  orchestrate.SliceSource(cfgs),
 		Suite:   opt.Suite,
-		Backend: backend,
 		Workers: opt.Workers,
 		Sink:    sink,
 	}

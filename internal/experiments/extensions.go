@@ -6,7 +6,6 @@ import (
 
 	"armdse/internal/dtree"
 	"armdse/internal/isa"
-	"armdse/internal/orchestrate"
 	"armdse/internal/params"
 	"armdse/internal/report"
 	"armdse/internal/stats"
@@ -105,7 +104,7 @@ func ExtPorts(ctx context.Context, opt Options) (Result, error) {
 			paperLayout = si
 		}
 	}
-	d, err := simulate(ctx, opt, orchestrate.BackendSST, cfgs)
+	d, err := simulate(ctx, opt, cfgs)
 	if err != nil {
 		return Result{}, err
 	}
@@ -233,7 +232,7 @@ func ExtPrefetch(ctx context.Context, opt Options) (Result, error) {
 	}
 	off := params.ThunderX2()
 	off.Mem.DisablePrefetch = true
-	d, err := simulate(ctx, opt, orchestrate.BackendSST, []params.Config{params.ThunderX2(), off})
+	d, err := simulate(ctx, opt, []params.Config{params.ThunderX2(), off})
 	if err != nil {
 		return Result{}, err
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"armdse/internal/orchestrate"
 	"armdse/internal/params"
 	"armdse/internal/report"
 )
@@ -48,7 +47,7 @@ func ExtMulticore(ctx context.Context, opt Options) (Result, error) {
 		cfgs[ci] = base
 		cfgs[ci].Mem.RAMBandwidthGBs = base.Mem.RAMBandwidthGBs / float64(n)
 	}
-	d, err := simulate(ctx, opt, orchestrate.BackendSST, cfgs)
+	d, err := simulate(ctx, opt, cfgs)
 	if err != nil {
 		return Result{}, err
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"armdse/internal/dtree"
-	"armdse/internal/orchestrate"
 	"armdse/internal/params"
 	"armdse/internal/report"
 	"armdse/internal/simeng"
@@ -27,7 +26,7 @@ func ExtStalls(ctx context.Context, opt Options) (Result, error) {
 		Title:   "ThunderX2 baseline: share of total cycles per stall class (columns sum to 100%)",
 		Columns: []string{"Stall class"},
 	}
-	d, err := simulate(ctx, opt, orchestrate.BackendSST, []params.Config{params.ThunderX2()})
+	d, err := simulate(ctx, opt, []params.Config{params.ThunderX2()})
 	if err != nil {
 		return Result{}, err
 	}

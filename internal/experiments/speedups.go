@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"armdse/internal/orchestrate"
 	"armdse/internal/params"
 	"armdse/internal/report"
 	"armdse/internal/stats"
@@ -46,7 +45,7 @@ func runSweep(ctx context.Context, opt Options, levels []int,
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	d, err := simulate(ctx, opt, orchestrate.BackendSST, cfgs)
+	d, err := simulate(ctx, opt, cfgs)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"armdse/internal/dataset"
 	"armdse/internal/params"
 	"armdse/internal/simeng"
+	"armdse/internal/sstmem"
 )
 
 func TestNewBackendKinds(t *testing.T) {
@@ -24,6 +25,23 @@ func TestNewBackendKinds(t *testing.T) {
 	}
 	if _, err := NewBackend("nope", cfg); err == nil || !strings.Contains(err.Error(), "nope") {
 		t.Errorf("unknown backend error = %v", err)
+	}
+}
+
+// TestBackendForcesHighFidelity pins the proxy contract: whatever the
+// caller's config says, BackendProxy runs the High-fidelity hierarchy.
+func TestBackendForcesHighFidelity(t *testing.T) {
+	cfg := params.ThunderX2() // Basic fidelity on purpose
+	mem, err := NewBackend(BackendProxy, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, ok := mem.(*sstmem.Hierarchy)
+	if !ok {
+		t.Fatalf("proxy backend is %T, want *sstmem.Hierarchy", mem)
+	}
+	if got := h.Config().Fidelity; got != sstmem.High {
+		t.Fatalf("proxy backend fidelity %v, want High", got)
 	}
 }
 

@@ -61,7 +61,7 @@ func BenchmarkRunPooled(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := rc.simulate(BackendSST, cfg, prog, simeng.DefaultMaxCycles); err != nil {
+				if _, err := rc.simulate(cfg, prog, simeng.DefaultMaxCycles); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -91,7 +91,7 @@ func BenchmarkRunPooled(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					st, err := rc.simulate(BackendSST, cfg, prog, simeng.DefaultMaxCycles)
+					st, err := rc.simulate(cfg, prog, simeng.DefaultMaxCycles)
 					if err != nil {
 						b.Fatal(err)
 					}

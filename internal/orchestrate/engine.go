@@ -109,7 +109,9 @@ type ProgressEvent struct {
 	ETA time.Duration
 }
 
-// Engine wires the stages together and runs the worker pool.
+// Engine wires the stages together and runs the worker pool. Each
+// configuration's Mem field is the whole memory-model choice: every run
+// simulates over the worker's pooled sstmem hierarchy, reset to cfg.Mem.
 type Engine struct {
 	// Source yields the configurations. Exactly one of Source and Batches
 	// must be set.
@@ -129,9 +131,6 @@ type Engine struct {
 	Suite []workload.Workload
 	// Sink receives every completed row; required.
 	Sink RowSink
-	// Backend selects the memory backend by name (BackendSST, BackendFlat,
-	// BackendProxy); empty uses BackendSST, the study's default.
-	Backend string
 	// Eval selects the per-config evaluator by name (EvalExact,
 	// EvalHybrid); empty uses EvalExact, the study's default. The exact
 	// path is untouched by the seam: an empty or "exact" Eval produces
@@ -190,7 +189,6 @@ func (e *Engine) Run(ctx context.Context) (done, failed int, err error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	ev, err := NewEvaluator(e.Eval, EvalOptions{
-		Backend:   e.Backend,
 		MaxCycles: e.MaxCyclesPerRun,
 		Escalate:  e.EvalEscalate,
 		Seed:      e.Seed,

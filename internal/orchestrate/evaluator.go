@@ -56,9 +56,6 @@ var hybridWarmup, hybridRefresh = 40, 32
 
 // EvalOptions configure NewEvaluator.
 type EvalOptions struct {
-	// Backend names the memory backend exact simulation uses (see
-	// NewBackend); empty selects BackendSST.
-	Backend string
 	// MaxCycles bounds each exact run; 0 uses the engine default.
 	MaxCycles int64
 	// Escalate is the hybrid's escalation threshold on the residual
@@ -74,9 +71,10 @@ type EvalOptions struct {
 // application, simulated exactly or predicted by the hybrid. It holds the
 // state every worker of a run shares — the program cache and, under the
 // hybrid, the residual routing state — while each worker evaluates through
-// its own EvalWorker. The collection engine and dserun use the same path.
+// its own EvalWorker. The collection engine builds one per run; each
+// escalated or exact configuration simulates over the worker's pooled
+// hierarchy, which cfg.Mem configures.
 type Evaluator struct {
-	backend   string
 	maxCycles int64
 	// hybrid is the residual routing state; nil unless the hybrid router
 	// is selected. Its forests only change at refit.
@@ -95,7 +93,6 @@ func NewEvaluator(kind string, opt EvalOptions) (*Evaluator, error) {
 		return nil, fmt.Errorf("orchestrate: unknown evaluator %q (want one of %v)", kind, Evaluators())
 	}
 	e := &Evaluator{
-		backend:   opt.Backend,
 		maxCycles: opt.MaxCycles,
 		cache:     newProgramCache(),
 	}
@@ -144,7 +141,7 @@ type Evaluation struct {
 }
 
 // EvalWorker is one worker's evaluation context. It owns the worker's pooled
-// run context (core, backend and stream cursor, reset in place between
+// run context (core, hierarchy and stream cursor, reset in place between
 // runs) and its telemetry shard, so workers never contend. An EvalWorker is
 // single-consumer.
 type EvalWorker struct {
@@ -268,7 +265,7 @@ func (w *EvalWorker) simulate(suite []workload.Workload, cfg params.Config) erro
 		if tel != nil {
 			t0 = time.Now()
 		}
-		st, err := w.rc.simulate(e.backend, cfg, prog, e.maxCycles)
+		st, err := w.rc.simulate(cfg, prog, e.maxCycles)
 		if tel != nil {
 			tel.appRun(worker, ai, time.Since(t0).Nanoseconds(), st, err)
 		}

@@ -40,9 +40,6 @@ type Options struct {
 	Workers int
 	// Suite is the workload set; nil uses workload.TestSuite().
 	Suite []workload.Workload
-	// Backend selects the memory backend by name (BackendSST, BackendFlat,
-	// BackendProxy); empty uses BackendSST, the study's default.
-	Backend string
 	// Eval selects the per-config evaluator by name (EvalExact,
 	// EvalHybrid); empty uses EvalExact. See Engine.Eval — exact runs are
 	// byte-identical to pre-seam collections.
@@ -149,7 +146,6 @@ func Collect(ctx context.Context, opt Options) (Result, error) {
 		Prior:           opt.Prior,
 		Suite:           suite,
 		Sink:            sink,
-		Backend:         opt.Backend,
 		Eval:            opt.Eval,
 		EvalEscalate:    opt.EvalEscalate,
 		Seed:            opt.Seed,

@@ -386,7 +386,7 @@ func TestPooledRunSteadyStateAllocsInstrumented(t *testing.T) {
 				t.Fatal(err)
 			}
 			a0 := time.Now()
-			st, err := rc.simulate(BackendSST, cfg, prog, simeng.DefaultMaxCycles)
+			st, err := rc.simulate(cfg, prog, simeng.DefaultMaxCycles)
 			tel.appRun(0, ai, time.Since(a0).Nanoseconds(), st, err)
 			if err != nil {
 				t.Fatal(err)

@@ -11,9 +11,9 @@ type MemStats = memstats.Counters
 // cycles; everything behind that contract — cache levels, MSHRs,
 // prefetchers, DRAM models, or a flat fixed latency — is the backend's
 // business. Implementations in this repository: sstmem.Hierarchy (the
-// study's SST-like L1/L2/RAM model), FlatMem (fixed latency, for isolating
-// core-bound behaviour), and hwproxy.Backend (the high-fidelity
-// hardware-proxy model).
+// study's SST-like L1/L2/RAM model, or at High fidelity the Table I
+// hardware proxy) and FlatMem (fixed latency, for isolating core-bound
+// behaviour).
 //
 // Backends are single-consumer and need not be safe for concurrent use;
 // build one backend per core per run.

@@ -5,8 +5,10 @@
 // default fidelity, so parallel vector line requests do not serialise.
 //
 // A high-fidelity mode adds the features the paper says SST abstracts away
-// (finite banks, a stride prefetcher, a DRAM row-buffer model); the hwproxy
-// package uses it as the "hardware" reference for the Table I validation.
+// (finite banks, a stride prefetcher, a DRAM row-buffer model); Table I runs
+// it as the "hardware" reference, selected by Config.Fidelity alone. One
+// Hierarchy may be Reset between fidelities: every High-only path checks the
+// configured fidelity, never the retained High-fidelity arrays.
 package sstmem
 
 import "fmt"
