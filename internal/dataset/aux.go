@@ -1,9 +1,6 @@
 package dataset
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Auxiliary columns (schema v2). Alongside the feature matrix and the
 // cycle-count targets, a dataset may carry named auxiliary observation
@@ -21,20 +18,6 @@ const auxPrefix = "stall:"
 // the named stall class.
 func StallColumn(app, class string) string {
 	return auxPrefix + app + ":" + class
-}
-
-// ParseStallColumn splits an aux column name into its application and stall
-// class; ok is false when name is not a stall column.
-func ParseStallColumn(name string) (app, class string, ok bool) {
-	rest, found := strings.CutPrefix(name, auxPrefix)
-	if !found {
-		return "", "", false
-	}
-	app, class, found = strings.Cut(rest, ":")
-	if !found || app == "" || class == "" {
-		return "", "", false
-	}
-	return app, class, true
 }
 
 // StallColumns returns the aux column set of a collection over the given

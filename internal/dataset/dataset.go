@@ -159,111 +159,6 @@ func (d *Dataset) FilterEqual(col int, value float64) *Dataset {
 	return d.clone(rows)
 }
 
-// FilterAtLeast returns the rows whose feature col is >= value — the paper's
-// Fig. 6 Load-Bandwidth > 256 filter.
-func (d *Dataset) FilterAtLeast(col int, value float64) *Dataset {
-	var rows []int
-	for r, row := range d.X {
-		if row[col] >= value {
-			rows = append(rows, r)
-		}
-	}
-	return d.clone(rows)
-}
-
-// MeanTargetByValue groups rows by the exact value of feature col and
-// returns, for each distinct value in ascending order, the mean of app's
-// target over the group — the machinery behind the paper's Figs. 6-8 mean
-// speedup curves.
-func (d *Dataset) MeanTargetByValue(col int, app string) (values, means []float64, err error) {
-	y, err := d.Target(app)
-	if err != nil {
-		return nil, nil, err
-	}
-	sums := map[float64]float64{}
-	counts := map[float64]int{}
-	for r, row := range d.X {
-		v := row[col]
-		sums[v] += y[r]
-		counts[v]++
-	}
-	for v := range sums {
-		values = append(values, v)
-	}
-	sortFloats(values)
-	means = make([]float64, len(values))
-	for i, v := range values {
-		means[i] = sums[v] / float64(counts[v])
-	}
-	return values, means, nil
-}
-
-// MeanTargetByBins groups rows into nbins equal-width bins over feature col
-// and returns, for each non-empty bin in ascending order, the bin centre and
-// the mean of app's target. Figs. 7-8 use this for the many-valued
-// parameters (ROB size, register counts) where exact-value grouping would be
-// too sparse.
-func (d *Dataset) MeanTargetByBins(col int, app string, nbins int) (centers, means []float64, err error) {
-	y, err := d.Target(app)
-	if err != nil {
-		return nil, nil, err
-	}
-	if nbins < 1 {
-		return nil, nil, fmt.Errorf("dataset: nbins %d < 1", nbins)
-	}
-	if d.Len() == 0 {
-		return nil, nil, fmt.Errorf("dataset: empty dataset")
-	}
-	lo, hi := d.X[0][col], d.X[0][col]
-	for _, row := range d.X {
-		if row[col] < lo {
-			lo = row[col]
-		}
-		if row[col] > hi {
-			hi = row[col]
-		}
-	}
-	if hi == lo {
-		return []float64{lo}, []float64{meanOf(y)}, nil
-	}
-	width := (hi - lo) / float64(nbins)
-	sums := make([]float64, nbins)
-	counts := make([]int, nbins)
-	for r, row := range d.X {
-		b := int((row[col] - lo) / width)
-		if b >= nbins {
-			b = nbins - 1
-		}
-		sums[b] += y[r]
-		counts[b]++
-	}
-	for b := 0; b < nbins; b++ {
-		if counts[b] == 0 {
-			continue
-		}
-		centers = append(centers, lo+width*(float64(b)+0.5))
-		means = append(means, sums[b]/float64(counts[b]))
-	}
-	return centers, means, nil
-}
-
-func meanOf(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-func sortFloats(a []float64) {
-	// Insertion sort: value sets here are tiny (parameter levels).
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
 // WriteCSV writes the dataset with a header row: features, then targets,
 // then any aux columns (schema v2). A dataset without aux columns writes
 // exactly the original v1 layout.

@@ -145,33 +145,6 @@ func TestFilters(t *testing.T) {
 			t.Fatal("FilterEqual misaligned targets")
 		}
 	}
-	ge := d.FilterAtLeast(0, 25)
-	if ge.Len() != 5 {
-		t.Fatalf("FilterAtLeast = %d rows", ge.Len())
-	}
-}
-
-func TestMeanTargetByValue(t *testing.T) {
-	d := New([]string{"p"}, []string{"app"})
-	for _, pair := range [][2]float64{{1, 10}, {1, 20}, {2, 30}, {2, 50}, {3, 60}} {
-		if err := d.Append([]float64{pair[0]}, map[string]float64{"app": pair[1]}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	vals, means, err := d.MeanTargetByValue(0, "app")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantVals := []float64{1, 2, 3}
-	wantMeans := []float64{15, 40, 60}
-	for i := range wantVals {
-		if vals[i] != wantVals[i] || means[i] != wantMeans[i] {
-			t.Fatalf("got (%v, %v), want (%v, %v)", vals, means, wantVals, wantMeans)
-		}
-	}
-	if _, _, err := d.MeanTargetByValue(0, "nope"); err == nil {
-		t.Error("unknown app accepted")
-	}
 }
 
 func TestCSVRoundTrip(t *testing.T) {

@@ -100,18 +100,6 @@ func TestAppendFullErrors(t *testing.T) {
 	}
 }
 
-func TestParseStallColumn(t *testing.T) {
-	app, class, ok := ParseStallColumn(StallColumn("STREAM", "mem-bw"))
-	if !ok || app != "STREAM" || class != "mem-bw" {
-		t.Errorf("ParseStallColumn = %q %q %t", app, class, ok)
-	}
-	for _, bad := range []string{"cycles:STREAM", "stall:STREAM", "stall::x", "stall:x:", "f0"} {
-		if _, _, ok := ParseStallColumn(bad); ok {
-			t.Errorf("ParseStallColumn(%q) ok", bad)
-		}
-	}
-}
-
 // TestOpenJournalRefusesV1: a schema-v1 journal, written before the stall
 // columns existed, belongs to another run than one that journals them; it
 // is refused and left byte-unchanged, torn tail included.

@@ -1,10 +1,7 @@
 package orchestrate
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"math"
 
 	"armdse/internal/dataset"
 	"armdse/internal/params"
@@ -73,28 +70,6 @@ type BatchStats struct {
 // pool-scored counter, runlog barrier records).
 type BatchStatsSource interface {
 	LastBatchStats() BatchStats
-}
-
-// SourceDigest fingerprints a fixed source's contents — FNV-1a over the
-// length and every configuration's feature bits. Embedding the digest in a
-// journal's meta stamp extends the resume identity check from "(seed,
-// samples, suite) match" to "the actual configurations match", which is
-// the only identity a SliceSource or a proposed batch has: resuming such a
-// journal against a different source fails the meta comparison instead of
-// silently mixing rows from two different sweeps.
-func SourceDigest(s ConfigSource) string {
-	h := fnv.New64a()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(s.Len()))
-	h.Write(buf[:])
-	for i := 0; i < s.Len(); i++ {
-		cfg := s.At(i)
-		for _, f := range cfg.Features() {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
-			h.Write(buf[:])
-		}
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // PriorRowsFromJournal reconstructs the engine-visible rows of an
