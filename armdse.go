@@ -31,7 +31,6 @@ import (
 
 	"armdse/internal/dataset"
 	"armdse/internal/dtree"
-	"armdse/internal/isa"
 	"armdse/internal/obs"
 	"armdse/internal/orchestrate"
 	"armdse/internal/params"
@@ -51,10 +50,9 @@ type (
 	// Stats summarises one simulated run; Cycles is the study's target.
 	Stats = simeng.Stats
 	// MemoryBackend is the seam between the core and its memory system;
-	// sstmem hierarchies (at either fidelity) and FlatMem implement it.
+	// sstmem hierarchies (at either fidelity) and the ideal flat memory
+	// implement it.
 	MemoryBackend = simeng.MemoryBackend
-	// FlatMem is the ideal fixed-latency memory backend.
-	FlatMem = simeng.FlatMem
 	// StallClass is one bucket of the per-cycle stall attribution.
 	StallClass = simeng.StallClass
 	// StallBreakdown is a per-class cycle attribution summing to Cycles.
@@ -165,20 +163,22 @@ func Simulate(cfg Config, w Workload) (Stats, error) {
 	return orchestrate.RunOneOn(BackendSST, cfg, w, 0)
 }
 
-// Memory backend names accepted by SimulateOn. A collection always
-// simulates over the hierarchy each configuration's Mem describes.
-const (
-	// BackendSST is the default L1/L2/RAM hierarchy model.
-	BackendSST = orchestrate.BackendSST
-	// BackendFlat is the ideal fixed-latency memory (FlatMem).
-	BackendFlat = orchestrate.BackendFlat
-	// BackendProxy is the Table I hardware proxy: the hierarchy at High
-	// fidelity, whatever the configuration's Mem.Fidelity says.
-	BackendProxy = orchestrate.BackendProxy
-)
+// BackendSST names the L1/L2/RAM hierarchy the configuration's Mem
+// describes, at its fidelity — the default memory backend of SimulateOn and
+// the only one a collection uses.
+const BackendSST = orchestrate.BackendSST
 
-// Backends lists the recognised memory backend names.
-func Backends() []string { return orchestrate.Backends() }
+// SimulateOn is Simulate on the named memory backend under an explicit cycle
+// budget (the protection Collect applies via CollectOptions.MaxCyclesPerRun);
+// backend "" means BackendSST, "flat" the ideal fixed-latency memory, and
+// maxCycles <= 0 the engine default.
+func SimulateOn(backend string, cfg Config, w Workload, maxCycles int64) (Stats, error) {
+	return orchestrate.RunOneOn(backend, cfg, w, maxCycles)
+}
+
+// StallClassNames returns the stall taxonomy's class names in breakdown
+// order — the per-class labels of Stats.Stalls.
+func StallClassNames() []string { return simeng.StallClassNames() }
 
 // Evaluator names accepted by CollectOptions.Eval.
 const (
@@ -190,54 +190,8 @@ const (
 	EvalHybrid = orchestrate.EvalHybrid
 )
 
-// Analytical bound-model types, the hybrid evaluator's core; see
-// internal/orchestrate for the evaluator contracts.
-type (
-	// Bounds is the analytical bound model's per-run cycle bracket.
-	Bounds = simeng.Bounds
-	// BoundModel computes analytical cycle bounds for one configuration.
-	BoundModel = simeng.BoundModel
-	// StreamStats summarises an instruction stream for the bound model.
-	StreamStats = isa.StreamStats
-)
-
 // Evaluators lists the recognised evaluator names.
 func Evaluators() []string { return orchestrate.Evaluators() }
-
-// NewBoundModel builds the hybrid evaluator's analytical core: per-application
-// cycle lower/upper bounds from the configuration and the application's
-// stream statistics (cfg.MemProfile() supplies the memory-system view).
-func NewBoundModel(core CoreConfig, mem simeng.MemProfile) (*BoundModel, error) {
-	return simeng.NewBoundModel(core, mem)
-}
-
-// WorkloadStats summarises a workload's instruction stream at the given
-// vector length — the bound model's per-application input.
-func WorkloadStats(w Workload, vectorLength int) (StreamStats, error) {
-	p, err := w.Program(vectorLength)
-	if err != nil {
-		return StreamStats{}, err
-	}
-	return p.Stats(), nil
-}
-
-// SimulateOn is Simulate on the named memory backend under an explicit cycle
-// budget (the protection Collect applies via CollectOptions.MaxCyclesPerRun);
-// backend "" means BackendSST and maxCycles <= 0 the engine default.
-func SimulateOn(backend string, cfg Config, w Workload, maxCycles int64) (Stats, error) {
-	return orchestrate.RunOneOn(backend, cfg, w, maxCycles)
-}
-
-// NewFlatMem builds an ideal memory backend answering every access in
-// latency cycles, optionally capped at linesPerCycle line transfers per
-// cycle (0 = unlimited) — the "perfect memory" end of the design space.
-func NewFlatMem(latency int64, lineBytes, linesPerCycle int) (*FlatMem, error) {
-	return simeng.NewFlatMem(latency, lineBytes, linesPerCycle)
-}
-
-// StallClassNames returns the stall taxonomy's class names in breakdown
-// order — the per-class labels of Stats.Stalls.
-func StallClassNames() []string { return simeng.StallClassNames() }
 
 // Collection engine types; see the orchestrate package for details.
 type (
@@ -386,24 +340,6 @@ func TrainSurrogate(d *Dataset, app string) (*Tree, error) {
 // every worker count).
 func TrainSurrogateOpt(d *Dataset, app string, opt TreeOptions) (*Tree, error) {
 	y, err := d.Target(app)
-	if err != nil {
-		return nil, err
-	}
-	return dtree.Train(d.X, y, opt)
-}
-
-// TrainStallSurrogate fits a decision-tree regressor for one application's
-// cycles attributed to one stall class — the per-stall-class analogue of
-// TrainSurrogate, usable only on schema-v2 datasets collected with stall
-// columns. Class names come from StallClassNames.
-func TrainStallSurrogate(d *Dataset, app, class string) (*Tree, error) {
-	return TrainStallSurrogateOpt(d, app, class, TreeOptions{})
-}
-
-// TrainStallSurrogateOpt is TrainStallSurrogate with explicit training
-// options (see TrainSurrogateOpt).
-func TrainStallSurrogateOpt(d *Dataset, app, class string, opt TreeOptions) (*Tree, error) {
-	y, err := d.StallTarget(app, class)
 	if err != nil {
 		return nil, err
 	}

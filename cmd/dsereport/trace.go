@@ -9,9 +9,9 @@ import (
 	"armdse/internal/obs"
 )
 
-// Fleet timeline export in Chrome trace-event JSON (the format dsetrace
-// already emits for per-config pipeline traces; chrome://tracing and
-// https://ui.perfetto.dev both open it). The fleet view maps one process to
+// Fleet timeline export in Chrome trace-event JSON (the format that
+// dserun's -chrome flag already writes for per-config pipeline traces;
+// chrome://tracing and https://ui.perfetto.dev both open it). The fleet view maps one process to
 // the run, one thread track per worker, a ph:"X" complete slice per lease
 // hold, a ph:"i" instant per steal and a ph:"C" counter series for the
 // rows/sec trajectory.

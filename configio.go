@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+
+	"armdse/internal/sstmem"
 )
 
 // SaveConfig writes a configuration as indented JSON (the repo's equivalent
@@ -27,7 +29,7 @@ func LoadConfig(path string) (Config, error) {
 		return Config{}, fmt.Errorf("armdse: parsing %s: %w", path, err)
 	}
 	if cfg.Mem.CoreClockGHz == 0 {
-		cfg.Mem.CoreClockGHz = 2.5
+		cfg.Mem.CoreClockGHz = sstmem.DefaultCoreClockGHz
 	}
 	if err := cfg.Validate(); err != nil {
 		return Config{}, fmt.Errorf("armdse: %s: %w", path, err)

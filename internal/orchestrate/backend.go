@@ -8,11 +8,13 @@ import (
 	"armdse/internal/sstmem"
 )
 
-// Memory-backend selection for single runs. The collection engine always
-// simulates over an sstmem hierarchy that cfg.Mem configures, its Fidelity
-// and DisablePrefetch included; a single run (dserun -mem, SimulateOn) may
-// instead name its backend, so the choice can ride a CLI flag without the
-// callers importing the concrete packages.
+// Memory-backend selection for single runs. cfg.Mem picks the memory
+// model: the collection engine always simulates over the sstmem hierarchy it
+// configures, Fidelity and DisablePrefetch included, and the Table I
+// hardware reference is that hierarchy at High fidelity. A single run
+// (dserun -mem, SimulateOn) may instead name the ideal flat memory, so the
+// choice can ride a CLI flag without the callers importing the concrete
+// packages.
 const (
 	// BackendSST is the study's default: the SST-like L1/L2/RAM hierarchy
 	// at the fidelity cfg.Mem sets.
@@ -21,14 +23,7 @@ const (
 	// the configuration's L1 latency) — the reference for isolating
 	// core-bound behaviour.
 	BackendFlat = "flat"
-	// BackendProxy is the hardware proxy of Table I: the hierarchy at High
-	// fidelity, whatever cfg.Mem.Fidelity says, so a proxy run can never
-	// silently use the model it is meant to check.
-	BackendProxy = "proxy"
 )
-
-// Backends lists the selectable backend names.
-func Backends() []string { return []string{BackendSST, BackendFlat, BackendProxy} }
 
 // NewBackend builds a fresh instance of the named memory backend for a
 // design-space point. An empty kind selects BackendSST, the study's
@@ -36,10 +31,7 @@ func Backends() []string { return []string{BackendSST, BackendFlat, BackendProxy
 func NewBackend(kind string, cfg params.Config) (simeng.MemoryBackend, error) {
 	mc := cfg.Mem
 	switch kind {
-	case "", BackendSST, BackendProxy:
-		if kind == BackendProxy {
-			mc.Fidelity = sstmem.High
-		}
+	case "", BackendSST:
 		h, err := sstmem.New(mc)
 		if err != nil {
 			return nil, err
@@ -58,6 +50,6 @@ func NewBackend(kind string, cfg params.Config) (simeng.MemoryBackend, error) {
 		}
 		return m, nil
 	default:
-		return nil, fmt.Errorf("orchestrate: unknown memory backend %q (want one of %v)", kind, Backends())
+		return nil, fmt.Errorf("orchestrate: unknown memory backend %q (want %s or %s)", kind, BackendSST, BackendFlat)
 	}
 }

@@ -13,7 +13,7 @@ import (
 
 func TestNewBackendKinds(t *testing.T) {
 	cfg := params.ThunderX2()
-	for _, kind := range append([]string{""}, Backends()...) {
+	for _, kind := range []string{"", BackendSST, BackendFlat} {
 		mem, err := NewBackend(kind, cfg)
 		if err != nil {
 			t.Fatalf("NewBackend(%q): %v", kind, err)
@@ -28,31 +28,35 @@ func TestNewBackendKinds(t *testing.T) {
 	}
 }
 
-// TestBackendForcesHighFidelity pins the proxy contract: whatever the
-// caller's config says, BackendProxy runs the High-fidelity hierarchy.
-func TestBackendForcesHighFidelity(t *testing.T) {
-	cfg := params.ThunderX2() // Basic fidelity on purpose
-	mem, err := NewBackend(BackendProxy, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, ok := mem.(*sstmem.Hierarchy)
-	if !ok {
-		t.Fatalf("proxy backend is %T, want *sstmem.Hierarchy", mem)
-	}
-	if got := h.Config().Fidelity; got != sstmem.High {
-		t.Fatalf("proxy backend fidelity %v, want High", got)
+// TestBackendFollowsConfigFidelity pins the config path to the Table I
+// hardware reference: BackendSST builds the hierarchy at the fidelity
+// cfg.Mem names, so a High-fidelity config gets a High-fidelity hierarchy.
+func TestBackendFollowsConfigFidelity(t *testing.T) {
+	for _, fid := range []sstmem.Fidelity{sstmem.Basic, sstmem.High} {
+		cfg := params.ThunderX2()
+		cfg.Mem.Fidelity = fid
+		mem, err := NewBackend(BackendSST, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, ok := mem.(*sstmem.Hierarchy)
+		if !ok {
+			t.Fatalf("sst backend is %T, want *sstmem.Hierarchy", mem)
+		}
+		if got := h.Config().Fidelity; got != fid {
+			t.Errorf("config fidelity %v built a %v hierarchy", fid, got)
+		}
 	}
 }
 
-// TestRunOneOnBackends runs one workload on all three backends: every run
-// must retire the same instruction count, uphold the stall-sum invariant,
-// and the ideal flat memory must never be slower than the hierarchy.
+// TestRunOneOnBackends runs one workload on both backends: every run must
+// retire the same instruction count, uphold the stall-sum invariant, and
+// the ideal flat memory must never be slower than the hierarchy.
 func TestRunOneOnBackends(t *testing.T) {
 	cfg := params.ThunderX2()
 	w := tinySuite()[0]
 	stats := map[string]simeng.Stats{}
-	for _, kind := range Backends() {
+	for _, kind := range []string{BackendSST, BackendFlat} {
 		st, err := RunOneOn(kind, cfg, w, 0)
 		if err != nil {
 			t.Fatalf("RunOneOn(%q): %v", kind, err)

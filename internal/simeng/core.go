@@ -163,8 +163,8 @@ func nextWheelCycle(mask uint64, now int64) int64 {
 }
 
 // SetTracer installs a per-instruction commit callback. Tracing is for
-// debugging and the dsetrace tool; it slows simulation and must be set
-// before Run.
+// debugging and dserun's -trace and -chrome outputs; it slows simulation
+// and must be set before Run.
 func (c *Core) SetTracer(fn func(TraceEvent)) { c.tracer = fn }
 
 // SetStallTracer installs a per-step stall-attribution callback: after each

@@ -25,33 +25,16 @@ type FlatMem struct {
 // cycles and line size in bytes. linesPerCycle caps line throughput per
 // cycle (0 = unlimited).
 func NewFlatMem(latency int64, lineBytes, linesPerCycle int) (*FlatMem, error) {
-	m := &FlatMem{}
-	if err := m.Reset(latency, lineBytes, linesPerCycle); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// Reset reconfigures the backend in place for a new run, exactly as if it
-// had been built with NewFlatMem (same validation), so a pooled FlatMem can
-// be reused across runs.
-func (m *FlatMem) Reset(latency int64, lineBytes, linesPerCycle int) error {
 	if latency < 1 {
-		return fmt.Errorf("simeng: flat memory latency %d < 1", latency)
+		return nil, fmt.Errorf("simeng: flat memory latency %d < 1", latency)
 	}
 	if lineBytes < 4 || lineBytes&(lineBytes-1) != 0 {
-		return fmt.Errorf("simeng: flat memory line size %d not a power of two >= 4", lineBytes)
+		return nil, fmt.Errorf("simeng: flat memory line size %d not a power of two >= 4", lineBytes)
 	}
 	if linesPerCycle < 0 {
-		return fmt.Errorf("simeng: flat memory lines/cycle %d < 0", linesPerCycle)
+		return nil, fmt.Errorf("simeng: flat memory lines/cycle %d < 0", linesPerCycle)
 	}
-	m.latency = latency
-	m.lineBytes = lineBytes
-	m.linesPerCycle = linesPerCycle
-	m.cycle = 0
-	m.issued = 0
-	m.stats = MemStats{}
-	return nil
+	return &FlatMem{latency: latency, lineBytes: lineBytes, linesPerCycle: linesPerCycle}, nil
 }
 
 // tick starts the per-cycle issue count afresh when now is a new cycle.

@@ -4,7 +4,7 @@
 # Runs a small dsegen sweep with the monitor endpoint up, curls /metrics and
 # the JSON status page while the server lingers, validates the JSONL run
 # journal against scripts/runlog.schema.json, and JSON round-trips a
-# `dsetrace -format trace` export. Exits non-zero on any failure.
+# `dserun -chrome` export. Exits non-zero on any failure.
 #
 # Usage:
 #   scripts/telemetry_smoke.sh
@@ -17,7 +17,7 @@ trap '[[ -n "$GEN_PID" ]] && kill "$GEN_PID" 2>/dev/null; rm -rf "$TMP"' EXIT
 
 echo "== build"
 go build -o "$TMP/dsegen" ./cmd/dsegen
-go build -o "$TMP/dsetrace" ./cmd/dsetrace
+go build -o "$TMP/dserun" ./cmd/dserun
 
 echo "== sweep with monitor endpoint"
 "$TMP/dsegen" -samples 30 -seed 7 -workers 2 -out "$TMP/sweep.csv" \
@@ -74,8 +74,8 @@ GEN_PID=""
 echo "== validate run journal"
 python3 scripts/validate_runlog.py "$TMP/sweep.csv.runlog.jsonl"
 
-echo "== dsetrace Chrome trace round-trip"
-"$TMP/dsetrace" -app miniBUDE -format trace -out "$TMP/trace.json"
+echo "== dserun Chrome trace round-trip"
+"$TMP/dserun" -app miniBUDE -chrome "$TMP/trace.json"
 python3 - "$TMP/trace.json" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:

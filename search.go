@@ -98,13 +98,3 @@ func ParetoFromDataset(d *Dataset, app string) ([]ParetoPoint, error) {
 // CostProxy scores a configuration's hardware cost (area/power proxy);
 // lower is cheaper. The second objective of ParetoFromDataset.
 func CostProxy(c Config) float64 { return params.CostProxy(c) }
-
-// EncodeConfig maps a configuration to its canonical 30-feature vector
-// (identical to Config.Features).
-func EncodeConfig(c Config) []float64 { return params.Encode(c) }
-
-// DecodeConfig maps any 30-value vector back to a valid configuration:
-// each value snaps to its parameter's grid, then the sampling constraints
-// are repaired. Total on arbitrary inputs — the inverse seam search
-// strategies use to turn model-space points into simulatable configs.
-func DecodeConfig(f []float64) (Config, error) { return params.Decode(f) }
