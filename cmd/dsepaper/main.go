@@ -1,7 +1,9 @@
 // Command dsepaper regenerates every table and figure of the paper's
 // evaluation (Fig. 1, Tables I-IV, Figs. 2-8), printing each and optionally
 // writing the rendered text plus the collected dataset to a directory —
-// the one-shot reproduction driver.
+// the one-shot reproduction driver. -ext adds the extension experiments
+// (extports, extunified, extprefetch, extforest, extmulticore, extstalls);
+// -data reuses a collected CSV for every experiment that trains on one.
 //
 // Usage:
 //
@@ -35,11 +37,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("dsepaper", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		samples = fs.Int("samples", 2000, "dataset size for the ML-driven experiments (fig2-fig5)")
+		samples = fs.Int("samples", 2000, "dataset size for the experiments that train surrogates on a collected dataset")
 		seed    = fs.Int64("seed", 1, "seed for sampling, splitting and shuffling")
 		workers = fs.Int("workers", 0, "worker pool size (0 = all cores)")
 		only    = fs.String("only", "", "run a single experiment id (fig1, table1..table4, fig2..fig8, ext*)")
-		ext     = fs.Bool("ext", false, "also run the extension experiments (extports, extunified, extprefetch, extforest)")
+		ext     = fs.Bool("ext", false, "also run the extension experiments ("+strings.Join(extIDs(), ", ")+")")
 		outDir  = fs.String("out", "", "also write each result and the dataset into this directory")
 		dataIn  = fs.String("data", "", "reuse a previously collected dataset CSV instead of simulating")
 	)
@@ -61,13 +63,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		runners = []armdse.ExperimentRunner{r}
 	}
 
-	// Collect the shared dataset once if any ML experiment is requested.
+	// Load or collect the shared dataset once if any requested experiment
+	// reads it.
 	needsData := false
 	for _, r := range runners {
-		switch r.ID {
-		case "fig2", "fig3", "fig4", "fig5", "extunified", "extforest":
-			needsData = true
-		}
+		needsData = needsData || r.SharedData
 	}
 	if needsData && *dataIn != "" {
 		data, err := armdse.LoadDataset(*dataIn)
@@ -129,4 +129,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("%d experiment(s) failed", failures)
 	}
 	return nil
+}
+
+// extIDs lists the extension experiments -ext adds to the paper's.
+func extIDs() []string {
+	var ids []string
+	for _, r := range armdse.ExperimentsWithExtensions()[len(armdse.Experiments()):] {
+		ids = append(ids, r.ID)
+	}
+	return ids
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -30,9 +31,9 @@ func TestRunSingleCheapExperiment(t *testing.T) {
 	}
 }
 
+// Every experiment that reads the shared dataset must take it from -data.
+// -samples 1 makes one that ignored -data collect a single config and fail.
 func TestRunWithReusedDataset(t *testing.T) {
-	// Build a tiny dataset via the experiment collector, save it, and
-	// reuse it through -data for fig3.
 	data, err := collectTiny(t)
 	if err != nil {
 		t.Fatal(err)
@@ -41,18 +42,20 @@ func TestRunWithReusedDataset(t *testing.T) {
 	if err := data.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	var out, errBuf bytes.Buffer
-	err = run(context.Background(),
-		[]string{"-only", "fig3", "-data", path},
-		&out, &errBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(errBuf.String(), "reusing") {
-		t.Errorf("stderr = %q", errBuf.String())
-	}
-	if !strings.Contains(out.String(), "fig3") {
-		t.Error("fig3 output missing")
+	for _, id := range []string{"fig3", "extstalls"} {
+		var out, errBuf bytes.Buffer
+		err = run(context.Background(),
+			[]string{"-only", id, "-data", path, "-samples", "1"},
+			&out, &errBuf)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if want := fmt.Sprintf("reusing %d rows", data.Len()); !strings.Contains(errBuf.String(), want) {
+			t.Errorf("%s: stderr = %q, want %q", id, errBuf.String(), want)
+		}
+		if !strings.Contains(out.String(), "== "+id+":") {
+			t.Errorf("%s output missing", id)
+		}
 	}
 }
 

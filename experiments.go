@@ -22,15 +22,15 @@ type (
 func Experiments() []ExperimentRunner { return experiments.All() }
 
 // ExperimentsWithExtensions returns the paper experiments followed by the
-// extension experiments (execution-port sweep, unified-surrogate ablation,
-// prefetcher ablation).
+// extension experiments: extports, extunified, extprefetch, extforest,
+// extmulticore and extstalls.
 func ExperimentsWithExtensions() []ExperimentRunner { return experiments.AllWithExtensions() }
 
 // ExperimentByID returns the driver with the given ID.
 func ExperimentByID(id string) (ExperimentRunner, error) { return experiments.ByID(id) }
 
-// CollectExperimentData gathers the shared dataset used by the ML-driven
-// experiments (fig2-fig5), honouring opt.Data when already collected.
+// CollectExperimentData gathers the shared dataset read by the experiments
+// whose runner has SharedData set, honouring opt.Data when already collected.
 func CollectExperimentData(ctx context.Context, opt ExperimentOptions) (*Dataset, error) {
 	return experiments.CollectData(ctx, opt)
 }
