@@ -32,7 +32,6 @@ func benchOpt() armdse.ExperimentOptions {
 	return armdse.ExperimentOptions{
 		Samples: 150,
 		Seed:    9,
-		Repeats: 3,
 		Suite:   benchSuite(),
 	}
 }

@@ -4,8 +4,10 @@
 //
 // Usage:
 //
-//	dseanalyze -data dataset.csv [-split 0.8] [-seed 1] [-repeats 10] [-top 10]
-//	           [-workers 0]
+//	dseanalyze -data dataset.csv [-seed 1] [-top 10] [-workers 0]
+//
+// It follows the paper's protocol: accuracy on a held-out 20% of the rows,
+// importance over 10 shuffles of each feature.
 package main
 
 import (
@@ -26,21 +28,25 @@ func main() {
 	}
 }
 
+// The paper's analysis protocol.
+const (
+	trainFrac = 0.8 // share of rows the accuracy surrogates train on
+	repeats   = 10  // permutation-importance shuffles per feature
+)
+
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("dseanalyze", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
 		dataPath = fs.String("data", "dataset.csv", "input dataset CSV (from dsegen)")
-		split    = fs.Float64("split", 0.8, "training fraction for the accuracy evaluation")
 		seed     = fs.Int64("seed", 1, "split/shuffle seed")
-		repeats  = fs.Int("repeats", 10, "permutation-importance repeats")
 		top      = fs.Int("top", 10, "importances to print per application")
 		workers  = fs.Int("workers", 0, "training/importance workers (0 = all CPUs; never changes the models)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := validateFlags(*split, *repeats, *top, *workers); err != nil {
+	if err := validateFlags(*top, *workers); err != nil {
 		return err
 	}
 
@@ -51,10 +57,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "dataset: %d rows x %d features, apps %v\n\n", data.Len(), data.NumFeatures(), data.Apps)
 
 	// Accuracy on a held-out split (the paper's Fig. 2 protocol).
-	train, test := data.Split(*seed, *split)
+	train, test := data.Split(*seed, trainFrac)
 	if train.Len() == 0 || test.Len() == 0 {
 		return fmt.Errorf("dataset of %d rows too small for a %.0f/%.0f split",
-			data.Len(), *split*100, (1-*split)*100)
+			data.Len(), trainFrac*100, (1-trainFrac)*100)
 	}
 	accTbl := report.Table{
 		Title:   fmt.Sprintf("Held-out accuracy (train %d / test %d)", train.Len(), test.Len()),
@@ -99,7 +105,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		imps, err := armdse.FeatureImportanceOpt(tree, data, app, armdse.ImportanceOptions{
-			Repeats: *repeats, Seed: *seed, Workers: *workers,
+			Repeats: repeats, Seed: *seed, Workers: *workers,
 		})
 		if err != nil {
 			return err
@@ -118,12 +124,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 // validateFlags rejects values the analysis would otherwise coerce or fail
 // on late: it runs before the dataset loads, so a typo costs no training.
-func validateFlags(split float64, repeats, top, workers int) error {
+func validateFlags(top, workers int) error {
 	switch {
-	case !(split > 0 && split < 1):
-		return fmt.Errorf("-split %g: the training fraction must lie strictly between 0 and 1", split)
-	case repeats < 1:
-		return fmt.Errorf("-repeats %d < 1: permutation importance needs at least one shuffle per feature", repeats)
 	case top < 0:
 		return fmt.Errorf("-top %d < 0", top)
 	case workers < 0:

@@ -33,7 +33,7 @@ func writeDataset(t *testing.T) string {
 func TestRunAnalysis(t *testing.T) {
 	path := writeDataset(t)
 	var out, errBuf bytes.Buffer
-	if err := run([]string{"-data", path, "-repeats", "2", "-top", "5"}, &out, &errBuf); err != nil {
+	if err := run([]string{"-data", path, "-top", "5"}, &out, &errBuf); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -61,7 +61,7 @@ func TestRunAnalysisWorkersBins(t *testing.T) {
 		{"-workers", "8"},
 	} {
 		var out, errBuf bytes.Buffer
-		args := append([]string{"-data", path, "-repeats", "2", "-top", "5"}, extra...)
+		args := append([]string{"-data", path, "-top", "5"}, extra...)
 		if err := run(args, &out, &errBuf); err != nil {
 			t.Fatalf("%v: %v", extra, err)
 		}
@@ -78,11 +78,13 @@ func TestRunAnalysisErrors(t *testing.T) {
 		t.Error("missing dataset accepted")
 	}
 	path := writeDataset(t)
-	if err := run([]string{"-data", path, "-split", "1"}, &buf, &buf); err == nil {
-		t.Error("degenerate split accepted")
-	}
-	// Exact CART is the only trainer, so there is no -bins flag.
-	for _, bad := range [][]string{{"-zzz"}, {"-bins", "256"}, {"-bins", "-5"}, {"-bins", "1"}} {
+	// Exact CART is the only trainer, so there is no -bins flag; the split
+	// (0.8) and importance repeats (10) are the paper's, so there is no
+	// -split or -repeats.
+	for _, bad := range [][]string{
+		{"-zzz"}, {"-bins", "256"}, {"-bins", "-5"}, {"-bins", "1"},
+		{"-split", "0.8"}, {"-repeats", "10"},
+	} {
 		err := run(append([]string{"-data", path}, bad...), &buf, &buf)
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+bad[0]) {
 			t.Errorf("%v: err = %v, want an unknown-flag error", bad, err)
@@ -92,9 +94,6 @@ func TestRunAnalysisErrors(t *testing.T) {
 	// missing path proves it), never coerced or left to panic mid-report.
 	for _, bad := range [][]string{
 		{"-top", "-1"},
-		{"-split", "1.5"},
-		{"-split", "0"},
-		{"-repeats", "0"},
 		{"-workers", "-4"},
 	} {
 		err := run(append([]string{"-data", "/no/such.csv"}, bad...), &buf, &buf)
@@ -104,7 +103,7 @@ func TestRunAnalysisErrors(t *testing.T) {
 	}
 	// Against a real dataset, -top -1 must fail up front, not after
 	// training every tree with a panic slicing the importances.
-	if err := run([]string{"-data", path, "-repeats", "1", "-top", "-1"}, &buf, &buf); err == nil {
+	if err := run([]string{"-data", path, "-top", "-1"}, &buf, &buf); err == nil {
 		t.Error("-top -1 accepted")
 	}
 }

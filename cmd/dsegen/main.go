@@ -26,7 +26,7 @@
 // Usage:
 //
 //	dsegen -samples 2000 -seed 1 -out dataset.csv [-workers 16] [-paper]
-//	dsegen -seed 1 -out dataset.csv -search ucb -search-budget 500 -search-batch 50
+//	dsegen -samples 500 -seed 1 -out dataset.csv -search ucb -search-batch 50
 //	dsegen -samples 2000 -seed 1 -out dataset.csv -http :8080
 //	dsegen -samples 2000 -seed 1 -out dataset.csv -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
 //	dsegen -worker http://coord-host:8070
@@ -92,11 +92,11 @@ var workerAllowedFlags = map[string]bool{
 //     ignored at best and a split-brain run at worst);
 //   - -eval must name a known evaluator (previously checked deep inside
 //     the engine, after the journal was created);
-//   - the search-subordinate flags (-search-budget ... -search-kappa)
-//     require -search: without it they would be silently ignored;
-//   - -search-budget, -search-batch and -search-pool must not be negative:
-//     the proposer would silently replace them with their defaults.
-func validateFlags(fs *flag.FlagSet, worker, eval, search string) error {
+//   - -search-batch requires -search: without it, it would be silently
+//     ignored;
+//   - -search-batch must not be negative: the proposer would silently
+//     replace it with its default.
+func validateFlags(fs *flag.FlagSet, worker, eval, search string, batch int) error {
 	if worker != "" {
 		var bad []string
 		fs.Visit(func(f *flag.Flag) {
@@ -114,31 +114,16 @@ func validateFlags(fs *flag.FlagSet, worker, eval, search string) error {
 		return fmt.Errorf("unknown evaluator %q (want one of %v)", eval, armdse.Evaluators())
 	}
 	if search == "" {
-		var bad []string
-		fs.Visit(func(f *flag.Flag) {
-			if searchSubFlags[f.Name] {
-				bad = append(bad, "-"+f.Name)
-			}
-		})
-		if len(bad) > 0 {
-			sort.Strings(bad)
-			return fmt.Errorf("%s require(s) -search: these flags configure the adaptive proposer and would be silently ignored by a fixed sweep",
-				strings.Join(bad, ", "))
+		batchSet := false
+		fs.Visit(func(f *flag.Flag) { batchSet = batchSet || f.Name == "search-batch" })
+		if batchSet {
+			return errors.New("-search-batch requires -search: it configures the adaptive proposer and would be silently ignored by a fixed sweep")
 		}
 	}
-	for _, name := range []string{"search-budget", "search-batch", "search-pool"} {
-		if v := fs.Lookup(name).Value.(flag.Getter).Get().(int); v < 0 {
-			return fmt.Errorf("-%s %d < 0", name, v)
-		}
+	if batch < 0 {
+		return fmt.Errorf("-search-batch %d < 0", batch)
 	}
 	return nil
-}
-
-// searchSubFlags are the flags that only configure the adaptive proposer —
-// meaningless, and therefore rejected, without -search.
-var searchSubFlags = map[string]bool{
-	"search-budget": true, "search-batch": true, "search-pool": true,
-	"search-kappa": true,
 }
 
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
@@ -153,10 +138,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		eval     = fs.String("eval", "", "per-config evaluator: exact (default) or hybrid (bounds + learned residual, escalating uncertain configs to exact)")
 		evalEsc  = fs.Float64("eval-escalate", 0, "hybrid escalation threshold on the residual forest's log spread (0 = default)")
 		srch     = fs.String("search", "", "adaptive proposal strategy: uniform, ucb or ei (\"\" = classic fixed sweep)")
-		srchBud  = fs.Int("search-budget", 0, "adaptive run total config budget (0 = -samples)")
-		srchBat  = fs.Int("search-batch", 0, "adaptive proposal batch size: configs per generation (0 = default 64)")
-		srchPool = fs.Int("search-pool", 0, "adaptive candidate pool per batch (0 = default 8x batch)")
-		srchKap  = fs.Float64("search-kappa", 0, "ucb exploration weight on the forest spread (0 = default 2.0)")
+		srchBat  = fs.Int("search-batch", 0, "adaptive proposal batch size: configs per generation (0 = default 64; each scores 8x as many candidates)")
 		quiet    = fs.Bool("q", false, "suppress progress output")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = fs.String("memprofile", "", "write an allocation profile to this file at exit")
@@ -169,7 +151,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := validateFlags(fs, *worker, *eval, *srch); err != nil {
+	if err := validateFlags(fs, *worker, *eval, *srch, *srchBat); err != nil {
 		return err
 	}
 	if *samples <= 0 {
@@ -204,23 +186,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	apps := armdse.SuiteNames(suite)
 
 	// Adaptive mode: a proposer feeds the engine generation-driven batches
-	// instead of a fixed index range.
+	// of -samples configs in all instead of a fixed index range.
 	var proposer *armdse.Proposer
-	budget := *samples
 	if *srch != "" {
-		if *srchBud > 0 {
-			budget = *srchBud
-		}
 		// Barrier refits and pool scoring run while every simulation
 		// worker waits, so they use the same pool size; proposals are
 		// identical at any value.
 		proposer, err = armdse.NewProposer(armdse.ProposeOptions{
 			Strategy: *srch,
 			Seed:     *seed,
-			Budget:   budget,
+			Budget:   *samples,
 			Batch:    *srchBat,
-			Pool:     *srchPool,
-			Kappa:    *srchKap,
 			Workers:  *workers,
 			Apps:     apps,
 		})
@@ -234,7 +210,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	journal := *out + ".journal"
 	sw, resumed, err := armdse.OpenJournal(journal, features, apps, armdse.StallColumns(apps),
-		armdse.RunMeta(*seed, budget, *paper, *eval, searchDigest))
+		armdse.RunMeta(*seed, *samples, *paper, *eval, searchDigest))
 	if err != nil {
 		return err
 	}
@@ -294,7 +270,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stderr, "monitor: http://%s/\n", bound)
 		}
 	}
-	if err := tel.JournalMeta(*seed, budget, resolvedWorkers, len(skip), apps); err != nil {
+	if err := tel.JournalMeta(*seed, *samples, resolvedWorkers, len(skip), apps); err != nil {
 		return err
 	}
 

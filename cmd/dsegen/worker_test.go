@@ -77,13 +77,18 @@ func TestRunEvalUnknownLeavesNoJournal(t *testing.T) {
 }
 
 // -shard (a dsecoord fleet replaces it), -search-workers (-workers sizes
-// the barrier too) and -resume (a rerun with the same flags resumes) are
-// gone: each is an unknown flag, refused before any file exists.
+// the barrier too), -resume (a rerun with the same flags resumes),
+// -search-budget (-samples is the budget), -search-pool (8× the batch)
+// and -search-kappa (2) are gone: each is an unknown flag, refused before
+// any file exists.
 func TestRunRemovedFlagsUnknown(t *testing.T) {
 	for _, extra := range [][]string{
 		{"-shard", "0/2"},
 		{"-search", "ucb", "-search-workers", "2"},
 		{"-resume"},
+		{"-search", "ucb", "-search-budget", "12"},
+		{"-search", "ucb", "-search-pool", "16"},
+		{"-search", "ucb", "-search-kappa", "0"},
 	} {
 		dir := t.TempDir()
 		var buf bytes.Buffer

@@ -41,7 +41,7 @@ func TestQueryPredictPdpSearch(t *testing.T) {
 		"-data", dataPath, "-app", "STREAM",
 		"-predict", cfgPath,
 		"-pdp", "L2-Size",
-		"-search", "-candidates", "300",
+		"-search",
 		"-pareto",
 	}, &out, &errBuf)
 	if err != nil {
@@ -79,5 +79,10 @@ func TestQueryErrors(t *testing.T) {
 	}
 	if err := run([]string{"-data", dataPath, "-predict", "/no/cfg.json"}, &buf, &buf); err == nil {
 		t.Error("missing config accepted")
+	}
+	// The screening pool is fixed at 20,000: -candidates is gone.
+	err := run([]string{"-data", dataPath, "-search", "-candidates", "300"}, &buf, &buf)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -candidates") {
+		t.Errorf("-candidates: err = %v, want an unknown-flag error", err)
 	}
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // fastOpt returns options small enough for unit tests: a tiny workload
-// suite, a tiny dataset, few importance repeats.
+// suite and a tiny dataset.
 func fastOpt() Options {
 	// Seed 5 gives >= 20 rows at both the 128 and 2048 vector-length
 	// levels under the indexed per-config derivation, which Fig4/Fig5
@@ -20,7 +20,6 @@ func fastOpt() Options {
 	return Options{
 		Samples: 120,
 		Seed:    5,
-		Repeats: 2,
 		Suite: []workload.Workload{
 			workload.NewSTREAM(workload.STREAMInputs{ArraySize: 1024, Times: 1}),
 			workload.NewMiniBUDE(workload.MiniBUDEInputs{Atoms: 8, Poses: 32, Iterations: 1, Repeats: 1}),

@@ -21,7 +21,7 @@ func ExtForest(ctx context.Context, opt Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	train, test := data.Split(opt.Seed, opt.TrainFrac)
+	train, test := data.Split(opt.Seed, trainFrac)
 	if train.Len() == 0 || test.Len() == 0 {
 		return Result{}, fmt.Errorf("experiments: dataset too small")
 	}

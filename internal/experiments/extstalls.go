@@ -94,7 +94,7 @@ func ExtStalls(ctx context.Context, opt Options) (Result, error) {
 		Title:   "Dominant stall class per app: surrogate accuracy and top design parameters moving it",
 		Columns: []string{"Application", "Stall class", "Acc", "Top parameters (permutation importance)"},
 	}
-	train, test := data.Split(opt.Seed, opt.TrainFrac)
+	train, test := data.Split(opt.Seed, trainFrac)
 	if train.Len() == 0 || test.Len() == 0 {
 		return Result{}, fmt.Errorf("experiments: dataset too small")
 	}

@@ -71,14 +71,9 @@ type ProposeOptions struct {
 	// Budget is the total number of configurations to propose; required.
 	Budget int
 	// Batch is the proposal batch size — the engine barriers and the
-	// forests refit between batches (default 64).
+	// forests refit between batches (default 64). Each model-based batch
+	// scores a candidate pool of poolPerBatch×Batch.
 	Batch int
-	// Pool is the candidate pool size scored per model-based batch
-	// (default 8×Batch).
-	Pool int
-	// Kappa is UCB's exploration weight on the between-tree spread
-	// (default 2.0).
-	Kappa float64
 	// Trees is the per-app forest size (default 20).
 	Trees int
 	// Workers bounds the acquisition concurrency — forest refits, pool
@@ -96,12 +91,6 @@ func (o ProposeOptions) withDefaults() ProposeOptions {
 	}
 	if o.Batch <= 0 {
 		o.Batch = 64
-	}
-	if o.Pool <= 0 {
-		o.Pool = 8 * o.Batch
-	}
-	if o.Kappa == 0 {
-		o.Kappa = 2.0
 	}
 	if o.Trees <= 0 {
 		o.Trees = 20
@@ -155,13 +144,14 @@ func (p *Proposer) LastBatchStats() orchestrate.BatchStats { return p.stats }
 // resuming against a differently-configured proposer is rejected at the
 // meta comparison. The trailing algorithm revision (v2: chunked pool
 // substreams, warm-started refits) changed the proposal stream relative to
-// v1 journals, which therefore must not resume either. The d0 and r0
-// fields are the retired diversity weight and refit count, kept as
-// literals so existing journals stay resumable.
+// v1 journals, which therefore must not resume either. The p and k
+// fields print the fixed candidate pool and ucb weight, and d0 and r0 the
+// retired diversity weight and refit count, so existing journals stay
+// resumable.
 func (p *Proposer) Digest() string {
 	o := p.opt
-	return fmt.Sprintf("%s/s%d/n%d/b%d/p%d/k%g/t%d/d0/r0/v2",
-		o.Strategy, o.Seed, o.Budget, o.Batch, o.Pool, o.Kappa, o.Trees)
+	return fmt.Sprintf("%s/s%d/n%d/b%d/p%d/k2/t%d/d0/r0/v2",
+		o.Strategy, o.Seed, o.Budget, o.Batch, poolPerBatch*o.Batch, o.Trees)
 }
 
 // minTrainRows is the fewest non-failed prior rows a model-based strategy
@@ -216,6 +206,14 @@ func (p *Proposer) uniformBatch(n int) []params.Config {
 	}
 	return batch
 }
+
+// Acquisition constants; Digest prints both, as p<poolPerBatch×Batch>/k2.
+const (
+	// poolPerBatch sizes the candidate pool a model-based batch scores.
+	poolPerBatch = 8
+	// kappa is UCB's exploration weight on the between-tree spread.
+	kappa = 2.0
+)
 
 // Parallel fan-out geometry and substream identifiers.
 const (
@@ -339,8 +337,8 @@ func (p *Proposer) modelBatch(n, gen int, train []orchestrate.Row) []params.Conf
 
 	t1 := time.Now()
 	poolSeed := stats.SubSeed(genSeed, streamPool)
-	cands := make([]params.Config, o.Pool)
-	forChunks(o.Pool, o.Workers, func(c, lo, hi int) {
+	cands := make([]params.Config, poolPerBatch*o.Batch)
+	forChunks(len(cands), o.Workers, func(c, lo, hi int) {
 		rng := stats.NewRand(stats.SubSeed(poolSeed, c))
 		for i := lo; i < hi; i++ {
 			cands[i] = params.Sample(rng)
@@ -361,7 +359,7 @@ func (p *Proposer) modelBatch(n, gen int, train []orchestrate.Row) []params.Conf
 				if o.Strategy == StrategyEI {
 					s -= expectedImprovement(bestY[ai], mean, std)
 				} else { // ucb
-					s += mean - o.Kappa*std
+					s += mean - kappa*std
 				}
 			}
 			scores[i] = s

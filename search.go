@@ -57,7 +57,7 @@ const (
 	// StrategyUniform proposes the classic fixed uniform sweep in batches —
 	// the control arm; its dataset is byte-identical to a fixed sweep.
 	StrategyUniform = search.StrategyUniform
-	// StrategyUCB proposes candidates minimising mean − kappa*spread of the
+	// StrategyUCB proposes candidates minimising mean − 2·spread of the
 	// per-application forests (optimism under uncertainty).
 	StrategyUCB = search.StrategyUCB
 	// StrategyEI proposes candidates by closed-form expected improvement.
