@@ -258,7 +258,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			}()
 		}
 		tel = armdse.NewTelemetry(reg, rj)
-		tel.Search = searchDigest
 		if *httpAddr != "" {
 			srv, bound, err := armdse.ServeTelemetry(*httpAddr, armdse.TelemetryHandler(reg, tel.StatusAny))
 			if err != nil {
@@ -270,7 +269,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stderr, "monitor: http://%s/\n", bound)
 		}
 	}
-	if err := tel.JournalMeta(*seed, *samples, resolvedWorkers, len(skip), apps); err != nil {
+	if err := tel.JournalMeta(*seed, *samples, resolvedWorkers, len(skip), searchDigest, apps); err != nil {
 		return err
 	}
 

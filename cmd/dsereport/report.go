@@ -6,73 +6,16 @@ import (
 	"fmt"
 	"os"
 	"sort"
+
+	"armdse/internal/obs"
 )
 
 // Runlog reading. dsereport is a consumer of the schema the repo's runlog
 // validator enforces (scripts/runlog.schema.json): every line is one JSON
-// record discriminated by "type". Decoding here is deliberately lenient —
-// unknown fields are ignored — so a newer runlog still reports under an
-// older dsereport.
-
-type probeRec struct {
-	Type string `json:"type"`
-}
-
-type metaRec struct {
-	Version int        `json:"version"`
-	Seed    int64      `json:"seed"`
-	Samples int        `json:"samples"`
-	Workers int        `json:"workers"`
-	Search  string     `json:"search"`
-	Fabric  *fleetMeta `json:"fabric"`
-}
-
-type fleetMeta struct {
-	LeaseSize int   `json:"lease_size"`
-	Chunk     int   `json:"chunk"`
-	ExpiryMS  int64 `json:"expiry_ms"`
-}
-
-type leaseRec struct {
-	Event    string  `json:"event"`
-	Lease    int     `json:"lease"`
-	Epoch    int     `json:"epoch"`
-	Worker   string  `json:"worker"`
-	Lo       int     `json:"lo"`
-	Hi       int     `json:"hi"`
-	Cursor   int     `json:"cursor"`
-	ElapsedS float64 `json:"elapsed_s"`
-}
-
-type heartbeatRec struct {
-	ElapsedS   float64 `json:"elapsed_s"`
-	Done       int     `json:"done"`
-	Failed     int     `json:"failed"`
-	Total      int     `json:"total"`
-	RowsPerSec float64 `json:"rows_per_sec"`
-}
-
-type utilRec struct {
-	Worker     string  `json:"worker"`
-	ElapsedS   float64 `json:"elapsed_s"`
-	Rows       int64   `json:"rows"`
-	RowsPerSec float64 `json:"rows_per_sec"`
-	BusyS      float64 `json:"busy_s"`
-	UpS        float64 `json:"up_s"`
-	BusyFrac   float64 `json:"busy_frac"`
-}
-
-type barrierRec struct {
-	Gen        int     `json:"gen"`
-	WallMs     float64 `json:"wall_ms"`
-	PoolScored int64   `json:"pool_scored"`
-}
-
-type summaryRec struct {
-	Rows     int     `json:"rows"`
-	Failed   int     `json:"failed"`
-	ElapsedS float64 `json:"elapsed_s"`
-}
+// record discriminated by "type", decoded into the record structs of
+// internal/obs that dsegen and dsecoord write. Decoding is deliberately
+// lenient — unknown fields and record types are ignored — so a newer
+// runlog still reports under an older dsereport.
 
 // RunReport is one runlog's scaling analysis — the JSON shape emitted under
 // "runs" and the source of every text table.
@@ -172,12 +115,12 @@ func analyzeRunlog(path string) (*runAnalysis, error) {
 
 	a := &runAnalysis{Report: RunReport{File: path}}
 	var (
-		meta      *metaRec
-		summary   *summaryRec
-		lastHB    *heartbeatRec
+		meta      *obs.MetaRecord
+		summary   *obs.SummaryRecord
+		lastHB    *obs.HeartbeatRecord
 		leases    LeaseReport
 		barriers  BarrierReport
-		utilBy    = map[string]utilRec{}
+		utilBy    = map[string]obs.UtilRecord{}
 		grantsBy  = map[string]int{}
 		open      = map[int]*leaseSpan{}
 		workerSet = map[string]bool{}
@@ -191,19 +134,21 @@ func analyzeRunlog(path string) (*runAnalysis, error) {
 		if len(line) == 0 {
 			continue
 		}
-		var p probeRec
+		var p struct {
+			Type string `json:"type"`
+		}
 		if err := json.Unmarshal(line, &p); err != nil {
 			return nil, fmt.Errorf("%s:%d: %w", path, lineNo, err)
 		}
 		switch p.Type {
 		case "meta":
-			var r metaRec
+			var r obs.MetaRecord
 			if err := json.Unmarshal(line, &r); err != nil {
 				return nil, fmt.Errorf("%s:%d: meta: %w", path, lineNo, err)
 			}
 			meta = &r
 		case "heartbeat":
-			var r heartbeatRec
+			var r obs.HeartbeatRecord
 			if err := json.Unmarshal(line, &r); err != nil {
 				return nil, fmt.Errorf("%s:%d: heartbeat: %w", path, lineNo, err)
 			}
@@ -212,22 +157,22 @@ func analyzeRunlog(path string) (*runAnalysis, error) {
 				ElapsedS: r.ElapsedS, Done: r.Done, RowsPerSec: r.RowsPerSec,
 			})
 		case "util":
-			var r utilRec
+			var r obs.UtilRecord
 			if err := json.Unmarshal(line, &r); err != nil {
 				return nil, fmt.Errorf("%s:%d: util: %w", path, lineNo, err)
 			}
 			utilBy[r.Worker] = r // cumulative: last record wins
 			workerSet[r.Worker] = true
 		case "barrier":
-			var r barrierRec
+			var r obs.BarrierRecord
 			if err := json.Unmarshal(line, &r); err != nil {
 				return nil, fmt.Errorf("%s:%d: barrier: %w", path, lineNo, err)
 			}
 			barriers.Generations++
 			barriers.WallS += r.WallMs / 1000
-			barriers.PoolScored += r.PoolScored
+			barriers.PoolScored += int64(r.PoolScored)
 		case "lease":
-			var r leaseRec
+			var r obs.LeaseRecord
 			if err := json.Unmarshal(line, &r); err != nil {
 				return nil, fmt.Errorf("%s:%d: lease: %w", path, lineNo, err)
 			}
@@ -270,7 +215,7 @@ func analyzeRunlog(path string) (*runAnalysis, error) {
 				})
 			}
 		case "summary":
-			var r summaryRec
+			var r obs.SummaryRecord
 			if err := json.Unmarshal(line, &r); err != nil {
 				return nil, fmt.Errorf("%s:%d: summary: %w", path, lineNo, err)
 			}

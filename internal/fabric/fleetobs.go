@@ -177,23 +177,23 @@ func (c *Coordinator) writeUtilLocked(now time.Time) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	elapsed := round3(now.Sub(c.start).Seconds())
+	elapsed := obs.Round3(now.Sub(c.start).Seconds())
 	for _, name := range names {
 		fw := c.workers[name]
-		rec := coordUtil{
+		rec := obs.UtilRecord{
 			Type: "util", Worker: name, ElapsedS: elapsed,
-			Rows: fw.rows, LastSeenS: round3(now.Sub(fw.lastSeen).Seconds()),
+			Rows: fw.rows, LastSeenS: obs.Round3(now.Sub(fw.lastSeen).Seconds()),
 		}
 		if d := fw.lastSeen.Sub(fw.first).Seconds(); d > 0 {
-			rec.RowsPerSec = round3(float64(fw.rows) / d)
+			rec.RowsPerSec = obs.Round3(float64(fw.rows) / d)
 		}
 		if fw.tel != nil {
-			rec.BusyS = round3(float64(fw.tel.BusyNs) / 1e9)
-			rec.UpS = round3(float64(fw.tel.UpNs) / 1e9)
+			rec.BusyS = obs.Round3(float64(fw.tel.BusyNs) / 1e9)
+			rec.UpS = obs.Round3(float64(fw.tel.UpNs) / 1e9)
 			if fw.tel.UpNs > 0 {
-				rec.BusyFrac = round3(float64(fw.tel.BusyNs) / float64(fw.tel.UpNs))
+				rec.BusyFrac = obs.Round3(float64(fw.tel.BusyNs) / float64(fw.tel.UpNs))
 			}
 		}
-		c.writeRunlog(rec)
+		_ = c.runlog.WriteRecord(rec)
 	}
 }

@@ -2,14 +2,16 @@ package obs
 
 import (
 	"bufio"
+	"encoding/json"
 	"os"
 	"sync"
 )
 
-// Journal is a line-oriented structured run log: callers append one JSON
-// record per line (JSONL) and the journal flushes each line so the file is
-// always tail-able during a live sweep. Record encoding belongs to the
-// caller — the journal only guarantees atomic, ordered, newline-terminated
+// Journal is a line-oriented structured run log: one JSON record per line
+// (JSONL), each line flushed so the file is always tail-able during a live
+// sweep. WriteRecord encodes the record structs of runlog.go; WriteLine
+// appends a line the caller encoded itself (the engine's per-config
+// record). The journal guarantees atomic, ordered, newline-terminated
 // appends and running line/byte statistics.
 type Journal struct {
 	mu    sync.Mutex
@@ -58,6 +60,19 @@ func (j *Journal) WriteLine(rec []byte) error {
 	j.lines++
 	j.bytes += int64(len(rec)) + 1
 	return j.bw.Flush()
+}
+
+// WriteRecord appends rec, one of the runlog record structs, as one JSON
+// line. Nil-safe no-op.
+func (j *Journal) WriteRecord(rec any) error {
+	if j == nil {
+		return nil
+	}
+	b, err := json.Marshal(rec)
+	if err != nil {
+		return err
+	}
+	return j.WriteLine(b)
 }
 
 // Stats returns the lines and bytes written so far.

@@ -36,12 +36,6 @@ type Telemetry struct {
 	// HeartbeatEvery spaces journal heartbeat records; zero uses 5s.
 	HeartbeatEvery time.Duration
 
-	// Search, when non-empty, identifies the adaptive proposal source (the
-	// proposer digest) in the journal's meta record. Set it before
-	// JournalMeta; fixed sweeps leave it empty and their meta records are
-	// byte-identical to pre-seam runs.
-	Search string
-
 	// Bound at Engine.Run start (bind); engine workers index apps and
 	// scratch by suite position and worker id.
 	appNames   []string
@@ -297,29 +291,11 @@ func (t *Telemetry) searchBarrierDone(gen int, wallNs int64, stats BatchStats) {
 	t.searchBarrier.Observe(0, wallNs)
 	t.searchScored.Add(0, int64(stats.PoolScored))
 	t.gGen.SetInt(int64(gen))
-	if t.journal == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	b := t.jbuf[:0]
-	b = append(b, `{"type":"barrier","gen":`...)
-	b = strconv.AppendInt(b, int64(gen), 10)
-	b = append(b, `,"wall_ms":`...)
-	b = appendFloat(b, float64(wallNs)/1e6)
-	b = append(b, `,"pool_scored":`...)
-	b = strconv.AppendInt(b, int64(stats.PoolScored), 10)
-	b = append(b, `,"refit_ms":`...)
-	b = appendFloat(b, float64(stats.RefitNanos)/1e6)
-	b = append(b, `,"score_ms":`...)
-	b = appendFloat(b, float64(stats.ScoreNanos)/1e6)
-	b = append(b, `,"trees_retrained":`...)
-	b = strconv.AppendInt(b, int64(stats.TreesRetrained), 10)
-	b = append(b, `,"trees_retained":`...)
-	b = strconv.AppendInt(b, int64(stats.TreesRetained), 10)
-	b = append(b, '}')
-	t.jbuf = b
-	_ = t.journal.WriteLine(b)
+	_ = t.journal.WriteRecord(obs.BarrierRecord{
+		Type: "barrier", Gen: gen, WallMs: obs.Round3(float64(wallNs) / 1e6), PoolScored: stats.PoolScored,
+		RefitMs: obs.Round3(float64(stats.RefitNanos) / 1e6), ScoreMs: obs.Round3(float64(stats.ScoreNanos) / 1e6),
+		TreesRetrained: stats.TreesRetrained, TreesRetained: stats.TreesRetained,
+	})
 }
 
 // bindEval creates the evaluator-seam handles for a non-exact run. Called
@@ -489,8 +465,11 @@ func (t *Telemetry) progress(ev ProgressEvent) {
 	t.mu.Lock()
 	if time.Since(t.lastHB) >= every || ev.Done == ev.Total {
 		t.lastHB = time.Now()
-		t.jbuf = appendHeartbeatRecord(t.jbuf[:0], ev)
-		_ = t.journal.WriteLine(t.jbuf)
+		_ = t.journal.WriteRecord(obs.HeartbeatRecord{
+			Type: "heartbeat", ElapsedS: obs.Round3(ev.Elapsed.Seconds()),
+			Done: ev.Done, Failed: ev.Failed, Total: ev.Total,
+			RowsPerSec: obs.Round3(ev.RowsPerSec), ETAS: obs.Round3(ev.ETA.Seconds()), Cycles: ev.Cycles,
+		})
 		lines, bytes := t.journal.Stats()
 		t.journLines.SetInt(lines)
 		t.journBytes.SetInt(bytes)
@@ -531,59 +510,30 @@ func (t *Telemetry) StatusAny() any { return t.Status() }
 
 // JournalMeta writes the journal's header record identifying the run: seed,
 // index-space size, resolved worker count, the rows the collection journal
-// held when the run started (0 on a fresh run), application order and the
-// stall-class taxonomy the per-config stall arrays are indexed by.
-func (t *Telemetry) JournalMeta(seed int64, samples, workers, resumed int, apps []string) error {
-	if t == nil || t.journal == nil {
+// held when the run started (0 on a fresh run), the adaptive proposer's
+// digest (empty for a fixed sweep), application order and the stall-class
+// taxonomy the per-config stall arrays are indexed by.
+func (t *Telemetry) JournalMeta(seed int64, samples, workers, resumed int, search string, apps []string) error {
+	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	b := t.jbuf[:0]
-	b = append(b, `{"type":"meta","version":1,"seed":`...)
-	b = strconv.AppendInt(b, seed, 10)
-	b = append(b, `,"samples":`...)
-	b = strconv.AppendInt(b, int64(samples), 10)
-	b = append(b, `,"workers":`...)
-	b = strconv.AppendInt(b, int64(workers), 10)
-	b = append(b, `,"resumed":`...)
-	b = strconv.AppendInt(b, int64(resumed), 10)
-	if t.Search != "" {
-		b = append(b, `,"search":`...)
-		b = appendJSONString(b, t.Search)
-	}
-	b = append(b, `,"apps":`...)
-	b = appendStringArray(b, apps)
-	b = append(b, `,"stall_classes":`...)
-	b = appendStringArray(b, simeng.StallClassNames())
-	b = append(b, '}')
-	t.jbuf = b
-	return t.journal.WriteLine(b)
+	return t.journal.WriteRecord(obs.MetaRecord{
+		Type: "meta", Version: 1, Seed: seed, Samples: samples, Workers: workers,
+		Resumed: resumed, Search: search, Apps: apps, StallClasses: simeng.StallClassNames(),
+	})
 }
 
 // JournalSummary writes the run's final record: dataset rows kept, failed
 // configs, total wall time and the journal's own size statistics.
 func (t *Telemetry) JournalSummary(rows, failed int, elapsed time.Duration) error {
-	if t == nil || t.journal == nil {
+	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	lines, bytes := t.journal.Stats()
-	b := t.jbuf[:0]
-	b = append(b, `{"type":"summary","rows":`...)
-	b = strconv.AppendInt(b, int64(rows), 10)
-	b = append(b, `,"failed":`...)
-	b = strconv.AppendInt(b, int64(failed), 10)
-	b = append(b, `,"elapsed_s":`...)
-	b = appendFloat(b, elapsed.Seconds())
-	b = append(b, `,"journal_lines":`...)
-	b = strconv.AppendInt(b, lines, 10)
-	b = append(b, `,"journal_bytes":`...)
-	b = strconv.AppendInt(b, bytes, 10)
-	b = append(b, '}')
-	t.jbuf = b
-	return t.journal.WriteLine(b)
+	return t.journal.WriteRecord(obs.SummaryRecord{
+		Type: "summary", Rows: rows, Failed: failed, ElapsedS: obs.Round3(elapsed.Seconds()),
+		JournalLines: lines, JournalBytes: bytes,
+	})
 }
 
 // appendConfigRecord hand-encodes one per-config journal line. Field order
@@ -638,45 +588,13 @@ func appendConfigRecord(b []byte, appNames []string, s *workerScratch, row *Row,
 	return b
 }
 
-// appendHeartbeatRecord hand-encodes one heartbeat journal line.
-func appendHeartbeatRecord(b []byte, ev ProgressEvent) []byte {
-	b = append(b, `{"type":"heartbeat","elapsed_s":`...)
-	b = appendFloat(b, ev.Elapsed.Seconds())
-	b = append(b, `,"done":`...)
-	b = strconv.AppendInt(b, int64(ev.Done), 10)
-	b = append(b, `,"failed":`...)
-	b = strconv.AppendInt(b, int64(ev.Failed), 10)
-	b = append(b, `,"total":`...)
-	b = strconv.AppendInt(b, int64(ev.Total), 10)
-	b = append(b, `,"rows_per_sec":`...)
-	b = appendFloat(b, ev.RowsPerSec)
-	b = append(b, `,"eta_s":`...)
-	b = appendFloat(b, ev.ETA.Seconds())
-	b = append(b, `,"cycles":`...)
-	b = strconv.AppendInt(b, ev.Cycles, 10)
-	b = append(b, '}')
-	return b
-}
-
 // appendFloat renders a finite float with three decimals (JSON has no
-// Inf/NaN; callers only pass rates, seconds and milliseconds).
+// Inf/NaN; the config record only carries milliseconds and confidences).
 func appendFloat(b []byte, v float64) []byte {
 	if v != v || v > 1e18 || v < -1e18 { // NaN or absurd: clamp to 0
 		v = 0
 	}
 	return strconv.AppendFloat(b, v, 'f', 3, 64)
-}
-
-// appendStringArray renders a JSON array of strings.
-func appendStringArray(b []byte, ss []string) []byte {
-	b = append(b, '[')
-	for i, s := range ss {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = appendJSONString(b, s)
-	}
-	return append(b, ']')
 }
 
 // appendJSONString renders a JSON string literal with minimal escaping

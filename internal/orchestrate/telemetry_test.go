@@ -30,7 +30,7 @@ func TestTelemetryCollect(t *testing.T) {
 
 	suite := tinySuite()
 	opt := Options{Seed: 11, Samples: 6, Workers: 2, Suite: suite, Telemetry: tel}
-	if err := tel.JournalMeta(opt.Seed, opt.Samples, opt.Workers, 0, SuiteNames(suite)); err != nil {
+	if err := tel.JournalMeta(opt.Seed, opt.Samples, opt.Workers, 0, "", SuiteNames(suite)); err != nil {
 		t.Fatal(err)
 	}
 	res, err := Collect(context.Background(), opt)
@@ -348,7 +348,7 @@ func TestNilTelemetryHooks(t *testing.T) {
 	if st := tel.Status(); st.Total != 0 {
 		t.Error("nil hub returned non-zero status")
 	}
-	if err := tel.JournalMeta(1, 1, 1, 0, nil); err != nil {
+	if err := tel.JournalMeta(1, 1, 1, 0, "", nil); err != nil {
 		t.Error(err)
 	}
 	if err := tel.JournalSummary(0, 0, 0); err != nil {
