@@ -93,15 +93,6 @@ func (d *Dataset) Target(app string) ([]float64, error) {
 	return y, nil
 }
 
-// Column returns a copy of feature column i.
-func (d *Dataset) Column(i int) []float64 {
-	out := make([]float64, d.Len())
-	for r, row := range d.X {
-		out[r] = row[i]
-	}
-	return out
-}
-
 // FeatureIndex returns the index of the named feature, or -1.
 func (d *Dataset) FeatureIndex(name string) int {
 	for i, n := range d.FeatureNames {

@@ -39,10 +39,6 @@ func TestAppendAndAccess(t *testing.T) {
 	if _, err := d.Target("nope"); err == nil {
 		t.Error("unknown target accepted")
 	}
-	col := d.Column(1)
-	if col[4] != 1 {
-		t.Errorf("column = %v", col)
-	}
 	if d.FeatureIndex("c") != 2 || d.FeatureIndex("zz") != -1 {
 		t.Error("FeatureIndex wrong")
 	}

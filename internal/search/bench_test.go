@@ -17,7 +17,6 @@ func BenchmarkProposeBatch(b *testing.B) {
 		Seed:     5,
 		Budget:   1 << 30,
 		Batch:    64,
-		Trees:    20,
 		Workers:  0, // GOMAXPROCS
 		Apps:     []string{"a", "b"},
 	})

@@ -74,8 +74,9 @@ type ProposeOptions struct {
 	// forests refit between batches (default 64). Each model-based batch
 	// scores a candidate pool of poolPerBatch×Batch.
 	Batch int
-	// Trees is the per-app forest size (default 20).
-	Trees int
+	// trees is the per-app forest size (default 20). Programs take the
+	// default; in-package tests set it smaller to run fast.
+	trees int
 	// Workers bounds the acquisition concurrency — forest refits, pool
 	// generation and candidate scoring; the proposals are identical at
 	// every value.
@@ -92,8 +93,8 @@ func (o ProposeOptions) withDefaults() ProposeOptions {
 	if o.Batch <= 0 {
 		o.Batch = 64
 	}
-	if o.Trees <= 0 {
-		o.Trees = 20
+	if o.trees <= 0 {
+		o.trees = 20
 	}
 	return o
 }
@@ -151,7 +152,7 @@ func (p *Proposer) LastBatchStats() orchestrate.BatchStats { return p.stats }
 func (p *Proposer) Digest() string {
 	o := p.opt
 	return fmt.Sprintf("%s/s%d/n%d/b%d/p%d/k2/t%d/d0/r0/v2",
-		o.Strategy, o.Seed, o.Budget, o.Batch, poolPerBatch*o.Batch, o.Trees)
+		o.Strategy, o.Seed, o.Budget, o.Batch, poolPerBatch*o.Batch, o.trees)
 }
 
 // minTrainRows is the fewest non-failed prior rows a model-based strategy
@@ -313,7 +314,7 @@ func (p *Proposer) modelBatch(n, gen int, train []orchestrate.Row) []params.Conf
 	dtree.ForEachForest(len(o.Apps), o.Workers, func(ai, treeWorkers int) {
 		forests[ai], retrained[ai], errs[ai] = dtree.RefitForest(p.forests[ai], x, ys[ai], dtree.RefitOptions{
 			ForestOptions: dtree.ForestOptions{
-				Trees:   o.Trees,
+				Trees:   o.trees,
 				Seed:    stats.SubSeed(genSeed, ai),
 				Workers: treeWorkers,
 			},
@@ -330,7 +331,7 @@ func (p *Proposer) modelBatch(n, gen int, train []orchestrate.Row) []params.Conf
 	copy(p.forests, forests)
 	for _, r := range retrained {
 		p.stats.TreesRetrained += r
-		p.stats.TreesRetained += o.Trees - r
+		p.stats.TreesRetained += o.trees - r
 	}
 	p.modelGens++
 	p.stats.RefitNanos = time.Since(t0).Nanoseconds()

@@ -32,7 +32,7 @@ func adaptiveCSV(t *testing.T, strategy string, workers int) []byte {
 		Seed:     11,
 		Budget:   30,
 		Batch:    10,
-		Trees:    5,
+		trees:    5,
 		Workers:  workers,
 		Apps:     orchestrate.SuiteNames(suite),
 	})
@@ -102,7 +102,7 @@ func TestWarmForestWorkerInvariance(t *testing.T) {
 	run := func(workers int) ([][]float64, [][]byte) {
 		prop, err := NewProposer(ProposeOptions{
 			Strategy: StrategyUCB, Seed: 7, Budget: 48, Batch: 12,
-			Trees: 8, Workers: workers,
+			trees: 8, Workers: workers,
 			Apps: []string{"a", "b"},
 		})
 		if err != nil {
@@ -159,7 +159,7 @@ func TestWarmForestWorkerInvariance(t *testing.T) {
 func proposalStream(t *testing.T, strategy string) (string, string) {
 	t.Helper()
 	prop, err := NewProposer(ProposeOptions{
-		Strategy: strategy, Seed: 7, Budget: 96, Batch: 32, Trees: 8,
+		Strategy: strategy, Seed: 7, Budget: 96, Batch: 32, trees: 8,
 		Apps: []string{"a", "b"},
 	})
 	if err != nil {
@@ -334,7 +334,7 @@ func TestProposalsAlwaysValid(t *testing.T) {
 	}
 	for _, strategy := range []string{StrategyUCB, StrategyEI} {
 		prop, err := NewProposer(ProposeOptions{
-			Strategy: strategy, Seed: 5, Budget: 40, Batch: 20, Trees: 3,
+			Strategy: strategy, Seed: 5, Budget: 40, Batch: 20, trees: 3,
 			Apps: []string{"a", "b"},
 		})
 		if err != nil {

@@ -23,29 +23,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// StdDev returns the population standard deviation.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		s += (x - m) * (x - m)
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
-// MinMax returns the extrema of a non-empty slice.
-func MinMax(xs []float64) (lo, hi float64) {
-	lo, hi = math.Inf(1), math.Inf(-1)
-	for _, x := range xs {
-		lo = min(lo, x)
-		hi = max(hi, x)
-	}
-	return lo, hi
-}
-
 // WithinPct returns the percentage of predictions whose relative error
 // |pred-truth|/truth is at most pct percent. Rows with zero truth are
 // counted as within only if the prediction is also zero.

@@ -6,20 +6,12 @@ import (
 	"testing/quick"
 )
 
-func TestMeanStdDevMinMax(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if m := Mean(xs); m != 5 {
+func TestMean(t *testing.T) {
+	if m := Mean([]float64{2, 4, 4, 4, 5, 5, 7, 9}); m != 5 {
 		t.Errorf("mean = %g", m)
 	}
-	if s := StdDev(xs); s != 2 {
-		t.Errorf("stddev = %g", s)
-	}
-	lo, hi := MinMax(xs)
-	if lo != 2 || hi != 9 {
-		t.Errorf("minmax = %g, %g", lo, hi)
-	}
-	if Mean(nil) != 0 || StdDev(nil) != 0 || StdDev([]float64{1}) != 0 {
-		t.Error("degenerate inputs not safe")
+	if Mean(nil) != 0 {
+		t.Error("empty input not safe")
 	}
 }
 

@@ -28,10 +28,6 @@ type Loop struct {
 	basePC uint64
 }
 
-// BasePC returns the byte PC of the loop's first instruction once the
-// containing program has been built.
-func (l *Loop) BasePC() uint64 { return l.basePC }
-
 // Program is a sequence of loops executed in order, with the whole sequence
 // repeated Repeat times (an outer timestep loop). Static PCs are laid out
 // contiguously across loops so fetch-block and loop-buffer behaviour sees a

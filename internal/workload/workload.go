@@ -58,11 +58,6 @@ const (
 	NameMiniSweep = "MiniSweep"
 )
 
-// AppNames lists the applications in presentation order.
-func AppNames() []string {
-	return []string{NameSTREAM, NameMiniBUDE, NameTeaLeaf, NameMiniSweep}
-}
-
 // PaperSuite returns the four workloads with the paper's Table IV inputs.
 // At the default 128-bit vector length a run executes 25.0M (STREAM), 7.09M
 // (TeaLeaf), 0.35M (miniBUDE) and 0.33M (MiniSweep) dynamic instructions —

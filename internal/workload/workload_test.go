@@ -405,7 +405,7 @@ func TestByNameAndSuite(t *testing.T) {
 	if len(suite) != 4 {
 		t.Fatalf("suite size = %d", len(suite))
 	}
-	names := AppNames()
+	names := []string{NameSTREAM, NameMiniBUDE, NameTeaLeaf, NameMiniSweep}
 	for i, w := range suite {
 		if w.Name() != names[i] {
 			t.Errorf("suite[%d] = %s, want %s", i, w.Name(), names[i])
