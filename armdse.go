@@ -236,8 +236,8 @@ func CreateStreamAux(path string, featureNames, apps, auxNames []string, meta st
 	return dataset.CreateStreamAux(path, featureNames, apps, auxNames, meta)
 }
 
-// OpenJournal opens a collection run's journal the way dsegen and dsecoord
-// do: it creates the journal when none exists and resumes it (resumed is
+// OpenJournal opens a collection run's journal the way a local dsegen run
+// and a dsegen -fleet coordinator do: it creates the journal when none exists and resumes it (resumed is
 // true, and its Done set is the CollectOptions.Skip input) when its columns
 // and meta stamp are this run's. A journal of another run is refused and
 // left byte-unchanged — resuming it would mix rows from two runs.

@@ -53,9 +53,9 @@ func waitForURL(t *testing.T, buf *syncBuf) string {
 	return ""
 }
 
-// collectJournal runs the single-process pipeline (dsegen's) into a
+// collectJournal runs the single-process pipeline (a local run's) into a
 // journal at path, skipping the indices skip names: a whole reference run
-// with a nil skip, or the journal an interrupted dsegen leaves behind.
+// with a nil skip, or the journal an interrupted local run leaves behind.
 func collectJournal(t *testing.T, path string, seed int64, samples int, skip func(int) bool) {
 	t.Helper()
 	spec := fabric.NewSpec(seed, samples, false)
@@ -90,7 +90,7 @@ func referenceCSV(t *testing.T, seed int64, samples int) []byte {
 	return ref.Bytes()
 }
 
-// runFleet runs dsecoord with args on a kernel-assigned port plus two
+// runFleet runs dsegen -fleet with args on a kernel-assigned port plus two
 // in-process workers, and returns its stdout once all three have finished.
 func runFleet(t *testing.T, args ...string) string {
 	t.Helper()
@@ -101,7 +101,7 @@ func runFleet(t *testing.T, args ...string) string {
 		// Workers poll every 20ms, so half a second of linger guarantees
 		// both observe done:true instead of a vanished coordinator.
 		coordErr <- run(context.Background(), append([]string{
-			"-addr", "127.0.0.1:0", "-expiry", "10s", "-linger", "500ms", "-q",
+			"-fleet", "127.0.0.1:0", "-expiry", "10s", "-http-linger", "500ms", "-q",
 		}, args...), &stdout, &stderr)
 	}()
 	url := waitForURL(t, &stderr)
@@ -132,8 +132,8 @@ func runFleet(t *testing.T, args ...string) string {
 	return stdout.String()
 }
 
-// TestRunFleetMatchesSingleProcess drives the dsecoord entrypoint end to
-// end — coordinator on a kernel-assigned port, two in-process workers — and
+// TestRunFleetMatchesSingleProcess drives dsegen -fleet end to end —
+// coordinator on a kernel-assigned port, two in-process workers — and
 // checks the written dataset is byte-identical to the single-process
 // pipeline, the journal is removed, and the runlog validates structurally
 // (meta first, lease events, summary last).
@@ -197,11 +197,11 @@ func readLines(t *testing.T, path string) []string {
 	return strings.Split(strings.TrimRight(string(data), "\n"), "\n")
 }
 
-func TestRunRejectsBadFlags(t *testing.T) {
+func TestRunFleetRejectsBadFlags(t *testing.T) {
 	var buf bytes.Buffer
 	for name, args := range map[string][]string{
-		"unknown-flag": {"-nope"},
-		"zero-samples": {"-samples", "0", "-q"},
+		"unknown-flag": {"-fleet", "127.0.0.1:0", "-nope"},
+		"zero-samples": {"-fleet", "127.0.0.1:0", "-samples", "0", "-q"},
 	} {
 		if err := run(context.Background(), args, &buf, &buf); err == nil {
 			t.Errorf("%s accepted", name)
@@ -209,10 +209,10 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadLeaseGeometry: a non-positive -lease, -chunk or -expiry,
-// or a chunk larger than its lease, is a usage error — not a silent fallback
-// to the defaults — and leaves no runlog or journal behind.
-func TestRunRejectsBadLeaseGeometry(t *testing.T) {
+// TestRunFleetRejectsBadLeaseGeometry: a non-positive -lease, -chunk or
+// -expiry, or a chunk larger than its lease, is a usage error — not a
+// silent fallback to the defaults — and leaves no runlog or journal behind.
+func TestRunFleetRejectsBadLeaseGeometry(t *testing.T) {
 	for _, args := range [][]string{
 		{"-lease", "-5"}, {"-lease", "0"},
 		{"-chunk", "-3"}, {"-chunk", "0"},
@@ -222,7 +222,7 @@ func TestRunRejectsBadLeaseGeometry(t *testing.T) {
 		dir := t.TempDir()
 		var buf bytes.Buffer
 		err := run(context.Background(), append([]string{
-			"-addr", "127.0.0.1:0", "-samples", "10", "-out", filepath.Join(dir, "ds.csv"), "-q",
+			"-fleet", "127.0.0.1:0", "-samples", "10", "-out", filepath.Join(dir, "ds.csv"), "-q",
 		}, args...), &buf, &buf)
 		if err == nil || !strings.Contains(err.Error(), args[len(args)-2]) {
 			t.Errorf("%v: err = %v, want an error naming %s", args, err, args[len(args)-2])
@@ -237,11 +237,42 @@ func TestRunRejectsBadLeaseGeometry(t *testing.T) {
 	}
 }
 
-// TestRunFinishesInterruptedDsegen: an exact dsegen run interrupted with
+// TestRunFleetRefusesLocalFlags: -fleet refuses every flag that shapes a
+// local run or a worker, and the lease geometry flags require -fleet. Each
+// refusal names the flag and leaves the output directory empty.
+func TestRunFleetRefusesLocalFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-fleet", "127.0.0.1:0", "-workers", "2"}, "-workers"},
+		{[]string{"-fleet", "127.0.0.1:0", "-eval", "hybrid"}, "-eval"},
+		{[]string{"-fleet", "127.0.0.1:0", "-eval-escalate", "1"}, "-eval-escalate"},
+		{[]string{"-fleet", "127.0.0.1:0", "-search", "ucb"}, "-search"},
+		{[]string{"-fleet", "127.0.0.1:0", "-search-batch", "8"}, "-search-batch"},
+		{[]string{"-fleet", "127.0.0.1:0", "-http", "127.0.0.1:0"}, "-http"},
+		{[]string{"-fleet", "127.0.0.1:0", "-worker", "http://127.0.0.1:1"}, "-worker"},
+		{[]string{"-fleet", "127.0.0.1:0", "-worker-name", "w"}, "-worker-name"},
+		{[]string{"-lease", "32"}, "-lease"},
+		{[]string{"-chunk", "8"}, "-chunk"},
+		{[]string{"-expiry", "30s"}, "-expiry"},
+	} {
+		dir := t.TempDir()
+		var buf bytes.Buffer
+		args := append([]string{"-samples", "4", "-out", filepath.Join(dir, "ds.csv"), "-q"}, tc.args...)
+		err := run(context.Background(), args, &buf, &buf)
+		if err == nil || !strings.Contains(err.Error(), tc.flag+" ") {
+			t.Errorf("%v: err = %v, want an error naming %s", tc.args, err, tc.flag)
+		}
+		assertNoStrayFiles(t, dir)
+	}
+}
+
+// TestRunFleetFinishesInterruptedRun: an exact local run interrupted with
 // part of its journal written is finished by a fleet on the same -out —
 // the coordinator resumes the journal, leases only the missing indices,
 // and the dataset is byte-identical to an uninterrupted run.
-func TestRunFinishesInterruptedDsegen(t *testing.T) {
+func TestRunFleetFinishesInterruptedRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulating real workloads; skipped in -short")
 	}
@@ -272,10 +303,10 @@ func TestRunFinishesInterruptedDsegen(t *testing.T) {
 	}
 }
 
-// TestRunRestartRefusesForeignJournal: a rerun on an -out whose journal is
+// TestRunFleetRestartRefusesForeignJournal: a rerun on an -out whose journal is
 // another run's (here, another -seed) exits before serving and leaves both
 // the journal and the earlier run's runlog byte-unchanged.
-func TestRunRestartRefusesForeignJournal(t *testing.T) {
+func TestRunFleetRestartRefusesForeignJournal(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "ds.csv")
 	spec := fabric.NewSpec(4, 6, false)
 	sw, err := dataset.CreateStreamAux(out+".journal", spec.Features, spec.Apps, spec.Aux, spec.Meta)
@@ -297,7 +328,7 @@ func TestRunRestartRefusesForeignJournal(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	err = run(context.Background(), []string{
-		"-addr", "127.0.0.1:0", "-samples", "6", "-seed", "3", "-out", out, "-q",
+		"-fleet", "127.0.0.1:0", "-samples", "6", "-seed", "3", "-out", out, "-q",
 	}, &buf, &buf)
 	for f, b := range before {
 		if after, err := os.ReadFile(f); err != nil || !bytes.Equal(after, b) {
@@ -309,7 +340,7 @@ func TestRunRestartRefusesForeignJournal(t *testing.T) {
 	}
 }
 
-func TestRunRunlogDisabled(t *testing.T) {
+func TestRunFleetRunlogDisabled(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "ds.csv")
 	var stdout bytes.Buffer
@@ -318,8 +349,8 @@ func TestRunRunlogDisabled(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- run(ctx, []string{
-			"-addr", "127.0.0.1:0", "-samples", "4", "-out", out,
-			"-runlog", "none", "-linger", "0s", "-q",
+			"-fleet", "127.0.0.1:0", "-samples", "4", "-out", out,
+			"-runlog", "none", "-http-linger", "0s", "-q",
 		}, &stdout, &stderr)
 	}()
 	waitForURL(t, &stderr)

@@ -10,18 +10,27 @@
 // of another run (a different seed, sample count, suite, evaluator or
 // search) is refused and left as it is. The guarantee holds for the exact
 // evaluator; -eval hybrid refuses any existing journal, because its
-// routing depends on earlier results in the same run. Large collections
-// spread over machines run as a dsecoord fleet, which opens the same
-// <out>.journal the same way: an interrupted exact run can be finished by
-// either tool.
+// routing depends on earlier results in the same run.
+//
+// Large collections spread over machines: dsegen -fleet ADDR coordinates
+// instead of simulating. It leases contiguous config-index ranges of the
+// exact fixed sweep to dsegen -worker processes over HTTP, reassigns the
+// leases of workers that stop heartbeating, lets idle workers steal the
+// un-started tails of straggling leases, and merges the uploaded rows into
+// a dataset byte-identical to a local run at any fleet size. A fleet
+// opens the same <out>.journal the same way, so an interrupted exact run
+// can be finished in either mode, and a killed coordinator rerun with the
+// same flags leases only what the journal does not yet hold.
 //
 // A run is observable while it executes: a structured JSONL run journal
 // (-runlog, default <out>.runlog.jsonl) records one line per configuration
-// plus heartbeats, and -http serves a live monitor — Prometheus /metrics,
-// JSON /status (ETA, rows/sec, per-worker progress, slowest configs),
-// /debug/vars and /debug/pprof. Profiling is available without the server
-// through -cpuprofile/-memprofile. All of it is purely observational: the
-// output CSV is byte-identical with every telemetry feature enabled.
+// (per lease event in a fleet) plus heartbeats, and -http serves a live
+// monitor — Prometheus /metrics, JSON /status (ETA, rows/sec, per-worker
+// progress, slowest configs), /debug/vars and /debug/pprof. A fleet's
+// address serves the same monitor over the whole fleet. Profiling is
+// available without the server through -cpuprofile/-memprofile. All of it
+// is purely observational: the output CSV is byte-identical with every
+// telemetry feature enabled.
 //
 // Usage:
 //
@@ -29,12 +38,12 @@
 //	dsegen -samples 500 -seed 1 -out dataset.csv -search ucb -search-batch 50
 //	dsegen -samples 2000 -seed 1 -out dataset.csv -http :8080
 //	dsegen -samples 2000 -seed 1 -out dataset.csv -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
-//	dsegen -worker http://coord-host:8070
+//	dsegen -samples 2000 -seed 1 -out dataset.csv -fleet :8070
+//	dsegen -worker http://coord-host:8070   # on each fleet machine
 //
-// In -worker mode dsegen joins a dsecoord fleet: the coordinator owns the
-// run identity (seed, samples, suite, output), leases contiguous
-// config-index ranges to each worker, and merges the uploaded rows into one
-// dataset byte-identical to a single-process run — see cmd/dsecoord.
+// In -worker mode dsegen joins a fleet: the coordinator owns the run
+// identity (seed, samples, suite, output), and the worker simulates the
+// ranges it is leased.
 package main
 
 import (
@@ -75,89 +84,150 @@ func batchSource(p *armdse.Proposer) armdse.BatchSource {
 	return p
 }
 
-// workerAllowedFlags are the flags meaningful in -worker mode: everything
-// else describes a local run, whose parameters a fleet worker takes from
-// the coordinator instead.
-var workerAllowedFlags = map[string]bool{
-	"worker": true, "worker-name": true, "workers": true,
-	"q": true, "cpuprofile": true, "memprofile": true,
+// cli holds the parsed command line; set names the flags given on it.
+type cli struct {
+	samples, workers, srchBat, lease, chunk int
+	seed                                    int64
+	paper, quiet                            bool
+	evalEsc                                 float64
+	linger, expiry                          time.Duration
+	out, eval, srch, cpuProf, memProf       string
+	httpAddr, runlog, worker, workerID      string
+	fleet                                   string
+	set                                     map[string]bool
 }
 
-// validateFlags rejects invalid flag combinations up front — before the
+func parseFlags(args []string, stderr io.Writer) (*cli, error) {
+	fs := flag.NewFlagSet("dsegen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	c := &cli{set: map[string]bool{}}
+	fs.IntVar(&c.samples, "samples", 2000, "number of design-space configurations to simulate")
+	fs.Int64Var(&c.seed, "seed", 1, "sampling seed (identical seeds reproduce identical datasets)")
+	fs.StringVar(&c.out, "out", "dataset.csv", "output CSV path (rows journaled to <out>.journal while running; a rerun with the same flags resumes it)")
+	fs.IntVar(&c.workers, "workers", 0, "worker pool size (0 = all cores)")
+	fs.BoolVar(&c.paper, "paper", false, "use the paper's Table IV inputs (1-5 minute runs each, as in the study)")
+	fs.StringVar(&c.eval, "eval", "", "per-config evaluator: exact (default) or hybrid (bounds + learned residual, escalating uncertain configs to exact)")
+	fs.Float64Var(&c.evalEsc, "eval-escalate", 0, "hybrid escalation threshold on the residual forest's log spread (0 = default)")
+	fs.StringVar(&c.srch, "search", "", "adaptive proposal strategy: uniform, ucb or ei (\"\" = classic fixed sweep)")
+	fs.IntVar(&c.srchBat, "search-batch", 0, "adaptive proposal batch size: configs per generation (0 = default 64; each scores 8x as many candidates)")
+	fs.BoolVar(&c.quiet, "q", false, "suppress progress and lease-event output")
+	fs.StringVar(&c.cpuProf, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&c.memProf, "memprofile", "", "write an allocation profile to this file at exit")
+	fs.StringVar(&c.httpAddr, "http", "", "serve the live monitor (/metrics, /status, /debug/vars, /debug/pprof) on this address, e.g. :8080")
+	fs.DurationVar(&c.linger, "http-linger", 2*time.Second, "keep the -http or -fleet server up this long after the dataset is written, so scrapers and still-polling workers see completion (interrupt exits early)")
+	fs.StringVar(&c.runlog, "runlog", "", "structured JSONL run journal path (default <out>.runlog.jsonl; \"none\" disables)")
+	fs.StringVar(&c.worker, "worker", "", "join a fleet at this coordinator URL (e.g. http://host:8070) instead of running a local sweep")
+	fs.StringVar(&c.workerID, "worker-name", "", "worker identity reported to the coordinator (default host:pid)")
+	fs.StringVar(&c.fleet, "fleet", "", "coordinate a fleet of dsegen -worker processes on this listen address instead of simulating locally (\":0\" picks a free port, printed at startup)")
+	fs.IntVar(&c.lease, "lease", 64, "-fleet: configurations per lease")
+	fs.IntVar(&c.chunk, "chunk", 16, "-fleet: configurations per worker check-in, the advance granularity and minimum steal split")
+	fs.DurationVar(&c.expiry, "expiry", 30*time.Second, "-fleet: heartbeat deadline before an unresponsive worker's lease is reassigned")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	fs.Visit(func(f *flag.Flag) { c.set[f.Name] = true })
+	return c, nil
+}
+
+// Flags meaningful in -fleet and -worker mode. A fleet runs the exact
+// fixed sweep on its workers and its address already serves the monitor;
+// a fleet worker takes its run parameters from the coordinator.
+var (
+	fleetAllowedFlags = map[string]bool{
+		"fleet": true, "lease": true, "chunk": true, "expiry": true,
+		"samples": true, "seed": true, "out": true, "paper": true, "runlog": true,
+		"http-linger": true, "q": true, "cpuprofile": true, "memprofile": true,
+	}
+	workerAllowedFlags = map[string]bool{
+		"worker": true, "worker-name": true, "workers": true,
+		"q": true, "cpuprofile": true, "memprofile": true,
+	}
+)
+
+// refuseFlags names every flag on the command line that mode does not
+// allow, sorted.
+func (c *cli) refuseFlags(mode string, allowed map[string]bool, why string) error {
+	var bad []string
+	for name := range c.set {
+		if !allowed[name] {
+			bad = append(bad, "-"+name)
+		}
+	}
+	if len(bad) == 0 {
+		return nil
+	}
+	sort.Strings(bad)
+	return fmt.Errorf("%s cannot be combined with -%s: %s", strings.Join(bad, ", "), mode, why)
+}
+
+// validate rejects invalid flag combinations up front — before the
 // journal, runlog or any other side effect exists — so a typo never leaves
 // a stray file behind:
 //
-//   - -worker excludes every run-parameter flag (the coordinator owns the
-//     run identity; a locally-set -seed or -samples would be silently
-//     ignored at best and a split-brain run at worst);
-//   - -eval must name a known evaluator (previously checked deep inside
-//     the engine, after the journal was created);
-//   - -search-batch requires -search: without it, it would be silently
-//     ignored;
-//   - -search-batch must not be negative: the proposer would silently
-//     replace it with its default.
-func validateFlags(fs *flag.FlagSet, worker, eval, search string, batch int) error {
-	if worker != "" {
-		var bad []string
-		fs.Visit(func(f *flag.Flag) {
-			if !workerAllowedFlags[f.Name] {
-				bad = append(bad, "-"+f.Name)
+//   - -fleet and -worker each exclude the flags that do not apply to them
+//     (a locally-set -seed on a worker would be silently ignored at best
+//     and a split-brain run at worst);
+//   - -lease, -chunk and -expiry require -fleet, and each must be positive
+//     with the chunk a slice of one lease: the coordinator would silently
+//     replace them with its defaults;
+//   - -eval must name a known evaluator;
+//   - -search-batch requires -search and must not be negative: without
+//     -search it would be silently ignored, and the proposer would silently
+//     replace a negative value with its default.
+func (c *cli) validate() error {
+	if c.fleet != "" {
+		if err := c.refuseFlags("fleet", fleetAllowedFlags,
+			"a fleet runs the exact fixed sweep and its address serves the monitor"); err != nil {
+			return err
+		}
+	}
+	if c.worker != "" {
+		if err := c.refuseFlags("worker", workerAllowedFlags,
+			"a fleet worker takes its run parameters from the coordinator (compatible flags: -workers, -worker-name, -q, -cpuprofile, -memprofile)"); err != nil {
+			return err
+		}
+	}
+	if c.fleet == "" {
+		for _, name := range []string{"lease", "chunk", "expiry"} {
+			if c.set[name] {
+				return fmt.Errorf("-%s requires -fleet: it configures the coordinator's leases", name)
 			}
-		})
-		if len(bad) > 0 {
-			sort.Strings(bad)
-			return fmt.Errorf("%s cannot be combined with -worker: a fleet worker takes its run parameters from the coordinator (compatible flags: -workers, -worker-name, -q, -cpuprofile, -memprofile)",
-				strings.Join(bad, ", "))
 		}
 	}
-	if eval != "" && !slices.Contains(armdse.Evaluators(), eval) {
-		return fmt.Errorf("unknown evaluator %q (want one of %v)", eval, armdse.Evaluators())
+	switch {
+	case c.lease <= 0:
+		return fmt.Errorf("-lease %d <= 0", c.lease)
+	case c.chunk <= 0:
+		return fmt.Errorf("-chunk %d <= 0", c.chunk)
+	case c.chunk > c.lease:
+		return fmt.Errorf("-chunk %d > -lease %d: a chunk is a slice of one lease", c.chunk, c.lease)
+	case c.expiry <= 0:
+		return fmt.Errorf("-expiry %s <= 0", c.expiry)
 	}
-	if search == "" {
-		batchSet := false
-		fs.Visit(func(f *flag.Flag) { batchSet = batchSet || f.Name == "search-batch" })
-		if batchSet {
-			return errors.New("-search-batch requires -search: it configures the adaptive proposer and would be silently ignored by a fixed sweep")
-		}
+	if c.eval != "" && !slices.Contains(armdse.Evaluators(), c.eval) {
+		return fmt.Errorf("unknown evaluator %q (want one of %v)", c.eval, armdse.Evaluators())
 	}
-	if batch < 0 {
-		return fmt.Errorf("-search-batch %d < 0", batch)
+	if c.srch == "" && c.set["search-batch"] {
+		return errors.New("-search-batch requires -search: it configures the adaptive proposer and would be silently ignored by a fixed sweep")
+	}
+	if c.srchBat < 0 {
+		return fmt.Errorf("-search-batch %d < 0", c.srchBat)
 	}
 	return nil
 }
 
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("dsegen", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var (
-		samples  = fs.Int("samples", 2000, "number of design-space configurations to simulate")
-		seed     = fs.Int64("seed", 1, "sampling seed (identical seeds reproduce identical datasets)")
-		out      = fs.String("out", "dataset.csv", "output CSV path (rows journaled to <out>.journal while running; a rerun with the same flags resumes it)")
-		workers  = fs.Int("workers", 0, "worker pool size (0 = all cores)")
-		paper    = fs.Bool("paper", false, "use the paper's Table IV inputs (1-5 minute runs each, as in the study)")
-		eval     = fs.String("eval", "", "per-config evaluator: exact (default) or hybrid (bounds + learned residual, escalating uncertain configs to exact)")
-		evalEsc  = fs.Float64("eval-escalate", 0, "hybrid escalation threshold on the residual forest's log spread (0 = default)")
-		srch     = fs.String("search", "", "adaptive proposal strategy: uniform, ucb or ei (\"\" = classic fixed sweep)")
-		srchBat  = fs.Int("search-batch", 0, "adaptive proposal batch size: configs per generation (0 = default 64; each scores 8x as many candidates)")
-		quiet    = fs.Bool("q", false, "suppress progress output")
-		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = fs.String("memprofile", "", "write an allocation profile to this file at exit")
-		httpAddr = fs.String("http", "", "serve the live monitor (/metrics, /status, /debug/vars, /debug/pprof) on this address, e.g. :8080")
-		linger   = fs.Duration("http-linger", 0, "keep the -http server up this long after the sweep finishes (for scrapers; interrupt exits early)")
-		runlog   = fs.String("runlog", "", "structured JSONL run journal path (default <out>.runlog.jsonl; \"none\" disables)")
-		worker   = fs.String("worker", "", "join a dsecoord fleet at this coordinator URL (e.g. http://host:8070) instead of running a local sweep")
-		workerID = fs.String("worker-name", "", "worker identity reported to the coordinator (default host:pid)")
-	)
-	if err := fs.Parse(args); err != nil {
+	c, err := parseFlags(args, stderr)
+	if err != nil {
 		return err
 	}
-	if err := validateFlags(fs, *worker, *eval, *srch, *srchBat); err != nil {
+	if err := c.validate(); err != nil {
 		return err
 	}
-	if *samples <= 0 {
-		return fmt.Errorf("samples %d <= 0", *samples)
+	if c.samples <= 0 {
+		return fmt.Errorf("samples %d <= 0", c.samples)
 	}
-	stopProf, err := obs.StartProfile(*cpuProf, *memProf)
+	stopProf, err := obs.StartProfile(c.cpuProf, c.memProf)
 	if err != nil {
 		return err
 	}
@@ -166,20 +236,29 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintln(stderr, "dsegen: profile:", err)
 		}
 	}()
-	if *worker != "" {
-		var logw io.Writer
-		if !*quiet {
-			logw = stderr
-		}
+	var logw io.Writer
+	if !c.quiet {
+		logw = stderr
+	}
+	switch {
+	case c.worker != "":
 		return fabric.RunWorker(ctx, fabric.WorkerConfig{
-			Coord:   strings.TrimRight(*worker, "/"),
-			Name:    *workerID,
-			Threads: *workers,
+			Coord:   strings.TrimRight(c.worker, "/"),
+			Name:    c.workerID,
+			Threads: c.workers,
 			Log:     logw,
 		})
+	case c.fleet != "":
+		return c.runFleet(ctx, stdout, stderr, logw)
+	default:
+		return c.runLocal(ctx, stdout, stderr)
 	}
+}
+
+// runLocal simulates the run in this process.
+func (c *cli) runLocal(ctx context.Context, stdout, stderr io.Writer) error {
 	suite := armdse.TestSuite()
-	if *paper {
+	if c.paper {
 		suite = armdse.PaperSuite()
 	}
 	features := armdse.FeatureNames()
@@ -188,38 +267,37 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	// Adaptive mode: a proposer feeds the engine generation-driven batches
 	// of -samples configs in all instead of a fixed index range.
 	var proposer *armdse.Proposer
-	if *srch != "" {
+	searchDigest := ""
+	if c.srch != "" {
 		// Barrier refits and pool scoring run while every simulation
 		// worker waits, so they use the same pool size; proposals are
 		// identical at any value.
+		var err error
 		proposer, err = armdse.NewProposer(armdse.ProposeOptions{
-			Strategy: *srch,
-			Seed:     *seed,
-			Budget:   *samples,
-			Batch:    *srchBat,
-			Workers:  *workers,
+			Strategy: c.srch,
+			Seed:     c.seed,
+			Budget:   c.samples,
+			Batch:    c.srchBat,
+			Workers:  c.workers,
 			Apps:     apps,
 		})
 		if err != nil {
 			return err
 		}
-	}
-	searchDigest := ""
-	if proposer != nil {
 		searchDigest = proposer.Digest()
 	}
-	journal := *out + ".journal"
+	journal := c.out + ".journal"
 	sw, resumed, err := armdse.OpenJournal(journal, features, apps, armdse.StallColumns(apps),
-		armdse.RunMeta(*seed, *samples, *paper, *eval, searchDigest))
+		armdse.RunMeta(c.seed, c.samples, c.paper, c.eval, searchDigest))
 	if err != nil {
 		return err
 	}
 	defer sw.Close()
-	if resumed && *eval == armdse.EvalHybrid {
+	if resumed && c.eval == armdse.EvalHybrid {
 		return fmt.Errorf("-eval hybrid does not resume %s: hybrid routing depends on every earlier result in the run, and the journal does not record which rows were escalated; remove it to start over", journal)
 	}
 	skip := sw.Done()
-	if resumed && !*quiet {
+	if resumed && !c.quiet {
 		fmt.Fprintf(stderr, "resuming %s: %d configs already journaled\n", journal, len(skip))
 	}
 	// Resuming an adaptive run must replay the proposal sequence: the
@@ -237,14 +315,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	// created only now that the journal is accepted, and an optional live
 	// monitor server. Both are purely observational — the CSV is
 	// byte-identical with them enabled.
-	runlogPath := obs.RunlogPath(*runlog, *out)
-	resolvedWorkers := *workers
+	runlogPath := obs.RunlogPath(c.runlog, c.out)
+	resolvedWorkers := c.workers
 	if resolvedWorkers <= 0 {
 		resolvedWorkers = runtime.GOMAXPROCS(0)
 	}
 	var tel *armdse.Telemetry
 	var rj *armdse.RunJournal
-	if *httpAddr != "" || runlogPath != "" {
+	if c.httpAddr != "" || runlogPath != "" {
 		reg := armdse.NewMetricsRegistry(resolvedWorkers)
 		if runlogPath != "" {
 			rj, err = armdse.CreateRunJournal(runlogPath)
@@ -258,8 +336,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			}()
 		}
 		tel = armdse.NewTelemetry(reg, rj)
-		if *httpAddr != "" {
-			srv, bound, err := armdse.ServeTelemetry(*httpAddr, armdse.TelemetryHandler(reg, tel.StatusAny))
+		if c.httpAddr != "" {
+			srv, bound, err := armdse.ServeTelemetry(c.httpAddr, armdse.TelemetryHandler(reg, tel.StatusAny))
 			if err != nil {
 				return err
 			}
@@ -269,26 +347,26 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stderr, "monitor: http://%s/\n", bound)
 		}
 	}
-	if err := tel.JournalMeta(*seed, *samples, resolvedWorkers, len(skip), searchDigest, apps); err != nil {
+	if err := tel.JournalMeta(c.seed, c.samples, resolvedWorkers, len(skip), searchDigest, apps); err != nil {
 		return err
 	}
 
 	start := time.Now()
 	opt := armdse.CollectOptions{
-		Seed:         *seed,
-		Samples:      *samples,
+		Seed:         c.seed,
+		Samples:      c.samples,
 		Batches:      batchSource(proposer),
 		Prior:        prior,
-		Workers:      *workers,
+		Workers:      c.workers,
 		Suite:        suite,
-		Eval:         *eval,
-		EvalEscalate: *evalEsc,
+		Eval:         c.eval,
+		EvalEscalate: c.evalEsc,
 		Validate:     true,
 		Sink:         armdse.NewStreamSink(sw),
 		Skip:         func(i int) bool { return skip[i] },
 		Telemetry:    tel,
 	}
-	if !*quiet {
+	if !c.quiet {
 		opt.Progress = func(ev armdse.ProgressEvent) {
 			if ev.Done%50 == 0 || ev.Done == ev.Total {
 				fmt.Fprintf(stderr, "\r%d/%d configs (%.1f/s, %d failed, %.3g cycles, eta %s)   ",
@@ -298,7 +376,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 
 	res, collectErr := armdse.Collect(ctx, opt)
-	if !*quiet {
+	if !c.quiet {
 		fmt.Fprintln(stderr)
 	}
 	if err := sw.Close(); err != nil {
@@ -307,7 +385,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if collectErr != nil {
 		if errors.Is(collectErr, context.Canceled) {
 			next := "rerun with the same flags to continue"
-			if *eval == armdse.EvalHybrid {
+			if c.eval == armdse.EvalHybrid {
 				next = "-eval hybrid does not resume it; remove it to start over"
 			}
 			fmt.Fprintf(stderr, "interrupted: %d configs this run (%d total) journaled in %s; %s\n",
@@ -320,35 +398,94 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if data.Len() == 0 {
-		return fmt.Errorf("every configuration failed; journal kept at %s", journal)
-	}
-	if err := data.SaveFile(*out); err != nil {
-		return err
-	}
-	if err := os.Remove(journal); err != nil {
-		return err
-	}
-	if err := tel.JournalSummary(data.Len(), failed, time.Since(start)); err != nil {
-		return err
-	}
-	if rj != nil {
-		err := rj.Close()
-		rj = nil
-		if err != nil {
+	closeLog := func() error {
+		if err := tel.JournalSummary(data.Len(), failed, time.Since(start)); err != nil {
 			return err
 		}
+		if rj == nil {
+			return nil
+		}
+		err := rj.Close()
+		rj = nil
+		return err
 	}
-	fmt.Fprintf(stdout, "wrote %s: %d rows x %d features (+%d app targets), %d failed configs, %s\n",
-		*out, data.Len(), data.NumFeatures(), len(data.Apps), failed,
-		time.Since(start).Round(time.Second))
-	if *httpAddr != "" && *linger > 0 {
-		if !*quiet {
-			fmt.Fprintf(stderr, "monitor lingering %s (interrupt to exit)\n", *linger)
+	return c.finish(ctx, stdout, stderr, start, data, failed,
+		func() error { return os.Remove(journal) }, closeLog, "")
+}
+
+// runFleet coordinates a fleet of dsegen -worker processes: it leases the
+// run's index ranges to them, journals their uploads and merges the
+// journal once every lease has completed.
+func (c *cli) runFleet(ctx context.Context, stdout, stderr, logw io.Writer) error {
+	start := time.Now()
+	coord, err := fabric.NewCoordinator(fabric.CoordConfig{
+		Spec:      fabric.NewSpec(c.seed, c.samples, c.paper),
+		Out:       c.out,
+		LeaseSize: c.lease,
+		Chunk:     c.chunk,
+		Expiry:    c.expiry,
+		Runlog:    obs.RunlogPath(c.runlog, c.out),
+		Log:       logw,
+	})
+	if err != nil {
+		return err
+	}
+	defer coord.Close()
+	srv, bound, err := obs.Serve(c.fleet, coord.Handler())
+	if err != nil {
+		return err
+	}
+	defer srv.Close()
+	// Printed even under -q: with ":0" the bound port is only discoverable
+	// from this line.
+	fmt.Fprintf(stderr, "coordinator: http://%s/\n", bound)
+
+	stopSweep := coord.StartExpirySweep(max(c.expiry/2, 50*time.Millisecond))
+	defer stopSweep()
+
+	if err := coord.Wait(ctx); err != nil {
+		st := coord.Status()
+		fmt.Fprintf(stderr, "interrupted: %d/%d configs journaled in %s.journal; rerun with the same flags to continue\n", st.Done, st.Total, c.out)
+		return err
+	}
+	// Merge writes the runlog's summary record; Close closes the runlog.
+	data, failed, err := coord.Merge()
+	if err != nil {
+		return err
+	}
+	st := coord.Status()
+	return c.finish(ctx, stdout, stderr, start, data, failed, coord.Cleanup, coord.Close,
+		fmt.Sprintf(" [%d workers, %d grants, %d expiries, %d steals]",
+			len(st.Workers), st.LeaseGrants, st.LeaseExpiries, st.LeaseSteals))
+}
+
+// finish writes a completed collection to -out, then removes its journal,
+// closes the runlog, reports and lingers while a monitor or fleet server
+// is up. The journal stays when every configuration failed.
+func (c *cli) finish(ctx context.Context, stdout, stderr io.Writer, start time.Time, data *armdse.Dataset, failed int,
+	removeJournal, closeLog func() error, suffix string) error {
+	if data.Len() == 0 {
+		return fmt.Errorf("every configuration failed; journal kept at %s.journal", c.out)
+	}
+	if err := data.SaveFile(c.out); err != nil {
+		return err
+	}
+	if err := removeJournal(); err != nil {
+		return err
+	}
+	if err := closeLog(); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "wrote %s: %d rows x %d features (+%d app targets), %d failed configs, %s%s\n",
+		c.out, data.Len(), data.NumFeatures(), len(data.Apps), failed,
+		time.Since(start).Round(time.Second), suffix)
+	if (c.httpAddr != "" || c.fleet != "") && c.linger > 0 {
+		if !c.quiet {
+			fmt.Fprintf(stderr, "monitor lingering %s (interrupt to exit)\n", c.linger)
 		}
 		select {
 		case <-ctx.Done():
-		case <-time.After(*linger):
+		case <-time.After(c.linger):
 		}
 	}
 	return nil

@@ -76,7 +76,7 @@ func TestRunEvalUnknownLeavesNoJournal(t *testing.T) {
 	}
 }
 
-// -shard (a dsecoord fleet replaces it), -search-workers (-workers sizes
+// -shard (a -fleet run replaces it), -search-workers (-workers sizes
 // the barrier too), -resume (a rerun with the same flags resumes),
 // -search-budget (-samples is the budget), -search-pool (8× the batch)
 // and -search-kappa (2) are gone: each is an unknown flag, refused before

@@ -1,5 +1,5 @@
 // Command dsereport turns runlogs into scaling reports. It reads one or
-// more runlog JSONL files (dsegen -runlog, dsecoord -runlog), derives
+// more runlog JSONL files (dsegen -runlog, local or -fleet), derives
 // wall-clock, per-worker busy/idle utilization, lease churn and barrier
 // share, and renders the result as text tables, a BENCH-style JSON
 // document, or a Chrome/Perfetto fleet timeline:

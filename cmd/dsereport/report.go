@@ -13,9 +13,9 @@ import (
 // Runlog reading. dsereport is a consumer of the schema the repo's runlog
 // validator enforces (scripts/runlog.schema.json): every line is one JSON
 // record discriminated by "type", decoded into the record structs of
-// internal/obs that dsegen and dsecoord write. Decoding is deliberately
-// lenient — unknown fields and record types are ignored — so a newer
-// runlog still reports under an older dsereport.
+// internal/obs that dsegen writes, locally and as a -fleet coordinator.
+// Decoding is deliberately lenient — unknown fields and record types are
+// ignored — so a newer runlog still reports under an older dsereport.
 
 // RunReport is one runlog's scaling analysis — the JSON shape emitted under
 // "runs" and the source of every text table.

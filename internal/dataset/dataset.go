@@ -13,6 +13,8 @@ import (
 	"os"
 	"strconv"
 	"strings"
+
+	"armdse/internal/atomicfile"
 )
 
 // targetPrefix marks target (cycle-count) columns in CSV headers.
@@ -251,17 +253,10 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 	return d, nil
 }
 
-// SaveFile writes the dataset to path.
+// SaveFile writes the dataset to path, renaming it into place once
+// complete: a failed save leaves an earlier file at path as it was.
 func (d *Dataset) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := d.WriteCSV(f); err != nil {
-		return err
-	}
-	return f.Close()
+	return atomicfile.Write(path, d.WriteCSV)
 }
 
 // LoadFile reads a dataset from path.

@@ -73,10 +73,10 @@ func FuzzJournalHeader(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if err := w.Append(0, false, []float64{1, 2}, map[string]float64{"app": 3}); err != nil {
+	if err := w.AppendFull(0, false, []float64{1, 2}, map[string]float64{"app": 3}, nil); err != nil {
 		f.Fatal(err)
 	}
-	if err := w.Append(1, true, []float64{4, 5}, nil); err != nil {
+	if err := w.AppendFull(1, true, []float64{4, 5}, nil, nil); err != nil {
 		f.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -101,7 +101,7 @@ func FuzzJournalHeader(f *testing.F) {
 			next := 0
 			for done := s.Done(); done[next]; next++ {
 			}
-			if err := s.Append(next, false, []float64{7, 8}, map[string]float64{"app": 9}); err != nil {
+			if err := s.AppendFull(next, false, []float64{7, 8}, map[string]float64{"app": 9}, nil); err != nil {
 				t.Fatalf("appending to resumed journal: %v", err)
 			}
 			if err := s.Close(); err != nil {

@@ -111,7 +111,7 @@ func TestOpenJournalRefusesV1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.Append(0, false, []float64{1, 2}, map[string]float64{"a": 10}); err != nil {
+	if err := sw.AppendFull(0, false, []float64{1, 2}, map[string]float64{"a": 10}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := sw.Close(); err != nil {

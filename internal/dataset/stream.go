@@ -212,18 +212,12 @@ func (s *StreamWriter) header() []string {
 	return h
 }
 
-// Append journals one completed row and flushes it to the file, so a killed
-// process loses at most the record being written. A failed row records the
-// features with zero targets and failed=1; failed rows still mark their
-// index done so a resumed run does not re-simulate them. A nil targets map
-// is allowed for failed rows. On a journal with aux columns the row's aux
-// values are zero — use AppendFull to supply them.
-func (s *StreamWriter) Append(index int, failed bool, features []float64, targets map[string]float64) error {
-	return s.AppendFull(index, failed, features, targets, nil)
-}
-
-// AppendFull is Append with the row's auxiliary values; missing (or all,
-// via nil map) aux values journal as zero, mirroring failed rows' targets.
+// AppendFull journals one completed row and flushes it to the file, so a
+// killed process loses at most the record being written. A failed row
+// records the features with zero targets and failed=1; failed rows still
+// mark their index done so a resumed run does not re-simulate them. A nil
+// targets map is allowed for failed rows. Missing (or all, via a nil map)
+// aux values journal as zero, mirroring failed rows' targets.
 func (s *StreamWriter) AppendFull(index int, failed bool, features []float64, targets, aux map[string]float64) error {
 	return s.AppendRows([]StreamRow{{Index: index, Failed: failed, Features: features, Targets: targets, Aux: aux}})
 }

@@ -15,8 +15,8 @@ var (
 
 func appendRow(t *testing.T, s *StreamWriter, idx int, failed bool, base float64) {
 	t.Helper()
-	err := s.Append(idx, failed, []float64{base, base + 1},
-		map[string]float64{"app1": base * 10, "app2": base * 20})
+	err := s.AppendFull(idx, failed, []float64{base, base + 1},
+		map[string]float64{"app1": base * 10, "app2": base * 20}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestStreamResume(t *testing.T) {
 	// A duplicate append of a done index is a no-op when identical and
 	// ErrConflict when its values differ.
 	appendRow(t, r, 4, false, 4)
-	if err := r.Append(4, false, []float64{99, 100}, nil); !errors.Is(err, ErrConflict) {
+	if err := r.AppendFull(4, false, []float64{99, 100}, nil, nil); !errors.Is(err, ErrConflict) {
 		t.Errorf("conflicting duplicate: err = %v, want ErrConflict", err)
 	}
 	appendRow(t, r, 2, false, 2)
@@ -263,15 +263,15 @@ func TestStreamAppendErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append(0, false, []float64{1}, nil); err == nil {
+	if err := s.AppendFull(0, false, []float64{1}, nil, nil); err == nil {
 		t.Error("short feature vector accepted")
 	}
 	// Failed rows may omit targets entirely.
-	if err := s.Append(1, true, []float64{1, 2}, nil); err != nil {
+	if err := s.AppendFull(1, true, []float64{1, 2}, nil, nil); err != nil {
 		t.Errorf("failed row with nil targets rejected: %v", err)
 	}
 	s.Close()
-	if err := s.Append(2, false, []float64{1, 2}, map[string]float64{"app1": 1, "app2": 2}); err == nil {
+	if err := s.AppendFull(2, false, []float64{1, 2}, map[string]float64{"app1": 1, "app2": 2}, nil); err == nil {
 		t.Error("append after close accepted")
 	}
 	if _, _, err := CompactStream(filepath.Join(t.TempDir(), "nope.csv")); err == nil {

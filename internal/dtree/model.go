@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+
+	"armdse/internal/atomicfile"
 )
 
 // Versioned model envelope. Tree.Write historically emitted a bare
@@ -122,17 +124,11 @@ func (t *Tree) numFeaturesOr(def int) int {
 	return t.nFeatures
 }
 
-// SaveModel writes the model to path in the envelope format.
+// SaveModel writes the model to path in the envelope format, renaming it
+// into place once complete: a failed save leaves an earlier file at path
+// as it was.
 func SaveModel(m Predictor, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := WriteModel(m, f); err != nil {
-		return err
-	}
-	return f.Close()
+	return atomicfile.Write(path, func(w io.Writer) error { return WriteModel(m, w) })
 }
 
 // LoadModel reads a model (tree, forest, or legacy bare tree) from path.

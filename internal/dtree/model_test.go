@@ -2,6 +2,7 @@ package dtree
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -78,6 +79,41 @@ func TestModelEnvelopeSaveLoadFile(t *testing.T) {
 	}
 	if got, want := back.Predict(x[0]), forest.Predict(x[0]); got != want {
 		t.Fatalf("loaded model predicts %v, original %v", got, want)
+	}
+}
+
+// constPredictor is a Predictor WriteModel cannot serialise.
+type constPredictor float64
+
+func (c constPredictor) Predict([]float64) float64 { return float64(c) }
+
+// A failed SaveModel leaves the model already at its path byte-unchanged
+// and no temporary file beside it.
+func TestSaveModelFailureKeepsEarlierFile(t *testing.T) {
+	tree, _, _, _ := trainSmallModels(t)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "model.json")
+	if err := SaveModel(tree, path); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveModel(constPredictor(1), path); err == nil {
+		t.Fatal("unsupported predictor saved")
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Errorf("failed save changed the earlier model: %d bytes, was %d (err %v)", len(after), len(before), err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		for _, e := range entries {
+			t.Errorf("directory holds %s", e.Name())
+		}
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sort"
 	"sync"
 	"time"
 
@@ -21,10 +20,10 @@ import (
 // the run's journal (workers upload chunk by chunk, and every committed row
 // is on disk before the cursor moves), the obs metrics/status surface, and
 // the JSONL runlog. The journal is <out>.journal, opened by
-// dataset.OpenJournal exactly as dsegen opens it, so a restarted
-// coordinator resumes it and either tool can finish a collection the other
-// started. When the table completes, Merge compacts the journal into the
-// final dataset.
+// dataset.OpenJournal exactly as a local dsegen run opens it, so a
+// restarted coordinator resumes it and a local run and a fleet can each
+// finish a collection the other started. When the table completes, Merge
+// compacts the journal into the final dataset.
 
 // CoordConfig configures a Coordinator. Zero values get defaults.
 type CoordConfig struct {
@@ -683,29 +682,6 @@ func (c *Coordinator) Status() FleetStatus {
 		Leases: ts.Leases,
 	}
 	st.RowsPerSec, st.ETASec = c.progress(ts.DoneConfigs, elapsed)
-	for name, fw := range c.workers {
-		ws := FleetWorkerStatus{Name: name, Rows: fw.rows, LastSeenS: now.Sub(fw.lastSeen).Seconds()}
-		if d := fw.lastSeen.Sub(fw.first).Seconds(); d > 0 {
-			ws.RowsPerSec = float64(fw.rows) / d
-		}
-		if fw.tel != nil {
-			ws.BusyS = float64(fw.tel.BusyNs) / 1e9
-			ws.UpS = float64(fw.tel.UpNs) / 1e9
-			if fw.tel.UpNs > 0 {
-				ws.BusyFrac = float64(fw.tel.BusyNs) / float64(fw.tel.UpNs)
-			}
-		}
-		st.Workers = append(st.Workers, ws)
-	}
-	sort.Slice(st.Workers, func(i, j int) bool { return st.Workers[i].Name < st.Workers[j].Name })
-	ages := make([]float64, len(st.Workers))
-	for i, ws := range st.Workers {
-		ages[i] = ws.LastSeenS
-	}
-	flags, threshold := FlagStragglers(ages, StragglerFactor, StragglerFloorS)
-	st.StragglerLagS = threshold
-	for i := range st.Workers {
-		st.Workers[i].Straggler = flags[i]
-	}
+	st.Workers, st.StragglerLagS = c.workerStatsLocked(now)
 	return st
 }

@@ -88,32 +88,13 @@ func fleetName(name string) string {
 // Families under armdse_sweep_* are dropped — those gauges describe one
 // worker's current chunk, which has no fleet-level meaning.
 func (c *Coordinator) FleetSnapshot() obs.Snapshot {
-	now := time.Now()
 	c.mu.Lock()
-	names := make([]string, 0, len(c.workers))
-	for name := range c.workers {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	utils, _ := c.workerStatsLocked(time.Now())
 	var inputs []obs.WorkerSnapshot
-	type utilRow struct {
-		name           string
-		busyS, upS     float64
-		busyFrac, ageS float64
-	}
-	utils := make([]utilRow, 0, len(names))
-	for _, name := range names {
-		fw := c.workers[name]
-		u := utilRow{name: name, ageS: now.Sub(fw.lastSeen).Seconds()}
-		if fw.tel != nil {
-			inputs = append(inputs, obs.WorkerSnapshot{Worker: name, Snap: fw.tel.Snap})
-			u.busyS = float64(fw.tel.BusyNs) / 1e9
-			u.upS = float64(fw.tel.UpNs) / 1e9
-			if fw.tel.UpNs > 0 {
-				u.busyFrac = float64(fw.tel.BusyNs) / float64(fw.tel.UpNs)
-			}
+	for _, u := range utils {
+		if tel := c.workers[u.Name].tel; tel != nil {
+			inputs = append(inputs, obs.WorkerSnapshot{Worker: u.Name, Snap: tel.Snap})
 		}
-		utils = append(utils, u)
 	}
 	c.mu.Unlock()
 
@@ -132,11 +113,6 @@ func (c *Coordinator) FleetSnapshot() obs.Snapshot {
 		out.Families = append(out.Families, f)
 	}
 
-	ages := make([]float64, len(utils))
-	for i, u := range utils {
-		ages[i] = u.ageS
-	}
-	flags, _ := FlagStragglers(ages, StragglerFactor, StragglerFloorS)
 	workersF := obs.FamilySnapshot{
 		Name: "armdse_fleet_workers", Kind: "gauge",
 		Help:   "Workers known to the coordinator.",
@@ -150,13 +126,13 @@ func (c *Coordinator) FleetSnapshot() obs.Snapshot {
 		Help: "busy_seconds / up_seconds per worker."}
 	stragF := obs.FamilySnapshot{Name: "armdse_fleet_worker_straggler", Kind: "gauge",
 		Help: "1 when the worker's last-heartbeat age exceeds the fleet's median-lag threshold."}
-	for i, u := range utils {
-		ls := []obs.Label{obs.L("worker", u.name)}
-		busyF.Series = append(busyF.Series, obs.SeriesSnapshot{Labels: ls, Value: u.busyS})
-		upF.Series = append(upF.Series, obs.SeriesSnapshot{Labels: ls, Value: u.upS})
-		fracF.Series = append(fracF.Series, obs.SeriesSnapshot{Labels: ls, Value: u.busyFrac})
+	for _, u := range utils {
+		ls := []obs.Label{obs.L("worker", u.Name)}
+		busyF.Series = append(busyF.Series, obs.SeriesSnapshot{Labels: ls, Value: u.BusyS})
+		upF.Series = append(upF.Series, obs.SeriesSnapshot{Labels: ls, Value: u.UpS})
+		fracF.Series = append(fracF.Series, obs.SeriesSnapshot{Labels: ls, Value: u.BusyFrac})
 		flag := 0.0
-		if flags[i] {
+		if u.Straggler {
 			flag = 1
 		}
 		stragF.Series = append(stragF.Series, obs.SeriesSnapshot{Labels: ls, Value: flag})
@@ -166,34 +142,53 @@ func (c *Coordinator) FleetSnapshot() obs.Snapshot {
 	return out
 }
 
+// workerStatsLocked returns every known worker's utilisation in name
+// order, with straggler flags and the threshold that set them. BusyS, UpS
+// and BusyFrac stay zero until the worker's first telemetry snapshot.
+// Caller holds mu.
+func (c *Coordinator) workerStatsLocked(now time.Time) ([]FleetWorkerStatus, float64) {
+	names := make([]string, 0, len(c.workers))
+	for name := range c.workers {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	stats := make([]FleetWorkerStatus, len(names))
+	ages := make([]float64, len(names))
+	for i, name := range names {
+		fw := c.workers[name]
+		ws := FleetWorkerStatus{Name: name, Rows: fw.rows, LastSeenS: now.Sub(fw.lastSeen).Seconds()}
+		if d := fw.lastSeen.Sub(fw.first).Seconds(); d > 0 {
+			ws.RowsPerSec = float64(fw.rows) / d
+		}
+		if fw.tel != nil {
+			ws.BusyS = float64(fw.tel.BusyNs) / 1e9
+			ws.UpS = float64(fw.tel.UpNs) / 1e9
+			if fw.tel.UpNs > 0 {
+				ws.BusyFrac = float64(fw.tel.BusyNs) / float64(fw.tel.UpNs)
+			}
+		}
+		stats[i], ages[i] = ws, ws.LastSeenS
+	}
+	flags, threshold := FlagStragglers(ages, StragglerFactor, StragglerFloorS)
+	for i := range stats {
+		stats[i].Straggler = flags[i]
+	}
+	return stats, threshold
+}
+
 // writeUtilLocked journals one utilization record per known worker, in name
 // order — called alongside each runlog heartbeat. Caller holds mu.
 func (c *Coordinator) writeUtilLocked(now time.Time) {
 	if c.runlog == nil {
 		return
 	}
-	names := make([]string, 0, len(c.workers))
-	for name := range c.workers {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	stats, _ := c.workerStatsLocked(now)
 	elapsed := obs.Round3(now.Sub(c.start).Seconds())
-	for _, name := range names {
-		fw := c.workers[name]
-		rec := obs.UtilRecord{
-			Type: "util", Worker: name, ElapsedS: elapsed,
-			Rows: fw.rows, LastSeenS: obs.Round3(now.Sub(fw.lastSeen).Seconds()),
-		}
-		if d := fw.lastSeen.Sub(fw.first).Seconds(); d > 0 {
-			rec.RowsPerSec = obs.Round3(float64(fw.rows) / d)
-		}
-		if fw.tel != nil {
-			rec.BusyS = obs.Round3(float64(fw.tel.BusyNs) / 1e9)
-			rec.UpS = obs.Round3(float64(fw.tel.UpNs) / 1e9)
-			if fw.tel.UpNs > 0 {
-				rec.BusyFrac = obs.Round3(float64(fw.tel.BusyNs) / float64(fw.tel.UpNs))
-			}
-		}
-		_ = c.runlog.WriteRecord(rec)
+	for _, ws := range stats {
+		_ = c.runlog.WriteRecord(obs.UtilRecord{
+			Type: "util", Worker: ws.Name, ElapsedS: elapsed, Rows: ws.Rows,
+			RowsPerSec: obs.Round3(ws.RowsPerSec), BusyS: obs.Round3(ws.BusyS), UpS: obs.Round3(ws.UpS),
+			BusyFrac: obs.Round3(ws.BusyFrac), LastSeenS: obs.Round3(ws.LastSeenS),
+		})
 	}
 }

@@ -1,11 +1,11 @@
 // Package fabric is the distributed sweep fabric: a lease coordinator
-// (dsecoord) that parcels a collection run's contiguous config-index ranges
-// out to dsegen -worker processes over HTTP, survives worker loss through
+// (dsegen -fleet) that parcels a collection run's contiguous config-index
+// ranges out to dsegen -worker processes over HTTP, survives worker loss through
 // heartbeat-driven lease expiry and reassignment, splits straggling leases
 // so idle workers can steal their un-started tails, and streams every
 // uploaded row into one journal that compacts into the dataset. The journal
-// is the one dsegen writes, opened by the same policy: a restarted
-// coordinator resumes it, as a rerun dsegen does.
+// is the one a local dsegen run writes, opened by the same policy: a
+// restarted coordinator resumes it, as a rerun local run does.
 //
 // The fabric inherits the repo's standing correctness bar and extends it
 // across machines: because every configuration is derived independently

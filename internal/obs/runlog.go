@@ -6,7 +6,7 @@ import "math"
 // by "type"; scripts/runlog.schema.json is the schema of record. These
 // structs are the one Go definition of every record but the per-config
 // `config` record, which the collection engine hand-encodes on its hot
-// path: dsegen's engine and dsecoord's coordinator write them through
+// path: dsegen's engine and its -fleet coordinator write them through
 // Journal.WriteRecord, and dsereport decodes them (ignoring unknown
 // fields). Writers set Type and pass every float through Round3. Field
 // order is the key order on the wire.

@@ -19,8 +19,8 @@ func StallColumns(apps []string) []string {
 // RunMeta is a collection journal's identity stamp: seed, index-space size
 // and suite scale, plus the evaluator when it is not exact and the proposer
 // digest of an adaptive run. Workers are left out: they never change which
-// rows a journal holds. dsegen and the dsecoord fleet both stamp through
-// it, so either tool resumes the other's exact journal, and a journal of
+// rows a journal holds. A local dsegen run and a dsegen -fleet coordinator
+// both stamp through it, so either mode resumes the other's exact journal, and a journal of
 // another run — say, a different evaluator, which would mix simulated and
 // predicted rows — carries another stamp and is refused.
 func RunMeta(seed int64, samples int, paper bool, eval, search string) string {

@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # fabric_smoke.sh — end-to-end smoke test of the distributed sweep fabric.
 #
-# Builds dsecoord and dsegen and collects a 300-config single-process
+# Builds dsegen and dsereport and collects a 300-config single-process
 # reference dataset. A dsegen -workers 1 run of the same sweep is killed
 # with SIGKILL part-way; a run with another -seed must refuse its journal
 # (exit 1, journal and runlog unchanged), and a rerun with the same flags
 # must finish it byte-identical to the reference. Then the same run is
-# re-collected through a coordinator with two
+# re-collected through a dsegen -fleet coordinator with two
 # dsegen -worker processes on an ephemeral port. The fleet dataset must be
 # byte-identical to the reference (`cmp`), its <out>.journal must be
 # removed, the coordinator's /metrics and /status endpoints must serve the
@@ -29,7 +29,6 @@ trap '[[ -n "$COORD_PID" ]] && kill "$COORD_PID" 2>/dev/null; rm -rf "$TMP"' EXI
 
 echo "== build"
 go build -o "$TMP/dsegen" ./cmd/dsegen
-go build -o "$TMP/dsecoord" ./cmd/dsecoord
 go build -o "$TMP/dsereport" ./cmd/dsereport
 
 echo "== single-process reference ($SAMPLES configs)"
@@ -55,19 +54,19 @@ cmp "$TMP/ref.csv" "$TMP/rerun.csv"
 [[ -e "$TMP/rerun.csv.journal" ]] && { echo "FAIL: journal not removed" >&2; exit 1; }
 echo "-- cmp OK: the rerun resumed the journal"
 
-# start_coord OUT LINGER starts dsecoord on an ephemeral port, collecting
-# to OUT, and sets COORD_PID and ADDR. dsecoord prints
+# start_coord OUT LINGER starts dsegen -fleet on an ephemeral port,
+# collecting to OUT, and sets COORD_PID and ADDR. The coordinator prints
 # "coordinator: http://HOST:PORT/" on stderr before granting leases.
 start_coord() {
-	"$TMP/dsecoord" -samples "$SAMPLES" -seed "$SEED" -out "$1" \
-		-addr 127.0.0.1:0 -lease 32 -chunk 8 -expiry 30s -linger "$2" -q \
-		>"$TMP/dsecoord.out" 2>"$TMP/dsecoord.err" &
+	"$TMP/dsegen" -samples "$SAMPLES" -seed "$SEED" -out "$1" \
+		-fleet 127.0.0.1:0 -lease 32 -chunk 8 -expiry 30s -http-linger "$2" -q \
+		>"$TMP/coord.out" 2>"$TMP/coord.err" &
 	COORD_PID=$!
 	ADDR=""
 	for i in $(seq 1 100); do
-		ADDR=$(sed -n 's|^coordinator: http://\([^/]*\)/.*|\1|p' "$TMP/dsecoord.err" 2>/dev/null | head -1)
+		ADDR=$(sed -n 's|^coordinator: http://\([^/]*\)/.*|\1|p' "$TMP/coord.err" 2>/dev/null | head -1)
 		[[ -n "$ADDR" ]] && break
-		kill -0 "$COORD_PID" 2>/dev/null || { cat "$TMP/dsecoord.err" >&2; echo "FAIL: dsecoord exited early" >&2; exit 1; }
+		kill -0 "$COORD_PID" 2>/dev/null || { cat "$TMP/coord.err" >&2; echo "FAIL: the coordinator exited early" >&2; exit 1; }
 		sleep 0.2
 	done
 	[[ -n "$ADDR" ]] || { echo "FAIL: coordinator address never printed" >&2; exit 1; }
@@ -122,9 +121,9 @@ for w in st["workers"]:
 print("-- /status: done {done}/{total}, workers {w}".format(done=st["done"], total=st["total"], w=["{name} busy {busy_frac:.0%}".format(**x) for x in st["workers"]]))
 '
 
-wait "$COORD_PID" || { cat "$TMP/dsecoord.err" >&2; echo "FAIL: dsecoord failed" >&2; exit 1; }
+wait "$COORD_PID" || { cat "$TMP/coord.err" >&2; echo "FAIL: the coordinator failed" >&2; exit 1; }
 COORD_PID=""
-cat "$TMP/dsecoord.out"
+cat "$TMP/coord.out"
 
 echo "== fleet dataset must be byte-identical to the reference"
 cmp "$TMP/ref.csv" "$TMP/fleet.csv"
@@ -193,7 +192,7 @@ WC=$!
 WD=$!
 wait "$WC" || { echo "FAIL: worker c failed" >&2; exit 1; }
 wait "$WD" || { echo "FAIL: worker d failed" >&2; exit 1; }
-wait "$COORD_PID" || { cat "$TMP/dsecoord.err" >&2; echo "FAIL: restarted dsecoord failed" >&2; exit 1; }
+wait "$COORD_PID" || { cat "$TMP/coord.err" >&2; echo "FAIL: the restarted coordinator failed" >&2; exit 1; }
 COORD_PID=""
 RESUMED=$(head -1 "$TMP/cross.csv.runlog.jsonl" | python3 -c 'import json, sys; print(json.load(sys.stdin)["resumed"])')
 ((RESUMED >= DONE)) || { echo "FAIL: restarted coordinator resumed $RESUMED rows, $DONE were done" >&2; exit 1; }

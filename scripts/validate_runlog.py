@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate a dsegen/dsecoord JSONL run journal against scripts/runlog.schema.json.
+"""Validate a dsegen JSONL run journal (local or -fleet) against scripts/runlog.schema.json.
 
 Usage: validate_runlog.py [--require TYPE[,TYPE...]] <runlog.jsonl> [schema.json]
 
