@@ -94,6 +94,19 @@ func referenceCSV(t *testing.T, seed int64, samples int) []byte {
 // in-process workers, and returns its stdout once all three have finished.
 func runFleet(t *testing.T, args ...string) string {
 	t.Helper()
+	stdout, err := fleetRun(t, args...)
+	if err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	return stdout
+}
+
+// fleetRun is runFleet returning the coordinator's error. A worker's error
+// fails the test only when the coordinator succeeds: a failed coordinator
+// stops serving, so its workers may lose it before they learn the run is
+// over.
+func fleetRun(t *testing.T, args ...string) (string, error) {
+	t.Helper()
 	var stdout bytes.Buffer
 	var stderr syncBuf
 	coordErr := make(chan error, 1)
@@ -121,15 +134,13 @@ func runFleet(t *testing.T, args ...string) string {
 		}(i)
 	}
 	wg.Wait()
-	for i, err := range workerErrs {
-		if err != nil {
-			t.Fatalf("worker %d: %v", i, err)
+	err := <-coordErr
+	for i, werr := range workerErrs {
+		if werr != nil && err == nil {
+			t.Fatalf("worker %d: %v", i, werr)
 		}
 	}
-	if err := <-coordErr; err != nil {
-		t.Fatalf("coordinator: %v", err)
-	}
-	return stdout.String()
+	return stdout.String(), err
 }
 
 // TestRunFleetMatchesSingleProcess drives dsegen -fleet end to end —
@@ -143,7 +154,7 @@ func TestRunFleetMatchesSingleProcess(t *testing.T) {
 	}
 	ref := referenceCSV(t, 3, 6)
 	out := filepath.Join(t.TempDir(), "fleet.csv")
-	stdout := runFleet(t, "-samples", "6", "-seed", "3", "-out", out, "-lease", "2", "-chunk", "1")
+	stdout := runFleet(t, "-samples", "6", "-seed", "3", "-out", out, "-lease", "2")
 
 	got, err := os.ReadFile(out)
 	if err != nil {
@@ -209,15 +220,13 @@ func TestRunFleetRejectsBadFlags(t *testing.T) {
 	}
 }
 
-// TestRunFleetRejectsBadLeaseGeometry: a non-positive -lease, -chunk or
-// -expiry, or a chunk larger than its lease, is a usage error — not a
-// silent fallback to the defaults — and leaves no runlog or journal behind.
+// TestRunFleetRejectsBadLeaseGeometry: a non-positive -lease or -expiry is
+// a usage error — not a silent fallback to the defaults — and leaves no
+// runlog or journal behind.
 func TestRunFleetRejectsBadLeaseGeometry(t *testing.T) {
 	for _, args := range [][]string{
 		{"-lease", "-5"}, {"-lease", "0"},
-		{"-chunk", "-3"}, {"-chunk", "0"},
 		{"-expiry", "-1s"}, {"-expiry", "0s"},
-		{"-lease", "4", "-chunk", "8"},
 	} {
 		dir := t.TempDir()
 		var buf bytes.Buffer
@@ -254,7 +263,6 @@ func TestRunFleetRefusesLocalFlags(t *testing.T) {
 		{[]string{"-fleet", "127.0.0.1:0", "-worker", "http://127.0.0.1:1"}, "-worker"},
 		{[]string{"-fleet", "127.0.0.1:0", "-worker-name", "w"}, "-worker-name"},
 		{[]string{"-lease", "32"}, "-lease"},
-		{[]string{"-chunk", "8"}, "-chunk"},
 		{[]string{"-expiry", "30s"}, "-expiry"},
 	} {
 		dir := t.TempDir()
@@ -279,7 +287,7 @@ func TestRunFleetFinishesInterruptedRun(t *testing.T) {
 	ref := referenceCSV(t, 3, 6)
 	out := filepath.Join(t.TempDir(), "ds.csv")
 	collectJournal(t, out+".journal", 3, 6, func(i int) bool { return i%3 == 2 })
-	runFleet(t, "-samples", "6", "-seed", "3", "-out", out, "-lease", "2", "-chunk", "1")
+	runFleet(t, "-samples", "6", "-seed", "3", "-out", out, "-lease", "2")
 
 	got, err := os.ReadFile(out)
 	if err != nil {
@@ -365,6 +373,46 @@ func TestRunFleetRunlogDisabled(t *testing.T) {
 	for _, e := range entries {
 		if strings.Contains(e.Name(), "runlog") {
 			t.Errorf("-runlog none still wrote %s", e.Name())
+		}
+	}
+}
+
+// TestRunFailedSaveLeavesNoSummary: when -out cannot be written (here it is
+// an existing directory, so the final rename fails), a local run and a
+// fleet both fail, keep <out>.journal with every row, and leave a runlog
+// without a summary record: a summary marks a run whose dataset was saved.
+func TestRunFailedSaveLeavesNoSummary(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulating real workloads; skipped in -short")
+	}
+	for _, mode := range []string{"local", "fleet"} {
+		out := filepath.Join(t.TempDir(), "ds.csv")
+		if err := os.Mkdir(out, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		args := []string{"-samples", "4", "-seed", "3", "-out", out}
+		var err error
+		if mode == "fleet" {
+			_, err = fleetRun(t, append(args, "-lease", "2")...)
+		} else {
+			var buf bytes.Buffer
+			err = run(context.Background(), append(args, "-workers", "2", "-q"), &buf, &buf)
+		}
+		if err == nil {
+			t.Errorf("%s: saving over a directory succeeded", mode)
+		}
+		ds, failed, cerr := dataset.CompactStream(out + ".journal")
+		if cerr != nil || ds.Len()+failed != 4 {
+			t.Errorf("%s: journal after the failed save: %v", mode, cerr)
+		}
+		lines := readLines(t, out+".runlog.jsonl")
+		if !strings.HasPrefix(lines[0], `{"type":"meta"`) {
+			t.Errorf("%s: runlog starts %s", mode, lines[0])
+		}
+		for _, line := range lines {
+			if strings.HasPrefix(line, `{"type":"summary"`) {
+				t.Errorf("%s: runlog of a failed save has a summary: %s", mode, line)
+			}
 		}
 	}
 }

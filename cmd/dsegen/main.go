@@ -14,10 +14,10 @@
 //
 // Large collections spread over machines: dsegen -fleet ADDR coordinates
 // instead of simulating. It leases contiguous config-index ranges of the
-// exact fixed sweep to dsegen -worker processes over HTTP, reassigns the
-// leases of workers that stop heartbeating, lets idle workers steal the
-// un-started tails of straggling leases, and merges the uploaded rows into
-// a dataset byte-identical to a local run at any fleet size. A fleet
+// exact fixed sweep to dsegen -worker processes over HTTP, one lease per
+// worker at a time, reassigns the leases of workers that stop
+// heartbeating, and merges the uploaded rows into a dataset byte-identical
+// to a local run at any fleet size. A fleet
 // opens the same <out>.journal the same way, so an interrupted exact run
 // can be finished in either mode, and a killed coordinator rerun with the
 // same flags leases only what the journal does not yet hold.
@@ -86,15 +86,15 @@ func batchSource(p *armdse.Proposer) armdse.BatchSource {
 
 // cli holds the parsed command line; set names the flags given on it.
 type cli struct {
-	samples, workers, srchBat, lease, chunk int
-	seed                                    int64
-	paper, quiet                            bool
-	evalEsc                                 float64
-	linger, expiry                          time.Duration
-	out, eval, srch, cpuProf, memProf       string
-	httpAddr, runlog, worker, workerID      string
-	fleet                                   string
-	set                                     map[string]bool
+	samples, workers, srchBat, lease   int
+	seed                               int64
+	paper, quiet                       bool
+	evalEsc                            float64
+	linger, expiry                     time.Duration
+	out, eval, srch, cpuProf, memProf  string
+	httpAddr, runlog, worker, workerID string
+	fleet                              string
+	set                                map[string]bool
 }
 
 func parseFlags(args []string, stderr io.Writer) (*cli, error) {
@@ -119,8 +119,7 @@ func parseFlags(args []string, stderr io.Writer) (*cli, error) {
 	fs.StringVar(&c.worker, "worker", "", "join a fleet at this coordinator URL (e.g. http://host:8070) instead of running a local sweep")
 	fs.StringVar(&c.workerID, "worker-name", "", "worker identity reported to the coordinator (default host:pid)")
 	fs.StringVar(&c.fleet, "fleet", "", "coordinate a fleet of dsegen -worker processes on this listen address instead of simulating locally (\":0\" picks a free port, printed at startup)")
-	fs.IntVar(&c.lease, "lease", 64, "-fleet: configurations per lease")
-	fs.IntVar(&c.chunk, "chunk", 16, "-fleet: configurations per worker check-in, the advance granularity and minimum steal split")
+	fs.IntVar(&c.lease, "lease", 16, "-fleet: configurations per lease; a worker simulates one lease at a time and uploads its rows in one request")
 	fs.DurationVar(&c.expiry, "expiry", 30*time.Second, "-fleet: heartbeat deadline before an unresponsive worker's lease is reassigned")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -134,7 +133,7 @@ func parseFlags(args []string, stderr io.Writer) (*cli, error) {
 // a fleet worker takes its run parameters from the coordinator.
 var (
 	fleetAllowedFlags = map[string]bool{
-		"fleet": true, "lease": true, "chunk": true, "expiry": true,
+		"fleet": true, "lease": true, "expiry": true,
 		"samples": true, "seed": true, "out": true, "paper": true, "runlog": true,
 		"http-linger": true, "q": true, "cpuprofile": true, "memprofile": true,
 	}
@@ -167,9 +166,8 @@ func (c *cli) refuseFlags(mode string, allowed map[string]bool, why string) erro
 //   - -fleet and -worker each exclude the flags that do not apply to them
 //     (a locally-set -seed on a worker would be silently ignored at best
 //     and a split-brain run at worst);
-//   - -lease, -chunk and -expiry require -fleet, and each must be positive
-//     with the chunk a slice of one lease: the coordinator would silently
-//     replace them with its defaults;
+//   - -lease and -expiry require -fleet, and each must be positive: the
+//     coordinator would silently replace them with its defaults;
 //   - -eval must name a known evaluator;
 //   - -search-batch requires -search and must not be negative: without
 //     -search it would be silently ignored, and the proposer would silently
@@ -188,7 +186,7 @@ func (c *cli) validate() error {
 		}
 	}
 	if c.fleet == "" {
-		for _, name := range []string{"lease", "chunk", "expiry"} {
+		for _, name := range []string{"lease", "expiry"} {
 			if c.set[name] {
 				return fmt.Errorf("-%s requires -fleet: it configures the coordinator's leases", name)
 			}
@@ -197,10 +195,6 @@ func (c *cli) validate() error {
 	switch {
 	case c.lease <= 0:
 		return fmt.Errorf("-lease %d <= 0", c.lease)
-	case c.chunk <= 0:
-		return fmt.Errorf("-chunk %d <= 0", c.chunk)
-	case c.chunk > c.lease:
-		return fmt.Errorf("-chunk %d > -lease %d: a chunk is a slice of one lease", c.chunk, c.lease)
 	case c.expiry <= 0:
 		return fmt.Errorf("-expiry %s <= 0", c.expiry)
 	}
@@ -422,7 +416,6 @@ func (c *cli) runFleet(ctx context.Context, stdout, stderr, logw io.Writer) erro
 		Spec:      fabric.NewSpec(c.seed, c.samples, c.paper),
 		Out:       c.out,
 		LeaseSize: c.lease,
-		Chunk:     c.chunk,
 		Expiry:    c.expiry,
 		Runlog:    obs.RunlogPath(c.runlog, c.out),
 		Log:       logw,
@@ -448,20 +441,22 @@ func (c *cli) runFleet(ctx context.Context, stdout, stderr, logw io.Writer) erro
 		fmt.Fprintf(stderr, "interrupted: %d/%d configs journaled in %s.journal; rerun with the same flags to continue\n", st.Done, st.Total, c.out)
 		return err
 	}
-	// Merge writes the runlog's summary record; Close closes the runlog.
 	data, failed, err := coord.Merge()
 	if err != nil {
 		return err
 	}
 	st := coord.Status()
-	return c.finish(ctx, stdout, stderr, start, data, failed, coord.Cleanup, coord.Close,
-		fmt.Sprintf(" [%d workers, %d grants, %d expiries, %d steals]",
-			len(st.Workers), st.LeaseGrants, st.LeaseExpiries, st.LeaseSteals))
+	return c.finish(ctx, stdout, stderr, start, data, failed, coord.Cleanup,
+		func() error { return coord.Finish(data.Len(), failed) },
+		fmt.Sprintf(" [%d workers, %d grants, %d expiries]", len(st.Workers), st.LeaseGrants, st.LeaseExpiries))
 }
 
 // finish writes a completed collection to -out, then removes its journal,
-// closes the runlog, reports and lingers while a monitor or fleet server
-// is up. The journal stays when every configuration failed.
+// writes the runlog's summary record and closes it (closeLog), reports and
+// lingers while a monitor or fleet server is up. A failed save or removal
+// returns before closeLog, so a runlog without a summary marks a run whose
+// journal may still hold its rows. The journal stays when every
+// configuration failed.
 func (c *cli) finish(ctx context.Context, stdout, stderr io.Writer, start time.Time, data *armdse.Dataset, failed int,
 	removeJournal, closeLog func() error, suffix string) error {
 	if data.Len() == 0 {

@@ -78,9 +78,9 @@ func TestRunEvalUnknownLeavesNoJournal(t *testing.T) {
 
 // -shard (a -fleet run replaces it), -search-workers (-workers sizes
 // the barrier too), -resume (a rerun with the same flags resumes),
-// -search-budget (-samples is the budget), -search-pool (8× the batch)
-// and -search-kappa (2) are gone: each is an unknown flag, refused before
-// any file exists.
+// -search-budget (-samples is the budget), -search-pool (8× the batch),
+// -search-kappa (2) and -chunk (a worker uploads a whole lease at once)
+// are gone: each is an unknown flag, refused before any file exists.
 func TestRunRemovedFlagsUnknown(t *testing.T) {
 	for _, extra := range [][]string{
 		{"-shard", "0/2"},
@@ -89,6 +89,8 @@ func TestRunRemovedFlagsUnknown(t *testing.T) {
 		{"-search", "ucb", "-search-budget", "12"},
 		{"-search", "ucb", "-search-pool", "16"},
 		{"-search", "ucb", "-search-kappa", "0"},
+		{"-chunk", "8"},
+		{"-fleet", "127.0.0.1:0", "-chunk", "8"},
 	} {
 		dir := t.TempDir()
 		var buf bytes.Buffer

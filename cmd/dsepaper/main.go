@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"armdse"
+	"armdse/internal/atomicfile"
 )
 
 func main() {
@@ -120,7 +121,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 				return err
 			}
 			path := filepath.Join(*outDir, r.ID+".txt")
-			if err := os.WriteFile(path, []byte(strings.TrimLeft(text, "\n")), 0o644); err != nil {
+			err := atomicfile.Write(path, func(w io.Writer) error {
+				_, err := io.WriteString(w, strings.TrimLeft(text, "\n"))
+				return err
+			})
+			if err != nil {
 				return err
 			}
 		}

@@ -20,6 +20,7 @@ import (
 	"io"
 	"os"
 
+	"armdse/internal/atomicfile"
 	"armdse/internal/report"
 )
 
@@ -65,25 +66,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		analyses = append(analyses, a)
 	}
 
-	w := stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintf(stderr, "dsereport: %v\n", err)
-			return 1
+	write := func(w io.Writer) error {
+		switch *format {
+		case "trace":
+			return writeFleetTrace(w, analyses[0])
+		case "json":
+			return writeJSONReport(w, analyses)
+		default:
+			return writeTextReport(w, analyses)
 		}
-		defer f.Close()
-		w = f
 	}
-
 	var err error
-	switch *format {
-	case "trace":
-		err = writeFleetTrace(w, analyses[0])
-	case "json":
-		err = writeJSONReport(w, analyses)
-	default:
-		err = writeTextReport(w, analyses)
+	if *out != "" {
+		err = atomicfile.Write(*out, write)
+	} else {
+		err = write(stdout)
 	}
 	if err != nil {
 		fmt.Fprintf(stderr, "dsereport: %v\n", err)
@@ -117,18 +114,17 @@ func writeTextReport(w io.Writer, analyses []*runAnalysis) error {
 	runs := report.Table{
 		Title: "runs",
 		Columns: []string{"runlog", "mode", "workers", "rows", "failed",
-			"wall_s", "rows/s", "leases", "expiries", "steals", "barrier%"},
+			"wall_s", "rows/s", "leases", "expiries", "barrier%"},
 	}
 	for _, r := range doc.Runs {
 		mode := "sweep"
 		if r.Fleet {
 			mode = "fleet"
 		}
-		grants, expiries, steals := "-", "-", "-"
+		grants, expiries := "-", "-"
 		if r.Leases != nil {
 			grants = report.I(float64(r.Leases.Grants))
 			expiries = report.I(float64(r.Leases.Expiries))
-			steals = report.I(float64(r.Leases.Steals))
 		}
 		barrier := "-"
 		if r.Barriers != nil {
@@ -137,7 +133,7 @@ func writeTextReport(w io.Writer, analyses []*runAnalysis) error {
 		runs.AddRow(r.File, mode, report.I(float64(r.Workers)),
 			report.I(float64(r.Rows)), report.I(float64(r.Failed)),
 			report.F(r.WallS, 2), report.F(r.RowsPerSec, 1),
-			grants, expiries, steals, barrier)
+			grants, expiries, barrier)
 	}
 	if _, err := io.WriteString(w, runs.String()); err != nil {
 		return err

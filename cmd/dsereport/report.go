@@ -40,7 +40,6 @@ type LeaseReport struct {
 	Grants    int `json:"grants"`
 	Completes int `json:"completes"`
 	Expiries  int `json:"expiries"`
-	Steals    int `json:"steals"`
 }
 
 // BarrierReport aggregates PR 9's adaptive generation barriers.
@@ -86,26 +85,18 @@ type leaseSpan struct {
 	Outcome string // committed, expired, open
 }
 
-// stealMark is the instant a lease's un-started tail was stolen.
-type stealMark struct {
-	Victim   string
-	Lease    int
-	Lo, Hi   int
-	ElapsedS float64
-}
-
 // runAnalysis is a parsed runlog: the report plus the raw timeline the
 // trace exporter renders.
 type runAnalysis struct {
 	Report RunReport
 	Spans  []leaseSpan
-	Steals []stealMark
 }
 
 // analyzeRunlog reads one runlog and derives the report: totals from the
 // summary record, lease churn and per-worker spans from lease records,
 // utilization from util records, barrier share from barrier records and the
-// rows/sec trajectory from heartbeats.
+// rows/sec trajectory from heartbeats. Lease events other than grant,
+// complete and expire, which older coordinators also wrote, are ignored.
 func analyzeRunlog(path string) (*runAnalysis, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -201,18 +192,6 @@ func analyzeRunlog(path string) (*runAnalysis, error) {
 					a.Spans = append(a.Spans, *sp)
 					delete(open, r.Lease)
 				}
-			case "steal":
-				leases.Steals++
-				victim := r.Worker
-				if sp := open[r.Lease]; sp != nil {
-					sp.Hi = r.Hi // the hold shrinks to the un-stolen head
-					if victim == "" {
-						victim = sp.Worker
-					}
-				}
-				a.Steals = append(a.Steals, stealMark{
-					Victim: victim, Lease: r.Lease, Lo: r.Lo, Hi: r.Hi, ElapsedS: r.ElapsedS,
-				})
 			}
 		case "summary":
 			var r obs.SummaryRecord

@@ -13,8 +13,7 @@ import (
 // dserun's -chrome flag already writes for per-config pipeline traces;
 // chrome://tracing and https://ui.perfetto.dev both open it). The fleet view maps one process to
 // the run, one thread track per worker, a ph:"X" complete slice per lease
-// hold, a ph:"i" instant per steal and a ph:"C" counter series for the
-// rows/sec trajectory.
+// hold and a ph:"C" counter series for the rows/sec trajectory.
 
 const (
 	tracePid = 1
@@ -27,11 +26,6 @@ func writeFleetTrace(w io.Writer, a *runAnalysis) error {
 	workers := map[string]bool{}
 	for _, sp := range a.Spans {
 		workers[sp.Worker] = true
-	}
-	for _, st := range a.Steals {
-		if st.Victim != "" {
-			workers[st.Victim] = true
-		}
 	}
 	names := make([]string, 0, len(workers))
 	for name := range workers {
@@ -68,17 +62,6 @@ func writeFleetTrace(w io.Writer, a *runAnalysis) error {
 				"lease": sp.Lease, "epoch": sp.Epoch,
 				"lo": sp.Lo, "hi": sp.Hi, "outcome": sp.Outcome,
 			},
-		})
-	}
-	for _, st := range a.Steals {
-		tid := counterTid
-		if t, ok := tidOf[st.Victim]; ok {
-			tid = t
-		}
-		doc.TraceEvents = append(doc.TraceEvents, obs.ChromeEvent{
-			Name: fmt.Sprintf("steal lease %d", st.Lease),
-			Ph:   "i", Ts: st.ElapsedS * 1e6, Pid: tracePid, Tid: tid, S: "t",
-			Args: map[string]any{"lease": st.Lease, "lo": st.Lo, "hi": st.Hi},
 		})
 	}
 	for _, tp := range a.Report.Trajectory {

@@ -102,7 +102,7 @@ func writeFleetRunlog(t *testing.T, path string, samples int) {
 	coord, err := fabric.NewCoordinator(fabric.CoordConfig{
 		Spec:      fabric.NewSpec(11, samples, false),
 		Out:       filepath.Join(t.TempDir(), "fleet.csv"),
-		LeaseSize: 4, Chunk: 2, Expiry: time.Minute,
+		LeaseSize: 2, Expiry: time.Minute,
 		HeartbeatEvery: time.Nanosecond,
 		Runlog:         path,
 	})
@@ -128,7 +128,11 @@ func writeFleetRunlog(t *testing.T, path string, samples int) {
 			t.Fatalf("worker: %v", err)
 		}
 	}
-	if _, _, err := coord.Merge(); err != nil {
+	ds, failed, err := coord.Merge()
+	if err != nil {
 		t.Fatalf("merge: %v", err)
+	}
+	if err := coord.Finish(ds.Len(), failed); err != nil {
+		t.Fatal(err)
 	}
 }

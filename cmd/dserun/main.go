@@ -31,6 +31,7 @@ import (
 	"os"
 
 	"armdse"
+	"armdse/internal/atomicfile"
 	"armdse/internal/obs"
 	"armdse/internal/orchestrate"
 	"armdse/internal/simeng"
@@ -160,7 +161,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintln(stdout)
 	}
 	if *chrome != "" {
-		if err := writeChromeFile(*chrome, events, sc.intervals); err != nil {
+		err := atomicfile.Write(*chrome, func(w io.Writer) error { return writeChromeTrace(w, events, sc.intervals) })
+		if err != nil {
 			return err
 		}
 		if int64(len(events)) < st.Retired {
@@ -204,19 +206,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintln(stdout)
 	}
 	return nil
-}
-
-// writeChromeFile writes the collected trace to path.
-func writeChromeFile(path string, events []simeng.TraceEvent, stalls []stallInterval) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := writeChromeTrace(f, events, stalls); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // textTrace prints one row per retired instruction for the first n, as they

@@ -3,8 +3,10 @@ package armdse
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 
+	"armdse/internal/atomicfile"
 	"armdse/internal/sstmem"
 )
 
@@ -15,7 +17,10 @@ func SaveConfig(cfg Config, path string) error {
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return atomicfile.Write(path, func(w io.Writer) error {
+		_, err := w.Write(append(b, '\n'))
+		return err
+	})
 }
 
 // LoadConfig reads a JSON configuration and validates it.

@@ -17,13 +17,14 @@ import (
 )
 
 // The coordinator side of the fabric. A Coordinator owns the lease table,
-// the run's journal (workers upload chunk by chunk, and every committed row
-// is on disk before the cursor moves), the obs metrics/status surface, and
-// the JSONL runlog. The journal is <out>.journal, opened by
+// the run's journal (a worker uploads a lease's rows in one advance, and
+// they are on disk before the lease completes), the obs metrics/status
+// surface, and the JSONL runlog. The journal is <out>.journal, opened by
 // dataset.OpenJournal exactly as a local dsegen run opens it, so a
 // restarted coordinator resumes it and a local run and a fleet can each
 // finish a collection the other started. When the table completes, Merge
-// compacts the journal into the final dataset.
+// compacts the journal into the final dataset, and Finish writes the
+// runlog's summary once that dataset is saved.
 
 // CoordConfig configures a Coordinator. Zero values get defaults.
 type CoordConfig struct {
@@ -34,10 +35,9 @@ type CoordConfig struct {
 	// journal exists, NewCoordinator resumes it: by determinism, a journal
 	// whose stamp matches holds exactly this run's rows.
 	Out string
-	// LeaseSize is the config count per initial lease (default 64); Chunk
-	// is the advance/steal granularity (default 16, clamped to LeaseSize).
+	// LeaseSize is the most configs one lease covers (default 16): a
+	// worker simulates a whole lease and uploads its rows in one advance.
 	LeaseSize int
-	Chunk     int
 	// Expiry is the heartbeat deadline after which an unrefreshed lease is
 	// requeued (default 30s).
 	Expiry time.Duration
@@ -48,14 +48,15 @@ type CoordConfig struct {
 	// Runlog, when non-empty, is the path of the coordinator's JSONL runlog
 	// (meta, lease events, heartbeats, summary). It is created only once
 	// the journal is accepted, so a refused restart leaves the earlier
-	// run's runlog as it was; Close closes it.
+	// run's runlog as it was; Finish writes its summary and closes it.
 	Runlog string
 	// Log, when non-nil, receives human-readable progress lines.
 	Log io.Writer
 }
 
 // Coordinator runs one fleet collection. Create with NewCoordinator, mount
-// Handler on an HTTP server, then Wait + Merge.
+// Handler on an HTTP server, then Wait + Merge, save the dataset, Cleanup
+// and Finish; Close releases a run that stops before that.
 type Coordinator struct {
 	spec    Spec
 	digest  string
@@ -82,11 +83,10 @@ type Coordinator struct {
 	merged  bool
 	closed  bool
 
-	mGrants, mExpiries, mSteals *obs.Counter
-	mRows                       *obs.Counter
-	gPending, gActive, gDone    *obs.Gauge
-	gConfigs, gTotal            *obs.Gauge
-	gRPS, gETA, gCycles         *obs.Gauge
+	mGrants, mExpiries, mRows *obs.Counter
+	gPending, gActive, gDone  *obs.Gauge
+	gConfigs, gTotal          *obs.Gauge
+	gRPS, gETA, gCycles       *obs.Gauge
 }
 
 // fleetWorker tracks one worker's contribution for per-worker rows/sec,
@@ -113,13 +113,7 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		return nil, fmt.Errorf("fabric: coordinator needs an output path")
 	}
 	if cfg.LeaseSize <= 0 {
-		cfg.LeaseSize = 64
-	}
-	if cfg.Chunk <= 0 {
-		cfg.Chunk = 16
-	}
-	if cfg.Chunk > cfg.LeaseSize {
-		cfg.Chunk = cfg.LeaseSize
+		cfg.LeaseSize = 16
 	}
 	if cfg.Expiry <= 0 {
 		cfg.Expiry = 30 * time.Second
@@ -145,7 +139,7 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 	if resumed {
 		epoch0 = int(time.Now().UnixNano())
 	}
-	table, err := NewTable(cfg.Spec.Samples, cfg.LeaseSize, cfg.Chunk, cfg.Expiry, jw.Done(), epoch0)
+	table, err := NewTable(cfg.Spec.Samples, cfg.LeaseSize, cfg.Expiry, jw.Done(), epoch0)
 	if err != nil {
 		jw.Close()
 		return nil, err
@@ -175,7 +169,6 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		lastHB:    time.Now(),
 		mGrants:   r.Counter("armdse_fabric_lease_grants_total", "Leases granted, including re-grants after expiry."),
 		mExpiries: r.Counter("armdse_fabric_lease_expirations_total", "Leases requeued after a missed heartbeat deadline."),
-		mSteals:   r.Counter("armdse_fabric_lease_steals_total", "Lease splits that moved a straggler's un-started tail to an idle worker."),
 		mRows:     r.Counter("armdse_fabric_rows_total", "Configurations journaled across the fleet."),
 		gPending:  r.Gauge("armdse_fabric_leases_pending", "Leases queued, unassigned."),
 		gActive:   r.Gauge("armdse_fabric_leases_active", "Leases currently assigned to a worker."),
@@ -194,7 +187,7 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		Type: "meta", Version: 1,
 		Seed: c.spec.Seed, Samples: c.spec.Samples, Resumed: c.resumed,
 		Apps: c.spec.Apps, StallClasses: simeng.StallClassNames(),
-		Fabric: &obs.FabricMeta{LeaseSize: cfg.LeaseSize, Chunk: cfg.Chunk, ExpiryMS: cfg.Expiry.Milliseconds()},
+		Fabric: &obs.FabricMeta{LeaseSize: cfg.LeaseSize, ExpiryMS: cfg.Expiry.Milliseconds()},
 	})
 	if table.Done() {
 		c.signalDone()
@@ -220,7 +213,7 @@ func (c *Coordinator) Wait(ctx context.Context) error {
 
 // StartExpirySweep requeues stale leases every interval until the returned
 // stop function is called — the liveness backstop for a fleet whose
-// surviving workers are all mid-chunk (lease acquisition also expires
+// surviving workers are all mid-lease (lease acquisition also expires
 // lazily, so the sweep only bounds detection latency).
 func (c *Coordinator) StartExpirySweep(interval time.Duration) (stop func()) {
 	if interval <= 0 {
@@ -264,8 +257,8 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
-// maxBody bounds request bodies: a chunk of rows is a few hundred KB at
-// most, so 32 MiB is far past any legitimate message.
+// maxBody bounds request bodies: a lease's rows are a few hundred KB at
+// the default lease size, so 32 MiB is far past any legitimate message.
 const maxBody = 32 << 20
 
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
@@ -351,23 +344,22 @@ func (c *Coordinator) handleAdvance(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	now := time.Now()
-	var journaled int
-	var journaledFailed int
-	var journaledCycles int64
-	// The commit callback runs inside the table lock after the cursor move
-	// is validated and before it happens: the chunk's rows hit the journal
-	// as one flushed batch, or none of them do and the advance is rejected
+	var failed int
+	var cycles int64
+	// The commit callback runs inside the table lock once the assignment is
+	// validated and before the lease completes: its rows hit the journal as
+	// one flushed batch, or none of them do and the advance is rejected
 	// whole. A crash between commit and response loses nothing: the
-	// restarted coordinator finds the chunk journaled and leases only what
+	// restarted coordinator finds the rows journaled and leases only what
 	// is missing.
-	commit := func(lo, prev, hi int) error {
-		if len(req.Rows) != req.Cursor-prev {
-			return fmt.Errorf("%w: %d rows for range [%d, %d)", ErrBadAdvance, len(req.Rows), prev, req.Cursor)
+	commit := func(lo, hi int) error {
+		if len(req.Rows) != hi-lo {
+			return fmt.Errorf("%w: %d rows for lease [%d, %d)", ErrBadAdvance, len(req.Rows), lo, hi)
 		}
 		rows := make([]dataset.StreamRow, len(req.Rows))
 		for i, row := range req.Rows {
-			if row.Index != prev+i {
-				return fmt.Errorf("%w: row %d has index %d, want %d", ErrBadAdvance, i, row.Index, prev+i)
+			if row.Index != lo+i {
+				return fmt.Errorf("%w: row %d has index %d, want %d", ErrBadAdvance, i, row.Index, lo+i)
 			}
 			targets, aux, err := c.rowMaps(row)
 			if err != nil {
@@ -379,26 +371,25 @@ func (c *Coordinator) handleAdvance(w http.ResponseWriter, r *http.Request) {
 			return err
 		}
 		for _, row := range req.Rows {
-			journaled++
-			journaledCycles += row.Cycles
+			cycles += row.Cycles
 			if row.Failed {
-				journaledFailed++
+				failed++
 			}
 		}
 		return nil
 	}
-	hi, done, events, err := c.table.Advance(req.LeaseID, req.Epoch, req.Worker, req.Cursor, now, commit)
+	ev, err := c.table.Complete(req.LeaseID, req.Epoch, req.Worker, commit)
 	if err != nil {
 		http.Error(w, err.Error(), statusFor(err))
 		return
 	}
 	c.noteTelemetry(req.Worker, tel, now)
-	c.noteRows(req.Worker, journaled, journaledFailed, journaledCycles, now)
-	c.noteEvents(events, now)
-	if done && c.table.Done() {
+	c.noteRows(req.Worker, len(req.Rows), failed, cycles, now)
+	c.noteEvents([]LeaseEvent{ev}, now)
+	if c.table.Done() {
 		c.signalDone()
 	}
-	writeJSON(w, AdvanceResponse{Hi: hi, Done: done})
+	writeJSON(w, struct{}{})
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
@@ -417,19 +408,18 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	now := time.Now()
-	hi, err := c.table.Heartbeat(req.LeaseID, req.Epoch, req.Worker, now)
-	if err != nil {
+	if err := c.table.Heartbeat(req.LeaseID, req.Epoch, req.Worker, now); err != nil {
 		http.Error(w, err.Error(), statusFor(err))
 		return
 	}
 	c.noteTelemetry(req.Worker, tel, now)
 	c.touchWorker(req.Worker, now)
-	writeJSON(w, HeartbeatResponse{Hi: hi})
+	writeJSON(w, struct{}{})
 }
 
 // statusFor maps advance and heartbeat errors to HTTP statuses: stale
 // assignments are conflicts (the worker drops the lease and re-acquires),
-// unknown leases are not-found, malformed advances and rows that disagree
+// unknown leases are not-found, malformed uploads and rows that disagree
 // with the journal are bad requests, and a failed journal write is the
 // coordinator's own error.
 func statusFor(err error) int {
@@ -493,12 +483,9 @@ func (c *Coordinator) workerLocked(name string, now time.Time) *fleetWorker {
 	return fw
 }
 
-// noteRows folds one committed chunk into the fleet totals, gauges and —
-// when the runlog heartbeat is due — the runlog.
+// noteRows folds one completed lease's rows into the fleet totals, gauges
+// and — when the runlog heartbeat is due — the runlog.
 func (c *Coordinator) noteRows(worker string, rows, failed int, cycles int64, now time.Time) {
-	if rows == 0 {
-		return
-	}
 	_, _, _, doneConfigs := c.table.Counts()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -560,19 +547,14 @@ func (c *Coordinator) noteEvents(events []LeaseEvent, now time.Time) {
 			c.mGrants.Inc(0)
 		case "expire":
 			c.mExpiries.Inc(0)
-		case "steal":
-			c.mSteals.Inc(0)
 		}
-		if ev.Event != "advance" {
-			_ = c.runlog.WriteRecord(obs.LeaseRecord{
-				Type: "lease", Event: ev.Event, Lease: ev.Lease, Epoch: ev.Epoch,
-				Worker: ev.Worker, Lo: ev.Lo, Hi: ev.Hi, Cursor: ev.Cursor,
-				ElapsedS: obs.Round3(now.Sub(c.start).Seconds()),
-			})
-		}
-		if c.logw != nil && ev.Event != "advance" {
-			fmt.Fprintf(c.logw, "lease %d %s [%d,%d) cursor %d worker %s\n",
-				ev.Lease, ev.Event, ev.Lo, ev.Hi, ev.Cursor, ev.Worker)
+		_ = c.runlog.WriteRecord(obs.LeaseRecord{
+			Type: "lease", Event: ev.Event, Lease: ev.Lease, Epoch: ev.Epoch,
+			Worker: ev.Worker, Lo: ev.Lo, Hi: ev.Hi,
+			ElapsedS: obs.Round3(now.Sub(c.start).Seconds()),
+		})
+		if c.logw != nil {
+			fmt.Fprintf(c.logw, "lease %d %s [%d,%d) worker %s\n", ev.Lease, ev.Event, ev.Lo, ev.Hi, ev.Worker)
 		}
 	}
 }
@@ -599,11 +581,6 @@ func (c *Coordinator) Merge() (*dataset.Dataset, int, error) {
 	if got := ds.Len() + failed; got != c.spec.Samples {
 		return nil, 0, fmt.Errorf("fabric: merged %d configurations, run has %d", got, c.spec.Samples)
 	}
-	lines, bytes := c.runlog.Stats()
-	_ = c.runlog.WriteRecord(obs.SummaryRecord{
-		Type: "summary", Rows: ds.Len(), Failed: failed,
-		ElapsedS: obs.Round3(time.Since(c.start).Seconds()), JournalLines: lines, JournalBytes: bytes,
-	})
 	return ds, failed, nil
 }
 
@@ -611,8 +588,21 @@ func (c *Coordinator) Merge() (*dataset.Dataset, int, error) {
 // written.
 func (c *Coordinator) Cleanup() error { return os.Remove(c.path) }
 
-// Close closes the journal and the runlog; later calls do nothing. Merge
-// closes the journal but leaves the runlog open for its summary record.
+// Finish writes the runlog's summary record for a merged dataset of rows
+// rows and failed dropped configurations, then closes the coordinator.
+// Call it last, once the dataset is saved and Cleanup has removed the
+// journal: a runlog that ends in a summary names a finished run.
+func (c *Coordinator) Finish(rows, failed int) error {
+	lines, bytes := c.runlog.Stats()
+	_ = c.runlog.WriteRecord(obs.SummaryRecord{
+		Type: "summary", Rows: rows, Failed: failed,
+		ElapsedS: obs.Round3(time.Since(c.start).Seconds()), JournalLines: lines, JournalBytes: bytes,
+	})
+	return c.Close()
+}
+
+// Close closes the journal and the runlog without a summary record; later
+// calls do nothing.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -657,7 +647,9 @@ type FleetStatus struct {
 	LeasesCompleted int   `json:"leases_completed"`
 	LeaseGrants     int64 `json:"lease_grants"`
 	LeaseExpiries   int64 `json:"lease_expiries"`
-	LeaseSteals     int64 `json:"lease_steals"`
+	// LeaseSteals is always 0: leases are never split. It remains only
+	// because the benchmark harness under perfbench/ reads it.
+	LeaseSteals int64 `json:"lease_steals"`
 
 	// StragglerLagS is the current straggler threshold:
 	// max(floor, factor x median last-heartbeat age) over the fleet.
@@ -678,7 +670,7 @@ func (c *Coordinator) Status() FleetStatus {
 		Done: ts.DoneConfigs, Failed: c.failed, Total: c.spec.Samples,
 		ElapsedSec: elapsed, Cycles: c.cycles,
 		LeasesPending: ts.Pending, LeasesActive: ts.Active, LeasesCompleted: ts.Completed,
-		LeaseGrants: ts.Granted, LeaseExpiries: ts.Expired, LeaseSteals: ts.Stolen,
+		LeaseGrants: ts.Granted, LeaseExpiries: ts.Expired,
 		Leases: ts.Leases,
 	}
 	st.RowsPerSec, st.ETASec = c.progress(ts.DoneConfigs, elapsed)

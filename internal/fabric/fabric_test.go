@@ -91,59 +91,52 @@ func expectedFakeCSV(t *testing.T, spec Spec) []byte {
 	return buf.Bytes()
 }
 
-// TestFleetProtocolStealAndMerge drives the full protocol by hand: one
-// slow worker holds the only lease, a fast worker steals its un-started
-// tail, both complete, and the merge reproduces the expected dataset
-// byte-for-byte with exactly one steal recorded.
-func TestFleetProtocolStealAndMerge(t *testing.T) {
+// TestFleetProtocolSlowWorkerAndMerge drives the full protocol by hand: a
+// slow worker stalls inside its one lease while a fast worker drains every
+// other lease and then waits, the slow worker finishes, and the merge
+// reproduces the expected dataset byte-for-byte with no expiries.
+func TestFleetProtocolSlowWorkerAndMerge(t *testing.T) {
 	spec := NewSpec(3, 40, false)
-	coord, srv := newTestCoordinator(t, CoordConfig{
-		Spec: spec, LeaseSize: 40, Chunk: 4, Expiry: time.Minute,
-	})
+	coord, srv := newTestCoordinator(t, CoordConfig{Spec: spec, LeaseSize: 4, Expiry: time.Minute})
 	slow := testClient(srv, "slow")
 	fast := testClient(srv, "fast")
 	slow.spec, fast.spec = spec, spec
 
-	lease := mustAcquire(t, slow)
-	if lease.Lo != 0 || lease.Hi != 40 {
-		t.Fatalf("lease = %+v", lease)
+	held := mustAcquire(t, slow)
+	if held.Lo != 0 || held.Hi != 4 {
+		t.Fatalf("slow worker's lease = %+v, want [0, 4)", held)
 	}
-	advance := func(w *worker, l *Lease, cursor int, rows []WireRow) AdvanceResponse {
-		t.Helper()
-		var resp AdvanceResponse
-		if _, err := w.post(context.Background(), "/advance", AdvanceRequest{
-			LeaseID: l.ID, Epoch: l.Epoch, Worker: w.cfg.Name, Cursor: cursor, Rows: rows,
-		}, &resp); err != nil {
+	// The fast worker drains the other nine leases one at a time; with
+	// nothing left to grant it is told to wait, not that the run is done.
+	for n := 0; ; n++ {
+		resp, err := fast.acquire(context.Background())
+		if err != nil {
 			t.Fatal(err)
 		}
-		return resp
+		if resp.Lease == nil {
+			if !resp.Wait || n != 9 {
+				t.Fatalf("after %d leases the fast worker got %+v, want wait after 9", n, resp)
+			}
+			break
+		}
+		if status := advanceFake(t, fast, resp.Lease); status != http.StatusOK {
+			t.Fatalf("fast advance of %+v: %d", resp.Lease, status)
+		}
 	}
-
-	// Slow worker lands its first chunk, then stalls simulating [4, 8).
-	advance(slow, lease, 4, fakeRows(spec, 0, 4))
-
-	// Fast worker's acquire steals the tail: claimed = 4+4 = 8, split of
-	// [8, 40) at 24.
-	stolen := mustAcquire(t, fast)
-	if stolen.Lo != 24 || stolen.Hi != 40 {
-		t.Fatalf("stolen lease = [%d, %d), want [24, 40)", stolen.Lo, stolen.Hi)
+	if _, err := slow.post(context.Background(), "/heartbeat", HeartbeatRequest{
+		LeaseID: held.ID, Epoch: held.Epoch, Worker: "slow",
+	}, nil); err != nil {
+		t.Fatal(err)
 	}
-
-	// The victim's next advance reports the shrunken bound.
-	if resp := advance(slow, lease, 8, fakeRows(spec, 4, 8)); resp.Hi != 24 {
-		t.Fatalf("victim hi = %d, want 24", resp.Hi)
-	}
-	// Both finish their halves.
-	for c := 24; c < 40; c += 4 {
-		advance(fast, stolen, c+4, fakeRows(spec, c, c+4))
-	}
-	for c := 8; c < 24; c += 4 {
-		advance(slow, lease, c+4, fakeRows(spec, c, c+4))
+	if status := advanceFake(t, slow, held); status != http.StatusOK {
+		t.Fatalf("slow advance: %d", status)
 	}
 
 	// Both observe completion; merge reproduces the dataset exactly.
-	if resp, err := slow.acquire(context.Background()); err != nil || !resp.Done {
-		t.Fatalf("acquire after completion = %+v, %v", resp, err)
+	for _, w := range []*worker{slow, fast} {
+		if resp, err := w.acquire(context.Background()); err != nil || !resp.Done {
+			t.Fatalf("acquire after completion = %+v, %v", resp, err)
+		}
 	}
 	if err := coord.Wait(context.Background()); err != nil {
 		t.Fatal(err)
@@ -163,8 +156,15 @@ func TestFleetProtocolStealAndMerge(t *testing.T) {
 		t.Error("merged CSV differs from expected rows")
 	}
 	st := coord.Status()
-	if st.LeaseSteals != 1 || st.LeaseExpiries != 0 {
-		t.Errorf("steals %d expiries %d, want 1 and 0", st.LeaseSteals, st.LeaseExpiries)
+	if st.LeaseGrants != 10 || st.LeaseExpiries != 0 {
+		t.Errorf("grants %d expiries %d, want 10 and 0", st.LeaseGrants, st.LeaseExpiries)
+	}
+	rows := map[string]int64{}
+	for _, w := range st.Workers {
+		rows[w.Name] = w.Rows
+	}
+	if rows["slow"] != 4 || rows["fast"] != 36 {
+		t.Errorf("worker rows = %v, want slow 4 and fast 36", rows)
 	}
 }
 
@@ -181,15 +181,13 @@ func mustAcquire(t *testing.T, w *worker) *Lease {
 }
 
 // TestFleetProtocolRejections pins the coordinator's door checks: run
-// identity and column digest mismatches are forbidden, malformed advances
-// are bad requests, and a zombie worker whose lease expired is rejected
-// with a conflict while its already-committed rows survive.
+// identity and column digest mismatches are forbidden, advances whose rows
+// do not cover exactly their lease are bad requests and journal nothing,
+// and a zombie worker whose lease expired and was re-granted is rejected
+// with a conflict.
 func TestFleetProtocolRejections(t *testing.T) {
 	spec := NewSpec(3, 8, false)
-	coord, srv := newTestCoordinator(t, CoordConfig{
-		Spec: spec, LeaseSize: 8, Chunk: 2, Expiry: 80 * time.Millisecond,
-	})
-	_ = coord
+	coord, srv := newTestCoordinator(t, CoordConfig{Spec: spec, LeaseSize: 4, Expiry: 80 * time.Millisecond})
 	w := testClient(srv, "w1")
 	w.spec = spec
 
@@ -205,37 +203,33 @@ func TestFleetProtocolRejections(t *testing.T) {
 	}
 
 	lease := mustAcquire(t, w)
-	// Malformed advance: rows don't cover the cursor move.
-	status, _ := w.post(context.Background(), "/advance", AdvanceRequest{
-		LeaseID: lease.ID, Epoch: lease.Epoch, Worker: "w1", Cursor: 2, Rows: fakeRows(spec, 0, 1),
-	}, nil)
-	if status != 400 {
-		t.Errorf("short advance got %d, want 400", status)
+	// Malformed advances: rows short of the lease, or shifted off it.
+	for _, rows := range [][]WireRow{fakeRows(spec, 0, 3), fakeRows(spec, 1, 5)} {
+		status, _ := w.post(context.Background(), "/advance", AdvanceRequest{
+			LeaseID: lease.ID, Epoch: lease.Epoch, Worker: "w1", Rows: rows,
+		}, nil)
+		if status != 400 {
+			t.Errorf("advance of [%d, %d] on lease [0, 4) got %d, want 400", rows[0].Index, rows[len(rows)-1].Index, status)
+		}
 	}
-	// A good first chunk lands.
-	if _, err := w.post(context.Background(), "/advance", AdvanceRequest{
-		LeaseID: lease.ID, Epoch: lease.Epoch, Worker: "w1", Cursor: 2, Rows: fakeRows(spec, 0, 2),
-	}, nil); err != nil {
-		t.Fatal(err)
+	if n := coord.journal.Len(); n != 0 {
+		t.Errorf("rejected advances journaled %d rows", n)
 	}
 
 	// The worker goes silent past the expiry; another worker's acquire
-	// reassigns the tail [2, 8) with a bumped epoch.
+	// reassigns the whole lease with a bumped epoch.
 	time.Sleep(120 * time.Millisecond)
 	w2 := testClient(srv, "w2")
 	w2.spec = spec
 	lease2 := mustAcquire(t, w2)
-	if lease2.ID != lease.ID || lease2.Lo != 2 || lease2.Epoch != lease.Epoch+1 {
+	if lease2.ID != lease.ID || lease2.Lo != 0 || lease2.Hi != 4 || lease2.Epoch != lease.Epoch+1 {
 		t.Fatalf("re-grant = %+v", lease2)
 	}
 	// The zombie's upload is rejected as a conflict.
-	status, _ = w.post(context.Background(), "/advance", AdvanceRequest{
-		LeaseID: lease.ID, Epoch: lease.Epoch, Worker: "w1", Cursor: 4, Rows: fakeRows(spec, 2, 4),
-	}, nil)
-	if status != 409 {
+	if status := advanceFake(t, w, lease); status != 409 {
 		t.Errorf("zombie advance got %d, want 409", status)
 	}
-	status, _ = w.post(context.Background(), "/heartbeat", HeartbeatRequest{
+	status, _ := w.post(context.Background(), "/heartbeat", HeartbeatRequest{
 		LeaseID: lease.ID, Epoch: lease.Epoch, Worker: "w1",
 	}, nil)
 	if status != 409 {
@@ -243,12 +237,12 @@ func TestFleetProtocolRejections(t *testing.T) {
 	}
 }
 
-// advanceFake uploads fake rows [cursor-len, cursor) on a lease and returns
-// the HTTP status.
-func advanceFake(t *testing.T, w *worker, l *Lease, prev, cursor int) int {
+// advanceFake uploads the fake rows of a whole lease and returns the HTTP
+// status.
+func advanceFake(t *testing.T, w *worker, l *Lease) int {
 	t.Helper()
 	status, _ := w.post(context.Background(), "/advance", AdvanceRequest{
-		LeaseID: l.ID, Epoch: l.Epoch, Worker: w.cfg.Name, Cursor: cursor, Rows: fakeRows(w.spec, prev, cursor),
+		LeaseID: l.ID, Epoch: l.Epoch, Worker: w.cfg.Name, Rows: fakeRows(w.spec, l.Lo, l.Hi),
 	}, nil)
 	return status
 }
@@ -260,24 +254,26 @@ func advanceFake(t *testing.T, w *worker, l *Lease, prev, cursor int) int {
 // the same lease id again — while the run completes byte-identically.
 func TestFleetRestartStaleWorker(t *testing.T) {
 	spec := NewSpec(3, 8, false)
-	cfg := CoordConfig{Spec: spec, Out: filepath.Join(t.TempDir(), "fleet.csv"), LeaseSize: 4, Chunk: 2, Expiry: time.Minute}
+	cfg := CoordConfig{Spec: spec, Out: filepath.Join(t.TempDir(), "fleet.csv"), LeaseSize: 2, Expiry: time.Minute}
 	_, srv := newTestCoordinator(t, cfg)
 	w := testClient(srv, "w1")
 	w.spec = spec
 	stale := mustAcquire(t, w)
-	if status := advanceFake(t, w, stale, 0, 2); status != 200 {
-		t.Fatalf("first chunk: %d", status)
+	w2 := testClient(srv, "w2")
+	w2.spec = spec
+	if status := advanceFake(t, w2, mustAcquire(t, w2)); status != 200 {
+		t.Fatalf("second lease: %d", status)
 	}
 	srv.Close() // the coordinator is lost without Merge
 
 	coord, srv := newTestCoordinator(t, cfg)
-	if st := coord.Status(); st.Done != 2 || st.Leases[0].Lo != 2 {
+	if st := coord.Status(); st.Done != 2 || st.Leases[0].Lo != 0 || st.Leases[1].Lo != 4 {
 		t.Fatalf("restarted status: done %d, leases %+v", st.Done, st.Leases)
 	}
 	w.cfg.Coord, w.cfg.Client = srv.URL, srv.Client()
 	staleCalls := func() {
 		t.Helper()
-		if status := advanceFake(t, w, stale, 2, 4); status != 409 {
+		if status := advanceFake(t, w, stale); status != 409 {
 			t.Errorf("pre-restart advance got %d, want 409", status)
 		}
 		status, _ := w.post(context.Background(), "/heartbeat", HeartbeatRequest{
@@ -294,7 +290,7 @@ func TestFleetRestartStaleWorker(t *testing.T) {
 	}
 	staleCalls()
 	for {
-		if status := advanceFake(t, w, lease, lease.Lo, lease.Hi); status != 200 {
+		if status := advanceFake(t, w, lease); status != 200 {
 			t.Fatalf("advance [%d, %d): %d", lease.Lo, lease.Hi, status)
 		}
 		resp, err := w.acquire(context.Background())
@@ -380,10 +376,10 @@ func TestFleetRestartRefusesForeignJournal(t *testing.T) {
 
 // TestFleetRejectsConflictingUpload: an advance carrying a row that
 // disagrees with the row journaled for its index is a bad request; none of
-// the chunk's rows are journaled and the cursor stays where it was.
+// the lease's rows are journaled and the lease stays active.
 func TestFleetRejectsConflictingUpload(t *testing.T) {
 	spec := NewSpec(3, 8, false)
-	coord, srv := newTestCoordinator(t, CoordConfig{Spec: spec, LeaseSize: 4, Chunk: 2, Expiry: time.Minute})
+	coord, srv := newTestCoordinator(t, CoordConfig{Spec: spec, LeaseSize: 2, Expiry: time.Minute})
 	w := testClient(srv, "w1")
 	w.spec = spec
 	lease := mustAcquire(t, w)
@@ -393,13 +389,13 @@ func TestFleetRejectsConflictingUpload(t *testing.T) {
 	if err := coord.journal.AppendFull(1, false, other.Features, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if status := advanceFake(t, w, lease, 0, 2); status != 400 {
+	if status := advanceFake(t, w, lease); status != 400 {
 		t.Errorf("conflicting advance got %d, want 400", status)
 	}
 	if n := coord.journal.Len(); n != 1 {
 		t.Errorf("journal holds %d rows, want only the earlier one", n)
 	}
-	if st := coord.Status(); st.Done != 0 || st.Leases[0].Cursor != 0 {
+	if st := coord.Status(); st.Done != 0 || st.Leases[0].State != "active" {
 		t.Errorf("rejected advance moved the fleet: done %d, lease %+v", st.Done, st.Leases[0])
 	}
 }
@@ -440,19 +436,19 @@ func referenceCSV(t *testing.T, seed int64, samples int) []byte {
 type loss int
 
 const (
-	// lostUnacked commits the chunk, then crashes before the response.
+	// lostUnacked commits the lease, then crashes before the response.
 	lostUnacked loss = iota + 1
-	// lostTorn crashes mid-write: the chunk is not committed and the
+	// lostTorn crashes mid-write: the lease is not committed and the
 	// journal is left with a partial record at its tail.
 	lostTorn
 	// lostWriteError fails the journal write: the advance must be rejected
-	// with the cursor unmoved, and the coordinator is restarted.
+	// with the lease still active, and the coordinator is restarted.
 	lostWriteError
 )
 
 // TestFleetByteIdentity is the fault-injection harness the fabric's
 // correctness bar rests on: coordinator plus N in-process workers over
-// httptest, workers killed mid-lease at fixed chunk boundaries, leases
+// httptest, workers killed just before fixed fleet-wide advances, leases
 // expiring and reassigned, and the coordinator itself lost and restarted
 // on the same Out — and the merged CSV must still be byte-identical to the
 // single-process reference, at every fleet size.
@@ -466,10 +462,10 @@ func TestFleetByteIdentity(t *testing.T) {
 	cases := []struct {
 		name  string
 		fleet int
-		// kills lists fleet-wide chunk ordinals: whichever worker is
-		// about to upload the fleet's k-th chunk is killed instead. Every
-		// chunk is uploaded before the run completes, so each ordinal up
-		// to the run's 6 chunks is sure to fire. A killed worker is
+		// kills lists fleet-wide advance ordinals: whichever worker is
+		// about to upload the fleet's k-th lease is killed instead. Every
+		// lease is uploaded before the run completes, so each ordinal up
+		// to the run's 6 leases is sure to fire. A killed worker is
 		// respawned, as a replacement node would be.
 		kills []int
 		// restarts maps fleet-wide advance ordinals, counted as advances
@@ -477,7 +473,7 @@ func TestFleetByteIdentity(t *testing.T) {
 		// coordinator serving that advance is lost. The test then stops
 		// its server, drops it without Merge, starts a new coordinator on
 		// the same Out and respawns the fleet. The run commits exactly 6
-		// chunks, each in one arriving advance, so every ordinal up to 6
+		// leases, each in one arriving advance, so every ordinal up to 6
 		// is sure to fire.
 		restarts map[int]loss
 		// complete marks a run whose last restart finds every row
@@ -504,19 +500,19 @@ func TestFleetByteIdentity(t *testing.T) {
 			cfg := CoordConfig{
 				Spec: NewSpec(seed, samples, false),
 				Out:  filepath.Join(t.TempDir(), "fleet.csv"),
-				// Small leases and chunks so every fleet size exercises
-				// multiple grants; short expiry so reassignment happens
-				// within the test's patience (but roomy enough that loaded
-				// workers under the race detector don't thrash on expiry).
-				LeaseSize: 4, Chunk: 2, Expiry: time.Second,
+				// Small leases so every fleet size exercises multiple
+				// grants; short expiry so reassignment happens within the
+				// test's patience (but roomy enough that loaded workers
+				// under the race detector don't thrash on expiry).
+				LeaseSize: 2, Expiry: time.Second,
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 			defer cancel()
 
 			errInjected := fmt.Errorf("injected kill")
-			var fleetChunks, advances atomic.Int64
-			onChunk := func(lease, cursor int) error {
-				if slices.Contains(tc.kills, int(fleetChunks.Add(1))) {
+			var uploads, advances atomic.Int64
+			onAdvance := func(lease int) error {
+				if slices.Contains(tc.kills, int(uploads.Add(1))) {
 					return errInjected
 				}
 				return nil
@@ -557,7 +553,7 @@ func TestFleetByteIdentity(t *testing.T) {
 					handler.ServeHTTP(w, r)
 				}))
 				stopSweep := coord.StartExpirySweep(50 * time.Millisecond)
-				errs := runFleet(ctx, srv, tc.fleet, onChunk, errInjected)
+				errs := runFleet(ctx, srv, tc.fleet, onAdvance, errInjected)
 				var how loss
 				var workerErrs []error
 				select {
@@ -604,7 +600,7 @@ func TestFleetByteIdentity(t *testing.T) {
 // runFleet starts n workers against srv and returns a channel that yields
 // their errors once every one has exited. A worker killed by errInjected is
 // respawned, as a replacement node would be.
-func runFleet(ctx context.Context, srv *httptest.Server, n int, onChunk func(lease, cursor int) error, errInjected error) <-chan []error {
+func runFleet(ctx context.Context, srv *httptest.Server, n int, onAdvance func(lease int) error, errInjected error) <-chan []error {
 	done := make(chan []error, 1)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -621,12 +617,12 @@ func runFleet(ctx context.Context, srv *httptest.Server, n int, onChunk func(lea
 				Threads:   1,
 				PollEvery: 20 * time.Millisecond,
 				Client:    srv.Client(),
-				OnChunk:   onChunk,
+				OnAdvance: onAdvance,
 			}
 			err := RunWorker(ctx, cfg)
 			for n := 1; err == errInjected; n++ {
 				// The kill leaves a lease mid-flight; a replacement
-				// worker joins and must pick up the expired tail.
+				// worker joins and must pick up the expired lease.
 				cfg.Name = fmt.Sprintf("w%d-respawn%d", slot, n)
 				err = RunWorker(ctx, cfg)
 			}
@@ -704,19 +700,12 @@ func assertMerge(t *testing.T, coord *Coordinator, ref []byte) {
 // and worker accounting.
 func TestFleetStatusAndMetrics(t *testing.T) {
 	spec := NewSpec(3, 8, false)
-	coord, srv := newTestCoordinator(t, CoordConfig{
-		Spec: spec, LeaseSize: 4, Chunk: 4, Expiry: time.Minute,
-	})
+	coord, srv := newTestCoordinator(t, CoordConfig{Spec: spec, LeaseSize: 4, Expiry: time.Minute})
 	w := testClient(srv, "w1")
 	w.spec = spec
 	for c := 0; c < 8; c += 4 {
-		lease := mustAcquire(t, w)
-		var resp AdvanceResponse
-		if _, err := w.post(context.Background(), "/advance", AdvanceRequest{
-			LeaseID: lease.ID, Epoch: lease.Epoch, Worker: "w1",
-			Cursor: lease.Hi, Rows: fakeRows(spec, lease.Lo, lease.Hi),
-		}, &resp); err != nil || !resp.Done {
-			t.Fatalf("advance: %+v, %v", resp, err)
+		if status := advanceFake(t, w, mustAcquire(t, w)); status != http.StatusOK {
+			t.Fatalf("advance: %d", status)
 		}
 	}
 	st := coord.Status()

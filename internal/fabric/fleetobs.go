@@ -15,7 +15,7 @@ import (
 
 // Straggler heuristic defaults: a worker is flagged when its last-heartbeat
 // age exceeds StragglerFactor times the fleet's median age, with
-// StragglerFloorS keeping quiet fleets (everyone mid-chunk) from flagging
+// StragglerFloorS keeping quiet fleets (everyone mid-lease) from flagging
 // each other over sub-second jitter.
 const (
 	StragglerFactor = 4.0
@@ -86,7 +86,7 @@ func fleetName(name string) string {
 // plus once per worker under a `worker` label, and synthetic families add
 // the fleet size, per-worker busy/uptime split and straggler flags.
 // Families under armdse_sweep_* are dropped — those gauges describe one
-// worker's current chunk, which has no fleet-level meaning.
+// worker's current lease, which has no fleet-level meaning.
 func (c *Coordinator) FleetSnapshot() obs.Snapshot {
 	c.mu.Lock()
 	utils, _ := c.workerStatsLocked(time.Now())

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
@@ -31,8 +32,8 @@ func TestWorkerTelemetryRoundTrip(t *testing.T) {
 	if out.BusyNs != in.BusyNs || out.UpNs != in.UpNs {
 		t.Fatalf("busy/up changed: %+v", out)
 	}
-	a, _ := in.Snap.Encode()
-	b, _ := out.Snap.Encode()
+	a, _ := json.Marshal(in.Snap)
+	b, _ := json.Marshal(out.Snap)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("snapshot changed on the wire:\n%s\n%s", a, b)
 	}
@@ -110,8 +111,8 @@ func TestFleetTelemetryAggregation(t *testing.T) {
 	spec := NewSpec(11, 12, false)
 	coord, srv := newTestCoordinator(t, CoordConfig{
 		Spec: spec, Out: filepath.Join(dir, "fleet.csv"),
-		LeaseSize: 4, Chunk: 2, Expiry: time.Minute,
-		HeartbeatEvery: time.Nanosecond, // journal a heartbeat+util batch per committed chunk
+		LeaseSize: 2, Expiry: time.Minute,
+		HeartbeatEvery: time.Nanosecond, // journal a heartbeat+util batch per completed lease
 		Runlog:         runlogPath,
 	})
 
@@ -131,10 +132,11 @@ func TestFleetTelemetryAggregation(t *testing.T) {
 			t.Fatalf("worker: %v", err)
 		}
 	}
-	if _, _, err := coord.Merge(); err != nil {
+	ds, failed, err := coord.Merge()
+	if err != nil {
 		t.Fatalf("merge: %v", err)
 	}
-	if err := coord.Close(); err != nil {
+	if err := coord.Finish(ds.Len(), failed); err != nil {
 		t.Fatal(err)
 	}
 

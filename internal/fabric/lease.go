@@ -3,52 +3,46 @@ package fabric
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
 
 // The lease table is the coordinator's core state machine. A lease covers a
-// contiguous range [lo, hi) of the run's global config-index space and is
-// in exactly one of three states:
+// contiguous range [lo, hi) of at most the table's lease size in the run's
+// global config-index space and is in exactly one of three states:
 //
 //	pending  queued, unassigned (fresh, or requeued after an expiry)
 //	active   assigned to one worker, with a heartbeat deadline
-//	done     fully uploaded (cursor reached hi)
+//	done     every row uploaded
 //
 // Transitions:
 //
-//	pending ── Acquire ──────────────→ active   (epoch++, deadline set)
-//	active  ── deadline passes ──────→ pending  (cursor kept: uploaded rows
-//	                                             survive, only the tail is
-//	                                             re-leased)
-//	active  ── Advance to cursor==hi → done
-//	active  ── steal split ──────────→ active [lo, mid) + pending [mid, hi)
+//	pending ── Acquire ───────────→ active   (epoch++, deadline set)
+//	active  ── deadline passes ───→ pending  (the whole lease is re-leased)
+//	active  ── Complete ──────────→ done     (one upload of all its rows)
 //
-// The cursor only moves on Advance, which atomically records the chunk's
-// rows; a worker that dies mid-chunk therefore loses only un-uploaded work,
-// and the re-granted lease resimulates exactly the rows that never landed.
-// Every (re)grant increments the lease's epoch, and Advance/Heartbeat
-// reject stale epochs, so a zombie worker whose lease was reassigned can
-// never move the cursor or corrupt the journal.
+// A worker simulates its lease and uploads every row in one request, which
+// journals the rows and completes the lease together: a worker that dies
+// mid-lease loses only that lease's simulation, and the re-granted lease
+// resimulates exactly the rows that never landed. Every (re)grant
+// increments the lease's epoch, and Complete/Heartbeat reject stale epochs,
+// so a zombie worker whose lease was reassigned can never complete it or
+// corrupt the journal.
 //
-// Stealing: when Acquire finds nothing pending but active leases remain,
-// it splits the lease with the largest un-started remainder — everything
-// past claimed = min(cursor+chunk, hi) is provably un-started, because
-// workers simulate exactly one chunk between advances — granting the upper
-// half to the idle worker. The straggler keeps its head and learns the
-// shrunken hi at its next advance or heartbeat.
+// Stragglers: a worker holds one lease at a time, so a slow worker delays
+// the end of a run by at most one lease's simulation, and no worker ever
+// holds un-started work an idle one could take over.
 
 // Lease table errors, surfaced to workers as HTTP statuses.
 var (
 	// ErrStaleLease rejects a request whose (id, epoch) no longer names a
-	// live assignment: the lease expired and was reassigned, was stolen
-	// whole, or is already done.
+	// live assignment: the lease expired and was reassigned, or is already
+	// done.
 	ErrStaleLease = errors.New("fabric: stale lease")
 	// ErrUnknownLease rejects a lease id the table never issued.
 	ErrUnknownLease = errors.New("fabric: unknown lease")
-	// ErrBadAdvance rejects a cursor move that is not strictly forward or
-	// overruns the lease bound.
+	// ErrBadAdvance rejects an upload whose rows do not cover exactly its
+	// lease, or disagree with the run's column layout.
 	ErrBadAdvance = errors.New("fabric: bad advance")
 )
 
@@ -75,8 +69,7 @@ func (s leaseState) String() string {
 // tableLease is one lease's table entry.
 type tableLease struct {
 	id       int
-	lo, hi   int // [lo, hi) global index range; hi shrinks on steal
-	cursor   int // first index not yet uploaded
+	lo, hi   int // [lo, hi) global index range
 	epoch    int // assignment generation; the table's epoch0 = never granted
 	state    leaseState
 	worker   string
@@ -90,33 +83,29 @@ type tableLease struct {
 type Table struct {
 	mu     sync.Mutex
 	leases []*tableLease
-	chunk  int
 	expiry time.Duration
-	// epoch0 is every lease's epoch before its first grant; journaled
-	// counts the configurations done before the table was built.
-	epoch0    int
+	// journaled counts the configurations done before the table was built.
 	journaled int
 
-	granted, expired, stolen, completed int64
+	granted, expired int64
 }
 
 // NewTable partitions the index space [0, samples), less the indices in
 // journaled, into pending leases of at most leaseSize contiguous configs;
-// with nothing journaled that is ceil(samples/leaseSize) leases. chunk is
-// the advance granularity (and minimum steal split), expiry the heartbeat
-// deadline, and epoch0 the epoch every lease starts from (its first grant
-// is epoch0+1).
-func NewTable(samples, leaseSize, chunk int, expiry time.Duration, journaled map[int]bool, epoch0 int) (*Table, error) {
+// with nothing journaled that is ceil(samples/leaseSize) leases. expiry is
+// the heartbeat deadline, and epoch0 the epoch every lease starts from (its
+// first grant is epoch0+1).
+func NewTable(samples, leaseSize int, expiry time.Duration, journaled map[int]bool, epoch0 int) (*Table, error) {
 	if samples <= 0 {
 		return nil, fmt.Errorf("fabric: table over %d samples", samples)
 	}
-	if leaseSize <= 0 || chunk <= 0 || chunk > leaseSize {
-		return nil, fmt.Errorf("fabric: lease size %d / chunk %d out of range", leaseSize, chunk)
+	if leaseSize <= 0 {
+		return nil, fmt.Errorf("fabric: lease size %d <= 0", leaseSize)
 	}
 	if expiry <= 0 {
 		return nil, fmt.Errorf("fabric: non-positive expiry %s", expiry)
 	}
-	t := &Table{chunk: chunk, expiry: expiry, epoch0: epoch0}
+	t := &Table{expiry: expiry}
 	for lo := 0; lo < samples; {
 		if journaled[lo] {
 			t.journaled++
@@ -127,33 +116,28 @@ func NewTable(samples, leaseSize, chunk int, expiry time.Duration, journaled map
 		for hi < samples && hi-lo < leaseSize && !journaled[hi] {
 			hi++
 		}
-		t.newLease(lo, hi)
+		t.leases = append(t.leases, &tableLease{id: len(t.leases), lo: lo, hi: hi, epoch: epoch0})
 		lo = hi
 	}
 	return t, nil
 }
 
-// newLease appends a pending lease over [lo, hi). Caller holds mu or owns
-// the table.
-func (t *Table) newLease(lo, hi int) *tableLease {
-	l := &tableLease{id: len(t.leases), lo: lo, hi: hi, cursor: lo, epoch: t.epoch0}
-	t.leases = append(t.leases, l)
-	return l
-}
-
 // LeaseEvent records one state transition for the coordinator's runlog.
 type LeaseEvent struct {
-	Event  string // grant, advance, complete, expire, steal
+	Event  string // grant, complete, expire
 	Lease  int
 	Epoch  int
 	Worker string
 	Lo, Hi int
-	Cursor int
+}
+
+// event describes l's current assignment as a transition of kind ev.
+func (l *tableLease) event(ev string) LeaseEvent {
+	return LeaseEvent{Event: ev, Lease: l.id, Epoch: l.epoch, Worker: l.worker, Lo: l.lo, Hi: l.hi}
 }
 
 // ExpireStale requeues every active lease whose deadline has passed,
-// returning one event per expiry. The cursor is kept: rows uploaded before
-// the worker died stay journaled, and only [cursor, hi) is re-leased.
+// returning one event per expiry.
 func (t *Table) ExpireStale(now time.Time) []LeaseEvent {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -164,22 +148,19 @@ func (t *Table) expireLocked(now time.Time) []LeaseEvent {
 	var evs []LeaseEvent
 	for _, l := range t.leases {
 		if l.state == leaseActive && now.After(l.deadline) {
+			evs = append(evs, l.event("expire"))
 			l.state = leasePending
-			t.expired++
-			evs = append(evs, LeaseEvent{Event: "expire", Lease: l.id, Epoch: l.epoch,
-				Worker: l.worker, Lo: l.lo, Hi: l.hi, Cursor: l.cursor})
 			l.worker = ""
+			t.expired++
 		}
 	}
 	return evs
 }
 
-// Acquire grants a lease to worker: the lowest-id pending lease if any,
-// otherwise a steal split of the active lease with the largest un-started
-// remainder. done reports the whole run complete; a nil lease with done
-// false means nothing is grantable right now (retry after a poll
-// interval). Events cover any expiries the call performed plus the grant
-// or steal itself.
+// Acquire grants the lowest-id pending lease to worker. done reports the
+// whole run complete; a nil lease with done false means every remaining
+// lease is held by another worker (retry after a poll interval). Events
+// cover any expiries the call performed plus the grant itself.
 func (t *Table) Acquire(worker string, now time.Time) (lease *Lease, done bool, events []LeaseEvent) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -193,109 +174,55 @@ func (t *Table) Acquire(worker string, now time.Time) (lease *Lease, done bool, 
 		}
 	}
 	if pick == nil {
-		if t.doneLocked() {
-			return nil, true, events
-		}
-		// Steal: split the active lease with the largest provably
-		// un-started tail, if it is worth at least two chunks.
-		var victim *tableLease
-		best := 2 * t.chunk
-		for _, l := range t.leases {
-			if l.state != leaseActive {
-				continue
-			}
-			if rem := l.hi - t.claimed(l); rem >= best {
-				victim, best = l, rem
-			}
-		}
-		if victim == nil {
-			return nil, false, events
-		}
-		claimed := t.claimed(victim)
-		mid := claimed + (victim.hi-claimed)/2
-		stolen := t.newLease(mid, victim.hi)
-		victim.hi = mid
-		t.stolen++
-		events = append(events, LeaseEvent{Event: "steal", Lease: victim.id, Epoch: victim.epoch,
-			Worker: victim.worker, Lo: stolen.lo, Hi: stolen.hi, Cursor: victim.cursor})
-		pick = stolen
+		return nil, t.doneLocked(), events
 	}
-
 	pick.state = leaseActive
 	pick.epoch++
 	pick.worker = worker
 	pick.deadline = now.Add(t.expiry)
 	pick.grants++
 	t.granted++
-	events = append(events, LeaseEvent{Event: "grant", Lease: pick.id, Epoch: pick.epoch,
-		Worker: worker, Lo: pick.cursor, Hi: pick.hi, Cursor: pick.cursor})
+	events = append(events, pick.event("grant"))
 	return &Lease{
 		ID:       pick.id,
 		Epoch:    pick.epoch,
-		Lo:       pick.cursor,
+		Lo:       pick.lo,
 		Hi:       pick.hi,
-		Chunk:    t.chunk,
 		ExpiryMS: t.expiry.Milliseconds(),
 	}, false, events
 }
 
-// claimed returns the first index of l that is provably un-started: the
-// worker simulates exactly one chunk past its cursor between advances.
-// Caller holds mu.
-func (t *Table) claimed(l *tableLease) int {
-	c := l.cursor + t.chunk
-	if c > l.hi {
-		c = l.hi
-	}
-	return c
-}
-
-// Advance moves the lease cursor to cursor and refreshes the deadline.
-// commit, if non-nil, runs under the table lock after validation but
-// before any state changes — the coordinator journals the chunk's rows
-// there, so a commit error leaves the lease untouched and the rows are
-// either fully recorded or not at all. Returns the lease's current hi
-// (shrunk by any steal) and whether it is now done.
-func (t *Table) Advance(id, epoch int, worker string, cursor int, now time.Time, commit func(lo, prevCursor, hi int) error) (hi int, done bool, ev []LeaseEvent, err error) {
+// Complete marks the lease done. commit, if non-nil, runs under the table
+// lock after the assignment is validated but before any state changes —
+// the coordinator journals the lease's rows there, so a commit error
+// leaves the lease active and its rows are either all recorded or none
+// are.
+func (t *Table) Complete(id, epoch int, worker string, commit func(lo, hi int) error) (LeaseEvent, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	l, err := t.liveLocked(id, epoch, worker)
 	if err != nil {
-		return 0, false, nil, err
-	}
-	if cursor <= l.cursor || cursor > l.hi {
-		return 0, false, nil, fmt.Errorf("%w: cursor %d outside (%d, %d]", ErrBadAdvance, cursor, l.cursor, l.hi)
+		return LeaseEvent{}, err
 	}
 	if commit != nil {
-		if err := commit(l.lo, l.cursor, cursor); err != nil {
-			return 0, false, nil, err
+		if err := commit(l.lo, l.hi); err != nil {
+			return LeaseEvent{}, err
 		}
 	}
-	prev := l.cursor
-	l.cursor = cursor
-	l.deadline = now.Add(t.expiry)
-	ev = append(ev, LeaseEvent{Event: "advance", Lease: l.id, Epoch: l.epoch,
-		Worker: worker, Lo: prev, Hi: l.hi, Cursor: cursor})
-	if l.cursor >= l.hi {
-		l.state = leaseDone
-		t.completed++
-		ev = append(ev, LeaseEvent{Event: "complete", Lease: l.id, Epoch: l.epoch,
-			Worker: worker, Lo: l.lo, Hi: l.hi, Cursor: l.cursor})
-		return l.hi, true, ev, nil
-	}
-	return l.hi, false, ev, nil
+	l.state = leaseDone
+	return l.event("complete"), nil
 }
 
-// Heartbeat refreshes the lease deadline and returns its current hi.
-func (t *Table) Heartbeat(id, epoch int, worker string, now time.Time) (hi int, err error) {
+// Heartbeat refreshes the lease deadline.
+func (t *Table) Heartbeat(id, epoch int, worker string, now time.Time) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	l, err := t.liveLocked(id, epoch, worker)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	l.deadline = now.Add(t.expiry)
-	return l.hi, nil
+	return nil
 }
 
 // liveLocked resolves (id, epoch, worker) to the active lease it names.
@@ -333,6 +260,10 @@ func (t *Table) doneLocked() bool {
 func (t *Table) Counts() (pending, active, completed, doneConfigs int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.countsLocked()
+}
+
+func (t *Table) countsLocked() (pending, active, completed, doneConfigs int) {
 	doneConfigs = t.journaled
 	for _, l := range t.leases {
 		switch l.state {
@@ -342,8 +273,8 @@ func (t *Table) Counts() (pending, active, completed, doneConfigs int) {
 			active++
 		case leaseDone:
 			completed++
+			doneConfigs += l.hi - l.lo
 		}
-		doneConfigs += l.cursor - l.lo
 	}
 	return
 }
@@ -355,7 +286,6 @@ type LeaseStatus struct {
 	Worker string `json:"worker,omitempty"`
 	Lo     int    `json:"lo"`
 	Hi     int    `json:"hi"`
-	Cursor int    `json:"cursor"`
 	Epoch  int    `json:"epoch"`
 	Grants int    `json:"grants"`
 }
@@ -363,9 +293,9 @@ type LeaseStatus struct {
 // TableStatus snapshots the table for /status and the final summary.
 type TableStatus struct {
 	Pending, Active, Completed int
-	Granted, Expired, Stolen   int64
+	Granted, Expired           int64
 	// DoneConfigs is the number of done configurations: those journaled
-	// before the table was built plus cursor-lo over all leases.
+	// before the table was built plus those of every done lease.
 	DoneConfigs int
 	Leases      []LeaseStatus
 }
@@ -374,22 +304,13 @@ type TableStatus struct {
 func (t *Table) Status() TableStatus {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	st := TableStatus{Granted: t.granted, Expired: t.expired, Stolen: t.stolen, DoneConfigs: t.journaled}
+	st := TableStatus{Granted: t.granted, Expired: t.expired}
+	st.Pending, st.Active, st.Completed, st.DoneConfigs = t.countsLocked()
 	for _, l := range t.leases {
-		switch l.state {
-		case leasePending:
-			st.Pending++
-		case leaseActive:
-			st.Active++
-		case leaseDone:
-			st.Completed++
-		}
-		st.DoneConfigs += l.cursor - l.lo
 		st.Leases = append(st.Leases, LeaseStatus{
 			ID: l.id, State: l.state.String(), Worker: l.worker,
-			Lo: l.lo, Hi: l.hi, Cursor: l.cursor, Epoch: l.epoch, Grants: l.grants,
+			Lo: l.lo, Hi: l.hi, Epoch: l.epoch, Grants: l.grants,
 		})
 	}
-	sort.Slice(st.Leases, func(i, j int) bool { return st.Leases[i].ID < st.Leases[j].ID })
 	return st
 }

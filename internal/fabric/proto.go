@@ -1,9 +1,9 @@
 // Package fabric is the distributed sweep fabric: a lease coordinator
 // (dsegen -fleet) that parcels a collection run's contiguous config-index
-// ranges out to dsegen -worker processes over HTTP, survives worker loss through
-// heartbeat-driven lease expiry and reassignment, splits straggling leases
-// so idle workers can steal their un-started tails, and streams every
-// uploaded row into one journal that compacts into the dataset. The journal
+// ranges out to dsegen -worker processes over HTTP one lease at a time,
+// survives worker loss through heartbeat-driven lease expiry and
+// reassignment, and streams every uploaded row into one journal that
+// compacts into the dataset. The journal
 // is the one a local dsegen run writes, opened by the same policy: a
 // restarted coordinator resumes it, as a rerun local run does.
 //
@@ -105,7 +105,7 @@ type LeaseRequest struct {
 }
 
 // Lease is one granted assignment: simulate global indices [Lo, Hi),
-// advancing in Chunk-sized steps, heartbeating within ExpiryMS.
+// heartbeating within ExpiryMS, then upload every row in one advance.
 type Lease struct {
 	ID int `json:"id"`
 	// Epoch is the assignment generation: it increments every time the
@@ -114,10 +114,6 @@ type Lease struct {
 	Epoch int `json:"epoch"`
 	Lo    int `json:"lo"`
 	Hi    int `json:"hi"`
-	// Chunk is the advance granularity: the worker uploads rows and checks
-	// in every Chunk configurations, which is also the only boundary a
-	// steal can shrink Hi at.
-	Chunk int `json:"chunk"`
 	// ExpiryMS is the heartbeat deadline: a lease not advanced or
 	// heartbeat within this window is expired and requeued.
 	ExpiryMS int64 `json:"expiry_ms"`
@@ -147,14 +143,12 @@ type WireRow struct {
 	Aux      []float64 `json:"aux,omitempty"`
 }
 
-// AdvanceRequest uploads one chunk's rows and moves the lease cursor to
-// Cursor: the rows must cover exactly [previous cursor, Cursor). Advancing
-// also refreshes the lease deadline.
+// AdvanceRequest uploads a lease's rows and completes it: the rows must
+// cover exactly the lease's [Lo, Hi), in index order.
 type AdvanceRequest struct {
 	LeaseID int       `json:"lease_id"`
 	Epoch   int       `json:"epoch"`
 	Worker  string    `json:"worker"`
-	Cursor  int       `json:"cursor"`
 	Rows    []WireRow `json:"rows"`
 	// Obs optionally piggybacks the worker's compressed telemetry snapshot
 	// (EncodeTelemetry). It is pure observability: the coordinator journals
@@ -162,16 +156,8 @@ type AdvanceRequest struct {
 	Obs []byte `json:"obs,omitempty"`
 }
 
-// AdvanceResponse acknowledges an advance. Hi is the lease's current upper
-// bound — lower than the granted Hi if a steal split the lease — and Done
-// reports the lease fully consumed.
-type AdvanceResponse struct {
-	Hi   int  `json:"hi"`
-	Done bool `json:"done,omitempty"`
-}
-
-// HeartbeatRequest refreshes a lease's deadline without advancing it (sent
-// mid-chunk, when simulation outlasts the expiry window).
+// HeartbeatRequest refreshes a lease's deadline while its worker simulates
+// it.
 type HeartbeatRequest struct {
 	LeaseID int    `json:"lease_id"`
 	Epoch   int    `json:"epoch"`
@@ -179,12 +165,6 @@ type HeartbeatRequest struct {
 	// Obs optionally piggybacks the worker's compressed telemetry snapshot,
 	// exactly as on AdvanceRequest.
 	Obs []byte `json:"obs,omitempty"`
-}
-
-// HeartbeatResponse carries the lease's current upper bound, like
-// AdvanceResponse.
-type HeartbeatResponse struct {
-	Hi int `json:"hi"`
 }
 
 // decodeStrict decodes JSON into v rejecting unknown fields and trailing
@@ -217,27 +197,27 @@ func DecodeLeaseRequest(data []byte) (LeaseRequest, error) {
 }
 
 // DecodeAdvanceRequest parses and validates an advance request: rows must
-// be structurally sound (indices ascending, features present, failed rows
-// payload-free) before they are checked against any lease state.
+// be present and structurally sound (indices non-negative and strictly
+// ascending, features present, failed rows payload-free) before they are
+// checked against any lease state.
 func DecodeAdvanceRequest(data []byte) (AdvanceRequest, error) {
 	var req AdvanceRequest
 	if err := decodeStrict(data, &req); err != nil {
 		return AdvanceRequest{}, fmt.Errorf("fabric: bad advance request: %w", err)
 	}
-	if req.LeaseID < 0 || req.Epoch < 1 || req.Cursor < 0 {
-		return AdvanceRequest{}, fmt.Errorf("fabric: advance lease=%d epoch=%d cursor=%d out of range",
-			req.LeaseID, req.Epoch, req.Cursor)
+	if req.LeaseID < 0 || req.Epoch < 1 {
+		return AdvanceRequest{}, fmt.Errorf("fabric: advance lease=%d epoch=%d out of range", req.LeaseID, req.Epoch)
 	}
 	if req.Worker == "" {
 		return AdvanceRequest{}, fmt.Errorf("fabric: advance names no worker")
 	}
+	if len(req.Rows) == 0 {
+		return AdvanceRequest{}, fmt.Errorf("fabric: advance carries no rows")
+	}
 	last := -1
 	for i, r := range req.Rows {
-		if r.Index < 0 || r.Index >= req.Cursor {
-			return AdvanceRequest{}, fmt.Errorf("fabric: advance row %d index %d outside [0, cursor %d)", i, r.Index, req.Cursor)
-		}
 		if r.Index <= last {
-			return AdvanceRequest{}, fmt.Errorf("fabric: advance rows not strictly ascending at %d", i)
+			return AdvanceRequest{}, fmt.Errorf("fabric: advance row %d index %d: indices must be non-negative and strictly ascending", i, r.Index)
 		}
 		last = r.Index
 		if len(r.Features) == 0 {

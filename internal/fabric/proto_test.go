@@ -49,24 +49,25 @@ func TestDecodeLeaseRequest(t *testing.T) {
 }
 
 func TestDecodeAdvanceRequest(t *testing.T) {
-	good := `{"lease_id":0,"epoch":1,"worker":"w","cursor":2,"rows":[` +
+	good := `{"lease_id":0,"epoch":1,"worker":"w","rows":[` +
 		`{"index":0,"features":[1,2],"targets":[3],"aux":[4]},` +
 		`{"index":1,"failed":true,"features":[1,2]}]}`
 	if _, err := DecodeAdvanceRequest([]byte(good)); err != nil {
 		t.Fatalf("good advance: %v", err)
 	}
 	for name, bad := range map[string]string{
-		"zero-epoch":     `{"lease_id":0,"epoch":0,"worker":"w","cursor":1}`,
-		"negative-lease": `{"lease_id":-1,"epoch":1,"worker":"w","cursor":1}`,
-		"row-past-cursor": `{"lease_id":0,"epoch":1,"worker":"w","cursor":1,"rows":[` +
-			`{"index":1,"features":[1]}]}`,
-		"rows-descending": `{"lease_id":0,"epoch":1,"worker":"w","cursor":2,"rows":[` +
+		"zero-epoch":     `{"lease_id":0,"epoch":0,"worker":"w","rows":[{"index":0,"features":[1]}]}`,
+		"negative-lease": `{"lease_id":-1,"epoch":1,"worker":"w","rows":[{"index":0,"features":[1]}]}`,
+		"no-rows":        `{"lease_id":0,"epoch":1,"worker":"w","rows":[]}`,
+		"cursor":         `{"lease_id":0,"epoch":1,"worker":"w","cursor":1,"rows":[{"index":0,"features":[1]}]}`,
+		"negative-index": `{"lease_id":0,"epoch":1,"worker":"w","rows":[{"index":-1,"features":[1]}]}`,
+		"rows-descending": `{"lease_id":0,"epoch":1,"worker":"w","rows":[` +
 			`{"index":1,"features":[1]},{"index":0,"features":[1]}]}`,
-		"duplicate-row": `{"lease_id":0,"epoch":1,"worker":"w","cursor":2,"rows":[` +
+		"duplicate-row": `{"lease_id":0,"epoch":1,"worker":"w","rows":[` +
 			`{"index":0,"features":[1]},{"index":0,"features":[1]}]}`,
-		"featureless-row": `{"lease_id":0,"epoch":1,"worker":"w","cursor":1,"rows":[` +
+		"featureless-row": `{"lease_id":0,"epoch":1,"worker":"w","rows":[` +
 			`{"index":0}]}`,
-		"failed-with-payload": `{"lease_id":0,"epoch":1,"worker":"w","cursor":1,"rows":[` +
+		"failed-with-payload": `{"lease_id":0,"epoch":1,"worker":"w","rows":[` +
 			`{"index":0,"failed":true,"features":[1],"targets":[2]}]}`,
 	} {
 		if _, err := DecodeAdvanceRequest([]byte(bad)); err == nil {
@@ -98,7 +99,7 @@ func FuzzLeaseRequestDecode(f *testing.F) {
 	f.Add([]byte(`{"worker":"w1","meta":"seed=1 samples=10 paper=false","columns":"1a2b"}`))
 	f.Add([]byte(`{"worker":"","meta":""}`))
 	f.Add([]byte(`{"worker":"w","meta":"m","columns":"c","extra":true}`))
-	f.Add([]byte(`{"lease_id":0,"epoch":1,"worker":"w","cursor":2,"rows":[{"index":0,"features":[0.5]},{"index":1,"failed":true,"features":[1e300]}]}`))
+	f.Add([]byte(`{"lease_id":0,"epoch":1,"worker":"w","rows":[{"index":0,"features":[0.5]},{"index":1,"failed":true,"features":[1e300]}]}`))
 	f.Add([]byte(`{"lease_id":2,"epoch":3,"worker":"w"}`))
 	f.Add([]byte(`{"worker":"w","meta":"m"}{"worker":"z","meta":"m"}`))
 	f.Add([]byte(`[{"worker":"w"}]`))
@@ -118,12 +119,12 @@ func FuzzLeaseRequestDecode(f *testing.F) {
 			}
 		}
 		if req, err := DecodeAdvanceRequest(data); err == nil {
-			if req.Epoch < 1 || req.Cursor < 0 || req.Worker == "" {
+			if req.Epoch < 1 || req.LeaseID < 0 || req.Worker == "" || len(req.Rows) == 0 {
 				t.Fatalf("accepted invalid advance: %+v", req)
 			}
 			last := -1
 			for _, r := range req.Rows {
-				if r.Index <= last || r.Index >= req.Cursor || len(r.Features) == 0 {
+				if r.Index <= last || len(r.Features) == 0 {
 					t.Fatalf("accepted malformed rows: %+v", req.Rows)
 				}
 				if r.Failed && (len(r.Targets) != 0 || len(r.Aux) != 0) {

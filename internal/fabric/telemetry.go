@@ -16,7 +16,7 @@ import (
 // payload is advisory — dropping or rejecting it never affects lease
 // state or dataset bytes.
 type WorkerTelemetry struct {
-	// BusyNs is cumulative wall time the worker spent simulating chunks.
+	// BusyNs is cumulative wall time the worker spent simulating leases.
 	BusyNs int64 `json:"busy_ns"`
 	// UpNs is wall time since the worker process joined the fleet.
 	UpNs int64 `json:"up_ns"`

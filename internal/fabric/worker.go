@@ -19,11 +19,11 @@ import (
 )
 
 // The worker side of the fabric: fetch the run spec, verify it against the
-// local build, then lease ranges and simulate them chunk by chunk, uploading
-// each chunk's rows with the cursor move that commits them. Workers are
-// stateless between leases — all durable state lives in the coordinator's
-// journal — so killing one at any instant loses at most the chunk it was
-// simulating.
+// local build, then lease ranges one at a time, simulating each and
+// uploading all of its rows in the one advance that completes it. Workers
+// are stateless between leases — all durable state lives in the
+// coordinator's journal — so killing one at any instant loses at most the
+// lease it was simulating.
 
 // WorkerConfig configures RunWorker. Coord is required; zero values
 // elsewhere get defaults.
@@ -40,12 +40,11 @@ type WorkerConfig struct {
 	Client *http.Client
 	// Log, when non-nil, receives human-readable progress lines.
 	Log io.Writer
-	// OnChunk, when non-nil, runs before each chunk's advance is sent —
-	// the fault-injection seam: returning an error makes the worker exit
-	// immediately, exactly as a killed process would (rows simulated but
-	// never uploaded). Arguments are the lease id and the chunk's target
-	// cursor.
-	OnChunk func(lease, cursor int) error
+	// OnAdvance, when non-nil, runs before each lease's advance is sent,
+	// with the lease id — the fault-injection seam: returning an error
+	// makes the worker exit immediately, exactly as a killed process would
+	// (rows simulated but never uploaded).
+	OnAdvance func(lease int) error
 }
 
 // RunWorker joins a fleet and works until the run completes, the context is
@@ -126,9 +125,9 @@ type worker struct {
 	spec     Spec
 	uploaded int
 
-	// Telemetry: the local obs registry (fed by the per-chunk engines via
+	// Telemetry: the local obs registry (fed by the per-lease engines via
 	// tel), the moment the worker joined, and cumulative simulation time.
-	// busyNs is atomic — the heartbeat goroutine snapshots it mid-chunk.
+	// busyNs is atomic — the heartbeat goroutine snapshots it mid-lease.
 	reg    *obs.Registry
 	tel    *orchestrate.Telemetry
 	start  time.Time
@@ -163,68 +162,52 @@ func (w *worker) logf(format string, args ...any) {
 // acquires a new one; any other HTTP error is fatal.
 var errLeaseLost = fmt.Errorf("fabric: lease lost")
 
-// runLease simulates the lease chunk by chunk. A stale rejection (the lease
-// expired under us, or our tail was stolen and re-granted) abandons the
-// lease without error; the rows the coordinator already committed stay.
+// runLease simulates the lease and uploads all of its rows in one advance.
+// A stale rejection (the lease expired under us and was re-granted)
+// abandons the lease without error: its new holder simulates it again.
 func (w *worker) runLease(ctx context.Context, lease Lease) error {
-	w.logf("lease %d epoch %d: [%d, %d) chunk %d", lease.ID, lease.Epoch, lease.Lo, lease.Hi, lease.Chunk)
-	// hi may shrink while we work (steals); advance and heartbeat responses
-	// carry the current bound, applied at chunk boundaries.
-	hi := int64(lease.Hi)
-	cursor := lease.Lo
-	for cursor < int(atomic.LoadInt64(&hi)) {
-		chunkHi := cursor + lease.Chunk
-		if bound := int(atomic.LoadInt64(&hi)); chunkHi > bound {
-			chunkHi = bound
-		}
-		rows, err := w.simulateRange(ctx, lease, &hi, cursor, chunkHi)
-		if err == errLeaseLost {
-			w.logf("lease %d lost mid-chunk; abandoning", lease.ID)
-			return nil
-		}
-		if err != nil {
+	w.logf("lease %d epoch %d: [%d, %d)", lease.ID, lease.Epoch, lease.Lo, lease.Hi)
+	rows, err := w.simulateRange(ctx, lease)
+	if err == errLeaseLost {
+		w.logf("lease %d lost mid-simulation; abandoning", lease.ID)
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	if w.cfg.OnAdvance != nil {
+		if err := w.cfg.OnAdvance(lease.ID); err != nil {
 			return err
-		}
-		if w.cfg.OnChunk != nil {
-			if err := w.cfg.OnChunk(lease.ID, chunkHi); err != nil {
-				return err
-			}
-		}
-		var resp AdvanceResponse
-		status, err := w.post(ctx, "/advance", AdvanceRequest{
-			LeaseID: lease.ID, Epoch: lease.Epoch, Worker: w.cfg.Name,
-			Cursor: chunkHi, Rows: rows, Obs: w.obsPayload(),
-		}, &resp)
-		if status == http.StatusConflict {
-			w.logf("lease %d reassigned; abandoning", lease.ID)
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		w.uploaded += len(rows)
-		cursor = chunkHi
-		atomic.StoreInt64(&hi, int64(resp.Hi))
-		if resp.Done {
-			w.logf("lease %d complete at %d", lease.ID, resp.Hi)
-			return nil
 		}
 	}
+	status, err := w.post(ctx, "/advance", AdvanceRequest{
+		LeaseID: lease.ID, Epoch: lease.Epoch, Worker: w.cfg.Name,
+		Rows: rows, Obs: w.obsPayload(),
+	}, nil)
+	if status == http.StatusConflict {
+		w.logf("lease %d reassigned; abandoning", lease.ID)
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	w.uploaded += len(rows)
+	w.logf("lease %d complete", lease.ID)
 	return nil
 }
 
-// simulateRange runs the collection engine over global indices [lo, hiC),
-// heartbeating the lease while it works, and returns the chunk's rows in
+// simulateRange runs the collection engine over the lease's global indices
+// [Lo, Hi), heartbeating the lease while it works, and returns the rows in
 // index order. The engine is the same staged pipeline a single-process
 // sweep runs — exact evaluator, deterministic per index — so the rows are
 // byte-identical to that sweep's.
-func (w *worker) simulateRange(ctx context.Context, lease Lease, hi *int64, lo, hiC int) ([]WireRow, error) {
+func (w *worker) simulateRange(ctx context.Context, lease Lease) ([]WireRow, error) {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	// Heartbeat while simulating, at a third of the expiry deadline. A
 	// stale response means the lease was reassigned (we were presumed
-	// dead): cancel the chunk, the caller abandons the lease.
+	// dead): cancel the simulation, the caller abandons the lease.
 	var lost atomic.Bool
 	var hbWG sync.WaitGroup
 	if lease.ExpiryMS > 0 {
@@ -239,25 +222,21 @@ func (w *worker) simulateRange(ctx context.Context, lease Lease, hi *int64, lo, 
 				case <-runCtx.Done():
 					return
 				case <-tick.C:
-					var resp HeartbeatResponse
-					status, err := w.post(runCtx, "/heartbeat", HeartbeatRequest{
+					status, _ := w.post(runCtx, "/heartbeat", HeartbeatRequest{
 						LeaseID: lease.ID, Epoch: lease.Epoch, Worker: w.cfg.Name,
 						Obs: w.obsPayload(),
-					}, &resp)
+					}, nil)
 					if status == http.StatusConflict || status == http.StatusNotFound {
 						lost.Store(true)
 						cancel()
 						return
-					}
-					if err == nil {
-						atomic.StoreInt64(hi, int64(resp.Hi))
 					}
 				}
 			}
 		}()
 	}
 
-	src := orchestrate.RangeSource{Seed: w.spec.Seed, Lo: lo, Hi: hiC}
+	src := orchestrate.RangeSource{Seed: w.spec.Seed, Lo: lease.Lo, Hi: lease.Hi}
 	sink := &wireSink{spec: &w.spec, base: src.Base()}
 	eng := orchestrate.Engine{
 		Source:    src,

@@ -63,8 +63,8 @@ func SanitizeLabelName(s string) string {
 }
 
 // EscapeLabelValue escapes a label value for the text exposition format:
-// backslash, double quote and newline become \\, \" and \n. Any string is
-// representable; UnescapeLabelValue inverts the mapping exactly.
+// backslash, double quote and newline become \\, \" and \n, so any string
+// is representable.
 func EscapeLabelValue(s string) string {
 	if !strings.ContainsAny(s, "\\\"\n") {
 		return s
@@ -81,32 +81,6 @@ func EscapeLabelValue(s string) string {
 			b.WriteString(`\n`)
 		default:
 			b.WriteByte(c)
-		}
-	}
-	return b.String()
-}
-
-// UnescapeLabelValue inverts EscapeLabelValue. Unknown escapes pass the
-// escaped byte through verbatim, matching the exposition format's lenient
-// readers.
-func UnescapeLabelValue(s string) string {
-	if !strings.ContainsRune(s, '\\') {
-		return s
-	}
-	var b strings.Builder
-	b.Grow(len(s))
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c != '\\' || i+1 == len(s) {
-			b.WriteByte(c)
-			continue
-		}
-		i++
-		switch s[i] {
-		case 'n':
-			b.WriteByte('\n')
-		default:
-			b.WriteByte(s[i])
 		}
 	}
 	return b.String()

@@ -23,7 +23,7 @@ type WorkerSnapshot struct {
 //
 // The merge is deterministic and order-independent: inputs are sorted by
 // worker name before any accumulation, so every permutation of the same
-// snapshots yields byte-identical Encode output. Duplicate worker names and
+// snapshots yields byte-identical JSON. Duplicate worker names and
 // conflicting family kinds or scales are errors.
 func MergeSnapshots(workers []WorkerSnapshot) (Snapshot, error) {
 	sorted := append([]WorkerSnapshot(nil), workers...)

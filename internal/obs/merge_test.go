@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 )
 
@@ -161,7 +162,7 @@ func TestMergeSnapshotsPermutationByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("merge: %v", err)
 	}
-	refBytes, err := ref.Encode()
+	refBytes, err := json.Marshal(ref)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -176,7 +177,7 @@ func TestMergeSnapshotsPermutationByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("merge perm %v: %v", idx, err)
 		}
-		b, err := m.Encode()
+		b, err := json.Marshal(m)
 		if err != nil {
 			t.Fatalf("encode perm %v: %v", idx, err)
 		}

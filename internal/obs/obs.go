@@ -96,23 +96,6 @@ func (c *Counter) Value() int64 {
 	return t
 }
 
-// ShardValue returns the count recorded into one shard slot — the per-worker
-// breakdown behind a sweep monitor's per-shard progress view.
-func (c *Counter) ShardValue(shard int) int64 {
-	if c == nil {
-		return 0
-	}
-	return c.sh[shard&c.mask].v.Load()
-}
-
-// NumShards returns the counter's shard count (a power of two).
-func (c *Counter) NumShards() int {
-	if c == nil {
-		return 0
-	}
-	return len(c.sh)
-}
-
 // Gauge is an instantaneous float64 value with a single atomic slot: gauges
 // are not additive across workers, so they are unsharded and last-write-wins.
 type Gauge struct {
@@ -177,14 +160,6 @@ func NewRegistry(shards int) *Registry {
 		n <<= 1
 	}
 	return &Registry{shards: n, mask: n - 1, fams: make(map[string]*family)}
-}
-
-// NumShards returns the registry's shard count.
-func (r *Registry) NumShards() int {
-	if r == nil {
-		return 1
-	}
-	return r.shards
 }
 
 // lookup resolves (or creates) the series for (name, labels) under kind.

@@ -2,16 +2,24 @@ package obs
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 )
 
+// perShard returns the per-shard breakdown of the registry's only series.
+func perShard(t *testing.T, r *Registry) []int64 {
+	t.Helper()
+	snap := r.Snapshot()
+	if len(snap.Families) != 1 || len(snap.Families[0].Series) != 1 {
+		t.Fatalf("snapshot = %+v, want one series", snap)
+	}
+	return snap.Families[0].Series[0].PerShard
+}
+
 func TestCounterShardingAndTotals(t *testing.T) {
 	r := NewRegistry(4)
 	c := r.Counter("runs_total", "runs")
-	if got := c.NumShards(); got != 4 {
-		t.Fatalf("NumShards = %d, want 4", got)
-	}
 	c.Add(0, 3)
 	c.Inc(1)
 	c.Inc(1)
@@ -19,13 +27,10 @@ func TestCounterShardingAndTotals(t *testing.T) {
 	if got := c.Value(); got != 15 {
 		t.Errorf("Value = %d, want 15", got)
 	}
-	if got := c.ShardValue(1); got != 2 {
-		t.Errorf("ShardValue(1) = %d, want 2", got)
-	}
 	// Shard indices mask, so out-of-range workers wrap instead of panicking.
 	c.Inc(4)
-	if got := c.ShardValue(0); got != 4 {
-		t.Errorf("ShardValue(0) after wrap = %d, want 4", got)
+	if got := perShard(t, r); !slices.Equal(got, []int64{4, 2, 0, 10}) {
+		t.Errorf("per-shard counts = %v, want [4 2 0 10]", got)
 	}
 }
 
@@ -68,12 +73,6 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Error("nil handles reported non-zero values")
 	}
-	if c.NumShards() != 0 || c.ShardValue(5) != 0 {
-		t.Error("nil counter shard accessors non-zero")
-	}
-	if r.NumShards() != 1 {
-		t.Error("nil registry NumShards != 1")
-	}
 	if snap := r.Snapshot(); len(snap.Families) != 0 {
 		t.Error("nil registry snapshot non-empty")
 	}
@@ -96,8 +95,10 @@ func TestRegistryShardRounding(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
 		{0, 1}, {1, 1}, {2, 2}, {3, 4}, {4, 4}, {5, 8}, {7, 8}, {8, 8}, {9, 16},
 	} {
-		if got := NewRegistry(tc.in).NumShards(); got != tc.want {
-			t.Errorf("NewRegistry(%d).NumShards = %d, want %d", tc.in, got, tc.want)
+		r := NewRegistry(tc.in)
+		r.Counter("runs_total", "")
+		if got := len(perShard(t, r)); got != tc.want {
+			t.Errorf("NewRegistry(%d) has %d shards, want %d", tc.in, got, tc.want)
 		}
 	}
 }

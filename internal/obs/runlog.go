@@ -34,7 +34,6 @@ type MetaRecord struct {
 // FabricMeta is a coordinator's lease geometry.
 type FabricMeta struct {
 	LeaseSize int   `json:"lease_size"`
-	Chunk     int   `json:"chunk"`
 	ExpiryMS  int64 `json:"expiry_ms"`
 }
 
@@ -64,8 +63,8 @@ type BarrierRecord struct {
 	TreesRetained  int     `json:"trees_retained"`
 }
 
-// LeaseRecord is one lease state transition (grant, expire, steal,
-// complete) on a coordinator.
+// LeaseRecord is one lease state transition (grant, expire, complete) on a
+// coordinator.
 type LeaseRecord struct {
 	Type     string  `json:"type"` // "lease"
 	Event    string  `json:"event"`
@@ -74,7 +73,6 @@ type LeaseRecord struct {
 	Worker   string  `json:"worker,omitempty"`
 	Lo       int     `json:"lo"`
 	Hi       int     `json:"hi"`
-	Cursor   int     `json:"cursor"`
 	ElapsedS float64 `json:"elapsed_s"`
 }
 

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -39,42 +37,9 @@ type FamilySnapshot struct {
 
 // Snapshot is a deterministic point-in-time view of a registry: families
 // sorted by name, series sorted by label identity, shards pre-aggregated.
-// Two snapshots of identical recorded state encode byte-identically.
+// Two snapshots of identical recorded state marshal to identical JSON.
 type Snapshot struct {
 	Families []FamilySnapshot `json:"families"`
-}
-
-// Encode renders the snapshot as canonical JSON. Snapshot ordering is
-// deterministic (families by name, series by label identity) and floats
-// encode via Go's shortest round-trip representation, so two snapshots of
-// identical state encode byte-identically.
-func (s Snapshot) Encode() ([]byte, error) {
-	return json.Marshal(s)
-}
-
-// DecodeSnapshot parses JSON produced by Encode. Decoding follows the fabric
-// wire-protocol style: unknown fields and trailing data are errors, and the
-// result must pass Validate. Label sets are re-sorted so the decoded
-// snapshot is canonical even when the input was hand-built.
-func DecodeSnapshot(data []byte) (Snapshot, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var s Snapshot
-	if err := dec.Decode(&s); err != nil {
-		return Snapshot{}, fmt.Errorf("obs: decode snapshot: %w", err)
-	}
-	if dec.More() {
-		return Snapshot{}, fmt.Errorf("obs: decode snapshot: trailing data after JSON value")
-	}
-	for fi := range s.Families {
-		for si := range s.Families[fi].Series {
-			sortLabels(s.Families[fi].Series[si].Labels)
-		}
-	}
-	if err := s.Validate(); err != nil {
-		return Snapshot{}, err
-	}
-	return s, nil
 }
 
 // sortLabels orders a label set by key then value — the canonical order the
@@ -92,7 +57,7 @@ func sortLabels(ls []Label) {
 // upholds: non-empty family names, known kinds, finite non-negative scales,
 // bucket slices capped at NumHistBuckets, and non-negative bucket, count and
 // per-shard tallies. It is the shared gate for snapshots arriving off the
-// wire (DecodeSnapshot, fabric telemetry payloads).
+// wire (fabric telemetry payloads).
 func (s Snapshot) Validate() error {
 	for _, f := range s.Families {
 		if f.Name == "" {

@@ -2,91 +2,50 @@ package obs
 
 import (
 	"bytes"
-	"reflect"
+	"encoding/json"
 	"strings"
 	"testing"
 )
 
-func TestSnapshotEncodeDecodeRoundTrip(t *testing.T) {
-	snap := workerReg(t, 1)
-	enc, err := snap.Encode()
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	dec, err := DecodeSnapshot(enc)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !reflect.DeepEqual(normalizeEmpty(snap), normalizeEmpty(dec)) {
-		t.Fatalf("round trip changed snapshot:\n got %+v\nwant %+v", dec, snap)
-	}
-	enc2, err := dec.Encode()
-	if err != nil {
-		t.Fatalf("re-encode: %v", err)
-	}
-	if !bytes.Equal(enc, enc2) {
-		t.Fatalf("re-encode differs:\n got %s\nwant %s", enc2, enc)
-	}
-}
-
-// normalizeEmpty maps nil and empty slices onto one form: json round-trips
-// turn empty slices into nil, which DeepEqual would otherwise flag.
-func normalizeEmpty(s Snapshot) Snapshot {
-	for fi := range s.Families {
-		for si := range s.Families[fi].Series {
-			ser := &s.Families[fi].Series[si]
-			if len(ser.Labels) == 0 {
-				ser.Labels = nil
-			}
-			if len(ser.PerShard) == 0 {
-				ser.PerShard = nil
-			}
-			if len(ser.Buckets) == 0 {
-				ser.Buckets = nil
-			}
-		}
-	}
-	return s
-}
-
-func TestDecodeSnapshotRejects(t *testing.T) {
+// TestSnapshotValidateRejects: Validate, the gate for snapshots arriving
+// off the wire, refuses every structural invariant a registry never breaks.
+func TestSnapshotValidateRejects(t *testing.T) {
 	cases := map[string]string{
-		"unknown field":    `{"families":[],"extra":1}`,
-		"trailing data":    `{"families":[]} {"families":[]}`,
 		"bad kind":         `{"families":[{"name":"m","kind":"elephant","series":[]}]}`,
 		"empty name":       `{"families":[{"name":"","kind":"counter","series":[]}]}`,
 		"negative bucket":  `{"families":[{"name":"h","kind":"histogram","series":[{"buckets":[-1]}]}]}`,
 		"negative count":   `{"families":[{"name":"h","kind":"histogram","series":[{"count":-1}]}]}`,
+		"negative shard":   `{"families":[{"name":"c","kind":"counter","series":[{"per_shard":[-1]}]}]}`,
 		"too many buckets": `{"families":[{"name":"h","kind":"histogram","series":[{"buckets":[` + strings.Repeat("0,", NumHistBuckets) + `0]}]}]}`,
 		"negative scale":   `{"families":[{"name":"h","kind":"histogram","scale":-1,"series":[]}]}`,
 		"empty label key":  `{"families":[{"name":"m","kind":"gauge","series":[{"labels":[{"key":"","value":"x"}],"value":1}]}]}`,
-		"not json":         `}{`,
 	}
 	for name, in := range cases {
-		if _, err := DecodeSnapshot([]byte(in)); err == nil {
+		var s Snapshot
+		if err := json.Unmarshal([]byte(in), &s); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := s.Validate(); err == nil {
 			t.Errorf("%s: accepted %q", name, in)
 		}
 	}
-}
-
-func TestDecodeSnapshotSortsLabels(t *testing.T) {
-	in := `{"families":[{"name":"m","kind":"gauge","series":[{"labels":[{"key":"z","value":"1"},{"key":"a","value":"2"}],"value":3}]}]}`
-	s, err := DecodeSnapshot([]byte(in))
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	ls := s.Families[0].Series[0].Labels
-	if ls[0].Key != "a" || ls[1].Key != "z" {
-		t.Fatalf("labels not canonicalised: %+v", ls)
+	r := NewRegistry(2)
+	r.Counter("armdse_runs_total", "runs", L("app", "STREAM")).Add(1, 7)
+	r.TimeHistogram("armdse_wall_nanoseconds", "wall").Observe(0, 12345)
+	if err := r.Snapshot().Validate(); err != nil {
+		t.Errorf("registry snapshot rejected: %v", err)
 	}
 }
 
+// FuzzSnapshotRoundTrip: a snapshot that passes Validate, as the fabric
+// accepts one off the wire, survives a JSON round trip to a fixed point, so
+// a worker's telemetry re-encodes byte-identically on the coordinator.
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	r := NewRegistry(2)
 	r.Counter("armdse_runs_total", "runs", L("app", "STREAM")).Add(0, 7)
 	r.Gauge("armdse_eta_seconds", "eta").Set(1.5)
 	r.TimeHistogram("armdse_wall_nanoseconds", "wall").Observe(1, 12345)
-	seed, err := r.Snapshot().Encode()
+	seed, err := json.Marshal(r.Snapshot())
 	if err != nil {
 		f.Fatalf("seed encode: %v", err)
 	}
@@ -95,24 +54,27 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add([]byte(`{"families":[{"name":"m","kind":"histogram","scale":1e9,"series":[{"buckets":[0,2,1],"count":3,"sum":9}]}]}`))
 	f.Add([]byte(`garbage`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := DecodeSnapshot(data)
-		if err != nil {
+		var s Snapshot
+		if json.Unmarshal(data, &s) != nil || s.Validate() != nil {
 			return // malformed inputs only need to be rejected cleanly
 		}
-		enc1, err := s.Encode()
+		enc1, err := json.Marshal(s)
 		if err != nil {
-			t.Fatalf("encode of decoded snapshot failed: %v", err)
+			t.Fatalf("encode of a valid snapshot failed: %v", err)
 		}
-		s2, err := DecodeSnapshot(enc1)
-		if err != nil {
-			t.Fatalf("decode of canonical encode failed: %v\n%s", err, enc1)
+		var s2 Snapshot
+		if err := json.Unmarshal(enc1, &s2); err != nil {
+			t.Fatalf("decode of its encoding failed: %v\n%s", err, enc1)
 		}
-		enc2, err := s2.Encode()
+		if err := s2.Validate(); err != nil {
+			t.Fatalf("re-decoded snapshot no longer valid: %v\n%s", err, enc1)
+		}
+		enc2, err := json.Marshal(s2)
 		if err != nil {
 			t.Fatalf("second encode failed: %v", err)
 		}
 		if !bytes.Equal(enc1, enc2) {
-			t.Fatalf("canonical encode not a fixed point:\n%s\n%s", enc1, enc2)
+			t.Fatalf("encoding not a fixed point:\n%s\n%s", enc1, enc2)
 		}
 	})
 }

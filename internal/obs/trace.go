@@ -3,8 +3,8 @@ package obs
 // ChromeEvent is one record of the Chrome trace-event format, which
 // Perfetto (ui.perfetto.dev) and chrome://tracing load. Ts and Dur are in
 // microseconds of trace time. Complete events (ph "X") carry a duration,
-// instant events (ph "i") a scope S, counter events (ph "C") their series
-// in Args, and metadata events (ph "M") name processes and threads.
+// counter events (ph "C") their series in Args, and metadata events
+// (ph "M") name processes and threads.
 type ChromeEvent struct {
 	Name string         `json:"name"`
 	Ph   string         `json:"ph"`
@@ -12,7 +12,6 @@ type ChromeEvent struct {
 	Dur  float64        `json:"dur,omitempty"`
 	Pid  int            `json:"pid"`
 	Tid  int            `json:"tid"`
-	S    string         `json:"s,omitempty"`
 	Args map[string]any `json:"args,omitempty"`
 }
 

@@ -124,7 +124,7 @@ func runFleet(t *testing.T, path string) {
 	coord, err := fabric.NewCoordinator(fabric.CoordConfig{
 		Spec:      fabric.NewSpec(11, 12, false),
 		Out:       filepath.Join(dir, "fleet.csv"),
-		LeaseSize: 4, Chunk: 2, Expiry: time.Minute,
+		LeaseSize: 2, Expiry: time.Minute,
 		HeartbeatEvery: time.Nanosecond,
 		Runlog:         path,
 	})
@@ -149,10 +149,11 @@ func runFleet(t *testing.T, path string) {
 			t.Fatalf("worker: %v", err)
 		}
 	}
-	if _, _, err := coord.Merge(); err != nil {
+	ds, failed, err := coord.Merge()
+	if err != nil {
 		t.Fatalf("merge: %v", err)
 	}
-	if err := coord.Close(); err != nil {
+	if err := coord.Finish(ds.Len(), failed); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -11,7 +11,8 @@
 # byte-identical to the reference (`cmp`), its <out>.journal must be
 # removed, the coordinator's /metrics and /status endpoints must serve the
 # fleet accounting, and the coordinator runlog must validate against
-# scripts/runlog.schema.json. Then an interrupted dsegen run is finished by
+# scripts/runlog.schema.json and record exactly one grant and one complete
+# per 8-config lease, with no expiry. Then an interrupted dsegen run is finished by
 # a fleet on the same -out whose coordinator is killed mid-run and
 # restarted with the same flags; that dataset must be byte-identical to the
 # reference too. Exits non-zero on any failure.
@@ -23,6 +24,7 @@ cd "$(dirname "$0")/.."
 
 SAMPLES=300
 SEED=11
+LEASE=8
 TMP="$(mktemp -d)"
 COORD_PID=""
 trap '[[ -n "$COORD_PID" ]] && kill "$COORD_PID" 2>/dev/null; rm -rf "$TMP"' EXIT
@@ -59,7 +61,7 @@ echo "-- cmp OK: the rerun resumed the journal"
 # "coordinator: http://HOST:PORT/" on stderr before granting leases.
 start_coord() {
 	"$TMP/dsegen" -samples "$SAMPLES" -seed "$SEED" -out "$1" \
-		-fleet 127.0.0.1:0 -lease 32 -chunk 8 -expiry 30s -http-linger "$2" -q \
+		-fleet 127.0.0.1:0 -lease "$LEASE" -expiry 30s -http-linger "$2" -q \
 		>"$TMP/coord.out" 2>"$TMP/coord.err" &
 	COORD_PID=$!
 	ADDR=""
@@ -132,8 +134,15 @@ echo "-- cmp OK ($(wc -c <"$TMP/fleet.csv") bytes)"
 
 echo "== validate coordinator runlog"
 python3 scripts/validate_runlog.py --require lease,util,heartbeat "$TMP/fleet.csv.runlog.jsonl"
-grep -q '"type":"lease","event":"grant"' "$TMP/fleet.csv.runlog.jsonl" ||
-	{ echo "FAIL: runlog records no lease grants" >&2; exit 1; }
+# One-chunk leases: every lease is granted once and completed by one upload.
+LEASES=$(((SAMPLES + LEASE - 1) / LEASE))
+for event in grant complete expire; do
+	N=$(grep -c "\"type\":\"lease\",\"event\":\"$event\"" "$TMP/fleet.csv.runlog.jsonl" || true)
+	WANT=$LEASES
+	[[ $event == expire ]] && WANT=0
+	((N == WANT)) || { echo "FAIL: runlog records $N lease $event events, want $WANT" >&2; exit 1; }
+done
+echo "-- runlog: $LEASES leases, each granted and completed once, none expired"
 
 echo "== dsereport on the smoke runlog"
 "$TMP/dsereport" "$TMP/fleet.csv.runlog.jsonl"

@@ -4,9 +4,10 @@
 Usage: validate_runlog.py [--require TYPE[,TYPE...]] <runlog.jsonl> [schema.json]
 
 Checks, per line: the record parses as JSON, its type is known, every
-required field is present with the schema's JSON type, config.apps items
-match the nested schema, and each app's stalls array has one entry per
-stall class declared in the meta record. Whole-file checks: exactly one
+required field is present with the schema's JSON type, a fleet meta
+record's fabric object and config.apps items match their nested schemas,
+and each app's stalls array has one entry per stall class declared in the
+meta record. Whole-file checks: exactly one
 meta (first line) and one summary (last line), and the summary's
 journal_lines count matches the file. --require additionally fails the
 run unless every listed record type appears at least once (smoke tests
@@ -89,6 +90,8 @@ def main():
                 if lineno != 1:
                     errors.append(f"line {lineno}: meta record not first")
                 n_classes = len(rec.get("stall_classes", []))
+                if isinstance(rec.get("fabric"), dict):
+                    check_fields(rec["fabric"], spec["fabric_object"], f"line {lineno} fabric", errors)
             elif typ == "config":
                 for i, app in enumerate(rec.get("apps", [])):
                     where = f"line {lineno} apps[{i}]"
