@@ -14,6 +14,7 @@ import (
 
 	"armdse/internal/dataset"
 	"armdse/internal/fabric"
+	"armdse/internal/obs"
 	"armdse/internal/orchestrate"
 )
 
@@ -146,8 +147,8 @@ func fleetRun(t *testing.T, args ...string) (string, error) {
 // TestRunFleetMatchesSingleProcess drives dsegen -fleet end to end —
 // coordinator on a kernel-assigned port, two in-process workers — and
 // checks the written dataset is byte-identical to the single-process
-// pipeline, the journal is removed, and the runlog validates structurally
-// (meta first, lease events, summary last).
+// pipeline, the journal is removed, and the runlog validates with lease,
+// util and heartbeat records.
 func TestRunFleetMatchesSingleProcess(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulating real workloads; skipped in -short")
@@ -170,30 +171,19 @@ func TestRunFleetMatchesSingleProcess(t *testing.T) {
 		t.Error("journal not removed")
 	}
 
-	// Runlog structure: meta first, summary last, lease events in between.
-	lines := readLines(t, out+".runlog.jsonl")
-	if len(lines) < 3 {
-		t.Fatalf("runlog has %d lines", len(lines))
-	}
-	types := make([]string, len(lines))
+	// The runlog is valid with fleet records; 3 leases of 2 configs: at
+	// least one grant and one complete per lease.
+	validateRunlog(t, out+".runlog.jsonl", "lease", "util", "heartbeat")
 	leaseEvents := map[string]int{}
-	for i, line := range lines {
-		var rec struct {
-			Type  string `json:"type"`
-			Event string `json:"event"`
-		}
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("runlog line %d: %v", i+1, err)
-		}
-		types[i] = rec.Type
-		if rec.Type == "lease" {
+	for _, line := range readLines(t, out+".runlog.jsonl") {
+		if strings.HasPrefix(line, `{"type":"lease"`) {
+			var rec obs.LeaseRecord
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatal(err)
+			}
 			leaseEvents[rec.Event]++
 		}
 	}
-	if types[0] != "meta" || types[len(types)-1] != "summary" {
-		t.Errorf("runlog frame = %v", types)
-	}
-	// 3 leases of 2 configs: at least one grant and one complete per lease.
 	if leaseEvents["grant"] < 3 || leaseEvents["complete"] != 3 {
 		t.Errorf("lease events = %v", leaseEvents)
 	}

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"armdse"
+	"armdse/internal/obs"
 )
 
 func TestRunGeneratesCSV(t *testing.T) {
@@ -34,6 +35,21 @@ func TestRunGeneratesCSV(t *testing.T) {
 	}
 	if _, err := os.Stat(out + ".journal"); !os.IsNotExist(err) {
 		t.Error("journal not removed after a clean run")
+	}
+	validateRunlog(t, out+".runlog.jsonl", "config")
+}
+
+// validateRunlog checks the runlog at path against the record structs,
+// requiring the given record types.
+func validateRunlog(t *testing.T, path string, require ...string) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := obs.ValidateRunlog(f, require...); err != nil {
+		t.Errorf("%s: %v", path, err)
 	}
 }
 
@@ -231,7 +247,9 @@ func TestRunAdaptiveUCB(t *testing.T) {
 	if data.Len() != 12 {
 		t.Errorf("adaptive dataset rows = %d, want 12", data.Len())
 	}
-	// The runlog's config records carry the proposing generation.
+	// The runlog is valid, and its config records carry the proposing
+	// generation.
+	validateRunlog(t, out+".runlog.jsonl", "barrier")
 	rl, err := os.ReadFile(out + ".runlog.jsonl")
 	if err != nil {
 		t.Fatal(err)
@@ -286,7 +304,7 @@ func TestRunSearchSubFlagsRequireSearch(t *testing.T) {
 // TestRunAdaptiveWorkersCSVParity is the CLI face of the adaptive
 // determinism contract: -workers sizes both the simulation pool and the
 // barrier's refits and pool scoring, and changes only wall time, never the
-// dataset bytes; the runlog carries barrier records.
+// dataset bytes; both runlogs are valid and carry barrier records.
 func TestRunAdaptiveWorkersCSVParity(t *testing.T) {
 	dir := t.TempDir()
 	common := []string{"-samples", "12", "-search", "ucb", "-search-batch", "4"}
@@ -297,11 +315,7 @@ func TestRunAdaptiveWorkersCSVParity(t *testing.T) {
 	if !bytes.Equal(serial, parallel) {
 		t.Error("-workers 4 adaptive CSV differs from -workers 1")
 	}
-	rl, err := os.ReadFile(filepath.Join(dir, "w4.csv.runlog.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(rl, []byte(`"type":"barrier"`)) {
-		t.Error("adaptive runlog has no barrier records")
+	for _, w := range []string{"w1", "w4"} {
+		validateRunlog(t, filepath.Join(dir, w+".csv.runlog.jsonl"), "barrier")
 	}
 }

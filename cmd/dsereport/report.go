@@ -10,12 +10,12 @@ import (
 	"armdse/internal/obs"
 )
 
-// Runlog reading. dsereport is a consumer of the schema the repo's runlog
-// validator enforces (scripts/runlog.schema.json): every line is one JSON
-// record discriminated by "type", decoded into the record structs of
-// internal/obs that dsegen writes, locally and as a -fleet coordinator.
-// Decoding is deliberately lenient — unknown fields and record types are
-// ignored — so a newer runlog still reports under an older dsereport.
+// Runlog reading. Every line is one JSON record discriminated by "type",
+// decoded into the record structs of internal/obs that dsegen writes,
+// locally and as a -fleet coordinator, and that obs.ValidateRunlog checks
+// runlogs against. Decoding here is deliberately lenient — unknown fields
+// and record types are ignored — so a newer runlog still reports under an
+// older dsereport.
 
 // RunReport is one runlog's scaling analysis — the JSON shape emitted under
 // "runs" and the source of every text table.

@@ -536,9 +536,10 @@ func (t *Telemetry) JournalSummary(rows, failed int, elapsed time.Duration) erro
 	})
 }
 
-// appendConfigRecord hand-encodes one per-config journal line. Field order
-// is fixed and apps appear in suite order, so records are deterministic and
-// schema-checkable; encoding appends into the caller's reused buffer.
+// appendConfigRecord hand-encodes one per-config journal line, an
+// obs.ConfigRecord with its keys in struct order. Apps appear in suite
+// order, so records are deterministic; obs.ValidateRunlog checks them
+// against the struct. Encoding appends into the caller's reused buffer.
 func appendConfigRecord(b []byte, appNames []string, s *workerScratch, row *Row, wallNs int64, emitGen bool) []byte {
 	b = append(b, `{"type":"config","index":`...)
 	b = strconv.AppendInt(b, int64(row.Index), 10)

@@ -1,7 +1,7 @@
 package orchestrate
 
 import (
-	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
@@ -16,8 +16,8 @@ import (
 )
 
 // TestTelemetryCollect drives a small collection through a fully wired hub
-// and checks the metric families, the live status view, and every journal
-// record shape.
+// and checks the metric families, the live status view, and the journal:
+// valid against the runlog record structs and carrying the run's values.
 func TestTelemetryCollect(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jsonl")
 	j, err := obs.CreateJournal(path)
@@ -99,70 +99,61 @@ func TestTelemetryCollect(t *testing.T) {
 		t.Errorf("sink put quantiles = %+v", sp)
 	}
 
-	// Journal: one meta, one summary, 6 configs, >= 1 heartbeat; every line
-	// parses and carries its type's required fields.
-	f, err := os.Open(path)
+	// Journal: valid against the record structs, 6 configs and at least
+	// one heartbeat, carrying this run's values.
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	counts := map[string]int{}
-	sc := bufio.NewScanner(f)
-	var first, last string
-	for sc.Scan() {
-		line := sc.Text()
-		if first == "" {
-			first = line
+	counts, err := obs.ValidateRunlog(bytes.NewReader(data), "heartbeat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if counts["config"] != 6 {
+		t.Errorf("record counts = %v, want 6 configs", counts)
+	}
+	// The validator has checked every line against its struct.
+	decode := func(line string, rec any) {
+		if err := json.Unmarshal([]byte(line), rec); err != nil {
+			t.Fatal(err)
 		}
-		last = line
-		var rec map[string]any
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("journal line does not parse: %v\n%s", err, line)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var head struct {
+			Type string `json:"type"`
 		}
-		typ, _ := rec["type"].(string)
-		counts[typ]++
-		switch typ {
+		decode(line, &head)
+		switch head.Type {
 		case "meta":
-			if rec["seed"].(float64) != 11 || len(rec["apps"].([]any)) != len(suite) {
+			var m obs.MetaRecord
+			decode(line, &m)
+			if m.Seed != 11 || len(m.Apps) != len(suite) || len(m.StallClasses) != int(simeng.NumStallClasses) {
 				t.Errorf("meta record: %s", line)
 			}
-			if len(rec["stall_classes"].([]any)) != int(simeng.NumStallClasses) {
-				t.Errorf("meta stall classes: %s", line)
-			}
 		case "config":
-			apps := rec["apps"].([]any)
-			if len(apps) != len(suite) {
-				t.Errorf("config record has %d apps, want %d", len(apps), len(suite))
+			var c obs.ConfigRecord
+			decode(line, &c)
+			if len(c.Apps) != len(suite) {
+				t.Errorf("config record has %d apps, want %d", len(c.Apps), len(suite))
 			}
-			for _, a := range apps {
-				am := a.(map[string]any)
-				if len(am["stalls"].([]any)) != int(simeng.NumStallClasses) {
-					t.Errorf("config app stalls: %s", line)
-				}
-				if am["cycles"].(float64) <= 0 {
+			for _, app := range c.Apps {
+				if app.Cycles <= 0 {
 					t.Errorf("config app cycles: %s", line)
 				}
 			}
 		case "heartbeat":
-			if rec["total"].(float64) != 6 {
+			var h obs.HeartbeatRecord
+			decode(line, &h)
+			if h.Total != 6 {
 				t.Errorf("heartbeat record: %s", line)
 			}
 		case "summary":
-			if int(rec["rows"].(float64)) != res.Data.Len() {
+			var sum obs.SummaryRecord
+			decode(line, &sum)
+			if sum.Rows != res.Data.Len() {
 				t.Errorf("summary record: %s", line)
 			}
-		default:
-			t.Errorf("unknown record type %q: %s", typ, line)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if counts["meta"] != 1 || counts["summary"] != 1 || counts["config"] != 6 || counts["heartbeat"] < 1 {
-		t.Errorf("record counts = %v", counts)
-	}
-	if !strings.Contains(first, `"type":"meta"`) || !strings.Contains(last, `"type":"summary"`) {
-		t.Errorf("journal not bracketed by meta/summary: first %q last %q", first, last)
 	}
 }
 

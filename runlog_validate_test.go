@@ -2,59 +2,49 @@ package armdse_test
 
 import (
 	"context"
-	"encoding/json"
 	"net/http/httptest"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"sort"
-	"strings"
+	"slices"
 	"testing"
 	"time"
 
 	"armdse"
 	"armdse/internal/fabric"
+	"armdse/internal/obs"
 )
 
 // TestRunlogSchemaCoverage generates a runlog through each journaling path
-// the smoke scripts exercise — fixed sweep, adaptive search, and a 2-worker
-// fleet — runs every file through scripts/validate_runlog.py, and checks
-// that together they emit every record type scripts/runlog.schema.json
-// declares. A new record type that skips the schema, or a schema type no
-// path can produce, fails here rather than in CI shell scripts.
+// — fixed sweep, adaptive search, and a 2-worker fleet — checks every file
+// with obs.ValidateRunlog, and checks that together they emit exactly the
+// record types the validator knows. A record type with no writer, or a
+// writer emitting a type the validator lacks, fails here.
 func TestRunlogSchemaCoverage(t *testing.T) {
-	python, err := exec.LookPath("python3")
-	if err != nil {
-		t.Skip("python3 not available")
-	}
 	dir := t.TempDir()
-
 	sweep := filepath.Join(dir, "sweep.runlog.jsonl")
 	runFixedSweep(t, sweep)
-	validateRunlog(t, python, sweep, "config,heartbeat")
-
 	adaptive := filepath.Join(dir, "adaptive.runlog.jsonl")
 	runAdaptiveSweep(t, adaptive)
-	validateRunlog(t, python, adaptive, "barrier")
-
 	fleet := filepath.Join(dir, "fleet.runlog.jsonl")
 	runFleet(t, fleet)
-	validateRunlog(t, python, fleet, "lease,util,heartbeat")
 
-	emitted := map[string]bool{}
-	for _, path := range []string{sweep, adaptive, fleet} {
-		for _, typ := range recordTypes(t, path) {
-			emitted[typ] = true
+	var emitted []string
+	for _, run := range []struct {
+		path    string
+		require []string
+	}{
+		{sweep, []string{"config", "heartbeat"}},
+		{adaptive, []string{"barrier"}},
+		{fleet, []string{"lease", "util", "heartbeat"}},
+	} {
+		for typ := range validateRunlog(t, run.path, run.require...) {
+			emitted = append(emitted, typ)
 		}
 	}
-	schema := schemaTypes(t)
-	for _, typ := range schema {
-		if !emitted[typ] {
-			t.Errorf("schema type %q not produced by any journaling path", typ)
-		}
-	}
-	if len(emitted) != len(schema) {
-		t.Errorf("emitted types %v, schema declares %v", keys(emitted), schema)
+	slices.Sort(emitted)
+	emitted = slices.Compact(emitted)
+	if want := obs.RunlogTypes(); !slices.Equal(emitted, want) {
+		t.Errorf("journaling paths emit %v, the validator knows %v", emitted, want)
 	}
 }
 
@@ -158,64 +148,18 @@ func runFleet(t *testing.T, path string) {
 	}
 }
 
-// validateRunlog shells out to the Python validator the smoke scripts use,
-// requiring the given record types to appear.
-func validateRunlog(t *testing.T, python, path, require string) {
+// validateRunlog checks the runlog at path, requiring the given record
+// types, and returns its record counts.
+func validateRunlog(t *testing.T, path string, require ...string) map[string]int {
 	t.Helper()
-	cmd := exec.Command(python, "scripts/validate_runlog.py", "--require", require, path)
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("validate_runlog.py %s: %v\n%s", path, err, out)
-	}
-}
-
-func recordTypes(t *testing.T, path string) []string {
-	t.Helper()
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := map[string]bool{}
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	for dec.More() {
-		var rec struct {
-			Type string `json:"type"`
-		}
-		if err := dec.Decode(&rec); err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		seen[rec.Type] = true
-	}
-	return keys(seen)
-}
-
-func schemaTypes(t *testing.T) []string {
-	t.Helper()
-	data, err := os.ReadFile("scripts/runlog.schema.json")
+	defer f.Close()
+	counts, err := obs.ValidateRunlog(f, require...)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", path, err)
 	}
-	var doc struct {
-		Records map[string]json.RawMessage `json:"records"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	return keys(mapKeysToBool(doc.Records))
-}
-
-func mapKeysToBool(m map[string]json.RawMessage) map[string]bool {
-	out := make(map[string]bool, len(m))
-	for k := range m {
-		out[k] = true
-	}
-	return out
-}
-
-func keys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	return counts
 }

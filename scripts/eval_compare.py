@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Compare a hybrid-evaluator collection against its exact reference.
 
-Reads the two runs' JSONL run journals (dsegen -runlog; schema in
-runlog.schema.json), matches config records by index, and reports the
+Reads the two runs' JSONL run journals (dsegen -runlog; records defined
+in internal/obs/runlog.go), matches config records by index, and reports the
 evaluator seam's quality numbers as JSON on stdout:
 
   - escalation rate: fraction of configs the hybrid router escalated to
