@@ -168,6 +168,7 @@ func (c *cli) refuseFlags(mode string, allowed map[string]bool, why string) erro
 //     and a split-brain run at worst);
 //   - -lease and -expiry require -fleet, and each must be positive: the
 //     coordinator would silently replace them with its defaults;
+//   - -workers must not be negative (0 selects all cores);
 //   - -eval must name a known evaluator;
 //   - -search-batch requires -search and must not be negative: without
 //     -search it would be silently ignored, and the proposer would silently
@@ -193,6 +194,8 @@ func (c *cli) validate() error {
 		}
 	}
 	switch {
+	case c.workers < 0:
+		return fmt.Errorf("-workers %d < 0 (0 = all cores)", c.workers)
 	case c.lease <= 0:
 		return fmt.Errorf("-lease %d <= 0", c.lease)
 	case c.expiry <= 0:

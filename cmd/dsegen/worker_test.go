@@ -60,6 +60,26 @@ func TestRunWorkerAllowsWorkerFlags(t *testing.T) {
 	}
 }
 
+// A negative -workers is refused in every mode that takes it, before the
+// journal or runlog exists or a coordinator is contacted.
+func TestRunNegativeWorkers(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "ds.csv")
+	for _, args := range [][]string{
+		{"-samples", "2", "-out", out},
+		{"-samples", "4", "-out", out, "-search", "ucb"},
+		{"-samples", "2", "-out", out, "-eval", "hybrid"},
+		{"-worker", "http://127.0.0.1:1"},
+	} {
+		var buf bytes.Buffer
+		err := run(context.Background(), append([]string{"-workers", "-1", "-q"}, args...), &buf, &buf)
+		if err == nil || !strings.Contains(err.Error(), "-workers -1") {
+			t.Errorf("%v: err = %v, want a -workers error", args, err)
+		}
+	}
+	assertNoStrayFiles(t, dir)
+}
+
 // An unknown evaluator, including the removed "bound", is refused before
 // the journal or runlog exists.
 func TestRunEvalUnknownLeavesNoJournal(t *testing.T) {

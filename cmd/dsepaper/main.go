@@ -3,11 +3,19 @@
 // writing the rendered text plus the collected dataset to a directory —
 // the one-shot reproduction driver. -ext adds the extension experiments
 // (extports, extunified, extprefetch, extforest, extmulticore, extstalls);
-// -data reuses a collected CSV for every experiment that trains on one.
+// -only runs a comma-separated list of experiment ids in the given order;
+// -data reuses a collected CSV, loaded once, for every experiment that
+// trains on one.
+//
+// The paper's analysis of a dataset from dsegen — held-out accuracy of the
+// per-application surrogates (80/20 split) and their top-10 permutation
+// importances (10 shuffles) — is
+//
+//	dsepaper -data dataset.csv -only fig2,fig3 [-seed 1] [-workers 0]
 //
 // Usage:
 //
-//	dsepaper [-samples 2000] [-seed 1] [-only fig3] [-ext] [-out results/] [-data ds.csv]
+//	dsepaper [-samples 2000] [-seed 1] [-only fig2,fig3] [-ext] [-out results/] [-data ds.csv]
 package main
 
 import (
@@ -41,13 +49,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		samples = fs.Int("samples", 2000, "dataset size for the experiments that train surrogates on a collected dataset")
 		seed    = fs.Int64("seed", 1, "seed for sampling, splitting and shuffling")
 		workers = fs.Int("workers", 0, "worker pool size (0 = all cores)")
-		only    = fs.String("only", "", "run a single experiment id (fig1, table1..table4, fig2..fig8, ext*)")
+		only    = fs.String("only", "", "run only these comma-separated experiment ids, in order (fig1, table1..table4, fig2..fig8, ext*)")
 		ext     = fs.Bool("ext", false, "also run the extension experiments ("+strings.Join(extIDs(), ", ")+")")
 		outDir  = fs.String("out", "", "also write each result and the dataset into this directory")
 		dataIn  = fs.String("data", "", "reuse a previously collected dataset CSV instead of simulating")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *workers < 0 {
+		return fmt.Errorf("-workers %d < 0 (0 = all cores)", *workers)
 	}
 
 	opt := armdse.ExperimentOptions{Samples: *samples, Seed: *seed, Workers: *workers}
@@ -57,11 +68,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		runners = armdse.ExperimentsWithExtensions()
 	}
 	if *only != "" {
-		r, err := armdse.ExperimentByID(*only)
-		if err != nil {
-			return err
+		runners = nil
+		for _, id := range strings.Split(*only, ",") {
+			r, err := armdse.ExperimentByID(id)
+			if err != nil {
+				return err
+			}
+			runners = append(runners, r)
 		}
-		runners = []armdse.ExperimentRunner{r}
 	}
 
 	// Load or collect the shared dataset once if any requested experiment

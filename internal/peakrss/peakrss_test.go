@@ -2,13 +2,13 @@
 
 // Package peakrss_test bounds the peak resident set of the collection and
 // single-run commands, each built without the race detector and measured
-// through the maxrss helper in testdata. The test imports armdse, so a
-// change to the simulator, the memory model or the engine invalidates a
-// cached result.
+// through the maxrss helper in testdata. The test stats every Go file it
+// builds, so an edit to any of them invalidates a cached result.
 package peakrss_test
 
 import (
 	"bytes"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strconv"
@@ -19,8 +19,21 @@ import (
 )
 
 // build compiles the package at pkg into dir, without the race detector.
+// It stats each non-standard Go file the build compiles: go test keys a
+// cached result on the files a test stats or opens, and the test binary
+// does not import the commands it builds.
 func build(t *testing.T, dir, pkg string) string {
 	t.Helper()
+	srcs, err := exec.Command("go", "list", "-deps", "-f",
+		`{{if not .Standard}}{{range .GoFiles}}{{$.Dir}}/{{.}}{{"\n"}}{{end}}{{end}}`, pkg).Output()
+	if err != nil {
+		t.Fatalf("go list %s: %v", pkg, err)
+	}
+	for _, src := range strings.Split(strings.TrimSpace(string(srcs)), "\n") {
+		if _, err := os.Stat(src); err != nil {
+			t.Fatal(err)
+		}
+	}
 	bin := filepath.Join(dir, filepath.Base(pkg))
 	if out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput(); err != nil {
 		t.Fatalf("go build %s: %v\n%s", pkg, err, out)

@@ -1,6 +1,5 @@
-// Package report renders experiment results as aligned ASCII tables and
-// simple horizontal bar charts, the textual equivalent of the paper's
-// matplotlib figures.
+// Package report renders experiment results as aligned ASCII tables, the
+// textual equivalent of the paper's matplotlib figures.
 package report
 
 import (
@@ -86,42 +85,4 @@ func Bytes(v float64) string {
 	default:
 		return fmt.Sprintf("%gB", v)
 	}
-}
-
-// BarChart renders labelled horizontal bars scaled to the largest |value|,
-// negative values marked with '<' bars — the textual stand-in for the
-// paper's signed importance plots.
-func BarChart(title string, labels []string, values []float64, width int) string {
-	if width < 8 {
-		width = 8
-	}
-	maxAbs := 0.0
-	maxLabel := 0
-	for i, v := range values {
-		maxAbs = max(maxAbs, math.Abs(v))
-		if i < len(labels) && len(labels[i]) > maxLabel {
-			maxLabel = len(labels[i])
-		}
-	}
-	var b strings.Builder
-	if title != "" {
-		b.WriteString(title)
-		b.WriteByte('\n')
-	}
-	for i, v := range values {
-		label := ""
-		if i < len(labels) {
-			label = labels[i]
-		}
-		n := 0
-		if maxAbs > 0 {
-			n = int(math.Round(math.Abs(v) / maxAbs * float64(width)))
-		}
-		ch := "#"
-		if v < 0 {
-			ch = "<"
-		}
-		fmt.Fprintf(&b, "%s  %s %s\n", pad(label, maxLabel), pad(strings.Repeat(ch, n), width), F(v, 2))
-	}
-	return b.String()
 }

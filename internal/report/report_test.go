@@ -69,30 +69,3 @@ func TestFormatters(t *testing.T) {
 		}
 	}
 }
-
-func TestBarChart(t *testing.T) {
-	s := BarChart("imps", []string{"a", "bb"}, []float64{50, -25}, 10)
-	if !strings.Contains(s, "imps") {
-		t.Error("missing title")
-	}
-	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("lines = %d:\n%s", len(lines), s)
-	}
-	if !strings.Contains(lines[1], "##########") {
-		t.Errorf("max bar not full width: %q", lines[1])
-	}
-	if !strings.Contains(lines[2], "<<<<<") {
-		t.Errorf("negative bar not rendered with '<': %q", lines[2])
-	}
-	if !strings.Contains(lines[1], "50.00") || !strings.Contains(lines[2], "-25.00") {
-		t.Error("values missing")
-	}
-	// Degenerate inputs are safe.
-	if out := BarChart("", nil, []float64{0, 0}, 0); out == "" {
-		t.Error("zero chart empty")
-	}
-	if out := BarChart("", []string{"x"}, []float64{1, 2}, 4); out == "" {
-		t.Error("short label list not handled")
-	}
-}
