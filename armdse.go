@@ -23,11 +23,14 @@
 //
 // Every table and figure of the paper can be regenerated through the
 // Experiments API or the cmd/dsepaper binary.
+//
+// This package is the library surface for code outside the module (the
+// perfbench harness, programs built on the toolkit, and the godoc examples);
+// the commands under cmd/ call the internal packages directly.
 package armdse
 
 import (
 	"context"
-	"net/http"
 
 	"armdse/internal/dataset"
 	"armdse/internal/dtree"
@@ -35,7 +38,6 @@ import (
 	"armdse/internal/orchestrate"
 	"armdse/internal/params"
 	"armdse/internal/simeng"
-	"armdse/internal/sstmem"
 	"armdse/internal/workload"
 )
 
@@ -43,20 +45,12 @@ import (
 type (
 	// Config is one design-space point: a core plus its memory backend.
 	Config = params.Config
-	// CoreConfig is the Table II core parameter set.
-	CoreConfig = simeng.Config
-	// MemConfig is the Table III memory parameter set.
-	MemConfig = sstmem.Config
 	// Stats summarises one simulated run; Cycles is the study's target.
 	Stats = simeng.Stats
 	// MemoryBackend is the seam between the core and its memory system;
 	// sstmem hierarchies (at either fidelity) and the ideal flat memory
 	// implement it.
 	MemoryBackend = simeng.MemoryBackend
-	// StallClass is one bucket of the per-cycle stall attribution.
-	StallClass = simeng.StallClass
-	// StallBreakdown is a per-class cycle attribution summing to Cycles.
-	StallBreakdown = simeng.StallBreakdown
 	// Workload is one benchmark application.
 	Workload = workload.Workload
 	// Param is one dimension of the design space.
@@ -77,10 +71,6 @@ type (
 	// ImportanceOptions configure FeatureImportanceOpt (repeats, seed,
 	// workers).
 	ImportanceOptions = dtree.ImportanceOptions
-	// Forest is a bagged random-forest surrogate (paper future work).
-	Forest = dtree.Forest
-	// ForestOptions configure random-forest training.
-	ForestOptions = dtree.ForestOptions
 )
 
 // Application names, in the paper's presentation order.
@@ -152,10 +142,12 @@ func FeatureNames() []string { return params.FeatureNames() }
 // sampling constraints, deterministically from seed.
 func SampleConfigs(seed int64, n int) []Config { return params.SampleN(seed, n) }
 
-// ConfigAt derives the index-th configuration of seed's sampling stream in
-// O(1), without materialising earlier configurations — the indexed config
-// source behind Collect's worker-count and resume invariance.
-func ConfigAt(seed int64, index int) Config { return params.ConfigAt(seed, index) }
+// SaveConfig writes a configuration as indented JSON.
+func SaveConfig(cfg Config, path string) error { return params.SaveConfig(cfg, path) }
+
+// LoadConfig reads a JSON configuration written by SaveConfig (or by hand,
+// as under configs/) and validates it.
+func LoadConfig(path string) (Config, error) { return params.LoadConfig(path) }
 
 // Simulate runs one workload on one configuration and returns the run
 // statistics.
@@ -190,18 +182,12 @@ const (
 	EvalHybrid = orchestrate.EvalHybrid
 )
 
-// Evaluators lists the recognised evaluator names.
-func Evaluators() []string { return orchestrate.Evaluators() }
-
 // Collection engine types; see the orchestrate package for details.
 type (
 	// CollectOptions configure dataset collection.
 	CollectOptions = orchestrate.Options
 	// CollectResult is the outcome of a collection run.
 	CollectResult = orchestrate.Result
-	// ProgressEvent snapshots a running collection (done/failed/total,
-	// rows/sec, cycles simulated).
-	ProgressEvent = orchestrate.ProgressEvent
 	// Row is the outcome record of one collected configuration.
 	Row = orchestrate.Row
 	// RowSink consumes completed rows; implementations must be safe for
@@ -230,26 +216,9 @@ func Collect(ctx context.Context, opt CollectOptions) (CollectResult, error) {
 // existing file; pass the result to NewStreamSink to stream rows to disk as
 // they complete. Pass StallColumns(apps) as auxNames to journal the
 // collection's per-class stall attribution alongside its cycle targets. A
-// non-empty meta string (see RunMeta) is stamped into the journal header
-// and must match on OpenJournal.
+// non-empty meta string is stamped into the journal header.
 func CreateStreamAux(path string, featureNames, apps, auxNames []string, meta string) (*StreamWriter, error) {
 	return dataset.CreateStreamAux(path, featureNames, apps, auxNames, meta)
-}
-
-// OpenJournal opens a collection run's journal the way a local dsegen run
-// and a dsegen -fleet coordinator do: it creates the journal when none exists and resumes it (resumed is
-// true, and its Done set is the CollectOptions.Skip input) when its columns
-// and meta stamp are this run's. A journal of another run is refused and
-// left byte-unchanged — resuming it would mix rows from two runs.
-func OpenJournal(path string, featureNames, apps, auxNames []string, meta string) (sw *StreamWriter, resumed bool, err error) {
-	return dataset.OpenJournal(path, featureNames, apps, auxNames, meta)
-}
-
-// RunMeta is a collection journal's identity stamp: seed, sample count and
-// suite scale, plus the evaluator when it is not exact and an adaptive
-// run's proposer digest.
-func RunMeta(seed int64, samples int, paper bool, eval, search string) string {
-	return orchestrate.RunMeta(seed, samples, paper, eval, search)
 }
 
 // StallColumns returns the auxiliary column names a collection over the
@@ -267,15 +236,6 @@ func CompactStream(path string) (*Dataset, int, error) {
 // interface.
 func NewStreamSink(w *StreamWriter) RowSink { return orchestrate.StreamSink{W: w} }
 
-// PriorRowsFromJournal reconstructs the completed rows of an interrupted
-// batch-mode collection from its journal, sorted by index — the
-// CollectOptions.Prior input that lets a resumed adaptive run replay its
-// proposal sequence exactly (combine with Skip from the resumed stream
-// writer's Done set).
-func PriorRowsFromJournal(path string) ([]Row, error) {
-	return orchestrate.PriorRowsFromJournal(path)
-}
-
 // Telemetry layer types; see internal/obs for the metrics core and
 // internal/orchestrate.Telemetry for the engine-facing hub.
 type (
@@ -284,9 +244,6 @@ type (
 	// through CollectOptions.Telemetry; recording is allocation-free and
 	// never perturbs dataset output.
 	Telemetry = orchestrate.Telemetry
-	// SweepStatus is the live status view of a running collection — the
-	// monitor endpoint's JSON payload.
-	SweepStatus = orchestrate.SweepStatus
 	// MetricsRegistry holds sharded counters, gauges and histograms with
 	// deterministic snapshot, Prometheus text and JSON encoders.
 	MetricsRegistry = obs.Registry
@@ -299,27 +256,11 @@ type (
 // collection's worker count so each worker records into a private slot.
 func NewMetricsRegistry(shards int) *MetricsRegistry { return obs.NewRegistry(shards) }
 
-// CreateRunJournal creates (truncating) a structured JSONL run journal.
-func CreateRunJournal(path string) (*RunJournal, error) { return obs.CreateJournal(path) }
-
 // NewTelemetry wires a telemetry hub over an optional metrics registry and an
 // optional run journal (either may be nil; a nil hub is also valid
 // everywhere one is accepted).
 func NewTelemetry(reg *MetricsRegistry, journal *RunJournal) *Telemetry {
 	return orchestrate.NewTelemetry(reg, journal)
-}
-
-// TelemetryHandler builds the monitor HTTP handler: /metrics (Prometheus
-// text), /status (the status function's JSON, e.g. Telemetry.StatusAny),
-// /debug/vars (snapshot JSON) and /debug/pprof.
-func TelemetryHandler(reg *MetricsRegistry, status func() any) http.Handler {
-	return obs.Handler(reg, status)
-}
-
-// ServeTelemetry binds addr and serves the handler in the background,
-// returning the server and the resolved bound address (":0" picks a port).
-func ServeTelemetry(addr string, h http.Handler) (*http.Server, string, error) {
-	return obs.Serve(addr, h)
 }
 
 // SuiteNames returns the application names of a workload suite — the
@@ -344,16 +285,6 @@ func TrainSurrogateOpt(d *Dataset, app string, opt TreeOptions) (*Tree, error) {
 		return nil, err
 	}
 	return dtree.Train(d.X, y, opt)
-}
-
-// TrainForestSurrogate fits the random-forest surrogate the paper's
-// conclusion proposes as future work, for one application's cycles.
-func TrainForestSurrogate(d *Dataset, app string, opt ForestOptions) (*Forest, error) {
-	y, err := d.Target(app)
-	if err != nil {
-		return nil, err
-	}
-	return dtree.TrainForest(d.X, y, opt)
 }
 
 // FeatureImportance computes the paper's permutation feature importance for

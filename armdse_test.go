@@ -188,79 +188,6 @@ func writeFile(path, content string) error {
 	return os.WriteFile(path, []byte(content), 0o644)
 }
 
-func TestSearchAndSurrogateIO(t *testing.T) {
-	ctx := context.Background()
-	res, err := armdse.Collect(ctx, armdse.CollectOptions{Seed: 6, Samples: 60, Suite: tinySuite()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := armdse.TrainSurrogate(res.Data, armdse.STREAM)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Surrogate round trip through disk.
-	path := filepath.Join(t.TempDir(), "tree.json")
-	if err := armdse.SaveModel(tree, path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := armdse.LoadModel(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probe := armdse.ThunderX2().Features()
-	if back.Predict(probe) != tree.Predict(probe) {
-		t.Error("surrogate changed across save/load")
-	}
-
-	// Search with the surrogate objective yields a valid design.
-	sr, err := armdse.SearchBest(armdse.SurrogateObjective(tree), armdse.SearchOptions{
-		Seed: 1, Candidates: 500, RefineSteps: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sr.Config.Validate(); err != nil {
-		t.Errorf("search winner invalid: %v", err)
-	}
-
-	// Weighted multi-app objective.
-	t2, err := armdse.TrainSurrogate(res.Data, armdse.TeaLeaf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	obj, err := armdse.WeightedObjective(
-		[]armdse.Objective{armdse.SurrogateObjective(tree), armdse.SurrogateObjective(t2)},
-		[]float64{1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := armdse.SearchBest(obj, armdse.SearchOptions{Seed: 2, Candidates: 200}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Partial dependence over the dataset.
-	pd, err := armdse.PartialDependence(tree, res.Data, 0, []float64{128, 2048})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pd) != 2 {
-		t.Errorf("pdp = %v", pd)
-	}
-
-	// Forest surrogate trains and predicts.
-	forest, err := armdse.TrainForestSurrogate(res.Data, armdse.STREAM, armdse.ForestOptions{Trees: 5, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if forest.NumTrees() != 5 {
-		t.Errorf("forest trees = %d", forest.NumTrees())
-	}
-	if p := forest.Predict(probe); p <= 0 {
-		t.Errorf("forest prediction = %g", p)
-	}
-}
-
 func TestReferenceConfigsLoad(t *testing.T) {
 	for _, path := range []string{
 		"configs/thunderx2.json",

@@ -60,9 +60,13 @@ import (
 	"strings"
 	"time"
 
-	"armdse"
+	"armdse/internal/dataset"
 	"armdse/internal/fabric"
 	"armdse/internal/obs"
+	"armdse/internal/orchestrate"
+	"armdse/internal/params"
+	"armdse/internal/search"
+	"armdse/internal/workload"
 )
 
 func main() {
@@ -77,7 +81,7 @@ func main() {
 // batchSource wraps a possibly-nil proposer for the Batches option without
 // producing a non-nil interface around a nil pointer (which would switch
 // the engine into batch mode with no proposer).
-func batchSource(p *armdse.Proposer) armdse.BatchSource {
+func batchSource(p *search.Proposer) orchestrate.BatchSource {
 	if p == nil {
 		return nil
 	}
@@ -201,8 +205,8 @@ func (c *cli) validate() error {
 	case c.expiry <= 0:
 		return fmt.Errorf("-expiry %s <= 0", c.expiry)
 	}
-	if c.eval != "" && !slices.Contains(armdse.Evaluators(), c.eval) {
-		return fmt.Errorf("unknown evaluator %q (want one of %v)", c.eval, armdse.Evaluators())
+	if c.eval != "" && !slices.Contains(orchestrate.Evaluators(), c.eval) {
+		return fmt.Errorf("unknown evaluator %q (want one of %v)", c.eval, orchestrate.Evaluators())
 	}
 	if c.srch == "" && c.set["search-batch"] {
 		return errors.New("-search-batch requires -search: it configures the adaptive proposer and would be silently ignored by a fixed sweep")
@@ -254,23 +258,23 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 // runLocal simulates the run in this process.
 func (c *cli) runLocal(ctx context.Context, stdout, stderr io.Writer) error {
-	suite := armdse.TestSuite()
+	suite := workload.TestSuite()
 	if c.paper {
-		suite = armdse.PaperSuite()
+		suite = workload.PaperSuite()
 	}
-	features := armdse.FeatureNames()
-	apps := armdse.SuiteNames(suite)
+	features := params.FeatureNames()
+	apps := orchestrate.SuiteNames(suite)
 
 	// Adaptive mode: a proposer feeds the engine generation-driven batches
 	// of -samples configs in all instead of a fixed index range.
-	var proposer *armdse.Proposer
+	var proposer *search.Proposer
 	searchDigest := ""
 	if c.srch != "" {
 		// Barrier refits and pool scoring run while every simulation
 		// worker waits, so they use the same pool size; proposals are
 		// identical at any value.
 		var err error
-		proposer, err = armdse.NewProposer(armdse.ProposeOptions{
+		proposer, err = search.NewProposer(search.ProposeOptions{
 			Strategy: c.srch,
 			Seed:     c.seed,
 			Budget:   c.samples,
@@ -284,13 +288,13 @@ func (c *cli) runLocal(ctx context.Context, stdout, stderr io.Writer) error {
 		searchDigest = proposer.Digest()
 	}
 	journal := c.out + ".journal"
-	sw, resumed, err := armdse.OpenJournal(journal, features, apps, armdse.StallColumns(apps),
-		armdse.RunMeta(c.seed, c.samples, c.paper, c.eval, searchDigest))
+	sw, resumed, err := dataset.OpenJournal(journal, features, apps, orchestrate.StallColumns(apps),
+		orchestrate.RunMeta(c.seed, c.samples, c.paper, c.eval, searchDigest))
 	if err != nil {
 		return err
 	}
 	defer sw.Close()
-	if resumed && c.eval == armdse.EvalHybrid {
+	if resumed && c.eval == orchestrate.EvalHybrid {
 		return fmt.Errorf("-eval hybrid does not resume %s: hybrid routing depends on every earlier result in the run, and the journal does not record which rows were escalated; remove it to start over", journal)
 	}
 	skip := sw.Done()
@@ -300,9 +304,9 @@ func (c *cli) runLocal(ctx context.Context, stdout, stderr io.Writer) error {
 	// Resuming an adaptive run must replay the proposal sequence: the
 	// journaled rows re-enter as Prior (so each generation's proposer sees
 	// exactly what it saw the first time) while Skip prevents re-simulation.
-	var prior []armdse.Row
+	var prior []orchestrate.Row
 	if proposer != nil && len(skip) > 0 {
-		prior, err = armdse.PriorRowsFromJournal(journal)
+		prior, err = orchestrate.PriorRowsFromJournal(journal)
 		if err != nil {
 			return err
 		}
@@ -317,12 +321,12 @@ func (c *cli) runLocal(ctx context.Context, stdout, stderr io.Writer) error {
 	if resolvedWorkers <= 0 {
 		resolvedWorkers = runtime.GOMAXPROCS(0)
 	}
-	var tel *armdse.Telemetry
-	var rj *armdse.RunJournal
+	var tel *orchestrate.Telemetry
+	var rj *obs.Journal
 	if c.httpAddr != "" || runlogPath != "" {
-		reg := armdse.NewMetricsRegistry(resolvedWorkers)
+		reg := obs.NewRegistry(resolvedWorkers)
 		if runlogPath != "" {
-			rj, err = armdse.CreateRunJournal(runlogPath)
+			rj, err = obs.CreateJournal(runlogPath)
 			if err != nil {
 				return err
 			}
@@ -332,9 +336,9 @@ func (c *cli) runLocal(ctx context.Context, stdout, stderr io.Writer) error {
 				}
 			}()
 		}
-		tel = armdse.NewTelemetry(reg, rj)
+		tel = orchestrate.NewTelemetry(reg, rj)
 		if c.httpAddr != "" {
-			srv, bound, err := armdse.ServeTelemetry(c.httpAddr, armdse.TelemetryHandler(reg, tel.StatusAny))
+			srv, bound, err := obs.Serve(c.httpAddr, obs.Handler(reg, tel.StatusAny))
 			if err != nil {
 				return err
 			}
@@ -349,7 +353,7 @@ func (c *cli) runLocal(ctx context.Context, stdout, stderr io.Writer) error {
 	}
 
 	start := time.Now()
-	opt := armdse.CollectOptions{
+	opt := orchestrate.Options{
 		Seed:         c.seed,
 		Samples:      c.samples,
 		Batches:      batchSource(proposer),
@@ -359,12 +363,12 @@ func (c *cli) runLocal(ctx context.Context, stdout, stderr io.Writer) error {
 		Eval:         c.eval,
 		EvalEscalate: c.evalEsc,
 		Validate:     true,
-		Sink:         armdse.NewStreamSink(sw),
+		Sink:         orchestrate.StreamSink{W: sw},
 		Skip:         func(i int) bool { return skip[i] },
 		Telemetry:    tel,
 	}
 	if !c.quiet {
-		opt.Progress = func(ev armdse.ProgressEvent) {
+		opt.Progress = func(ev orchestrate.ProgressEvent) {
 			if ev.Done%50 == 0 || ev.Done == ev.Total {
 				fmt.Fprintf(stderr, "\r%d/%d configs (%.1f/s, %d failed, %.3g cycles, eta %s)   ",
 					ev.Done, ev.Total, ev.RowsPerSec, ev.Failed, float64(ev.Cycles), ev.ETA.Round(time.Second))
@@ -372,7 +376,7 @@ func (c *cli) runLocal(ctx context.Context, stdout, stderr io.Writer) error {
 		}
 	}
 
-	res, collectErr := armdse.Collect(ctx, opt)
+	res, collectErr := orchestrate.Collect(ctx, opt)
 	if !c.quiet {
 		fmt.Fprintln(stderr)
 	}
@@ -382,7 +386,7 @@ func (c *cli) runLocal(ctx context.Context, stdout, stderr io.Writer) error {
 	if collectErr != nil {
 		if errors.Is(collectErr, context.Canceled) {
 			next := "rerun with the same flags to continue"
-			if c.eval == armdse.EvalHybrid {
+			if c.eval == orchestrate.EvalHybrid {
 				next = "-eval hybrid does not resume it; remove it to start over"
 			}
 			fmt.Fprintf(stderr, "interrupted: %d configs this run (%d total) journaled in %s; %s\n",
@@ -391,7 +395,7 @@ func (c *cli) runLocal(ctx context.Context, stdout, stderr io.Writer) error {
 		return collectErr
 	}
 
-	data, failed, err := armdse.CompactStream(journal)
+	data, failed, err := dataset.CompactStream(journal)
 	if err != nil {
 		return err
 	}
@@ -460,7 +464,7 @@ func (c *cli) runFleet(ctx context.Context, stdout, stderr, logw io.Writer) erro
 // returns before closeLog, so a runlog without a summary marks a run whose
 // journal may still hold its rows. The journal stays when every
 // configuration failed.
-func (c *cli) finish(ctx context.Context, stdout, stderr io.Writer, start time.Time, data *armdse.Dataset, failed int,
+func (c *cli) finish(ctx context.Context, stdout, stderr io.Writer, start time.Time, data *dataset.Dataset, failed int,
 	removeJournal, closeLog func() error, suffix string) error {
 	if data.Len() == 0 {
 		return fmt.Errorf("every configuration failed; journal kept at %s.journal", c.out)

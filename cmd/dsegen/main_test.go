@@ -10,8 +10,12 @@ import (
 	"strings"
 	"testing"
 
-	"armdse"
+	"armdse/internal/dataset"
 	"armdse/internal/obs"
+	"armdse/internal/orchestrate"
+	"armdse/internal/params"
+	"armdse/internal/search"
+	"armdse/internal/workload"
 )
 
 func TestRunGeneratesCSV(t *testing.T) {
@@ -26,7 +30,7 @@ func TestRunGeneratesCSV(t *testing.T) {
 	if !strings.Contains(stdout.String(), "3 rows x 30 features") {
 		t.Errorf("stdout = %q", stdout.String())
 	}
-	data, err := armdse.LoadDataset(out)
+	data, err := dataset.LoadFile(out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,29 +107,29 @@ func cliCSV(t *testing.T, out string, extra ...string) []byte {
 // leaves when interrupted after at least k configs — the journal of an
 // exact sweep of samples configs, or with a non-nil proposer, of that
 // adaptive run (samples is then its budget) — and returns its row count.
-func interruptedJournal(t *testing.T, out string, samples, k int, proposer *armdse.Proposer) int {
+func interruptedJournal(t *testing.T, out string, samples, k int, proposer *search.Proposer) int {
 	t.Helper()
-	suite := armdse.TestSuite()
-	apps := armdse.SuiteNames(suite)
+	suite := workload.TestSuite()
+	apps := orchestrate.SuiteNames(suite)
 	digest := ""
 	if proposer != nil {
 		digest = proposer.Digest()
 	}
-	sw, err := armdse.CreateStreamAux(out+".journal", armdse.FeatureNames(), apps,
-		armdse.StallColumns(apps), armdse.RunMeta(9, samples, false, "", digest))
+	sw, err := dataset.CreateStreamAux(out+".journal", params.FeatureNames(), apps,
+		orchestrate.StallColumns(apps), orchestrate.RunMeta(9, samples, false, "", digest))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, err = armdse.Collect(ctx, armdse.CollectOptions{
+	_, err = orchestrate.Collect(ctx, orchestrate.Options{
 		Seed:    9,
 		Samples: samples,
 		Batches: batchSource(proposer),
 		Workers: 1,
 		Suite:   suite,
-		Sink:    armdse.NewStreamSink(sw),
-		Progress: func(ev armdse.ProgressEvent) {
+		Sink:    orchestrate.StreamSink{W: sw},
+		Progress: func(ev orchestrate.ProgressEvent) {
 			if ev.Done >= k {
 				cancel()
 			}
@@ -170,9 +174,9 @@ func TestRunRerunResumesAdaptiveJournal(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{"-samples", "12", "-search", "ucb", "-search-batch", "4"}
 	full := cliCSV(t, filepath.Join(dir, "full.csv"), args...)
-	proposer, err := armdse.NewProposer(armdse.ProposeOptions{
+	proposer, err := search.NewProposer(search.ProposeOptions{
 		Strategy: "ucb", Seed: 9, Budget: 12, Batch: 4,
-		Apps: armdse.SuiteNames(armdse.TestSuite()),
+		Apps: orchestrate.SuiteNames(workload.TestSuite()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +244,7 @@ func TestRunAdaptiveUCB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := armdse.LoadDataset(out)
+	data, err := dataset.LoadFile(out)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,10 @@ import (
 	"strings"
 	"testing"
 
-	"armdse"
+	"armdse/internal/dataset"
+	"armdse/internal/orchestrate"
+	"armdse/internal/params"
+	"armdse/internal/workload"
 )
 
 // assertNoStrayFiles pins the up-front flag validation contract: a rejected
@@ -151,9 +154,9 @@ func TestRunHybridRefusesResumeAndShard(t *testing.T) {
 	t.Run("rerun", func(t *testing.T) {
 		dir := t.TempDir()
 		out := filepath.Join(dir, "ds.csv")
-		apps := armdse.SuiteNames(armdse.TestSuite())
-		sw, err := armdse.CreateStreamAux(out+".journal", armdse.FeatureNames(), apps,
-			armdse.StallColumns(apps), armdse.RunMeta(1, 2, false, armdse.EvalHybrid, ""))
+		apps := orchestrate.SuiteNames(workload.TestSuite())
+		sw, err := dataset.CreateStreamAux(out+".journal", params.FeatureNames(), apps,
+			orchestrate.StallColumns(apps), orchestrate.RunMeta(1, 2, false, orchestrate.EvalHybrid, ""))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,8 +29,10 @@ import (
 	"strings"
 	"time"
 
-	"armdse"
 	"armdse/internal/atomicfile"
+	"armdse/internal/dataset"
+	"armdse/internal/experiments"
+	"armdse/internal/orchestrate"
 )
 
 func main() {
@@ -61,16 +63,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("-workers %d < 0 (0 = all cores)", *workers)
 	}
 
-	opt := armdse.ExperimentOptions{Samples: *samples, Seed: *seed, Workers: *workers}
+	opt := experiments.Options{Samples: *samples, Seed: *seed, Workers: *workers}
 
-	runners := armdse.Experiments()
+	runners := experiments.All()
 	if *ext {
-		runners = armdse.ExperimentsWithExtensions()
+		runners = experiments.AllWithExtensions()
 	}
 	if *only != "" {
 		runners = nil
 		for _, id := range strings.Split(*only, ",") {
-			r, err := armdse.ExperimentByID(id)
+			r, err := experiments.ByID(id)
 			if err != nil {
 				return err
 			}
@@ -85,7 +87,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		needsData = needsData || r.SharedData
 	}
 	if needsData && *dataIn != "" {
-		data, err := armdse.LoadDataset(*dataIn)
+		data, err := dataset.LoadFile(*dataIn)
 		if err != nil {
 			return err
 		}
@@ -96,13 +98,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if needsData {
 		start := time.Now()
 		fmt.Fprintf(stderr, "collecting dataset (%d samples)...\n", *samples)
-		opt.Progress = func(ev armdse.ProgressEvent) {
+		opt.Progress = func(ev orchestrate.ProgressEvent) {
 			if ev.Done%100 == 0 || ev.Done == ev.Total {
 				fmt.Fprintf(stderr, "\r%d/%d configs (%.1f/s, %d failed)   ",
 					ev.Done, ev.Total, ev.RowsPerSec, ev.Failed)
 			}
 		}
-		data, err := armdse.CollectExperimentData(ctx, opt)
+		data, err := experiments.CollectData(ctx, opt)
 		fmt.Fprintln(stderr)
 		if err != nil {
 			return err
@@ -153,7 +155,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 // extIDs lists the extension experiments -ext adds to the paper's.
 func extIDs() []string {
 	var ids []string
-	for _, r := range armdse.ExperimentsWithExtensions()[len(armdse.Experiments()):] {
+	for _, r := range experiments.AllWithExtensions()[len(experiments.All()):] {
 		ids = append(ids, r.ID)
 	}
 	return ids

@@ -21,9 +21,11 @@ import (
 	"io"
 	"os"
 
-	"armdse"
+	"armdse/internal/dataset"
+	"armdse/internal/dtree"
 	"armdse/internal/params"
 	"armdse/internal/report"
+	"armdse/internal/search"
 )
 
 func main() {
@@ -49,11 +51,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	data, err := armdse.LoadDataset(*dataPath)
+	data, err := dataset.LoadFile(*dataPath)
 	if err != nil {
 		return err
 	}
-	tree, err := armdse.TrainSurrogate(data, *app)
+	y, err := data.Target(*app)
+	if err != nil {
+		return err
+	}
+	tree, err := dtree.Train(data.X, y, dtree.Options{})
 	if err != nil {
 		return err
 	}
@@ -63,7 +69,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	did := false
 	if *predict != "" {
 		did = true
-		cfg, err := armdse.LoadConfig(*predict)
+		cfg, err := params.LoadConfig(*predict)
 		if err != nil {
 			return err
 		}
@@ -91,7 +97,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			}
 			values = thin
 		}
-		pd, err := armdse.PartialDependence(tree, data, col, values)
+		pd, err := dtree.PartialDependence(tree, data.X, col, values)
 		if err != nil {
 			return err
 		}
@@ -107,7 +113,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	if *doSearch {
 		did = true
-		res, err := armdse.SearchBest(armdse.SurrogateObjective(tree), armdse.SearchOptions{
+		res, err := search.Best(search.SurrogateObjective(tree), search.Options{
 			Seed:        *seed,
 			Candidates:  20000,
 			RefineSteps: 3,
@@ -118,7 +124,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "best predicted cycles: %.0f (screened %d, refined %d)\n",
 			res.Score, res.Screened, res.Refined)
 		tbl := report.Table{Title: "winning configuration", Columns: []string{"Parameter", "Value"}}
-		names := armdse.FeatureNames()
+		names := params.FeatureNames()
 		for i, v := range res.Config.Features() {
 			tbl.AddRow(names[i], report.I(v))
 		}
@@ -127,7 +133,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	if *doPareto {
 		did = true
-		front, err := armdse.ParetoFromDataset(data, *app)
+		front, err := search.ParetoFromDataset(data, *app)
 		if err != nil {
 			return err
 		}

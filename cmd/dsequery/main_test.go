@@ -7,16 +7,18 @@ import (
 	"strings"
 	"testing"
 
-	"armdse"
+	"armdse/internal/orchestrate"
+	"armdse/internal/params"
+	"armdse/internal/workload"
 )
 
 // fixture builds a dataset CSV and a config JSON for queries.
 func fixture(t *testing.T) (dataPath, cfgPath string) {
 	t.Helper()
-	suite := []armdse.Workload{
-		armdse.NewSTREAM(armdse.STREAMInputs{ArraySize: 512, Times: 1}),
+	suite := []workload.Workload{
+		workload.NewSTREAM(workload.STREAMInputs{ArraySize: 512, Times: 1}),
 	}
-	res, err := armdse.Collect(context.Background(), armdse.CollectOptions{
+	res, err := orchestrate.Collect(context.Background(), orchestrate.Options{
 		Seed: 17, Samples: 60, Suite: suite,
 	})
 	if err != nil {
@@ -28,7 +30,7 @@ func fixture(t *testing.T) (dataPath, cfgPath string) {
 		t.Fatal(err)
 	}
 	cfgPath = filepath.Join(dir, "cfg.json")
-	if err := armdse.SaveConfig(armdse.ThunderX2(), cfgPath); err != nil {
+	if err := params.SaveConfig(params.ThunderX2(), cfgPath); err != nil {
 		t.Fatal(err)
 	}
 	return dataPath, cfgPath

@@ -9,8 +9,11 @@ import (
 	"testing"
 	"time"
 
-	"armdse"
 	"armdse/internal/fabric"
+	"armdse/internal/obs"
+	"armdse/internal/orchestrate"
+	"armdse/internal/search"
+	"armdse/internal/workload"
 )
 
 // TestAnalyzeRealRunlogs reads runlogs written in-process by both real
@@ -28,9 +31,9 @@ func TestAnalyzeRealRunlogs(t *testing.T) {
 	}
 
 	adaptive := filepath.Join(dir, "adaptive.runlog.jsonl")
-	proposer, err := armdse.NewProposer(armdse.ProposeOptions{
-		Strategy: armdse.StrategyUCB, Seed: 11, Budget: 8, Batch: 4,
-		Apps: armdse.SuiteNames(armdse.TestSuite()),
+	proposer, err := search.NewProposer(search.ProposeOptions{
+		Strategy: search.StrategyUCB, Seed: 11, Budget: 8, Batch: 4,
+		Apps: orchestrate.SuiteNames(workload.TestSuite()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -69,24 +72,24 @@ func analyzeOK(t *testing.T, path string, samples int) *runAnalysis {
 
 // writeEngineRunlog runs a 2-worker collection over the test suite with its
 // runlog at path: a fixed sweep, or adaptive batches from proposer.
-func writeEngineRunlog(t *testing.T, path string, samples int, proposer *armdse.Proposer) {
+func writeEngineRunlog(t *testing.T, path string, samples int, proposer *search.Proposer) {
 	t.Helper()
-	j, err := armdse.CreateRunJournal(path)
+	j, err := obs.CreateJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	suite := armdse.TestSuite()
-	tel := armdse.NewTelemetry(armdse.NewMetricsRegistry(2), j)
-	opt := armdse.CollectOptions{Seed: 11, Samples: samples, Workers: 2, Suite: suite, Telemetry: tel}
-	search := ""
+	suite := workload.TestSuite()
+	tel := orchestrate.NewTelemetry(obs.NewRegistry(2), j)
+	opt := orchestrate.Options{Seed: 11, Samples: samples, Workers: 2, Suite: suite, Telemetry: tel}
+	digest := ""
 	if proposer != nil {
-		opt.Batches, search = proposer, proposer.Digest()
+		opt.Batches, digest = proposer, proposer.Digest()
 	}
-	if err := tel.JournalMeta(11, samples, 2, 0, search, armdse.SuiteNames(suite)); err != nil {
+	if err := tel.JournalMeta(11, samples, 2, 0, digest, orchestrate.SuiteNames(suite)); err != nil {
 		t.Fatal(err)
 	}
-	res, err := armdse.Collect(context.Background(), opt)
+	res, err := orchestrate.Collect(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,10 +30,10 @@ import (
 	"io"
 	"os"
 
-	"armdse"
 	"armdse/internal/atomicfile"
 	"armdse/internal/obs"
 	"armdse/internal/orchestrate"
+	"armdse/internal/params"
 	"armdse/internal/simeng"
 	"armdse/internal/workload"
 )
@@ -83,16 +83,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}()
 
 	if *dumpBase != "" {
-		if err := armdse.SaveConfig(armdse.ThunderX2(), *dumpBase); err != nil {
+		if err := params.SaveConfig(params.ThunderX2(), *dumpBase); err != nil {
 			return err
 		}
 		fmt.Fprintln(stdout, "wrote", *dumpBase)
 		return nil
 	}
 
-	cfg := armdse.ThunderX2()
+	cfg := params.ThunderX2()
 	if *cfgPath != "" {
-		cfg, err = armdse.LoadConfig(*cfgPath)
+		cfg, err = params.LoadConfig(*cfgPath)
 		if err != nil {
 			return err
 		}
@@ -106,9 +106,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 			cfg.Core.StoreBandwidth = *vl / 8
 		}
 	}
-	suite := armdse.TestSuite()
+	suite := workload.TestSuite()
 	if *paper {
-		suite = armdse.PaperSuite()
+		suite = workload.PaperSuite()
 	}
 	w := workload.ByName(suite, *app)
 	if w == nil {
@@ -190,8 +190,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 			st.RenameStalls[0], st.RenameStalls[1], st.RenameStalls[2], st.RenameStalls[3])
 		fmt.Fprintf(stdout, "avg occupancy:       rob=%.1f rs=%.1f\n", st.AvgROBOccupancy(), st.AvgRSOccupancy())
 		fmt.Fprintf(stdout, "cycle breakdown:    ")
-		for i, name := range armdse.StallClassNames() {
-			fmt.Fprintf(stdout, " %s=%.1f%%", name, st.StallPct(armdse.StallClass(i)))
+		for i, name := range simeng.StallClassNames() {
+			fmt.Fprintf(stdout, " %s=%.1f%%", name, st.StallPct(simeng.StallClass(i)))
 		}
 		fmt.Fprintln(stdout)
 		fmt.Fprintf(stdout, "port utilisation:   ")

@@ -15,7 +15,7 @@ import (
 	"strings"
 	"testing"
 
-	"armdse"
+	"armdse/internal/params"
 )
 
 // build compiles the package at pkg into dir, without the race detector.
@@ -83,9 +83,9 @@ func TestWorstGeometryPeakRSS(t *testing.T) {
 		t.Skip("simulating a STREAM run; skipped in -short")
 	}
 	dir := t.TempDir()
-	cfg := armdse.ThunderX2()
+	cfg := params.ThunderX2()
 	cfg.Mem.L2Size, cfg.Mem.CacheLineWidth, cfg.Mem.L2Assoc = 16<<20, 16, 16
-	if err := armdse.SaveConfig(cfg, filepath.Join(dir, "worst.json")); err != nil {
+	if err := params.SaveConfig(cfg, filepath.Join(dir, "worst.json")); err != nil {
 		t.Fatal(err)
 	}
 	dserun := build(t, dir, "armdse/cmd/dserun")

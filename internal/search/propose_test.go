@@ -6,8 +6,10 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"reflect"
 	"testing"
 
+	"armdse/internal/dataset"
 	"armdse/internal/dtree"
 	"armdse/internal/orchestrate"
 	"armdse/internal/params"
@@ -387,5 +389,44 @@ func TestParetoFront(t *testing.T) {
 	}
 	if ParetoFront(nil) != nil {
 		t.Error("empty input should yield nil front")
+	}
+
+	// ParetoFromDataset recomputes each row's cost from its features: five
+	// ThunderX2 rows whose cost rises with the vector length alone.
+	base := params.ThunderX2()
+	d := dataset.New(params.FeatureNames(), []string{"app"})
+	for i, vl := range []int{128, 256, 512, 1024, 2048} {
+		cfg := base
+		cfg.Core.VectorLength = vl
+		cycles := []float64{
+			900, // front: cheapest
+			950, // dominated by row 0
+			400, // front
+			400, // dominated by row 2: as fast, costlier
+			100, // front: fastest
+		}[i]
+		if err := d.Append(cfg.Features(), map[string]float64{"app": cycles}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	front, err := ParetoFromDataset(d, "app")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cost := func(vl int) float64 {
+		cfg := base
+		cfg.Core.VectorLength = vl
+		return params.CostProxy(cfg)
+	}
+	wantFront := []ParetoPoint{
+		{Row: 4, Cycles: 100, Cost: cost(2048)},
+		{Row: 2, Cycles: 400, Cost: cost(512)},
+		{Row: 0, Cycles: 900, Cost: cost(128)},
+	}
+	if !reflect.DeepEqual(front, wantFront) {
+		t.Errorf("ParetoFromDataset = %+v, want %+v", front, wantFront)
+	}
+	if _, err := ParetoFromDataset(d, "nope"); err == nil {
+		t.Error("ParetoFromDataset accepted an unknown app")
 	}
 }

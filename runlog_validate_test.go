@@ -12,6 +12,7 @@ import (
 	"armdse"
 	"armdse/internal/fabric"
 	"armdse/internal/obs"
+	"armdse/internal/search"
 )
 
 // TestRunlogSchemaCoverage generates a runlog through each journaling path
@@ -50,7 +51,7 @@ func TestRunlogSchemaCoverage(t *testing.T) {
 
 func runFixedSweep(t *testing.T, path string) {
 	t.Helper()
-	j, err := armdse.CreateRunJournal(path)
+	j, err := obs.CreateJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,14 +77,14 @@ func runFixedSweep(t *testing.T, path string) {
 
 func runAdaptiveSweep(t *testing.T, path string) {
 	t.Helper()
-	j, err := armdse.CreateRunJournal(path)
+	j, err := obs.CreateJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	suite := armdse.TestSuite()
 	apps := armdse.SuiteNames(suite)
 	proposer, err := armdse.NewProposer(armdse.ProposeOptions{
-		Strategy: armdse.StrategyUCB, Seed: 11, Budget: 8, Batch: 4, Apps: apps,
+		Strategy: search.StrategyUCB, Seed: 11, Budget: 8, Batch: 4, Apps: apps,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -24,9 +24,11 @@ import (
 	"strconv"
 	"strings"
 
-	"armdse"
 	"armdse/internal/dataset"
+	"armdse/internal/orchestrate"
 	"armdse/internal/params"
+	"armdse/internal/search"
+	"armdse/internal/workload"
 )
 
 func main() {
@@ -43,7 +45,7 @@ func run(args []string) error {
 		budget   = fs.Int("budget", 1024, "configs per run")
 		batch    = fs.Int("batch", 0, "proposal batch size: configs per generation barrier (0 = default)")
 		workers  = fs.Int("workers", 0, "worker pool size (0 = all cores)")
-		eval     = fs.String("eval", armdse.EvalHybrid, "evaluator (exact or hybrid)")
+		eval     = fs.String("eval", orchestrate.EvalHybrid, "evaluator (exact or hybrid)")
 		escalate = fs.Float64("escalate", 2.0, "hybrid escalation threshold")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -103,15 +105,15 @@ func frontHV(d *dataset.Dataset) (float64, error) {
 			return 0, err
 		}
 		lo, hi := math.Log(hvBox.idealCycles[app]), math.Log(hvBox.refCycles[app])
-		var pts []armdse.ParetoPoint
+		var pts []search.ParetoPoint
 		for i, v := range y {
 			c := (math.Log(v) - lo) / (hi - lo)
 			if c < 1 && cost[i] < 1 {
-				pts = append(pts, armdse.ParetoPoint{Row: i, Cycles: max(c, 0), Cost: max(cost[i], 0)})
+				pts = append(pts, search.ParetoPoint{Row: i, Cycles: max(c, 0), Cost: max(cost[i], 0)})
 			}
 		}
 		hv, prevK := 0.0, 1.0
-		for _, p := range armdse.ParetoFront(pts) {
+		for _, p := range search.ParetoFront(pts) {
 			hv += (1 - p.Cycles) * (prevK - p.Cost)
 			prevK = p.Cost
 		}
@@ -145,9 +147,9 @@ func runHV(seeds []int, budget, batch, workers int, eval string, escalate float6
 	if batch <= 0 {
 		batch = 64 // the proposer's own default
 	}
-	suite := armdse.TestSuite()
-	apps := armdse.SuiteNames(suite)
-	strategies := armdse.SearchStrategies()
+	suite := workload.TestSuite()
+	apps := orchestrate.SuiteNames(suite)
+	strategies := search.Strategies()
 	rep := hvJSON{
 		Description:   "Front hypervolume (cycles vs CostProxy, normalised as perfbench's front_hv) per seed and strategy; uniform is the control",
 		Budget:        budget,
@@ -156,21 +158,21 @@ func runHV(seeds []int, budget, batch, workers int, eval string, escalate float6
 		Mean:          map[string]float64{},
 		WinsVsUniform: map[string]int{},
 	}
-	if eval == armdse.EvalHybrid {
+	if eval == orchestrate.EvalHybrid {
 		rep.Escalate = escalate
 	}
 	for _, seed := range seeds {
 		row := hvSeedJSON{Seed: int64(seed), HV: map[string]float64{}}
 		raw := map[string]float64{}
 		for _, strategy := range strategies {
-			prop, err := armdse.NewProposer(armdse.ProposeOptions{
+			prop, err := search.NewProposer(search.ProposeOptions{
 				Strategy: strategy, Seed: int64(seed), Budget: budget, Batch: batch,
 				Workers: workers, Apps: apps,
 			})
 			if err != nil {
 				return err
 			}
-			res, err := armdse.Collect(context.Background(), armdse.CollectOptions{
+			res, err := orchestrate.Collect(context.Background(), orchestrate.Options{
 				Seed: int64(seed), Batches: prop, Workers: workers, Suite: suite,
 				Eval: eval, EvalEscalate: escalate,
 			})
@@ -186,12 +188,12 @@ func runHV(seeds []int, budget, batch, workers int, eval string, escalate float6
 			rep.Mean[strategy] += hv / float64(len(seeds))
 		}
 		for _, strategy := range strategies {
-			if raw[strategy] > raw[armdse.StrategyUniform] {
+			if raw[strategy] > raw[search.StrategyUniform] {
 				rep.WinsVsUniform[strategy]++
 			}
 		}
 		fmt.Fprintf(os.Stderr, "seed %d: uniform %.4f, ucb %.4f, ei %.4f\n", seed,
-			row.HV[armdse.StrategyUniform], row.HV[armdse.StrategyUCB], row.HV[armdse.StrategyEI])
+			row.HV[search.StrategyUniform], row.HV[search.StrategyUCB], row.HV[search.StrategyEI])
 		rep.Seeds = append(rep.Seeds, row)
 	}
 	for strategy, m := range rep.Mean {
