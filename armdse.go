@@ -302,7 +302,7 @@ func FeatureImportanceOpt(t *Tree, d *Dataset, app string, opt ImportanceOptions
 	if err != nil {
 		return nil, err
 	}
-	return dtree.PermutationImportanceOpt(t, d.X, y, d.FeatureNames, opt)
+	return dtree.PermutationImportance(t, d.X, y, d.FeatureNames, opt)
 }
 
 // TopImportances returns the n largest-magnitude importances, descending.

@@ -113,11 +113,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	if *doSearch {
 		did = true
-		res, err := search.Best(search.SurrogateObjective(tree), search.Options{
-			Seed:        *seed,
-			Candidates:  20000,
-			RefineSteps: 3,
-		})
+		res, err := search.Best(search.SurrogateObjective(tree), *seed)
 		if err != nil {
 			return err
 		}

@@ -112,22 +112,6 @@ func BenchmarkPredict(b *testing.B) {
 	_ = sink
 }
 
-func BenchmarkPredictBatch(b *testing.B) {
-	x, y := benchData(10_000)
-	tree, err := Train(x, y, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = tree.PredictBatch(x, workers)
-			}
-		})
-	}
-}
-
 func BenchmarkPermutationImportance(b *testing.B) {
 	x, y := benchData(1000)
 	tree, err := Train(x, y, Options{})
@@ -143,7 +127,7 @@ func BenchmarkPermutationImportance(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				opt := ImportanceOptions{Repeats: 2, Seed: 20, Workers: workers}
-				if _, err := PermutationImportanceOpt(tree, x, y, names, opt); err != nil {
+				if _, err := PermutationImportance(tree, x, y, names, opt); err != nil {
 					b.Fatal(err)
 				}
 			}

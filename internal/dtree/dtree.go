@@ -13,7 +13,6 @@ package dtree
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"armdse/internal/stats"
@@ -24,8 +23,6 @@ import (
 // split, GOMAXPROCS build workers (the build result is
 // worker-count-invariant, so parallelism is on by default).
 type Options struct {
-	// MaxDepth caps tree depth; 0 means unlimited.
-	MaxDepth int
 	// MinSamplesLeaf is the minimum samples in each child of a split;
 	// values below 1 are treated as 1.
 	MinSamplesLeaf int
@@ -140,7 +137,7 @@ func Train(x [][]float64, y []float64, opt Options) (*Tree, error) {
 	for i := range idx {
 		idx[i] = i
 	}
-	root := tr.build(idx, 1, uint64(stats.SubSeed(opt.Seed, 0)))
+	root := tr.build(idx, uint64(stats.SubSeed(opt.Seed, 0)))
 	return flatten(root, nf), nil
 }
 
@@ -149,7 +146,7 @@ func Train(x [][]float64, y []float64, opt Options) (*Tree, error) {
 // root-to-node path). idx is owned exclusively by this call: the partition
 // step rewrites it in place and hands disjoint halves to the children, so
 // concurrent subtree builds never share mutable state.
-func (tr *trainer) build(idx []int, depth int, seed uint64) *bnode {
+func (tr *trainer) build(idx []int, seed uint64) *bnode {
 	n := len(idx)
 	var sum, sumSq float64
 	for _, i := range idx {
@@ -159,9 +156,6 @@ func (tr *trainer) build(idx []int, depth int, seed uint64) *bnode {
 	nd := &bnode{feature: -1, value: sum / float64(n)}
 
 	if n < 2*tr.opt.MinSamplesLeaf {
-		return nd
-	}
-	if tr.opt.MaxDepth > 0 && depth >= tr.opt.MaxDepth {
 		return nd
 	}
 	parentSSE := sumSq - sum*sum/float64(n)
@@ -174,7 +168,7 @@ func (tr *trainer) build(idx []int, depth int, seed uint64) *bnode {
 		return nd // no split, or numeric degeneracy; keep the leaf
 	}
 
-	ch := tr.buildChildren(idx, nl, depth, seed)
+	ch := tr.buildChildren(idx, nl, seed)
 	nd.feature = int32(best.feature)
 	nd.threshold = best.threshold
 	nd.left, nd.right = ch.left, ch.right
@@ -273,7 +267,7 @@ type childPair struct{ left, right *bnode }
 // big enough to amortise the handoff. Either way the children's content
 // depends only on their sample blocks and path seeds, never on where they
 // ran.
-func (tr *trainer) buildChildren(idx []int, nl, depth int, seed uint64) childPair {
+func (tr *trainer) buildChildren(idx []int, nl int, seed uint64) childPair {
 	left, right := idx[:nl], idx[nl:]
 	ls, rs := childSeed(seed, 0), childSeed(seed, 1)
 	if tr.sem != nil && len(left) >= spawnMinSamples && len(right) >= spawnMinSamples {
@@ -284,17 +278,17 @@ func (tr *trainer) buildChildren(idx []int, nl, depth int, seed uint64) childPai
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				l = tr.build(left, depth+1, ls)
+				l = tr.build(left, ls)
 				<-tr.sem
 			}()
-			r := tr.build(right, depth+1, rs)
+			r := tr.build(right, rs)
 			wg.Wait()
 			return childPair{left: l, right: r}
 		default:
 		}
 	}
-	l := tr.build(left, depth+1, ls)
-	r := tr.build(right, depth+1, rs)
+	l := tr.build(left, ls)
+	r := tr.build(right, rs)
 	return childPair{left: l, right: r}
 }
 
@@ -376,8 +370,7 @@ func (t *Tree) NumLeaves() int {
 
 // Depth returns the maximum depth (a lone root has depth 1). Children always
 // follow their parent in the packed array, so one reverse pass computes every
-// subtree depth — no recursion, and linear even on deserialized node graphs
-// that share children.
+// subtree depth without recursion.
 func (t *Tree) Depth() int {
 	if len(t.nodes) == 0 {
 		return 0
@@ -414,27 +407,11 @@ func (t *Tree) Predict(x []float64) float64 {
 	}
 }
 
-// MAE returns the mean absolute error of the model over (x, y).
-func (t *Tree) MAE(x [][]float64, y []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	var s float64
+// PredictAll evaluates the tree on every row.
+func (t *Tree) PredictAll(x [][]float64) []float64 {
+	out := make([]float64, len(x))
 	for i, row := range x {
-		s += math.Abs(t.Predict(row) - y[i])
+		out[i] = t.Predict(row)
 	}
-	return s / float64(len(x))
-}
-
-// MSE returns the mean squared error of the model over (x, y).
-func (t *Tree) MSE(x [][]float64, y []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	var s float64
-	for i, row := range x {
-		d := t.Predict(row) - y[i]
-		s += d * d
-	}
-	return s / float64(len(x))
+	return out
 }

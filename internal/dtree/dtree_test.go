@@ -42,9 +42,6 @@ func TestPerfectFitOnTrainingData(t *testing.T) {
 			t.Fatalf("training row %d: predict %g, want %g", i, got, y[i])
 		}
 	}
-	if tree.MAE(x, y) > 1e-12 || tree.MSE(x, y) > 1e-12 {
-		t.Error("nonzero training error with single-sample leaves")
-	}
 }
 
 func TestConstantTarget(t *testing.T) {
@@ -107,7 +104,7 @@ func TestStepFunctionLearned(t *testing.T) {
 	}
 }
 
-func TestMaxDepthAndMinLeaf(t *testing.T) {
+func TestMinSamplesLeaf(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	n := 300
 	x := make([][]float64, n)
@@ -116,17 +113,6 @@ func TestMaxDepthAndMinLeaf(t *testing.T) {
 		x[i] = []float64{rng.Float64() * 10}
 		y[i] = x[i][0] * x[i][0]
 	}
-	shallow, err := Train(x, y, Options{MaxDepth: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := shallow.Depth(); d > 3 {
-		t.Errorf("depth = %d beyond MaxDepth 3", d)
-	}
-	if shallow.NumLeaves() > 4 {
-		t.Errorf("leaves = %d with depth 3", shallow.NumLeaves())
-	}
-
 	chunky, err := Train(x, y, Options{MinSamplesLeaf: 50})
 	if err != nil {
 		t.Fatal(err)
@@ -139,8 +125,8 @@ func TestMaxDepthAndMinLeaf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if deep.MSE(x, y) >= shallow.MSE(x, y) {
-		t.Error("unconstrained tree no better than depth-3 on training data")
+	if meanAbsErr(deep, x, y) >= meanAbsErr(chunky, x, y) {
+		t.Error("single-sample leaves no better than MinSamplesLeaf 50 on training data")
 	}
 }
 
@@ -244,7 +230,7 @@ func TestPermutationImportanceIdentifiesSignal(t *testing.T) {
 		t.Fatal(err)
 	}
 	names := []string{"strong", "weak", "noise"}
-	imps, err := PermutationImportance(tree, x, y, names, 10, 1)
+	imps, err := PermutationImportance(tree, x, y, names, ImportanceOptions{Repeats: 10, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +271,7 @@ func TestPermutationImportanceSignNegative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	imps, err := PermutationImportance(tree, x, y, []string{"latency", "noise"}, 5, 2)
+	imps, err := PermutationImportance(tree, x, y, []string{"latency", "noise"}, ImportanceOptions{Repeats: 5, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,13 +285,13 @@ func TestPermutationImportanceErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := PermutationImportance(tree, nil, nil, []string{"a"}, 1, 1); err == nil {
+	if _, err := PermutationImportance(tree, nil, nil, []string{"a"}, ImportanceOptions{}); err == nil {
 		t.Error("empty set accepted")
 	}
-	if _, err := PermutationImportance(tree, [][]float64{{1}}, []float64{1, 2}, []string{"a"}, 1, 1); err == nil {
+	if _, err := PermutationImportance(tree, [][]float64{{1}}, []float64{1, 2}, []string{"a"}, ImportanceOptions{}); err == nil {
 		t.Error("mismatched lengths accepted")
 	}
-	if _, err := PermutationImportance(tree, [][]float64{{1}}, []float64{1}, []string{"a", "b"}, 1, 1); err == nil {
+	if _, err := PermutationImportance(tree, [][]float64{{1}}, []float64{1}, []string{"a", "b"}, ImportanceOptions{}); err == nil {
 		t.Error("wrong name count accepted")
 	}
 }

@@ -1,7 +1,6 @@
 package dtree
 
 import (
-	"fmt"
 	"math"
 
 	"armdse/internal/stats"
@@ -11,9 +10,6 @@ import (
 type ForestOptions struct {
 	// Trees is the ensemble size (default 30).
 	Trees int
-	// MaxFeatures restricts each split to a random feature subset;
-	// 0 selects the regression default of nFeatures/3 (minimum 1).
-	MaxFeatures int
 	// MinSamplesLeaf is the per-tree leaf minimum (default 1).
 	MinSamplesLeaf int
 	// Seed drives bootstrap sampling and feature subsampling. Every tree
@@ -29,8 +25,9 @@ type ForestOptions struct {
 
 // Forest is a bagged ensemble of regression trees — the "more complex
 // surrogate model" the paper's conclusion proposes as future work. Each tree
-// trains on a bootstrap resample with per-split feature subsampling and
-// predictions average the ensemble.
+// trains on a bootstrap resample with per-split feature subsampling over
+// nFeatures/3 features (minimum 1), the regression default, and predictions
+// average the ensemble.
 type Forest struct {
 	trees []*Tree
 }
@@ -40,51 +37,45 @@ type Forest struct {
 // subsampling come from its own indexed substream, the result does not
 // depend on scheduling.
 func TrainForest(x [][]float64, y []float64, opt ForestOptions) (*Forest, error) {
-	if len(x) == 0 {
-		return nil, fmt.Errorf("dtree: empty training set")
-	}
-	if len(x) != len(y) {
-		return nil, fmt.Errorf("dtree: %d rows but %d targets", len(x), len(y))
-	}
-	if opt.Trees <= 0 {
-		opt.Trees = 30
-	}
-	nf := len(x[0])
-	if opt.MaxFeatures <= 0 {
-		opt.MaxFeatures = nf / 3
-		if opt.MaxFeatures < 1 {
-			opt.MaxFeatures = 1
-		}
-	}
+	f, _, err := RefitForest(nil, x, y, RefitOptions{ForestOptions: opt})
+	return f, err
+}
+
+// trainTrees is the one bootstrap-and-Train loop behind TrainForest and
+// RefitForest: it retrains the count trees from index start on, wrapping
+// around the ensemble, in place in f. Tree t draws its bootstrap and split
+// seed from substream (opt.Seed, t) whichever worker trains it.
+func trainTrees(f *Forest, x [][]float64, y []float64, opt ForestOptions, start, count int) error {
 	n := len(x)
-	f := &Forest{trees: make([]*Tree, opt.Trees)}
-	errs := make([]error, opt.Trees)
-	forEachChunk(opt.Trees, opt.Workers, func(lo, hi int) {
+	maxFeatures := max(len(x[0])/3, 1)
+	errs := make([]error, count)
+	forEachChunk(count, opt.Workers, func(lo, hi int) {
 		bx := make([][]float64, n)
 		by := make([]float64, n)
-		for t := lo; t < hi; t++ {
+		for j := lo; j < hi; j++ {
+			t := (start + j) % len(f.trees)
 			rng := stats.NewRand(stats.SubSeed(opt.Seed, t))
 			for i := 0; i < n; i++ {
-				j := rng.Intn(n)
-				bx[i] = x[j]
-				by[i] = y[j]
+				k := rng.Intn(n)
+				bx[i] = x[k]
+				by[i] = y[k]
 			}
-			f.trees[t], errs[t] = Train(bx, by, Options{
+			f.trees[t], errs[j] = Train(bx, by, Options{
 				MinSamplesLeaf: opt.MinSamplesLeaf,
-				MaxFeatures:    opt.MaxFeatures,
+				MaxFeatures:    maxFeatures,
 				Seed:           rng.Int63(),
 			})
-			if errs[t] != nil {
+			if errs[j] != nil {
 				return
 			}
 		}
 	})
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return f, nil
+	return nil
 }
 
 // NumTrees returns the ensemble size.
@@ -97,6 +88,15 @@ func (f *Forest) Predict(x []float64) float64 {
 		s += t.Predict(x)
 	}
 	return s / float64(len(f.trees))
+}
+
+// PredictAll evaluates the forest on every row.
+func (f *Forest) PredictAll(x [][]float64) []float64 {
+	out := make([]float64, len(x))
+	for i, row := range x {
+		out[i] = f.Predict(row)
+	}
+	return out
 }
 
 // PredictStats evaluates the forest on one feature vector and returns both
@@ -119,16 +119,4 @@ func (f *Forest) PredictStats(x []float64) (mean, std float64) {
 		std = math.Sqrt(variance)
 	}
 	return mean, std
-}
-
-// MAE returns the forest's mean absolute error over (x, y).
-func (f *Forest) MAE(x [][]float64, y []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	var s float64
-	for i, row := range x {
-		s += math.Abs(f.Predict(row) - y[i])
-	}
-	return s / float64(len(x))
 }

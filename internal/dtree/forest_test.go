@@ -6,6 +6,15 @@ import (
 	"testing"
 )
 
+// meanAbsErr is a model's mean absolute error over (x, y).
+func meanAbsErr(m Predictor, x [][]float64, y []float64) float64 {
+	var s float64
+	for i, row := range x {
+		s += math.Abs(m.Predict(row) - y[i])
+	}
+	return s / float64(len(x))
+}
+
 // noisyData builds a smooth function plus noise, split into train/test.
 func noisyData(seed int64, n int) (xTr [][]float64, yTr []float64, xTe [][]float64, yTe []float64) {
 	rng := rand.New(rand.NewSource(seed))
@@ -73,15 +82,15 @@ func TestForestBeatsSingleTreeOnNoisyData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	treeMAE := tree.MAE(xTe, yTe)
-	forestMAE := forest.MAE(xTe, yTe)
+	treeMAE := meanAbsErr(tree, xTe, yTe)
+	forestMAE := meanAbsErr(forest, xTe, yTe)
 	if forestMAE >= treeMAE {
 		t.Errorf("forest MAE %.3f not below tree MAE %.3f on noisy data", forestMAE, treeMAE)
 	}
 }
 
-func TestForestPredictAllAndMAE(t *testing.T) {
-	xTr, yTr, xTe, yTe := noisyData(4, 300)
+func TestForestPredictAll(t *testing.T) {
+	xTr, yTr, xTe, _ := noisyData(4, 300)
 	forest, err := TrainForest(xTr, yTr, ForestOptions{Trees: 10, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -90,15 +99,13 @@ func TestForestPredictAllAndMAE(t *testing.T) {
 	if len(preds) != len(xTe) {
 		t.Fatalf("preds = %d", len(preds))
 	}
-	var s float64
-	for i := range preds {
-		s += math.Abs(preds[i] - yTe[i])
+	for i, row := range xTe {
+		if preds[i] != forest.Predict(row) {
+			t.Fatalf("PredictAll[%d] = %g, Predict %g", i, preds[i], forest.Predict(row))
+		}
 	}
-	if got := forest.MAE(xTe, yTe); math.Abs(got-s/float64(len(xTe))) > 1e-9 {
-		t.Errorf("MAE inconsistent with PredictAll: %g", got)
-	}
-	if forest.MAE(nil, nil) != 0 {
-		t.Error("empty MAE not zero")
+	if got := forest.PredictAll(nil); len(got) != 0 {
+		t.Errorf("empty input returned %d predictions", len(got))
 	}
 }
 

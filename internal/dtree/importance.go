@@ -23,7 +23,7 @@ type Importance struct {
 	Pct float64
 }
 
-// ImportanceOptions configure PermutationImportanceOpt.
+// ImportanceOptions configure PermutationImportance.
 type ImportanceOptions struct {
 	// Repeats is the shuffle count per feature (the paper uses 10);
 	// values below 1 are treated as 1.
@@ -39,34 +39,21 @@ type ImportanceOptions struct {
 
 // PermutationImportance computes the paper's §VI-B metric: for each feature,
 // shuffle its column, re-score the model with mean absolute error, repeat
-// `repeats` times (the paper uses 10), and take the mean error increase over
-// the baseline; finally express each importance as a percentage of the sum
-// across features. The sign applied to Pct is the direction of the
+// opt.Repeats times (the paper uses 10), and take the mean error increase
+// over the baseline; finally express each importance as a percentage of the
+// sum across features. The sign applied to Pct is the direction of the
 // parameter's effect on the target (negative feature-target association =
 // "increasing this parameter yields fewer cycles" = positive, matching the
 // figure captions).
-func PermutationImportance(t *Tree, x [][]float64, y []float64, names []string, repeats int, seed int64) ([]Importance, error) {
-	return PermutationImportanceOpt(t, x, y, names, ImportanceOptions{Repeats: repeats, Seed: seed})
-}
-
-// PermutationImportanceOpt is PermutationImportance with an explicit worker
-// count. Features are scored concurrently, each (feature, repeat) shuffle on
-// its own RNG substream, and the per-feature increases are reduced to
+//
+// Features are scored concurrently, each (feature, repeat) shuffle on its
+// own RNG substream, and the per-feature increases are reduced to
 // percentages in feature order — so the output is byte-identical at every
 // worker count.
-func PermutationImportanceOpt(t *Tree, x [][]float64, y []float64, names []string, opt ImportanceOptions) ([]Importance, error) {
+func PermutationImportance(t *Tree, x [][]float64, y []float64, names []string, opt ImportanceOptions) ([]Importance, error) {
 	if len(names) != t.nFeatures {
 		return nil, fmt.Errorf("dtree: %d names for %d features", len(names), t.nFeatures)
 	}
-	return PermutationImportanceModel(t, x, y, names, opt)
-}
-
-// PermutationImportanceModel scores permutation importance for any trained
-// predictor — tree or forest. The feature count is taken from the names
-// slice (which must match the evaluation rows); everything else behaves
-// exactly like PermutationImportanceOpt, including the worker-count
-// invariance of the output.
-func PermutationImportanceModel(m Predictor, x [][]float64, y []float64, names []string, opt ImportanceOptions) ([]Importance, error) {
 	if len(x) == 0 {
 		return nil, fmt.Errorf("dtree: empty evaluation set")
 	}
@@ -74,7 +61,7 @@ func PermutationImportanceModel(m Predictor, x [][]float64, y []float64, names [
 		return nil, fmt.Errorf("dtree: %d rows but %d targets", len(x), len(y))
 	}
 	nFeatures := len(names)
-	if nFeatures == 0 || len(x[0]) != nFeatures {
+	if len(x[0]) != nFeatures {
 		return nil, fmt.Errorf("dtree: %d names for rows of %d features", nFeatures, len(x[0]))
 	}
 	repeats := opt.Repeats
@@ -83,7 +70,7 @@ func PermutationImportanceModel(m Predictor, x [][]float64, y []float64, names [
 	}
 	var base float64
 	for i, row := range x {
-		base += math.Abs(m.Predict(row) - y[i])
+		base += math.Abs(t.Predict(row) - y[i])
 	}
 	base /= float64(len(x))
 
@@ -104,7 +91,7 @@ func PermutationImportanceModel(m Predictor, x [][]float64, y []float64, names [
 				for i := range x {
 					copy(row, x[i])
 					row[f] = col[i]
-					err += math.Abs(m.Predict(row) - y[i])
+					err += math.Abs(t.Predict(row) - y[i])
 				}
 				incSum += err/float64(n) - base
 			}

@@ -96,7 +96,7 @@ func TestImportanceWorkerInvariance(t *testing.T) {
 		names[i] = "f"
 	}
 	run := func(workers int) []Importance {
-		imps, err := PermutationImportanceOpt(tree, x, y, names, ImportanceOptions{
+		imps, err := PermutationImportance(tree, x, y, names, ImportanceOptions{
 			Repeats: 3, Seed: 11, Workers: workers,
 		})
 		if err != nil {
@@ -112,46 +112,6 @@ func TestImportanceWorkerInvariance(t *testing.T) {
 				t.Errorf("workers=%d: importance %d = %+v, serial %+v", workers, i, got[i], ref[i])
 			}
 		}
-	}
-
-	// The legacy entry point is the Opt form with default workers.
-	legacy, err := PermutationImportance(tree, x, y, names, 3, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ref {
-		if ref[i] != legacy[i] {
-			t.Errorf("legacy importance %d = %+v, opt form %+v", i, legacy[i], ref[i])
-		}
-	}
-}
-
-// TestPredictBatchMatchesPredict pins that the batched predictors are pure
-// fan-outs of the scalar ones at any worker count.
-func TestPredictBatchMatchesPredict(t *testing.T) {
-	x, y := benchData(500)
-	tree, err := Train(x, y, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	forest, err := TrainForest(x, y, ForestOptions{Trees: 5, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 1, 3, 8} {
-		tp := tree.PredictBatch(x, workers)
-		fp := forest.PredictBatch(x, workers)
-		for i, row := range x {
-			if tp[i] != tree.Predict(row) {
-				t.Fatalf("workers=%d: tree batch[%d] = %g, Predict %g", workers, i, tp[i], tree.Predict(row))
-			}
-			if fp[i] != forest.Predict(row) {
-				t.Fatalf("workers=%d: forest batch[%d] = %g, Predict %g", workers, i, fp[i], forest.Predict(row))
-			}
-		}
-	}
-	if got := tree.PredictBatch(nil, 4); len(got) != 0 {
-		t.Errorf("empty batch returned %d predictions", len(got))
 	}
 }
 

@@ -1,66 +1,9 @@
 package dtree
 
 import (
-	"bytes"
 	"math/rand"
-	"strings"
 	"testing"
 )
-
-func trainedTree(t *testing.T) (*Tree, [][]float64) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(10))
-	n := 300
-	x := make([][]float64, n)
-	y := make([]float64, n)
-	for i := range x {
-		x[i] = []float64{rng.Float64() * 10, rng.Float64() * 5}
-		y[i] = 3*x[i][0] + x[i][1]*x[i][1]
-	}
-	tree, err := Train(x, y, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tree, x
-}
-
-func TestTreeSerializationRoundTrip(t *testing.T) {
-	tree, x := trainedTree(t)
-	var buf bytes.Buffer
-	if err := tree.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NumFeatures() != tree.NumFeatures() || back.NumNodes() != tree.NumNodes() {
-		t.Fatalf("shape changed: %d/%d vs %d/%d",
-			back.NumFeatures(), back.NumNodes(), tree.NumFeatures(), tree.NumNodes())
-	}
-	for _, row := range x[:50] {
-		if back.Predict(row) != tree.Predict(row) {
-			t.Fatal("predictions changed after round trip")
-		}
-	}
-}
-
-func TestReadRejectsMalformedTrees(t *testing.T) {
-	cases := map[string]string{
-		"not json":       "{nope",
-		"empty nodes":    `{"n_features":2,"nodes":[]}`,
-		"zero features":  `{"n_features":0,"nodes":[{"f":-1,"v":1}]}`,
-		"feature range":  `{"n_features":2,"nodes":[{"f":5,"t":1,"v":0,"l":1,"r":2},{"f":-1,"v":1},{"f":-1,"v":2}]}`,
-		"child cycle":    `{"n_features":2,"nodes":[{"f":0,"t":1,"v":0,"l":0,"r":0}]}`,
-		"child range":    `{"n_features":2,"nodes":[{"f":0,"t":1,"v":0,"l":1,"r":9}]}`,
-		"backward child": `{"n_features":2,"nodes":[{"f":-1,"v":1},{"f":0,"t":1,"v":0,"l":0,"r":0}]}`,
-	}
-	for name, s := range cases {
-		if _, err := Read(strings.NewReader(s)); err == nil {
-			t.Errorf("%s accepted", name)
-		}
-	}
-}
 
 func TestPartialDependence(t *testing.T) {
 	// y = 10*x0: PDP over x0 recovers the linear trend regardless of x1.

@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"armdse/internal/stats"
 )
 
 // Warm-started forest refits. An adaptive sweep retrains its surrogate at
@@ -60,73 +58,36 @@ func refreshCount(refresh, trees int) int {
 // RefitForest warm-starts a forest from a previous generation's model: the
 // rotating subset keyed by opt.Gen retrains on (x, y), every other tree is
 // retained by reference. A nil prev — or one whose ensemble size does not
-// match opt.Trees — falls back to a full TrainForest. Returns the refitted
-// forest and the number of trees retrained (== the ensemble size on a full
-// train). prev is never mutated, so concurrent readers of the previous
-// generation's forest are safe.
+// match opt.Trees — gets a full train, which is what TrainForest runs.
+// Returns the refitted forest and the number of trees retrained (== the
+// ensemble size on a full train). prev is never mutated, so concurrent
+// readers of the previous generation's forest are safe.
 func RefitForest(prev *Forest, x [][]float64, y []float64, opt RefitOptions) (*Forest, int, error) {
-	fo := opt.ForestOptions
-	if fo.Trees <= 0 {
-		fo.Trees = 30
-	}
-	if prev == nil || prev.NumTrees() != fo.Trees {
-		f, err := TrainForest(x, y, fo)
-		if err != nil {
-			return nil, 0, err
-		}
-		return f, fo.Trees, nil
-	}
 	if len(x) == 0 {
 		return nil, 0, fmt.Errorf("dtree: empty training set")
 	}
 	if len(x) != len(y) {
 		return nil, 0, fmt.Errorf("dtree: %d rows but %d targets", len(x), len(y))
 	}
-	nf := len(x[0])
-	if fo.MaxFeatures <= 0 {
-		fo.MaxFeatures = nf / 3
-		if fo.MaxFeatures < 1 {
-			fo.MaxFeatures = 1
-		}
+	fo := opt.ForestOptions
+	if fo.Trees <= 0 {
+		fo.Trees = 30
 	}
-	refresh := refreshCount(opt.Refresh, fo.Trees)
-	gen := opt.Gen % fo.Trees
-	if gen < 0 {
-		gen += fo.Trees
-	}
-	start := (gen * refresh) % fo.Trees
-
-	n := len(x)
 	f := &Forest{trees: make([]*Tree, fo.Trees)}
-	copy(f.trees, prev.trees)
-	errs := make([]error, refresh)
-	forEachChunk(refresh, fo.Workers, func(lo, hi int) {
-		bx := make([][]float64, n)
-		by := make([]float64, n)
-		for j := lo; j < hi; j++ {
-			t := (start + j) % fo.Trees
-			rng := stats.NewRand(stats.SubSeed(fo.Seed, t))
-			for i := 0; i < n; i++ {
-				k := rng.Intn(n)
-				bx[i] = x[k]
-				by[i] = y[k]
-			}
-			f.trees[t], errs[j] = Train(bx, by, Options{
-				MinSamplesLeaf: fo.MinSamplesLeaf,
-				MaxFeatures:    fo.MaxFeatures,
-				Seed:           rng.Int63(),
-			})
-			if errs[j] != nil {
-				return
-			}
+	start, count := 0, fo.Trees
+	if prev != nil && prev.NumTrees() == fo.Trees {
+		copy(f.trees, prev.trees)
+		count = refreshCount(opt.Refresh, fo.Trees)
+		gen := opt.Gen % fo.Trees
+		if gen < 0 {
+			gen += fo.Trees
 		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, 0, err
-		}
+		start = (gen * count) % fo.Trees
 	}
-	return f, refresh, nil
+	if err := trainTrees(f, x, y, fo, start, count); err != nil {
+		return nil, 0, err
+	}
+	return f, count, nil
 }
 
 // ForEachForest runs fn(i, treeWorkers) for every forest i in [0, n) on one

@@ -8,15 +8,15 @@ import (
 	"armdse/internal/stats"
 )
 
-// modelBytes serialises a forest through the versioned envelope — the
-// byte-identity probe the refit determinism tests compare.
+// modelBytes returns a forest's canonical encoding — the byte-identity
+// probe the refit determinism tests compare.
 func modelBytes(t *testing.T, f *Forest) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := WriteModel(f, &buf); err != nil {
+	b, err := f.Serialize()
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return b
 }
 
 func TestRefitNilPrevMatchesTrainForest(t *testing.T) {

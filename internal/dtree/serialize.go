@@ -1,14 +1,13 @@
 package dtree
 
-import (
-	"bufio"
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"io"
-)
+import "encoding/json"
 
-// treeJSON is the on-disk form of a Tree.
+// Canonical model encodings. Nodes are packed in deterministic preorder, so
+// two trainings that grew the same model (e.g. the same data at different
+// worker counts) serialise to identical bytes; the byte-identity tests
+// compare these encodings.
+
+// treeJSON is the encoded form of a Tree.
 type treeJSON struct {
 	NFeatures int        `json:"n_features"`
 	Nodes     []nodeJSON `json:"nodes"`
@@ -22,7 +21,17 @@ type nodeJSON struct {
 	Right     int32   `json:"r,omitempty"`
 }
 
-// toJSON converts the tree to its on-disk form.
+// forestJSON is the encoded form of a Forest: a version-1 "forest" record
+// wrapping the trees' encodings.
+type forestJSON struct {
+	Version int    `json:"version"`
+	Kind    string `json:"kind"`
+	Forest  struct {
+		Trees []treeJSON `json:"trees"`
+	} `json:"forest"`
+}
+
+// toJSON converts the tree to its encoded form.
 func (t *Tree) toJSON() treeJSON {
 	tj := treeJSON{NFeatures: t.nFeatures, Nodes: make([]nodeJSON, len(t.nodes))}
 	for i, nd := range t.nodes {
@@ -37,65 +46,26 @@ func (t *Tree) toJSON() treeJSON {
 	return tj
 }
 
-// treeFromJSON validates the on-disk form and reconstructs the tree.
-func treeFromJSON(tj treeJSON) (*Tree, error) {
-	if tj.NFeatures < 1 {
-		return nil, fmt.Errorf("dtree: invalid feature count %d", tj.NFeatures)
-	}
-	if len(tj.Nodes) == 0 {
-		return nil, fmt.Errorf("dtree: empty tree")
-	}
-	t := &Tree{nFeatures: tj.NFeatures, nodes: make([]node, len(tj.Nodes))}
-	n := int32(len(tj.Nodes))
-	for i, nd := range tj.Nodes {
-		if nd.Feature >= 0 {
-			if nd.Feature >= int32(tj.NFeatures) {
-				return nil, fmt.Errorf("dtree: node %d splits on feature %d of %d", i, nd.Feature, tj.NFeatures)
-			}
-			if nd.Left <= int32(i) || nd.Left >= n || nd.Right <= int32(i) || nd.Right >= n {
-				return nil, fmt.Errorf("dtree: node %d has out-of-order children (%d, %d)", i, nd.Left, nd.Right)
-			}
-		}
-		t.nodes[i] = node{
-			feature:   nd.Feature,
-			threshold: nd.Threshold,
-			value:     nd.Value,
-			left:      nd.Left,
-			right:     nd.Right,
-		}
-	}
-	return t, nil
-}
-
-// Write serialises the tree as JSON, so a trained surrogate can be shipped
-// and reused without retraining (the paper's "easily applied to new codes or
-// a new system design" deployment story).
-func (t *Tree) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if err := json.NewEncoder(bw).Encode(t.toJSON()); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// Serialize returns the tree's canonical encoding — the bytes Write emits.
-// Because nodes are packed in deterministic preorder, two trainings that
-// grew the same tree (e.g. the same data at different worker counts)
-// serialise to identical bytes, which is the repo's equivalence test for
-// the parallel trainer.
+// Serialize returns the tree's canonical encoding: one line of JSON.
 func (t *Tree) Serialize() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := t.Write(&buf); err != nil {
+	return encodeLine(t.toJSON())
+}
+
+// Serialize returns the forest's canonical encoding: one line of JSON.
+func (f *Forest) Serialize() ([]byte, error) {
+	fj := forestJSON{Version: 1, Kind: "forest"}
+	fj.Forest.Trees = make([]treeJSON, len(f.trees))
+	for i, t := range f.trees {
+		fj.Forest.Trees[i] = t.toJSON()
+	}
+	return encodeLine(fj)
+}
+
+// encodeLine marshals v and ends it with a newline.
+func encodeLine(v any) ([]byte, error) {
+	b, err := json.Marshal(v)
+	if err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
-}
-
-// Read deserialises a tree written by Write and validates its structure.
-func Read(r io.Reader) (*Tree, error) {
-	var tj treeJSON
-	if err := json.NewDecoder(r).Decode(&tj); err != nil {
-		return nil, fmt.Errorf("dtree: decoding tree: %w", err)
-	}
-	return treeFromJSON(tj)
+	return append(b, '\n'), nil
 }

@@ -116,7 +116,7 @@ func ExtStalls(ctx context.Context, opt Options) (Result, error) {
 			return Result{}, err
 		}
 		acc := heldOutAccuracyLabel(tree, test.X, yTest)
-		imps, err := dtree.PermutationImportanceOpt(tree, train.X, y, train.FeatureNames, opt.importanceOptions())
+		imps, err := dtree.PermutationImportance(tree, train.X, y, train.FeatureNames, opt.importanceOptions())
 		if err != nil {
 			return Result{}, err
 		}

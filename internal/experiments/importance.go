@@ -30,7 +30,7 @@ func importanceFor(ctx context.Context, opt Options, data *dataset.Dataset, id, 
 		if err != nil {
 			return Result{}, fmt.Errorf("experiments: training %s: %w", app, err)
 		}
-		imps, err := dtree.PermutationImportanceOpt(tree, data.X, y, data.FeatureNames, opt.importanceOptions())
+		imps, err := dtree.PermutationImportance(tree, data.X, y, data.FeatureNames, opt.importanceOptions())
 		if err != nil {
 			return Result{}, err
 		}

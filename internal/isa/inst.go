@@ -95,23 +95,6 @@ func (in *Inst) DestRegs() []Reg { return in.Dests[:in.NDests] }
 // SrcRegs returns the populated source registers.
 func (in *Inst) SrcRegs() []Reg { return in.Srcs[:in.NSrcs] }
 
-// TouchesZ reports whether any operand is in the FP/SVE class. Used by
-// generators to set the SVE flag consistently; note scalar FP also lives in
-// the FP class, so generators set SVE explicitly for vector ops only.
-func (in *Inst) TouchesZ() bool {
-	for _, r := range in.DestRegs() {
-		if r.Class == FP {
-			return true
-		}
-	}
-	for _, r := range in.SrcRegs() {
-		if r.Class == FP {
-			return true
-		}
-	}
-	return false
-}
-
 // String renders a compact assembly-like form for debugging and tests.
 func (in *Inst) String() string {
 	var b strings.Builder

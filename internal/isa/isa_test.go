@@ -141,17 +141,6 @@ func TestInstOperands(t *testing.T) {
 	if len(in.DestRegs()) != 1 || len(in.SrcRegs()) != 3 {
 		t.Fatalf("operand counts = %d/%d, want 1/3", in.NDests, in.NSrcs)
 	}
-	if !in.TouchesZ() {
-		t.Error("TouchesZ() = false for FP operands")
-	}
-
-	var scalar Inst
-	scalar.Op = IntALU
-	scalar.AddDest(R(GP, 1))
-	scalar.AddSrc(R(GP, 2))
-	if scalar.TouchesZ() {
-		t.Error("TouchesZ() = true for pure GP instruction")
-	}
 }
 
 func TestInstOperandOverflowPanics(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"armdse/internal/dataset"
-	"armdse/internal/dtree"
 	"armdse/internal/orchestrate"
 	"armdse/internal/params"
 	"armdse/internal/workload"
@@ -123,11 +122,11 @@ func TestWarmForestWorkerInvariance(t *testing.T) {
 		}
 		var models [][]byte
 		for _, f := range prop.forests {
-			var buf bytes.Buffer
-			if err := dtree.WriteModel(f, &buf); err != nil {
+			b, err := f.Serialize()
+			if err != nil {
 				t.Fatal(err)
 			}
-			models = append(models, buf.Bytes())
+			models = append(models, b)
 		}
 		return feats, models
 	}

@@ -8,7 +8,6 @@ package search
 
 import (
 	"fmt"
-	"math"
 
 	"armdse/internal/dtree"
 	"armdse/internal/params"
@@ -25,35 +24,12 @@ func SurrogateObjective(m dtree.Predictor) Objective {
 	}
 }
 
-// WeightedObjective combines per-application objectives with weights — the
-// A64FX-style co-design target of performing well on a finite application
-// set. Weights need not sum to one.
-func WeightedObjective(objs []Objective, weights []float64) (Objective, error) {
-	if len(objs) == 0 || len(objs) != len(weights) {
-		return nil, fmt.Errorf("search: %d objectives with %d weights", len(objs), len(weights))
-	}
-	return func(cfg params.Config) float64 {
-		var s float64
-		for i, o := range objs {
-			s += weights[i] * o(cfg)
-		}
-		return s
-	}, nil
-}
-
-// Options configure a search.
-type Options struct {
-	// Seed drives candidate sampling.
-	Seed int64
-	// Candidates is the random screening pool size (default 10000).
-	Candidates int
-	// Feasible, when non-nil, rejects configurations (e.g. an area or
-	// power budget expressed over the parameters).
-	Feasible func(cfg params.Config) bool
-	// RefineSteps bounds hill-climbing sweeps after screening (default 3;
-	// 0 disables refinement).
-	RefineSteps int
-}
+// The search protocol: Best screens screenCandidates random configurations,
+// then runs up to refineSweeps hill-climbing sweeps from the winner.
+const (
+	screenCandidates = 20_000
+	refineSweeps     = 3
+)
 
 // Result is the outcome of a search.
 type Result struct {
@@ -66,54 +42,35 @@ type Result struct {
 	Refined  int
 }
 
-// Best screens random candidates and hill-climbs the winner across each
-// parameter's discrete values, repairing the paper's sampling constraints
-// after every move.
-func Best(obj Objective, opt Options) (Result, error) {
+// Best screens screenCandidates random candidates drawn from seed and
+// hill-climbs the winner across each parameter's discrete values, repairing
+// the paper's sampling constraints after every move.
+func Best(obj Objective, seed int64) (Result, error) {
 	if obj == nil {
 		return Result{}, fmt.Errorf("search: nil objective")
 	}
-	if opt.Candidates <= 0 {
-		opt.Candidates = 10_000
-	}
-	if opt.RefineSteps < 0 {
-		opt.RefineSteps = 0
-	}
-
-	best := params.Config{}
-	bestScore := math.Inf(1)
-	screened := 0
 	// Screening draws candidate i from the same indexed config source the
 	// collection engine uses (params.ConfigAt), so the pool is stable per
 	// (seed, index) and screening can be split or resumed like a
 	// collection run.
-	for i := 0; i < opt.Candidates; i++ {
-		cfg := params.ConfigAt(opt.Seed, i)
-		if opt.Feasible != nil && !opt.Feasible(cfg) {
-			continue
-		}
-		screened++
+	best := params.ConfigAt(seed, 0)
+	bestScore := obj(best)
+	for i := 1; i < screenCandidates; i++ {
+		cfg := params.ConfigAt(seed, i)
 		if s := obj(cfg); s < bestScore {
 			bestScore = s
 			best = cfg
 		}
 	}
-	if math.IsInf(bestScore, 1) {
-		return Result{}, fmt.Errorf("search: no feasible candidate among %d", opt.Candidates)
-	}
-
-	refined := 0
-	if opt.RefineSteps > 0 {
-		best, bestScore, refined = refine(obj, best, bestScore, opt)
-	}
-	return Result{Config: best, Score: bestScore, Screened: screened, Refined: refined}, nil
+	best, bestScore, refined := refine(obj, best, bestScore)
+	return Result{Config: best, Score: bestScore, Screened: screenCandidates, Refined: refined}, nil
 }
 
 // refine performs coordinate-descent over the discrete parameter values.
-func refine(obj Objective, cfg params.Config, score float64, opt Options) (params.Config, float64, int) {
+func refine(obj Objective, cfg params.Config, score float64) (params.Config, float64, int) {
 	space := params.Space()
 	evals := 0
-	for sweep := 0; sweep < opt.RefineSteps; sweep++ {
+	for sweep := 0; sweep < refineSweeps; sweep++ {
 		improved := false
 		feats := cfg.Features()
 		for col, p := range space {
@@ -130,9 +87,6 @@ func refine(obj Objective, cfg params.Config, score float64, opt Options) (param
 				}
 				params.Repair(&cand)
 				if cand.Validate() != nil {
-					continue
-				}
-				if opt.Feasible != nil && !opt.Feasible(cand) {
 					continue
 				}
 				evals++

@@ -1,7 +1,6 @@
 package search
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -16,7 +15,7 @@ func analyticObj(cfg params.Config) float64 {
 }
 
 func TestBestFindsExtremes(t *testing.T) {
-	res, err := Best(analyticObj, Options{Seed: 1, Candidates: 2000, RefineSteps: 3})
+	res, err := Best(analyticObj, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +42,7 @@ func TestBestRespectsConstraintsAfterRefine(t *testing.T) {
 	// Push toward max vector length; the repaired config must keep the
 	// bandwidth >= vector constraint.
 	obj := func(cfg params.Config) float64 { return -float64(cfg.Core.VectorLength) }
-	res, err := Best(obj, Options{Seed: 2, Candidates: 200, RefineSteps: 2})
+	res, err := Best(obj, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,25 +55,8 @@ func TestBestRespectsConstraintsAfterRefine(t *testing.T) {
 	}
 }
 
-func TestFeasibleFilter(t *testing.T) {
-	budget := func(cfg params.Config) bool { return cfg.Core.ROBSize <= 64 }
-	res, err := Best(analyticObj, Options{Seed: 3, Candidates: 2000, RefineSteps: 2, Feasible: budget})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Config.Core.ROBSize > 64 {
-		t.Errorf("budget violated: ROB %d", res.Config.Core.ROBSize)
-	}
-
-	// An unsatisfiable constraint errors.
-	if _, err := Best(analyticObj, Options{Seed: 3, Candidates: 50,
-		Feasible: func(params.Config) bool { return false }}); err == nil {
-		t.Error("unsatisfiable constraint accepted")
-	}
-}
-
 func TestBestErrors(t *testing.T) {
-	if _, err := Best(nil, Options{}); err == nil {
+	if _, err := Best(nil, 1); err == nil {
 		t.Error("nil objective accepted")
 	}
 }
@@ -94,7 +76,7 @@ func TestSurrogateObjective(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Best(SurrogateObjective(tree), Options{Seed: 5, Candidates: 3000, RefineSteps: 2})
+	res, err := Best(SurrogateObjective(tree), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,26 +88,6 @@ func TestSurrogateObjective(t *testing.T) {
 	trueScore := analyticObj(res.Config)
 	if trueScore >= mean {
 		t.Errorf("surrogate-guided winner (%.0f true score) no better than mean (%.0f)", trueScore, mean)
-	}
-}
-
-func TestWeightedObjective(t *testing.T) {
-	a := func(cfg params.Config) float64 { return float64(cfg.Core.ROBSize) }
-	b := func(cfg params.Config) float64 { return float64(cfg.Core.CommitWidth) }
-	obj, err := WeightedObjective([]Objective{a, b}, []float64{2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := params.ThunderX2()
-	want := 2*float64(cfg.Core.ROBSize) + 3*float64(cfg.Core.CommitWidth)
-	if got := obj(cfg); math.Abs(got-want) > 1e-9 {
-		t.Errorf("weighted = %g, want %g", got, want)
-	}
-	if _, err := WeightedObjective(nil, nil); err == nil {
-		t.Error("empty objectives accepted")
-	}
-	if _, err := WeightedObjective([]Objective{a}, []float64{1, 2}); err == nil {
-		t.Error("mismatched weights accepted")
 	}
 }
 

@@ -61,25 +61,6 @@ func BuildProgram(codeBase uint64, repeat int64, loops ...Loop) (*Program, error
 	return &Program{Loops: loops, Repeat: repeat}, nil
 }
 
-// MustBuildProgram is BuildProgram panicking on error, for generators whose
-// structure is statically correct.
-func MustBuildProgram(codeBase uint64, repeat int64, loops ...Loop) *Program {
-	p, err := BuildProgram(codeBase, repeat, loops...)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-// StaticInsts returns the static code size in instructions.
-func (p *Program) StaticInsts() int {
-	n := 0
-	for i := range p.Loops {
-		n += len(p.Loops[i].Body)
-	}
-	return n
-}
-
 // DynamicInsts returns the total dynamic instruction count of one full run.
 func (p *Program) DynamicInsts() int64 {
 	var n int64

@@ -86,10 +86,9 @@ func TestProgramExpansion(t *testing.T) {
 	b := NewBody()
 	b.Load(isa.R(isa.FP, 1), false, Flat(DataBase, 8, 8))
 	b.ScalarLoopEnd()
-	prog := MustBuildProgram(CodeBase, 2, b.Loop("l", 3))
-
-	if got := prog.StaticInsts(); got != 4 {
-		t.Fatalf("StaticInsts = %d, want 4", got)
+	prog, err := BuildProgram(CodeBase, 2, b.Loop("l", 3))
+	if err != nil {
+		t.Fatal(err)
 	}
 	if got := prog.DynamicInsts(); got != 24 {
 		t.Fatalf("DynamicInsts = %d, want 24", got)
